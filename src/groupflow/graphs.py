@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import HostTooLarge, NotForest, NotSpanning, ParseError
+from .errors import HostTooLarge, InternalInvariantError, NotForest, NotSpanning, ParseError
 
 Vertex = Union[int, str]
 
@@ -388,5 +388,5 @@ def find_minor(G: Graph, M: Graph, host_bound: int = DEFAULT_HOST_BOUND) -> Opti
         forest.extend(spanning_forest(sub).edges)
     witness = MinorWitness(M, dict(assigned), frozenset(forest))
     if not verify_minor(G, witness):
-        raise AssertionError("find_minor produced an invalid witness")
+        raise InternalInvariantError("find_minor: the branch-set witness failed verify_minor")
     return witness

@@ -1,20 +1,22 @@
 """Deciding leak-proofness of a finite group.
 
-The abelian group built here glues the maximal abelian subgroups of G
-along their pairwise intersections: one block of coordinates per
-subgroup basis, with relation rows identifying each intersection
-generator's two discrete logarithms.  An element maps to the canonical
-form of its coordinate vector; the group is leak-proof exactly when no
-nonidentity element maps to zero, and binary leak-proof exactly when the
-map is injective.  Any kernel element is turned back into an explicit
-leaking flow on the complete graph over the subgroups.
+The abelian group built here glues the maximal abelian subgroups of G: one
+block of coordinates per subgroup basis, and chain rows identifying the
+discrete logs of each cyclic subgroup's generator g in the subgroups
+i_1 < i_2 < ... that contain it, as dlog_{i_k}(g) - dlog_{i_{k+1}}(g).
+They span the lattice of gluing every pair along its intersection: the
+chain telescopes, and h = g^k gives k times g's row.  An element maps to
+the canonical form of its coordinate vector; the group is leak-proof
+exactly when no nonidentity element maps to zero, and binary leak-proof
+exactly when the map is injective.  Any kernel element is turned back
+into an explicit leaking flow on the complete graph over the subgroups.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -48,10 +50,11 @@ __all__ = [
 class DeltaPresentation:
     """Presentation of the glued abelian group.
 
-    Global coordinates are the concatenated subgroup bases; ``relations``
-    stacks the order rows (one per generator) and one row per intersection
-    generator of every unordered subgroup pair; ``canonical`` is the Howell
-    form of the relation row space modulo ``modulus``.
+    Global coordinates are the concatenated subgroup bases.  ``pair_rows``
+    tags each chain row ((i, j), g): dlog_i(g) - dlog_j(g) for subgroups
+    i < j consecutive among those containing g.  The rows are not stored;
+    ``relation_rows`` rebuilds them, and ``canonical`` is the Howell form
+    of their span modulo ``modulus``.
     """
 
     group: FiniteGroup
@@ -60,7 +63,6 @@ class DeltaPresentation:
     offsets: tuple[int, ...]
     generator_index: tuple[tuple[int, int], ...]
     modulus: int
-    relations: np.ndarray
     canonical: HowellForm
     pair_rows: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), generator element)
 
@@ -83,25 +85,41 @@ class DeltaPresentation:
         vec[self.offsets[i]: self.offsets[i] + len(dlog)] = dlog
         return vec
 
+    def relation_rows(self) -> Iterator[tuple[np.ndarray, Optional[tuple[tuple[int, int], int]]]]:
+        """Every relation row with its tag: the order row of each column (tag
+        None), then dlog_i(g) - dlog_j(g) for each pair_rows tag ((i, j), g)."""
+        for col, (i, k) in enumerate(self.generator_index):
+            row = np.zeros(self.ncols, dtype=np.int64)
+            row[col] = self.bases[i].orders[k]
+            yield row, None
+        for tag in self.pair_rows:
+            (i, j), g = tag
+            yield self.embed(g, i) - self.embed(g, j), tag
+
     def invariant_factors(self) -> list[int]:
         return self.canonical.invariant_factors()
 
 
-def _pair_relation_rows(D_bases, offsets, group, i, j):
-    """Rows dlog_i(g) - dlog_j(g) for each basis generator g of H_i n H_j."""
-    Hi, Hj = D_bases[i].subgroup, D_bases[j].subgroup
-    inter = Hi.intersection(Hj)
-    if inter.order <= 1:
-        return []
-    rows = []
-    for g in abelian_basis(inter).gens:
-        row = np.zeros(offsets[-1], dtype=np.int64)
-        di = discrete_log(D_bases[i], g)
-        dj = discrete_log(D_bases[j], g)
-        row[offsets[i]: offsets[i] + len(di)] = di
-        row[offsets[j]: offsets[j] + len(dj)] -= np.array(dj)
-        rows.append((row, g))
-    return rows
+def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...]) -> list[tuple[tuple[int, int], int]]:
+    """Tags ((i_k, i_{k+1}), g) for the least-index generator g of each
+    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g."""
+    containing: list[list[int]] = [[] for _ in G.elements()]
+    for i, H in enumerate(subgroups):
+        for h in H.members:
+            containing[h].append(i)
+    seen = {frozenset([G.identity])}
+    tags = []
+    for g in G.elements():
+        powers = [g]
+        while powers[-1] != G.identity:
+            powers.append(G.mul(powers[-1], g))
+        cyclic = frozenset(powers)
+        if cyclic in seen:
+            continue
+        seen.add(cyclic)
+        chain = containing[g]
+        tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
+    return tags
 
 
 def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPresentation:
@@ -115,37 +133,21 @@ def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPres
     for i, basis in enumerate(bases):
         generator_index.extend((i, k) for k in range(len(basis.gens)))
         offsets.append(offsets[-1] + len(basis.gens))
-    ncols = offsets[-1]
     all_orders = [d for basis in bases for d in basis.orders]
     modulus = math.lcm(*all_orders) if all_orders else 1
-    rows: list[np.ndarray] = []
-    for col, (i, k) in enumerate(generator_index):
-        row = np.zeros(ncols, dtype=np.int64)
-        row[col] = bases[i].orders[k]
-        rows.append(row)
-    pair_rows: list[tuple[tuple[int, int], int]] = []
-    offs = tuple(offsets)
-    for i in range(len(subgroups)):
-        for j in range(i + 1, len(subgroups)):
-            for row, g in _pair_relation_rows(bases, offs, G, i, j):
-                rows.append(row)
-                pair_rows.append(((i, j), g))
-    canonical = HowellForm(ncols, modulus)
-    for row in rows:
-        canonical.add_row(row)
-    relations = (np.stack(rows) % modulus if rows
-                 else np.zeros((0, ncols), dtype=np.int64))
-    return DeltaPresentation(
+    D = DeltaPresentation(
         group=G,
         subgroups=subgroups,
         bases=bases,
-        offsets=offs,
+        offsets=tuple(offsets),
         generator_index=tuple(generator_index),
         modulus=modulus,
-        relations=relations,
-        canonical=canonical,
-        pair_rows=tuple(pair_rows),
+        canonical=HowellForm(offsets[-1], modulus),
+        pair_rows=tuple(_chain_tags(G, subgroups)),
     )
+    for row, _tag in D.relation_rows():
+        D.canonical.add_row(row)
+    return D
 
 
 def phi(D: DeltaPresentation, gamma: int) -> tuple[int, ...]:
@@ -251,26 +253,24 @@ def _greedy_subfamily(D: DeltaPresentation, gamma: int, target: np.ndarray):
     Hg = D.subgroups[igamma]
     rest = [i for i in range(len(D.subgroups)) if i != igamma]
     rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg._member_set), i))
-    order_row_of: dict[int, list[np.ndarray]] = {}
-    for col, (i, k) in enumerate(D.generator_index):
-        row = np.zeros(D.ncols, dtype=np.int64)
-        row[col] = D.bases[i].orders[k]
-        order_row_of.setdefault(i, []).append(row)
-    pair_rows_of: dict[tuple[int, int], list[tuple[np.ndarray, int]]] = {}
-    for (pair, g), row in zip(D.pair_rows, D.relations[D.ncols:]):
-        pair_rows_of.setdefault(pair, []).append((np.asarray(row, dtype=np.int64), g))
+    order_rows_of: dict[int, list[np.ndarray]] = {}
+    chain_rows_of: dict[tuple[int, int], list[tuple[np.ndarray, tuple[tuple[int, int], int]]]] = {}
+    for col, (row, tag) in enumerate(D.relation_rows()):
+        if tag is None:
+            order_rows_of.setdefault(D.generator_index[col][0], []).append(row)
+        else:
+            chain_rows_of.setdefault(tag[0], []).append((row, tag))
     incremental = HowellForm(D.ncols, D.modulus)
     registry: list[tuple[np.ndarray, Optional[tuple[tuple[int, int], int]]]] = []
 
     def add_subgroup(i: int, chosen: list[int]) -> None:
-        for row in order_row_of.get(i, []):
+        for row in order_rows_of.get(i, []):
             incremental.add_row(row)
             registry.append((row, None))
         for j in chosen:
-            pair = (min(i, j), max(i, j))
-            for row, g in pair_rows_of.get(pair, []):
+            for row, tag in chain_rows_of.get((min(i, j), max(i, j)), []):
                 incremental.add_row(row)
-                registry.append((row, (pair, g)))
+                registry.append((row, tag))
 
     chosen: list[int] = []
     add_subgroup(igamma, chosen)

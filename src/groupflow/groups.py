@@ -184,10 +184,14 @@ class FiniteGroup:
             raise ParseError(f"unknown element name {name!r}") from None
 
     def parse_word(self, word: str) -> int:
-        """Parse products written as names joined by '*'; '1' is the identity."""
+        """Parse products written as names joined by '*'; '1' is the identity.
+        A whole word that is an element name is that element, so names that
+        contain '*' themselves, such as "(x1*x2,1)", read back."""
         word = word.strip()
         if word == "1":
             return self.identity
+        if word in self._name_index:
+            return self._name_index[word]
         result = self.identity
         for token in word.split("*"):
             token = token.strip()
@@ -278,9 +282,6 @@ class Subgroup:
         m = np.array(self.members)
         T = self.parent.table[np.ix_(m, m)]
         return bool(np.array_equal(T, T.T))
-
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, tuple(self._member_set & other._member_set))
 
 
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:

@@ -175,12 +175,6 @@ class HowellForm:
             return np.zeros((0, self.ncols), dtype=np.int64)
         return np.stack([self._rows[self._pivot_at[j]] for j in cols])
 
-    def span_size(self) -> int:
-        size = 1
-        for j, idx in self._pivot_at.items():
-            size *= self.m // math.gcd(int(self._rows[idx][j]), self.m)
-        return size
-
     def invariant_factors(self) -> list[int]:
         """Invariant factors d_1 | d_2 | ... of (Z/m)^ncols / rowspace, with
         trivial factors dropped."""
@@ -204,16 +198,20 @@ def _pad(c: Optional[np.ndarray], size: int) -> np.ndarray:
     return out
 
 
+def _pivot(A: np.ndarray, m: int) -> tuple[int, int]:
+    """Position of the nonzero entry with the least gcd with m; ties go to
+    the first in row-major order."""
+    score = np.where(A != 0, np.gcd(A, m), m + 1)
+    i, j = np.unravel_index(int(np.argmin(score)), A.shape)
+    return int(i), int(j)
+
+
 def _diagonalize_mod(A: np.ndarray, m: int) -> list[int]:
     """Diagonal entries of a row+column reduction of A over Z/m."""
     diags: list[int] = []
     A = A % m
     while A.size and A.any():
-        nonzero = np.argwhere(A != 0)
-        i0, j0 = min(
-            (tuple(int(x) for x in idx) for idx in nonzero),
-            key=lambda idx: (math.gcd(int(A[idx[0], idx[1]]), m), idx),
-        )
+        i0, j0 = _pivot(A, m)
         A[[0, i0], :] = A[[i0, 0], :]
         A[:, [0, j0]] = A[:, [j0, 0]]
         while True:

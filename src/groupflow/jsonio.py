@@ -15,7 +15,7 @@ from typing import Any
 from .errors import ParseError
 from .flows import GroupFlow, LeakVerdict
 from .graphs import Graph, MinorWitness, Vertex, edge_key, graph_from, vkey
-from .groups import FiniteGroup, group_from_cayley, standard_group
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, group_from_cayley, standard_group
 from .planar import RotationSystem
 
 
@@ -153,7 +153,7 @@ def flow_to_json(f: GroupFlow) -> dict:
     return out
 
 
-def flow_from_json(data: Any, max_order: int = 5040) -> GroupFlow:
+def flow_from_json(data: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupFlow:
     if not isinstance(data, dict) or "graph" not in data or "values" not in data:
         raise ParseError("flow JSON needs 'graph' and 'values'")
     if "group" in data:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
-oracle walks the subgroup lattice.
+oracle walks the subgroup lattice.  The pairwise relation rows are the
+group-leak decision's former construction, kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from groupflow.graphs import (
     induced_subgraph,
     vkey,
 )
-from groupflow.groups import FiniteGroup, Subgroup
+from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
 from groupflow.planar import RotationSystem, test_planarity
 
 
@@ -167,6 +168,21 @@ def maximal_abelian_oracle(G: FiniteGroup) -> set:
         if not any(mset < set(other) for other in subs):
             out.add(members)
     return out
+
+
+def pairwise_relation_rows(D) -> list:
+    """Relation rows of D's glued group built pair by pair: the order rows,
+    then dlog_i(g) - dlog_j(g) for each basis generator g of every
+    nontrivial intersection of two maximal abelian subgroups i < j.
+    Returns (row, tag) pairs tagged like ``DeltaPresentation.relation_rows``."""
+    rows = list(itertools.islice(D.relation_rows(), D.ncols))
+    for i, j in itertools.combinations(range(len(D.subgroups)), 2):
+        inter = Subgroup(D.group, tuple(set(D.subgroups[i].members) & set(D.subgroups[j].members)))
+        if inter.order <= 1:
+            continue
+        for g in abelian_basis(inter).gens:
+            rows.append((D.embed(g, i) - D.embed(g, j), ((i, j), g)))
+    return rows
 
 
 # -- flow helpers -----------------------------------------------------------------

@@ -242,6 +242,16 @@ def test_internal_invariant_violation_is_code_3(tmp_path, monkeypatch):
     assert "internal invariant violation" in err
 
 
+def test_invalid_minor_witness_is_code_3(tmp_path, monkeypatch):
+    import groupflow.graphs as graphs
+
+    monkeypatch.setattr(graphs, "verify_minor", lambda _G, _w: False)
+    path = write_graph(tmp_path, "pet.json", named_graph("petersen"))
+    code, _, err = invoke(["minor", path, "--model", "k5"])
+    assert code == 3
+    assert "internal invariant violation" in err and "find_minor" in err
+
+
 def test_output_file_and_text_mode(tmp_path):
     g = named_graph("complete:4")
     gpath = write_graph(tmp_path, "k4.json", g)

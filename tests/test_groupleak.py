@@ -17,12 +17,16 @@ from groupflow.groupleak import (
     witness_flow_from_kernel,
 )
 from groupflow.groups import (
+    closure,
     designated_central_involution,
     discrete_log,
     es_group,
     maximal_abelian_subgroups,
     standard_group,
 )
+from groupflow.howell import HowellForm
+
+from helpers import pairwise_relation_rows
 
 
 # -- build_delta ----------------------------------------------------------------
@@ -50,7 +54,7 @@ def test_sym3_phi_injective_by_exhaustion():
     G = standard_group("sym:3")
     D = build_delta(G)
     m, k = D.modulus, D.ncols
-    rows = [tuple(int(x) % m for x in row) for row in D.relations]
+    rows = [tuple(int(x) % m for x in row) for row, _tag in D.relation_rows()]
     span = {tuple([0] * k)}
     frontier = [tuple([0] * k)]
     while frontier:
@@ -71,11 +75,18 @@ def test_sym3_phi_injective_by_exhaustion():
 
 
 def test_relation_rows_recompute_mod_m():
-    """Every stored pair row equals its integer recomputation reduced mod m."""
+    """The order rows, then one chain row per tag, each equal to its integer
+    recomputation from the bases (so also modulo m)."""
     G = es_group(2)
     D = build_delta(G)
-    by_pair = {}
-    for (pair, g), row in zip(D.pair_rows, D.relations[D.ncols:]):
+    rows = list(D.relation_rows())
+    assert [tag for _row, tag in rows] == [None] * D.ncols + list(D.pair_rows)
+    for col, (row, _tag) in enumerate(rows[:D.ncols]):
+        i, k = D.generator_index[col]
+        expected = [0] * D.ncols
+        expected[col] = D.bases[i].orders[k]
+        assert [int(x) for x in row] == expected
+    for row, (pair, g) in rows[D.ncols:]:
         i, j = pair
         di = discrete_log(D.bases[i], g)
         dj = discrete_log(D.bases[j], g)
@@ -84,7 +95,7 @@ def test_relation_rows_recompute_mod_m():
             expected[D.offsets[i] + t] += a
         for t, a in enumerate(dj):
             expected[D.offsets[j] + t] -= a
-        assert [int(x) for x in row] == [x % D.modulus for x in expected]
+        assert [int(x) for x in row] == expected
 
 
 def test_pair_rows_identify_same_element():
@@ -92,13 +103,66 @@ def test_pair_rows_identify_same_element():
     on both sides of the relation."""
     G = standard_group("quaternion")
     D = build_delta(G)
-    for (pair, g), _row in zip(D.pair_rows, D.relations[D.ncols:]):
+    assert D.pair_rows
+    for pair, g in D.pair_rows:
         for side in pair:
             vec = discrete_log(D.bases[side], g)
             rebuilt = G.identity
             for gen, a in zip(D.bases[side].gens, vec):
                 rebuilt = G.mul(rebuilt, G.power(gen, a))
             assert rebuilt == g
+
+
+@pytest.mark.parametrize("spec", ["quaternion", "es:2", "sym:4"])
+def test_pair_rows_chain_each_cyclic_subgroup_once(spec):
+    """One tagged generator per cyclic subgroup in two or more maximal
+    abelian subgroups, chained through all of them in index order."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    pairs_of = {}
+    for pair, g in D.pair_rows:
+        pairs_of.setdefault(g, []).append(pair)
+    cyclic_seen = set()
+    for g, pairs in pairs_of.items():
+        cyclic = closure(G, [g]).members
+        assert cyclic not in cyclic_seen
+        cyclic_seen.add(cyclic)
+        chain = [i for i, H in enumerate(D.subgroups) if g in H]
+        assert pairs == list(zip(chain, chain[1:]))
+    for g in G.elements():
+        if sum(g in H for H in D.subgroups) >= 2 and g != G.identity:
+            assert closure(G, [g]).members in cyclic_seen
+
+
+PAIRWISE_ORACLE_SPECS = [
+    "quaternion", "es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
+    "product:quaternion,quaternion", "dihedral:6", "sym:3", "sym:4", "alt:5", "sym:5",
+    "alt:6", "sym:6",
+]
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS)
+def test_chain_rows_match_pairwise_oracle(spec):
+    """Chain rows span the lattice of the pair-by-pair gluing: same phi for
+    every element, same invariant factors, same verdict and witness."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    oracle = HowellForm(D.ncols, D.modulus)
+    for row, _tag in pairwise_relation_rows(D):
+        oracle.add_row(row)
+    # inclusion one way plus quotients of equal order: the lattices are equal
+    for row, _tag in D.relation_rows():
+        assert oracle.contains(row)
+    assert D.invariant_factors() == oracle.invariant_factors()
+    kernel = None
+    for g in G.elements():
+        image = tuple(int(x) for x in oracle.reduce(D.embed(g)))
+        assert phi(D, g) == image
+        if kernel is None and g != G.identity and not any(image):
+            kernel = g
+    verdict = is_leakproof_group(G, delta=D)
+    assert verdict.leakproof == (kernel is None)
+    assert verdict.witness == kernel
 
 
 # -- phi -------------------------------------------------------------------------

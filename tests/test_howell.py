@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
+from groupflow import howell
 from groupflow.howell import HowellForm, _divisor_chain, lattice_normal_form
 
 
@@ -123,3 +125,27 @@ def test_row_width_checked():
     form = HowellForm(3, 4)
     with pytest.raises(ValueError):
         form.add_row([1, 2])
+
+
+def _argwhere_pivot(A, m):
+    """The pivot choice by a Python min over every nonzero position, kept as
+    the oracle of the vectorised choice."""
+    return min(
+        (tuple(int(x) for x in idx) for idx in np.argwhere(A != 0)),
+        key=lambda idx: (math.gcd(int(A[idx[0], idx[1]]), m), idx),
+    )
+
+
+@pytest.mark.parametrize("m", [4, 12, 60])
+def test_pivot_choice_matches_argwhere_oracle(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    for _ in range(40):
+        shape = (int(rng.integers(1, 8)), int(rng.integers(1, 8)))
+        A = rng.integers(0, m, size=shape)
+        A[rng.random(shape) < 0.4] = 0
+        if A.any():
+            assert howell._pivot(A, m) == _argwhere_pivot(A, m)
+        diags = howell._diagonalize_mod(A.copy(), m)
+        with monkeypatch.context() as patched:
+            patched.setattr(howell, "_pivot", _argwhere_pivot)
+            assert howell._diagonalize_mod(A.copy(), m) == diags

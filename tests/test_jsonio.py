@@ -73,6 +73,24 @@ def test_flow_roundtrip_k5():
     assert back == f
 
 
+def test_product_group_witness_flow_roundtrip():
+    """Element names of a product group contain '*' themselves."""
+    from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_from_kernel
+    from groupflow.groups import standard_group
+
+    G = standard_group("product:es:2,cyclic:2")
+    D = build_delta(G)
+    verdict = is_leakproof_group(G, delta=D)
+    assert not verdict.leakproof
+    _, f = witness_flow_from_kernel(D, verdict.witness)
+    assert any("*" in f.group.name(g) for g in f.values.values())
+    back = jsonio.flow_from_json(json.loads(jsonio.dumps(jsonio.flow_to_json(f))))
+    assert back == f
+    leak = detect_leak(back)
+    assert leak.kind == "LeaksAt"
+    assert leak.value == verdict.witness
+
+
 def test_flow_inline_table():
     from groupflow.flows import GroupFlow
     from groupflow.groups import group_from_cayley
