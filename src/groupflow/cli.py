@@ -229,8 +229,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="output mode (default json)")
     parser.add_argument("--output", "-o", default=default(None),
                         help="write output to a file instead of stdout")
-    parser.add_argument("--seed", type=int, default=default(0),
-                        help="seed for randomized suites (reserved for test tooling)")
     parser.add_argument("--max-size", type=int, default=default(None),
                         help="override the group-order / minor-host bounds")
 

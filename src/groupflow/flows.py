@@ -40,7 +40,7 @@ from .graphs import (
     vkey,
 )
 from .groups import FiniteGroup, conjugacy_class_id, es_group
-from .planar import RotationSystem, euler_planar_check, test_planarity
+from .planar import RotationSystem, _face_orbit, euler_planar_check, test_planarity
 
 
 class GroupFlow:
@@ -418,7 +418,7 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
         raise EdgeMissing(edge)
     if edge_key(v, w) in bridges(f.graph):
         raise BridgeEdge(edge)
-    walk_darts = set(_walk_from(R, (v, w)))
+    walk_darts = set(_face_orbit(R, (v, w)))
     if (w, v) in walk_darts:
         raise InternalInvariantError("face walk of a non-bridge traverses both directions")
     group = f.group
@@ -436,17 +436,6 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
     if result.value(v, w) != group.identity:
         raise InternalInvariantError("conjugation did not zero the chosen edge")
     return result
-
-
-def _walk_from(R: RotationSystem, start: tuple[Vertex, Vertex]) -> list[tuple[Vertex, Vertex]]:
-    darts = [start]
-    cur = start
-    while True:
-        u, v = cur
-        cur = (v, R.next_neighbor(v, u))
-        if cur == start:
-            return darts
-        darts.append(cur)
 
 
 # -- conserving-flow generator -------------------------------------------------------

@@ -59,6 +59,7 @@ class HowellForm:
         self.n_input = 0
         self._pivot_at: dict[int, int] = {}       # column -> index into _rows
         self._rows: list[np.ndarray] = []
+        # each keeps the length n_input had when it was stored; _pad extends it
         self._coeffs: list[np.ndarray] = []
 
     # -- construction ---------------------------------------------------------
@@ -71,9 +72,6 @@ class HowellForm:
         if self.track:
             coeff = np.zeros(self.n_input + 1, dtype=np.int64)
             coeff[self.n_input] = 1
-            self._coeffs = [np.resize(c, self.n_input + 1) for c in self._coeffs]
-            for c in self._coeffs:
-                c[self.n_input] = 0
         self.n_input += 1
         if self.m == 1:
             return

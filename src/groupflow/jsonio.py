@@ -45,11 +45,13 @@ def graph_to_json(G: Graph) -> dict:
 def graph_from_json(data: Any) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ParseError("graph JSON needs 'vertices' and 'edges'")
+    if not isinstance(data["vertices"], list) or not isinstance(data["edges"], list):
+        raise ParseError("graph JSON 'vertices' and 'edges' must be lists")
     vertices = [_vertex_token(v) for v in data["vertices"]]
     edges = []
     for e in data["edges"]:
-        if len(e) != 2:
-            raise ParseError(f"edge {e!r} must have two endpoints")
+        if not isinstance(e, list) or len(e) != 2:
+            raise ParseError(f"edge {e!r} must be a list of two endpoints")
         edges.append((_vertex_token(e[0]), _vertex_token(e[1])))
     return graph_from(vertices, edges)
 

@@ -5,6 +5,14 @@ accepted exactly when every connected component satisfies Euler's formula
 V - E + F = 2, faces being the orbits of the next-edge successor map.
 ``test_planarity`` always returns one of two independently checkable
 certificates: such a rotation system, or a K5/K3,3 minor witness.
+
+``extra_planar`` embeds G once.  A non-adjacent pair u, v whose endpoints
+both have a corner on one face of that embedding gets G + uv's embedding
+by splicing the new edge into that face: v goes into u's rotation right
+after the dart that enters u along the face, and u into v's rotation
+likewise, which adds one edge and one face.  Only the pairs that share no face are run through the LR planarity
+test again (Brandes, "The Left-Right Planarity Test", 2009, as networkx
+implements it).  Every spliced embedding is Euler-checked like any other.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from .graphs import (
     components,
     edge_key,
     graph_from,
-    induced_subgraph,
     named_graph,
     verify_minor,
     vkey,
@@ -42,7 +49,8 @@ class RotationSystem:
         rot = {}
         for v in self.graph.vertices:
             order = tuple(self.rotation.get(v, ()))
-            if set(order) != set(self.graph.neighbors(v)) or len(order) != len(set(order)):
+            members = set(order)
+            if members != set(self.graph.neighbors(v)) or len(order) != len(members):
                 raise ParseError(f"rotation at {v!r} is not a cyclic order of its neighbours")
             rot[v] = _canonical_rotation(order)
         object.__setattr__(self, "rotation", rot)
@@ -56,7 +64,7 @@ class RotationSystem:
 def _canonical_rotation(order: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
     if not order:
         return order
-    i = min(range(len(order)), key=lambda k: vkey(order[k]))
+    i = order.index(min(order, key=vkey))
     return order[i:] + order[:i]
 
 
@@ -76,6 +84,7 @@ class BoundaryWalk:
 
 
 def _face_orbit(R: RotationSystem, start: tuple[Vertex, Vertex]) -> list[tuple[Vertex, Vertex]]:
+    """The darts of the face walk through ``start``, beginning with it."""
     orbit = [start]
     cur = start
     while True:
@@ -86,6 +95,24 @@ def _face_orbit(R: RotationSystem, start: tuple[Vertex, Vertex]) -> list[tuple[V
         orbit.append(cur)
 
 
+def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
+    """Every face orbit once, in canonical order: each starts at the least
+    dart that no earlier orbit covers."""
+    darts = set()
+    for u, v in R.graph.edges:
+        darts.add((u, v))
+        darts.add((v, u))
+    remaining = set(darts)
+    orbits = []
+    for start in sorted(darts, key=lambda d: (vkey(d[0]), vkey(d[1]))):
+        if start not in remaining:
+            continue
+        orbit = _face_orbit(R, start)
+        remaining.difference_update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
 def faces(R: RotationSystem) -> list[BoundaryWalk]:
     """Decompose the directed edges into boundary walks.
 
@@ -93,40 +120,32 @@ def faces(R: RotationSystem) -> list[BoundaryWalk]:
     directed edges; its cycles are the returned walks.  Every directed edge
     occurs in exactly one walk, so the walk lengths add up to 2|E|.
     """
-    darts = set()
-    for u, v in R.graph.edges:
-        darts.add((u, v))
-        darts.add((v, u))
-    remaining = set(darts)
-    walks = []
-    for start in sorted(darts, key=lambda d: (vkey(d[0]), vkey(d[1]))):
-        if start not in remaining:
-            continue
-        orbit = _face_orbit(R, start)
-        for dart in orbit:
-            remaining.discard(dart)
-        seq = tuple(d[0] for d in orbit) + (orbit[0][0],)
-        walks.append(BoundaryWalk(seq))
-    return walks
+    return [BoundaryWalk(tuple(d[0] for d in orbit) + (orbit[0][0],))
+            for orbit in _face_orbits(R)]
 
 
 def euler_planar_check(R: RotationSystem) -> bool:
-    """True iff every component with at least one edge has V - E + F = 2."""
-    walk_comp: dict[Vertex, int] = {}
-    comps = components(R.graph)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            walk_comp[v] = i
-    face_count = [0] * len(comps)
-    for walk in faces(R):
-        face_count[walk_comp[walk.sequence[0]]] += 1
-    for i, comp in enumerate(comps):
-        sub = induced_subgraph(R.graph, comp)
-        if sub.m == 0:
-            continue
-        if len(comp) - sub.m + face_count[i] != 2:
-            return False
-    return True
+    """True iff every component with at least one edge has V - E + F = 2.
+
+    Each component's edges are its degree sum halved; faces are counted as
+    the cycles of the dart successor map.
+    """
+    G = R.graph
+    comp: dict[Vertex, int] = {}
+    counts: list[list[int]] = []        # [V, E, F] per component
+    for i, members in enumerate(components(G)):
+        comp.update(dict.fromkeys(members, i))
+        counts.append([len(members), sum(G.degree(x) for x in members) // 2, 0])
+    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    for v, order in R.rotation.items():
+        for a, b in zip(order, order[1:] + order[:1]):
+            succ[(a, v)] = (v, b)
+    while succ:
+        start, cur = succ.popitem()
+        while cur != start:
+            cur = succ.pop(cur)
+        counts[comp[start[1]]][2] += 1
+    return all(n - m + f == 2 for n, m, f in counts if m)
 
 
 # -- planarity dichotomy ---------------------------------------------------------
@@ -289,8 +308,14 @@ def _vertex_pairs(G: Graph) -> list[tuple[Vertex, Vertex]]:
 def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     """Check that G plus any single edge is planar.
 
-    Pairs that are already adjacent reuse G's own embedding; the first
-    failing pair (in canonical order) is reported with its witness.
+    G is embedded once.  Pairs that are already adjacent reuse that
+    embedding.  A non-adjacent pair with a corner of each endpoint on a
+    common face (the lowest-indexed such face, see ``_face_orbits``) has
+    the new edge spliced into the embedding there; the spliced rotation
+    system is validated and Euler-checked.  Only the other pairs, among
+    them those with endpoints in different components or at an isolated
+    vertex, are tested afresh, so the first failing pair (in canonical
+    order) and its witness are those of the per-pair test.
     """
     pairs = _vertex_pairs(G)
     base = test_planarity(G)
@@ -298,13 +323,51 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
         pair = pairs[0]
         # the witness lives inside G, hence also inside G plus the extra edge
         return ExtraPlanarVerdict(False, pair=pair, witness=base)
+    corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in G.vertices}
+    for f, orbit in enumerate(_face_orbits(base)):
+        for x, w in orbit:
+            corners[w].setdefault(f, x)
     embeddings: dict[tuple[Vertex, Vertex], RotationSystem] = {}
     for pair in pairs:
         if G.has_edge(*pair):
             embeddings[pair] = base
             continue
-        result = test_planarity(add_edge(G, *pair))
-        if isinstance(result, MinorWitness):
-            return ExtraPlanarVerdict(False, pair=pair, witness=result)
+        u, v = pair
+        H = add_edge(G, u, v)
+        at = _splice_corners(corners[u], corners[v])
+        if at is None:
+            result = test_planarity(H)
+            if isinstance(result, MinorWitness):
+                return ExtraPlanarVerdict(False, pair=pair, witness=result)
+        else:
+            result = _splice(H, base, pair, at)
         embeddings[pair] = result
     return ExtraPlanarVerdict(True, embeddings=embeddings)
+
+
+def _splice_corners(at_u: dict[int, Vertex],
+                    at_v: dict[int, Vertex]) -> Optional[tuple[Vertex, Vertex]]:
+    """The in-neighbours of the corners at u and at v that the new edge uv
+    joins, given each endpoint's first corner per face (face index -> the
+    vertex the face enters it from, in face order); None when u and v share
+    no face."""
+    for f, x in at_u.items():
+        if f in at_v:
+            return x, at_v[f]
+    return None
+
+
+def _splice(H: Graph, base: RotationSystem, pair: tuple[Vertex, Vertex],
+            at: tuple[Vertex, Vertex]) -> RotationSystem:
+    """The base embedding with the edge uv = ``pair`` of H added at the
+    corners ``at``; it must pass the Euler check."""
+    rotation = dict(base.rotation)
+    for w, other, x in ((pair[0], pair[1], at[0]), (pair[1], pair[0], at[1])):
+        order = base.rotation[w]
+        i = order.index(x) + 1
+        rotation[w] = order[:i] + (other,) + order[i:]
+    R = RotationSystem(H, rotation)
+    if not euler_planar_check(R):
+        raise InternalInvariantError(
+            f"extra_planar splice: embedding of G plus {pair!r} failed the Euler check")
+    return R

@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
-group-leak decision's former construction, kept here as its oracle.
+group-leak decision's former construction, and the per-pair planarity loop
+is extra_planar's former construction, each kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import random
 from groupflow.flows import GroupFlow
 from groupflow.graphs import (
     Graph,
+    MinorWitness,
     add_edge,
     components,
     edge_key,
@@ -23,7 +25,7 @@ from groupflow.graphs import (
     vkey,
 )
 from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
-from groupflow.planar import RotationSystem, test_planarity
+from groupflow.planar import ExtraPlanarVerdict, RotationSystem, test_planarity
 
 
 # -- graph generators ---------------------------------------------------------
@@ -183,6 +185,26 @@ def pairwise_relation_rows(D) -> list:
         for g in abelian_basis(inter).gens:
             rows.append((D.embed(g, i) - D.embed(g, j), ((i, j), g)))
     return rows
+
+
+def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:
+    """Extra-planarity with one full planarity test of G + uv for every
+    non-adjacent pair, in canonical pair order."""
+    vs = G.vertices
+    pairs = [(vs[i], vs[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
+    base = test_planarity(G)
+    if isinstance(base, MinorWitness):
+        return ExtraPlanarVerdict(False, pair=pairs[0], witness=base)
+    embeddings = {}
+    for pair in pairs:
+        if G.has_edge(*pair):
+            embeddings[pair] = base
+            continue
+        result = test_planarity(add_edge(G, *pair))
+        if isinstance(result, MinorWitness):
+            return ExtraPlanarVerdict(False, pair=pair, witness=result)
+        embeddings[pair] = result
+    return ExtraPlanarVerdict(True, embeddings=embeddings)
 
 
 # -- flow helpers -----------------------------------------------------------------

@@ -6,11 +6,15 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from groupflow import jsonio
 from groupflow.cli import run
 from groupflow.flows import detect_leak
-from groupflow.graphs import add_edge, named_graph, verify_minor
+from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
 from groupflow.planar import euler_planar_check
+
+from helpers import extra_planar_by_lr
 
 
 def invoke(argv):
@@ -75,6 +79,25 @@ def test_extra_planar_positive_embeddings_verify(tmp_path):
         host = add_edge(g, u, v)
         R = jsonio.rotation_from_json(entry, host)
         assert euler_planar_check(R)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("graph", [
+    named_graph("k5minus"),
+    named_graph("k33minus"),
+    named_graph("petersen"),
+    # planar, with pairs before the failing one that share a face
+    graph_from(range(1, 8), [(1, 4), (1, 5), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6),
+                             (6, 7)]),
+])
+def test_extra_planar_negative_output_matches_lr_oracle(tmp_path, monkeypatch, fmt, graph):
+    import groupflow.cli as cli
+
+    path = write_graph(tmp_path, "g.json", graph)
+    code, out, _ = invoke(["extra-planar", path, "-f", fmt])
+    monkeypatch.setattr(cli, "extra_planar", extra_planar_by_lr)
+    assert code == 1
+    assert (code, out) == invoke(["extra-planar", path, "-f", fmt])[:2]
 
 
 # -- minor -------------------------------------------------------------------------
@@ -216,6 +239,20 @@ def test_malformed_json_reports_position(tmp_path):
     code, _, err = invoke(["planar", str(path)])
     assert code == 2
     assert "line" in err and "column" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["1", "2"], "edges": [5]}',
+    '{"vertices": ["1", "2"], "edges": "12"}',
+    '{"vertices": "12", "edges": []}',
+    '{"vertices": ["1", "2"], "edges": [{"1": "2"}]}',
+])
+def test_malformed_graph_shape_is_usage_error(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = invoke(["planar", str(path)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_unknown_subcommand():

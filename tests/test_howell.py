@@ -149,3 +149,22 @@ def test_pivot_choice_matches_argwhere_oracle(m, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(howell, "_pivot", _argwhere_pivot)
             assert howell._diagonalize_mod(A.copy(), m) == diags
+
+
+@pytest.mark.parametrize("m", [12, 60])
+def test_tracked_solve_many_rows(m):
+    """Coefficients stored early are shorter than later ones; solve must
+    still combine the input rows back into v."""
+    rng = np.random.default_rng(m + 1)
+    rows = rng.integers(0, m, size=(300, 10))
+    rows[rng.random(rows.shape) < 0.5] = 0
+    form = HowellForm(10, m, track=True)
+    for r in rows:
+        form.add_row(r)
+    for _ in range(20):
+        v = (rng.integers(0, m, size=len(rows)) @ rows) % m
+        sol = form.solve(v)
+        assert sol is not None and sol.shape == (len(rows),)
+        assert np.array_equal((sol @ rows) % m, v)
+    for r in rows[:: 37]:
+        assert np.array_equal((form.solve(r) @ rows) % m, r % m)

@@ -7,9 +7,12 @@ import random
 
 import pytest
 
-from groupflow.errors import NotPlanarEmbedding, ParseError
+from groupflow import jsonio, planar
+from groupflow.errors import InternalInvariantError, NotPlanarEmbedding, ParseError
 from groupflow.graphs import (
+    add_edge,
     bridges,
+    components,
     find_minor,
     graph_from,
     named_graph,
@@ -24,7 +27,7 @@ from groupflow.planar import (
 )
 from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import all_labeled_graphs, random_graph
+from helpers import all_labeled_graphs, extra_planar_by_lr, random_graph
 
 
 def embed(G):
@@ -232,7 +235,6 @@ def test_k5minus_not_extra_planar():
     verdict = extra_planar(g)
     assert not verdict.extra_planar
     assert verdict.pair == (1, 2)         # the removed edge
-    from groupflow.graphs import add_edge
     assert verify_minor(add_edge(g, *verdict.pair), verdict.witness)
 
 
@@ -256,3 +258,59 @@ def test_extra_kuratowski_sampled_6_vertices():
         verdict = extra_planar(g)
         minor_free = find_minor(g, k5m) is None and find_minor(g, k33m) is None
         assert verdict.extra_planar == minor_free
+
+
+def _assert_matches_lr_oracle(g):
+    verdict = extra_planar(g)
+    expected = extra_planar_by_lr(g)
+    assert verdict.extra_planar == expected.extra_planar
+    assert verdict.pair == expected.pair
+    if not verdict.extra_planar:
+        assert jsonio.witness_to_json(verdict.witness) == jsonio.witness_to_json(expected.witness)
+        return
+    assert verdict.embeddings.keys() == expected.embeddings.keys()
+    for (u, v), R in verdict.embeddings.items():
+        assert R.graph == add_edge(g, u, v)
+        assert euler_planar_check(R)
+
+
+def test_extra_planar_matches_lr_oracle_exhaustive_5_vertices():
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            _assert_matches_lr_oracle(g)
+
+
+def test_extra_planar_matches_lr_oracle_sampled_6_to_10_vertices():
+    rng = random.Random(59)
+    disconnected = isolated = 0
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.05, 0.5))
+        disconnected += len(components(g)) > 1
+        isolated += any(g.degree(v) == 0 for v in g.vertices)
+        _assert_matches_lr_oracle(g)
+    assert disconnected >= 50 and isolated >= 20
+
+
+def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
+    """A tree's embedding has one face, so pairs inside a tree are spliced;
+    pairs across trees or at an isolated vertex share no face and get their
+    own planarity test."""
+    calls = []
+    original = planar.test_planarity
+    monkeypatch.setattr(planar, "test_planarity", lambda G: calls.append(G) or original(G))
+    g = graph_from(range(1, 10), [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
+    verdict = extra_planar(g)
+    assert verdict.extra_planar and len(verdict.embeddings) == 36
+    comp = {v: i for i, c in enumerate(components(g)) for v in c}
+    apart = [(u, v) for u, v in verdict.embeddings if comp[u] != comp[v]]
+    assert len(apart) == 27
+    assert calls == [g] + [add_edge(g, u, v) for u, v in apart]
+
+
+def test_extra_planar_splice_failing_euler_check_names_stage_and_pair(monkeypatch):
+    original = planar.euler_planar_check
+    # the base embedding of path:4 (3 edges) passes; every spliced one fails
+    monkeypatch.setattr(planar, "euler_planar_check",
+                        lambda R: R.graph.m == 3 and original(R))
+    with pytest.raises(InternalInvariantError, match=r"splice.*\(1, 3\)"):
+        extra_planar(named_graph("path:4"))
