@@ -35,22 +35,22 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 5040
 
-# Exhaustive associativity is O(n^3); above this bound Light's test on a
-# generating set is used instead (still exact, just O(|gens| n^2)).
-_FULL_ASSOC_LIMIT = 768
-
 
 class FiniteGroup:
     """A finite group on element indices 0..order-1.
 
-    The multiplication table is the single source of truth; the inverse
-    table and identity are derived and checked at construction time.
-    Instances are immutable after construction and safe to share.
+    The multiplication table is the single source of truth.  Every table,
+    built-in or read from a file, is checked at construction time for a
+    two-sided identity, two-sided inverses and associativity (Light's test
+    on a generating set).  Instances are immutable after construction and
+    safe to share.
     """
 
-    def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None,
-                 _skip_assoc: bool = False):
-        table = np.asarray(table, dtype=np.int32)
+    def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None):
+        try:
+            table = np.asarray(table, dtype=np.int32)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError("multiplication table must be a square array of integers") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ParseError("multiplication table must be square")
         n = table.shape[0]
@@ -73,8 +73,7 @@ class FiniteGroup:
         self.spec = spec
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        if not _skip_assoc:
-            self._check_associativity()
+        self._check_associativity()
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders: Optional[np.ndarray] = None
         self._conj_ids: dict[int, int] = {}
@@ -91,26 +90,24 @@ class FiniteGroup:
         raise NoIdentity("no two-sided identity element")
 
     def _find_inverses(self) -> np.ndarray:
-        n, e = self.order, self.identity
-        inv = np.full(n, -1, dtype=np.int32)
-        for a in range(n):
-            for b in np.nonzero(self.table[a] == e)[0]:
-                if self.table[b, a] == e:
-                    inv[a] = b
-                    break
-            if inv[a] < 0:
-                raise NoInverse(self.names[a])
+        T, e = self.table, self.identity
+        is_e = T == e
+        two_sided = is_e & is_e.T
+        missing = ~two_sided.any(axis=1)
+        if missing.any():
+            raise NoInverse(self.names[int(np.argmax(missing))])
+        inv = np.argmax(two_sided, axis=1).astype(np.int32)
         inv.setflags(write=False)
         return inv
 
     def _check_associativity(self) -> None:
+        """Light's test: (a g) b = a (g b) for all a, b and each generator g.
+
+        The g that pass contain the identity and are closed under products,
+        so when they generate the table the whole table is associative.
+        """
         T = self.table
-        n = self.order
-        if n <= _FULL_ASSOC_LIMIT:
-            probes = range(n)
-        else:
-            probes = self._generating_set()
-        for g in probes:
+        for g in self._generating_set():
             lhs = T[T[:, g], :]          # (a g) b
             rhs = T[:, T[g, :]]          # a (g b)
             if not np.array_equal(lhs, rhs):
@@ -118,28 +115,14 @@ class FiniteGroup:
                 raise NotAssociative(self.names[bad[0]], self.names[g], self.names[bad[1]])
 
     def _generating_set(self) -> list[int]:
+        """Greedy generators: each is the least element not yet reached from
+        the identity by right products of the ones before it."""
+        reached = np.zeros(self.order, dtype=bool)
+        reached[self.identity] = True
         gens: list[int] = []
-        have = {self.identity}
-        while len(have) < self.order:
-            g = min(i for i in range(self.order) if i not in have)
-            gens.append(g)
-            frontier = list(have | {g})
-            have.add(g)
-            while frontier:
-                x = frontier.pop()
-                for y in (int(self.table[x, g]), int(self.table[g, x])):
-                    if y not in have:
-                        have.add(y)
-                        frontier.append(y)
-            # closure under products of everything found so far
-            changed = True
-            while changed:
-                changed = False
-                current = np.fromiter(have, dtype=np.int64)
-                prods = set(self.table[np.ix_(current, current)].ravel().tolist())
-                if not prods <= have:
-                    have |= prods
-                    changed = True
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            _right_closure(self.table, reached, gens)
         return gens
 
     # -- basic operations ---------------------------------------------------
@@ -284,33 +267,24 @@ class Subgroup:
         return bool(np.array_equal(T, T.T))
 
 
+def _right_closure(T: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
+    """Mark in ``reached`` every product x g_1 ... g_k of a reached x with
+    generators from gens; one table lookup per frontier step."""
+    frontier = np.nonzero(reached)[0]
+    while frontier.size:
+        new = np.zeros_like(reached)
+        new[T[np.ix_(frontier, gens)].ravel()] = True
+        new &= ~reached
+        reached |= new
+        frontier = np.nonzero(new)[0]
+
+
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    have = {G.identity}
-    frontier = [G.identity]
-    gens = [int(g) for g in gens]
-    for g in gens:
-        if g not in have:
-            have.add(g)
-            frontier.append(g)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            for y in (G.mul(x, g), G.mul(g, x)):
-                if y not in have:
-                    have.add(y)
-                    frontier.append(y)
-    # products of non-generators can still be missing when gens interact
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(have)
-        for a in current:
-            row = G.table[a, current]
-            new = set(row.tolist()) - have
-            if new:
-                have |= new
-                changed = True
-    return Subgroup(G, tuple(have))
+    """The subgroup generated by gens."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    _right_closure(G.table, reached, [int(g) for g in gens])
+    return Subgroup(G, tuple(np.nonzero(reached)[0].tolist()))
 
 
 def centralizer(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -640,8 +614,7 @@ def _es_group_impl(n: int, max_order: int) -> FiniteGroup:
     v2 = v[:, None] ^ v[None, :]
     table = eps2 | (u2 << 1) | (v2 << (n + 1))
     names = [_es_name(n, es_decode(n, i)) for i in range(order)]
-    group = FiniteGroup(table, names, spec=f"es:{n}", _skip_assoc=order > _FULL_ASSOC_LIMIT)
-    return group
+    return FiniteGroup(table, names, spec=f"es:{n}")
 
 
 # -- standard families ---------------------------------------------------------
@@ -651,7 +624,7 @@ def _cyclic(n: int) -> FiniteGroup:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(table, names, spec=f"cyclic:{n}", _skip_assoc=True)
+    return FiniteGroup(table, names, spec=f"cyclic:{n}")
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -745,7 +718,7 @@ def _perm_group(n: int, even_only: bool, spec: str, max_order: int) -> FiniteGro
         ck = composed @ powers
         table[a] = sorted_idx[np.searchsorted(sorted_keys, ck)]
     names = [_perm_cycle_name(p) for p in perms]
-    return FiniteGroup(table, names, spec=spec, _skip_assoc=m > _FULL_ASSOC_LIMIT)
+    return FiniteGroup(table, names, spec=spec)
 
 
 def _perm_parity(perm: Sequence[int]) -> int:
@@ -773,7 +746,7 @@ def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str],
     ia, ib = divmod(np.arange(order), nb)
     table = A.table[np.ix_(ia, ia)].astype(np.int64) * nb + B.table[np.ix_(ib, ib)]
     names = [f"({A.names[a]},{B.names[b]})" for a in range(A.order) for b in range(B.order)]
-    return FiniteGroup(table, names, spec=spec, _skip_assoc=order > _FULL_ASSOC_LIMIT)
+    return FiniteGroup(table, names, spec=spec)
 
 
 def designated_central_involution(G: FiniteGroup) -> Optional[int]:
@@ -810,17 +783,21 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str, max_order: int) 
         row = prod.table[x, reps]
         table[i] = [pos[rep[int(y)]] for y in row]
     names = [prod.names[r] for r in reps]
-    return FiniteGroup(table, names, spec=spec, _skip_assoc=order > _FULL_ASSOC_LIMIT)
+    return FiniteGroup(table, names, spec=spec)
 
 
 def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
-    """Validate a raw multiplication table: associativity, identity, inverses,
-    and name uniqueness are all checked; violations name the culprit."""
+    """Validate a raw multiplication table.  As for every table, identity,
+    inverses, associativity (Light's test on a generating set) and name
+    uniqueness are checked; violations name the culprit."""
     return FiniteGroup(table, names, spec=spec)
 
 
 def _parse_cayley_file(path: str) -> FiniteGroup:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read cayley file {path}: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ParseError(f"empty cayley file {path}")
@@ -833,12 +810,12 @@ def _parse_cayley_file(path: str) -> FiniteGroup:
     names = lines[1].split()
     if len(names) != n:
         raise ParseError(f"cayley file: expected {n} names, got {len(names)}")
-    rows = []
-    for ln in lines[2:2 + n]:
-        row = [int(tok) for tok in ln.split()]
-        if len(row) != n:
-            raise ParseError("cayley file: row width mismatch")
-        rows.append(row)
+    try:
+        rows = [[int(tok) for tok in ln.split()] for ln in lines[2:2 + n]]
+    except ValueError:
+        raise ParseError("cayley file: table entries must be integers") from None
+    if any(len(row) != n for row in rows):
+        raise ParseError("cayley file: row width mismatch")
     return group_from_cayley(rows, names, spec=f"cayley:{path}")
 
 
@@ -871,8 +848,7 @@ def _validate_spec_shape(spec: str) -> None:
         raise ParseError(f"unknown group spec {spec!r}")
 
 
-@lru_cache(maxsize=128)
-def _standard_group_cached(spec: str, max_order: int) -> FiniteGroup:
+def _build_group(spec: str, max_order: int) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
         if not rest.isdigit():
@@ -900,17 +876,20 @@ def _standard_group_cached(spec: str, max_order: int) -> FiniteGroup:
         return _es_group_impl(n, max_order)
     if head == "product":
         left, right = _split_product_args(rest)
-        A = _standard_group_cached(left, max_order)
-        B = _standard_group_cached(right, max_order)
+        A = standard_group(left, max_order)
+        B = standard_group(right, max_order)
         return _direct_product(A, B, spec, max_order)
     if head == "centprod":
         left, right = _split_product_args(rest)
-        A = _standard_group_cached(left, max_order)
-        B = _standard_group_cached(right, max_order)
+        A = standard_group(left, max_order)
+        B = standard_group(right, max_order)
         return _central_product(A, B, spec, max_order)
     if head == "cayley":
         return _parse_cayley_file(rest)
     raise ParseError(f"unknown group spec {spec!r}")
+
+
+_standard_group_cached = lru_cache(maxsize=128)(_build_group)
 
 
 def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -922,7 +901,7 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
     spec = spec.strip().replace(" ", "")
     if not spec:
         raise ParseError("empty group spec")
-    if spec.startswith("cayley:"):
-        # file contents may change between calls; do not cache
-        return _parse_cayley_file(spec[len("cayley:"):])
+    if "cayley:" in spec:
+        # a file may change between calls, also inside product: or centprod:
+        return _build_group(spec, max_order)
     return _standard_group_cached(spec, max_order)

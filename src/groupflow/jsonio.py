@@ -92,11 +92,12 @@ def rotation_to_json(R: RotationSystem) -> dict:
 
 
 def rotation_from_json(data: Any, G: Graph) -> RotationSystem:
-    if not isinstance(data, dict) or "rotation" not in data:
-        raise ParseError("rotation JSON needs a 'rotation' object")
+    raw = data.get("rotation") if isinstance(data, dict) else None
+    if not isinstance(raw, dict) or not all(isinstance(order, list) for order in raw.values()):
+        raise ParseError("rotation JSON needs a 'rotation' object of neighbour lists")
     rotation = {
         _vertex_token(v): tuple(_vertex_token(u) for u in order)
-        for v, order in data["rotation"].items()
+        for v, order in raw.items()
     }
     return RotationSystem(G, rotation)
 
@@ -162,13 +163,18 @@ def flow_from_json(data: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupFlow:
         group = standard_group(str(data["group"]), max_order)
     elif "group_table" in data:
         spec = data["group_table"]
-        group = group_from_cayley(spec["table"], spec["names"])
+        if (not isinstance(spec, dict) or not isinstance(spec.get("table"), list)
+                or not isinstance(spec.get("names"), list)):
+            raise ParseError("flow JSON 'group_table' needs 'table' and 'names' lists")
+        group = group_from_cayley(spec["table"], [str(nm) for nm in spec["names"]])
     else:
         raise ParseError("flow JSON needs 'group' or 'group_table'")
     graph = graph_from_json(data["graph"])
+    if not isinstance(data["values"], list):
+        raise ParseError("flow JSON 'values' must be a list")
     one_direction = {}
     for entry in data["values"]:
-        if len(entry) != 3:
+        if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"flow value {entry!r} must be [u, v, word]")
         u, v = _vertex_token(entry[0]), _vertex_token(entry[1])
         one_direction[(u, v)] = group.parse_word(str(entry[2]))

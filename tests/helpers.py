@@ -4,14 +4,17 @@ Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
-group-leak decision's former construction, and the per-pair planarity loop
-is extra_planar's former construction, each kept here as its oracle.
+group-leak decision's former construction, the per-pair planarity loop is
+extra_planar's former construction, and the exhaustive associativity loop
+is the group constructor's former check, each kept here as its oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+
+import numpy as np
 
 from groupflow.flows import GroupFlow
 from groupflow.graphs import (
@@ -170,6 +173,12 @@ def maximal_abelian_oracle(G: FiniteGroup) -> set:
         if not any(mset < set(other) for other in subs):
             out.add(members)
     return out
+
+
+def associative_by_exhaustion(T) -> bool:
+    """(a g) b == a (g b) for every triple of a square table, one g at a time."""
+    T = np.asarray(T)
+    return all(np.array_equal(T[T[:, g], :], T[:, T[g, :]]) for g in range(len(T)))
 
 
 def pairwise_relation_rows(D) -> list:

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
+import random
 
 import pytest
 
 from groupflow import jsonio
 from groupflow.cli import run
-from groupflow.flows import detect_leak
+from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
+from groupflow.groups import group_from_cayley, standard_group
 from groupflow.planar import euler_planar_check
+from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import extra_planar_by_lr
+from helpers import extra_planar_by_lr, random_flow
 
 
 def invoke(argv):
@@ -255,6 +259,111 @@ def test_malformed_graph_shape_is_usage_error(tmp_path, text):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    '{"rotation": [["1", "2"]]}',
+    '{"rotation": {"1": 5}}',
+])
+def test_malformed_rotation_shape_is_usage_error(tmp_path, text):
+    gpath = write_graph(tmp_path, "k4.json", named_graph("complete:4"))
+    rpath = tmp_path / "bad.json"
+    rpath.write_text(text)
+    code, out, err = invoke(["faces", gpath, str(rpath)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("values", [[5], 5, [{"1": "2", "3": "4", "5": "6"}]])
+def test_malformed_flow_shape_is_usage_error(tmp_path, values):
+    fpath = tmp_path / "bad.json"
+    fpath.write_text(json.dumps({
+        "group": "cyclic:4",
+        "graph": jsonio.graph_to_json(named_graph("complete:4")),
+        "values": values,
+    }))
+    code, out, err = invoke(["check-flow", str(fpath)])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def _json_paths(data, path=()):
+    """The key path of every value inside parsed JSON, the root included."""
+    yield path
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(data, list):
+        for i, value in enumerate(data):
+            yield from _json_paths(value, path + (i,))
+
+
+def _replace_at(data, path, value):
+    if not path:
+        return value
+    data = copy.deepcopy(data)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return data
+
+
+def _random_json_value(rng):
+    kind = rng.choice(("int", "str", "list", "dict", "null"))
+    if kind == "int":
+        return rng.randint(-2, 40)
+    if kind == "str":
+        return rng.choice(("", "x", "1", "7", "-1", "z*z", "cyclic:2", "{}"))
+    if kind == "list":
+        return rng.choice(([], [1], ["1", "2"], [[]], [None, 3, "x"]))
+    if kind == "dict":
+        return rng.choice(({}, {"1": "2"}, {"rotation": {}}, {"vertices": []}))
+    return None
+
+
+def test_cli_mutation_fuzz_keeps_exit_contract(tmp_path):
+    """Valid graph, rotation and flow files with one random sub-value
+    replaced must give a verdict or a usage error, never a traceback."""
+    rng = random.Random(20211)
+    k4 = named_graph("complete:4")
+    k33 = named_graph("complete_bipartite:3,3")
+    quaternion = standard_group("quaternion")
+    table_flow = jsonio.flow_to_json(random_flow(
+        rng, k33, group_from_cayley(quaternion.table.tolist(), quaternion.names)))
+    valid = {
+        "graph": jsonio.graph_to_json(k4),
+        "rotation": jsonio.rotation_to_json(planarity_certificate(k4)),
+        "spec_flow": jsonio.flow_to_json(example_flow_k33()[1]),
+        "table_flow": table_flow,
+    }
+    assert "group_table" in table_flow
+    paths = {name: list(_json_paths(data)) for name, data in valid.items()}
+    files = {name: tmp_path / f"{name}.json" for name in valid}
+    for name, data in valid.items():
+        files[name].write_text(json.dumps(data))
+    mutant = tmp_path / "mutant.json"
+    commands = {
+        "graph": (["planar", str(mutant)], ["faces", str(mutant), str(files["rotation"])]),
+        "rotation": (["faces", str(files["graph"]), str(mutant)],),
+        "spec_flow": (["check-flow", str(mutant)],),
+        "table_flow": (["check-flow", str(mutant)],),
+    }
+    codes = []
+    for i in range(300):
+        name = ("graph", "rotation", "spec_flow", "table_flow")[i % 4]
+        path = rng.choice(paths[name])
+        mutated = _replace_at(valid[name], path, _random_json_value(rng))
+        mutant.write_text(json.dumps(mutated))
+        for argv in commands[name]:
+            try:
+                code, _, _ = invoke(argv)
+            except Exception as exc:   # any exception that escapes is the failure
+                pytest.fail(f"{argv[0]} on {mutated!r} raised {exc!r}")
+            assert code in (0, 1, 2), (argv[0], mutated, code)
+            codes.append(code)
+    # the mutations reach both verdicts and the usage-error path
+    assert {0, 1, 2} <= set(codes)
+
+
 def test_unknown_subcommand():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2
@@ -263,6 +372,15 @@ def test_unknown_subcommand():
 def test_bad_group_spec():
     code, _, err = invoke(["group-leakproof", "klein-bottle:7"])
     assert code == 2
+
+
+def test_bad_cayley_file_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n1 t\n0 1\n1 x\n")
+    for spec in (f"cayley:{tmp_path / 'missing.txt'}", f"product:cayley:{bad},cyclic:2"):
+        code, out, err = invoke(["group-leakproof", spec])
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 def test_internal_invariant_violation_is_code_3(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from groupflow.groups import (
     standard_group,
 )
 
-from helpers import maximal_abelian_oracle
+from helpers import associative_by_exhaustion, maximal_abelian_oracle
 
 
 # -- group_from_cayley ---------------------------------------------------------
@@ -56,6 +56,66 @@ def test_no_inverse_table():
 def test_not_associative_table():
     with pytest.raises(NotAssociative):
         group_from_cayley([[0, 1, 2], [1, 0, 2], [2, 2, 0]], list("abc"))
+
+
+_BUILTIN_SPECS_UP_TO_720 = (
+    "cyclic:1", "cyclic:2", "cyclic:12", "cyclic:97", "dihedral:1", "dihedral:6",
+    "dihedral:30", "quaternion", "sym:1", "sym:3", "sym:4", "sym:5", "sym:6",
+    "alt:2", "alt:4", "alt:5", "alt:6", "es:1", "es:2", "es:3",
+    "product:es:2,cyclic:2", "product:quaternion,quaternion", "product:sym:3,alt:4",
+    "centprod:quaternion,dihedral:4", "centprod:dihedral:4,dihedral:4",
+)
+
+
+@pytest.mark.parametrize("spec", _BUILTIN_SPECS_UP_TO_720)
+def test_builtin_tables_pass_light_and_exhaustive_checks(spec):
+    G = standard_group(spec)
+    assert G.order <= 720
+    G._check_associativity()
+    assert associative_by_exhaustion(G.table)
+    gens = G._generating_set()
+    reached, frontier = {G.identity}, [G.identity]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.mul(x, g)
+            if y not in reached:
+                reached.add(y)
+                frontier.append(y)
+    assert reached == set(G.elements())
+
+
+def test_light_check_raises_exactly_on_non_associative_perturbations():
+    """Relabelled tables of orders 4-60, some with entries changed away from
+    and to non-identity values, so identity and inverses survive."""
+    rng = random.Random(1)
+    bases = [standard_group(s) for s in (
+        "cyclic:4", "product:cyclic:2,cyclic:2", "dihedral:3", "quaternion", "alt:4",
+        "dihedral:10", "es:2", "sym:4", "product:cyclic:3,alt:4", "alt:5", "cyclic:60")]
+    raised = kept = 0
+    for _ in range(300):
+        G = rng.choice(bases)
+        n = G.order
+        perm = list(range(n))
+        rng.shuffle(perm)
+        T = np.empty_like(G.table)
+        T[np.ix_(perm, perm)] = np.asarray(perm)[G.table]
+        e = perm[G.identity]
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            a, b = rng.choice([(a, b) for a in range(n) for b in range(n)
+                               if e not in (a, b, T[a, b])])
+            T[a, b] = rng.choice([c for c in range(n) if c not in (e, T[a, b])])
+        names = [f"g{i}" for i in range(n)]
+        if associative_by_exhaustion(T):
+            assert group_from_cayley(T, names).identity == e
+            kept += 1
+            continue
+        with pytest.raises(NotAssociative) as info:
+            group_from_cayley(T, names)
+        a, g, b = (names.index(x) for x in info.value.triple)
+        assert T[T[a, g], b] != T[a, T[g, b]]
+        raised += 1
+    assert raised >= 100 and kept >= 30
 
 
 def test_duplicate_names():
@@ -192,6 +252,22 @@ def test_cayley_file(tmp_path):
     G = standard_group(f"cayley:{path}")
     assert G.order == 8
     assert np.array_equal(G.table, q.table)
+
+
+def test_nested_cayley_spec_rereads_file(tmp_path):
+    path = tmp_path / "c.txt"
+
+    def write_cyclic(n):
+        G = standard_group(f"cyclic:{n}")
+        lines = [str(n), " ".join(G.names)] + [" ".join(map(str, r)) for r in G.table.tolist()]
+        path.write_text("\n".join(lines) + "\n")
+
+    spec = f"product:cayley:{path},cyclic:2"
+    write_cyclic(3)
+    assert standard_group(spec).order == 6
+    write_cyclic(5)
+    assert standard_group(spec).order == 10
+    assert standard_group(f"centprod:product:cayley:{path},cyclic:2,quaternion").order == 40
 
 
 # -- centralizer ---------------------------------------------------------------------
