@@ -2,8 +2,9 @@
 
 Exit codes: 0 = affirmative/success, 1 = negative verdict (non-planar,
 leaks, not extra-planar, ...), 2 = usage or parse error, 3 = internal
-invariant violation.  Negative mathematical verdicts are results, not
-failures, so shell pipelines can branch on them.
+invariant violation or any other unexpected exception (named on stderr
+with the subcommand, without a traceback).  Negative mathematical verdicts
+are results, not failures, so shell pipelines can branch on them.
 """
 
 from __future__ import annotations
@@ -308,6 +309,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (ParseError, GroupFlowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error in {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

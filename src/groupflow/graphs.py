@@ -353,8 +353,12 @@ def find_minor(G: Graph, M: Graph, host_bound: int = DEFAULT_HOST_BOUND) -> Opti
 
     Branch-and-bound over the model vertices in a fixed order; each is
     assigned a connected branch set disjoint from the earlier ones, pruned
-    by adjacency to the already-assigned model neighbours.  Deterministic,
-    so repeated runs return the same witness.
+    by adjacency to the already-assigned model neighbours.  A branch set
+    is also skipped when fewer free vertices outside it touch it than x
+    has model neighbours still to assign: each of those needs its own
+    disjoint branch set adjacent to it, so no such branch can succeed, and
+    the search finds the same first witness as without this cut.
+    Deterministic, so repeated runs return the same witness.
     """
     if G.n > host_bound:
         raise HostTooLarge(G.n, host_bound)
@@ -368,11 +372,15 @@ def find_minor(G: Graph, M: Graph, host_bound: int = DEFAULT_HOST_BOUND) -> Opti
             return True
         x = model_order[level]
         required = [y for y in M.neighbors(x) if y in assigned]
+        later = M.degree(x) - len(required)
         remaining_models = len(model_order) - level - 1
         budget = len(free) - remaining_models
         if budget < 1:
             return False
         for bset in _connected_subsets(G, free, budget):
+            if later and len({w for u in bset for w in G.neighbors(u)
+                              if w in free and w not in bset}) < later:
+                continue
             if all(_sets_adjacent(G, bset, assigned[y]) for y in required):
                 assigned[x] = bset
                 if backtrack(level + 1, free - bset):

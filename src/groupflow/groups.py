@@ -621,8 +621,9 @@ def _es_group_impl(n: int, max_order: int) -> FiniteGroup:
 
 
 def _cyclic(n: int) -> FiniteGroup:
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    idx = np.arange(n, dtype=np.int32)
+    table = idx[:, None] + idx[None, :]
+    table %= n
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
     return FiniteGroup(table, names, spec=f"cyclic:{n}")
 
@@ -793,7 +794,7 @@ def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
     return FiniteGroup(table, names, spec=spec)
 
 
-def _parse_cayley_file(path: str) -> FiniteGroup:
+def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -805,6 +806,8 @@ def _parse_cayley_file(path: str) -> FiniteGroup:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("cayley file: first line must be the order") from None
+    if n > max_order:
+        raise TooLarge(n, max_order)
     if len(lines) < 2 + n:
         raise ParseError("cayley file: truncated")
     names = lines[1].split()
@@ -885,7 +888,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
         B = standard_group(right, max_order)
         return _central_product(A, B, spec, max_order)
     if head == "cayley":
-        return _parse_cayley_file(rest)
+        return _parse_cayley_file(rest, max_order)
     raise ParseError(f"unknown group spec {spec!r}")
 
 

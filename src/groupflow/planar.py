@@ -10,9 +10,21 @@ certificates: such a rotation system, or a K5/K3,3 minor witness.
 both have a corner on one face of that embedding gets G + uv's embedding
 by splicing the new edge into that face: v goes into u's rotation right
 after the dart that enters u along the face, and u into v's rotation
-likewise, which adds one edge and one face.  Only the pairs that share no face are run through the LR planarity
-test again (Brandes, "The Left-Right Planarity Test", 2009, as networkx
-implements it).  Every spliced embedding is Euler-checked like any other.
+likewise, which adds one edge and one face.  Only the pairs that share no
+face are run through the LR planarity test again (Brandes, "The
+Left-Right Planarity Test", 2009, as networkx implements it).  Every
+spliced embedding is Euler-checked like any other.
+
+A non-planar graph's witness comes from deleting edges, in sorted order,
+while the graph stays non-planar.  Each "still non-planar without e?"
+question is decided on a reduction that keeps planarity both ways: a
+pendant edge is deleted untested, vertices of degree <= 1 are deleted,
+and a vertex of degree 2 is suppressed into an edge between its
+neighbours (or deleted when they are already adjacent).  A reduced graph
+on at most 5 vertices is non-planar only if it is K5; one with more than
+3n - 6 edges is non-planar by Euler's formula; only the rest go to the LR
+test.  Every answer is the one an LR test of the whole graph would give,
+so the witness does not depend on the reduction.
 """
 
 from __future__ import annotations
@@ -158,10 +170,6 @@ def _nx_graph(G: Graph) -> nx.Graph:
     return H
 
 
-def _nx_is_planar(G: Graph) -> bool:
-    return nx.check_planarity(_nx_graph(G), counterexample=False)[0]
-
-
 def _embedding(G: Graph) -> Optional[RotationSystem]:
     ok, emb = nx.check_planarity(_nx_graph(G), counterexample=False)
     if not ok:
@@ -170,19 +178,75 @@ def _embedding(G: Graph) -> Optional[RotationSystem]:
     return RotationSystem(G, {v: tuple(data.get(v, ())) for v in G.vertices})
 
 
+def _reduce(adj: dict[Vertex, set[Vertex]]) -> dict[Vertex, set[Vertex]]:
+    """A copy of the adjacency ``adj`` with every vertex of degree <= 2
+    reduced away, which keeps planarity in both directions.
+
+    A vertex of degree <= 1 is deleted: it can be drawn next to its
+    neighbour in any embedding.  A vertex x of degree 2 with neighbours
+    a, b is suppressed (its path becomes the edge ab), which gives a
+    homeomorphic graph; if ab is already an edge, x is deleted instead,
+    since it can be drawn back beside that edge.  What is left has minimum
+    degree 3, or no vertex at all.
+    """
+    adj = {v: set(ns) for v, ns in adj.items()}
+    stack = [v for v, ns in adj.items() if len(ns) <= 2]
+    while stack:
+        x = stack.pop()
+        if x not in adj or len(adj[x]) > 2:
+            continue
+        ns = adj.pop(x)
+        for y in ns:
+            adj[y].discard(x)
+        if len(ns) == 2:
+            a, b = ns
+            if b not in adj[a]:
+                adj[a].add(b)
+                adj[b].add(a)
+                continue
+        stack.extend(ns)
+    return adj
+
+
+def _reduced_is_planar(adj: dict[Vertex, set[Vertex]]) -> bool:
+    """Planarity of the graph with adjacency ``adj``, decided on its
+    reduction: with at most 5 vertices only K5 is non-planar, more than
+    3n - 6 edges break Euler's bound, and anything else gets the LR test."""
+    H = _reduce(adj)
+    n = len(H)
+    m = sum(len(ns) for ns in H.values()) // 2
+    if n <= 5:
+        return m < 10
+    if m > 3 * n - 6:
+        return False
+    return nx.check_planarity(nx.Graph(H), counterexample=False)[0]
+
+
 def _kuratowski_witness(G: Graph) -> MinorWitness:
     """Extract a verified K5 or K3,3 minor from a non-planar graph.
 
-    Delete removable edges until the graph is edge-minimal non-planar; what
-    is left (ignoring isolated vertices) is a subdivision of K5 or K3,3.
-    Its degree->=3 vertices become the branch vertices and every chain's
-    interior is folded into one endpoint's branch set.
+    Delete removable edges, in sorted order, until the graph is
+    edge-minimal non-planar; what is left (ignoring isolated vertices) is a
+    subdivision of K5 or K3,3.  An edge at a vertex of degree 1 is deleted
+    without a test, since a pendant edge never decides planarity.  Every
+    other deletion is decided on the ``_reduce``d graph, which is planar
+    exactly when the unreduced one is, so each test has the verdict a full
+    LR test of the current edge set would give and the witness is the same.
     """
-    edges = set(G.edges)
-    for e in sorted(edges, key=lambda e: (vkey(e[0]), vkey(e[1]))):
-        trial = Graph(G.vertices, frozenset(edges - {e}))
-        if not _nx_is_planar(trial):
-            edges.remove(e)
+    adj = {v: set(ns) for v, ns in G.adjacency.items()}
+    for u, v in G.sorted_edges():
+        adj[u].remove(v)
+        adj[v].remove(u)
+        if adj[u] and adj[v] and _reduced_is_planar(adj):
+            adj[u].add(v)
+            adj[v].add(u)
+    return _subdivision_witness(G, {edge_key(u, v) for u in adj for v in adj[u]})
+
+
+def _subdivision_witness(G: Graph, edges: set[tuple[Vertex, Vertex]]) -> MinorWitness:
+    """The K5 or K3,3 minor of G given by ``edges``, a subdivision of K5 or
+    K3,3: its degree->=3 vertices become the branch vertices and every
+    chain's interior is folded into one endpoint's branch set."""
     core = graph_from({v for e in edges for v in e}, edges)
     branch = [v for v in core.vertices if core.degree(v) >= 3]
     degs = sorted(core.degree(v) for v in branch)

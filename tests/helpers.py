@@ -6,7 +6,9 @@ oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
 group-leak decision's former construction, the per-pair planarity loop is
 extra_planar's former construction, and the exhaustive associativity loop
-is the group constructor's former check, each kept here as its oracle.
+is the group constructor's former check, the per-edge LR deletion loop is
+the Kuratowski extraction's former construction, and the unpruned
+backtracking is find_minor's former search, each kept here as its oracle.
 """
 
 from __future__ import annotations
@@ -14,21 +16,31 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 
 from groupflow.flows import GroupFlow
 from groupflow.graphs import (
     Graph,
     MinorWitness,
+    _connected_subsets,
+    _sets_adjacent,
     add_edge,
     components,
     edge_key,
     graph_from,
     induced_subgraph,
+    spanning_forest,
     vkey,
 )
 from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
-from groupflow.planar import ExtraPlanarVerdict, RotationSystem, test_planarity
+from groupflow.planar import (
+    ExtraPlanarVerdict,
+    RotationSystem,
+    _nx_graph,
+    _subdivision_witness,
+    test_planarity,
+)
 
 
 # -- graph generators ---------------------------------------------------------
@@ -214,6 +226,50 @@ def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:
             return ExtraPlanarVerdict(False, pair=pair, witness=result)
         embeddings[pair] = result
     return ExtraPlanarVerdict(True, embeddings=embeddings)
+
+
+def kuratowski_by_lr(G: Graph) -> MinorWitness:
+    """The Kuratowski witness of a non-planar G with one full LR test of the
+    current edge set per edge, deleting each edge (in sorted order) whose
+    removal leaves the graph non-planar."""
+    edges = set(G.edges)
+    for e in G.sorted_edges():
+        trial = Graph(G.vertices, frozenset(edges - {e}))
+        if not nx.check_planarity(_nx_graph(trial), counterexample=False)[0]:
+            edges.remove(e)
+    return _subdivision_witness(G, edges)
+
+
+def find_minor_unpruned(G: Graph, M: Graph):
+    """find_minor's backtracking without the cut on the free neighbours of
+    a branch set: a witness if M is a minor of G, else None."""
+    if M.n > G.n or M.m > G.m:
+        return None
+    model_order = sorted(M.vertices, key=lambda x: (-M.degree(x), vkey(x)))
+    assigned: dict = {}
+
+    def backtrack(level: int, free: frozenset) -> bool:
+        if level == len(model_order):
+            return True
+        x = model_order[level]
+        required = [y for y in M.neighbors(x) if y in assigned]
+        budget = len(free) - (len(model_order) - level - 1)
+        if budget < 1:
+            return False
+        for bset in _connected_subsets(G, free, budget):
+            if all(_sets_adjacent(G, bset, assigned[y]) for y in required):
+                assigned[x] = bset
+                if backtrack(level + 1, free - bset):
+                    return True
+                del assigned[x]
+        return False
+
+    if not backtrack(0, frozenset(G.vertices)):
+        return None
+    forest = []
+    for bset in assigned.values():
+        forest.extend(spanning_forest(induced_subgraph(G, bset)).edges)
+    return MinorWitness(M, dict(assigned), frozenset(forest))
 
 
 # -- flow helpers -----------------------------------------------------------------

@@ -383,6 +383,30 @@ def test_bad_cayley_file_is_usage_error(tmp_path):
         assert out == "" and err.startswith("error:")
 
 
+def test_cayley_order_over_max_size_is_usage_error(tmp_path):
+    G = standard_group("cyclic:12")
+    path = tmp_path / "c12.txt"
+    path.write_text("\n".join(["12", " ".join(G.names)]
+                              + [" ".join(map(str, r)) for r in G.table.tolist()]) + "\n")
+    code, out, err = invoke(["group-leakproof", f"cayley:{path}", "--max-size", "5"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "12" in err
+
+
+def test_unexpected_exception_is_code_3_naming_command(tmp_path, monkeypatch):
+    import groupflow.cli as cli
+
+    def broken(_graph):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(cli, "test_planarity", broken)
+    path = write_graph(tmp_path, "k4.json", named_graph("complete:4"))
+    code, out, err = invoke(["planar", path])
+    assert code == 3
+    assert out == ""
+    assert "planar" in err and "RuntimeError" in err and "Traceback" not in err
+
+
 def test_internal_invariant_violation_is_code_3(tmp_path, monkeypatch):
     import groupflow.cli as cli
     from groupflow.errors import InternalInvariantError

@@ -27,6 +27,7 @@ from helpers import (
     all_labeled_graphs,
     bridge_oracle,
     compose_minor_witnesses,
+    find_minor_unpruned,
     minor_oracle,
     random_graph,
 )
@@ -228,6 +229,23 @@ def test_find_minor_vs_bruteforce_oracle(model_name):
             assert verify_minor(g, w)
         checked += 1
     assert checked == 40
+
+
+@pytest.mark.parametrize("model_name", ["complete:5", "complete_bipartite:3,3",
+                                        "k5minus", "k33minus"])
+def test_find_minor_matches_unpruned_oracle(model_name):
+    """Skipping branch sets with too few free neighbours changes neither the
+    verdict nor the first witness found."""
+    model = named_graph(model_name)
+    rng = random.Random(61)
+    hosts = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    hosts += [random_graph(rng, rng.randint(6, 8), rng.uniform(0.3, 0.9)) for _ in range(200)]
+    found = 0
+    for g in hosts:
+        w = find_minor(g, model)
+        assert w == find_minor_unpruned(g, model), (model_name, g)
+        found += w is not None
+    assert 0 < found < len(hosts)
 
 
 def test_minor_transitivity_by_composition():

@@ -254,6 +254,27 @@ def test_cayley_file(tmp_path):
     assert np.array_equal(G.table, q.table)
 
 
+def test_cayley_file_order_bound_checked_before_rows(tmp_path):
+    G = standard_group("cyclic:12")
+    path = tmp_path / "c12.txt"
+    path.write_text("\n".join(["12", " ".join(G.names)]
+                              + [" ".join(map(str, r)) for r in G.table.tolist()]) + "\n")
+    with pytest.raises(TooLarge):
+        standard_group(f"cayley:{path}", max_order=5)
+    assert standard_group(f"cayley:{path}", max_order=12).order == 12
+    path.write_text("12\n")        # truncated: the bound is checked first
+    with pytest.raises(TooLarge):
+        standard_group(f"cayley:{path}", max_order=5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 60])
+def test_cyclic_table_is_int32_addition_mod_n(n):
+    idx = np.arange(n)
+    T = standard_group(f"cyclic:{n}").table
+    assert T.dtype == np.int32
+    assert np.array_equal(T, (idx[:, None] + idx[None, :]) % n)
+
+
 def test_nested_cayley_spec_rereads_file(tmp_path):
     path = tmp_path / "c.txt"
 

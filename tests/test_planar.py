@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 
 from groupflow import jsonio, planar
@@ -27,7 +29,7 @@ from groupflow.planar import (
 )
 from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import all_labeled_graphs, extra_planar_by_lr, random_graph
+from helpers import all_labeled_graphs, extra_planar_by_lr, kuratowski_by_lr, random_graph
 
 
 def embed(G):
@@ -171,6 +173,104 @@ def test_dichotomy_sampled_6_vertices():
             assert find_minor(g, k5) is None and find_minor(g, k33) is None
         else:
             assert verify_minor(g, result)
+
+
+def _subdivided(G, start):
+    """G with every edge split by a new vertex, labelled from ``start`` on."""
+    edges = []
+    for i, (u, v) in enumerate(G.sorted_edges()):
+        edges += [(u, start + i), (start + i, v)]
+    return graph_from(list(G.vertices) + list(range(start, start + G.m)), edges)
+
+
+def _adjacency(G):
+    return {v: set(G.neighbors(v)) for v in G.vertices}
+
+
+def _lr_planar(adj):
+    return nx.check_planarity(nx.Graph(adj), counterexample=False)[0]
+
+
+def test_kuratowski_witness_matches_lr_oracle(monkeypatch):
+    """The reduced deletion tests find the witness of one LR test per edge,
+    with fewer LR calls, some edges deleted by the pendant rule alone."""
+    graphs = [named_graph(name) for name in
+              ("complete:5", "complete_bipartite:3,3", "complete:6", "petersen")]
+    graphs.append(_subdivided(named_graph("complete_bipartite:3,3"), 7))
+    rng = random.Random(83)
+    sampled = 0
+    while sampled < 300:
+        g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.3, 0.9))
+        if not _lr_planar(_adjacency(g)):
+            graphs.append(g)
+            sampled += 1
+    lr_calls = Counter()
+    lr = nx.check_planarity
+    decider = planar._reduced_is_planar
+    side = "oracle"
+    monkeypatch.setattr(nx, "check_planarity",
+                        lambda *a, **k: lr_calls.update([side]) or lr(*a, **k))
+    monkeypatch.setattr(planar, "_reduced_is_planar",
+                        lambda adj: lr_calls.update(["decider"]) or decider(adj))
+    for g in graphs:
+        side = "oracle"
+        want = kuratowski_by_lr(g)
+        side = "reduced"
+        got = planar._kuratowski_witness(g)
+        assert got == want, g
+        assert verify_minor(g, got)
+    assert lr_calls["oracle"] == sum(g.m for g in graphs)
+    assert lr_calls["reduced"] < lr_calls["oracle"] / 2
+    assert lr_calls["decider"] < lr_calls["oracle"]   # the rest were pendant edges
+
+
+def _deciding_rule(adj):
+    H = planar._reduce(adj)
+    n, m = len(H), sum(map(len, H.values())) // 2
+    if n <= 5:
+        return "K5" if m == 10 else "at most 5 vertices"
+    return "m > 3n - 6" if m > 3 * n - 6 else "LR"
+
+
+def test_reduced_planarity_decider_matches_lr():
+    """Each question the deletion loop asks of a non-planar graph, and
+    plain seeded graphs, get the LR test's answer from the reduction; every
+    rule decides some of them."""
+    rng = random.Random(97)
+    decided = Counter()
+    for _ in range(400):
+        adj = _adjacency(random_graph(rng, rng.randint(3, 12), rng.uniform(0.1, 0.9)))
+        assert planar._reduced_is_planar(adj) == _lr_planar(adj)
+        decided[_deciding_rule(adj)] += 1
+    while sum(decided.values()) < 2400:
+        g = random_graph(rng, rng.randint(5, 12), rng.uniform(0.4, 0.9))
+        adj = _adjacency(g)
+        if _lr_planar(adj):
+            continue
+        for u, v in g.sorted_edges():
+            adj[u].remove(v)
+            adj[v].remove(u)
+            planar_now = _lr_planar(adj)
+            if not (adj[u] and adj[v]):
+                assert not planar_now
+                decided["pendant"] += 1
+            else:
+                assert planar._reduced_is_planar(adj) == planar_now
+                decided[_deciding_rule(adj)] += 1
+            if planar_now:
+                adj[u].add(v)
+                adj[v].add(u)
+    assert set(decided) == {"pendant", "at most 5 vertices", "K5", "m > 3n - 6", "LR"}
+    assert min(decided.values()) >= 20, decided
+
+
+def test_reduce_keeps_min_degree_three():
+    rng = random.Random(101)
+    for _ in range(200):
+        H = planar._reduce(_adjacency(random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.7))))
+        assert all(len(ns) >= 3 and all(v in H[w] for w in ns) for v, ns in H.items())
+    assert planar._reduce(_adjacency(_subdivided(named_graph("complete:5"), 6))) == \
+        _adjacency(named_graph("complete:5"))
 
 
 # -- walk bridge check -------------------------------------------------------------
