@@ -7,13 +7,18 @@ used by the flow examples, direct and central products, and tables read
 from files), plus the abelian-structure utilities the leak machinery
 needs: centralizers, maximal abelian subgroups, invariant-factor bases
 with discrete logarithms, and conjugacy class identifiers.
+
+Element orders, and orders modulo a subgroup, come from vectorised table
+lookups over many elements at once.  An abelian subgroup's basis is found
+by one greedy loop over the subgroup itself, with no quotient groups and
+no split by primes: see ``abelian_basis``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -183,16 +188,10 @@ class FiniteGroup:
             result = self.mul(result, self.index_of(token))
         return result
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
-            self._orders = np.array([self.element_order(a) for a in range(self.order)])
+            every = np.arange(self.order)
+            self._orders = _orders_modulo(self.table, every, every == self.identity)
             self._orders.setflags(write=False)
         return self._orders
 
@@ -279,6 +278,17 @@ def _right_closure(T: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
         frontier = np.nonzero(new)[0]
 
 
+def _orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.ndarray:
+    """Order of each member modulo a subgroup K given as a mask: the least
+    k >= 1 with h^k in K, by one table lookup per power."""
+    f = np.zeros(members.size, dtype=np.int64)
+    cur, k = members, 1
+    while not f.all():
+        f[(f == 0) & in_K[cur]] = k
+        cur, k = T[cur, members], k + 1
+    return f
+
+
 def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """The subgroup generated by gens."""
     reached = np.zeros(G.order, dtype=bool)
@@ -361,195 +371,83 @@ def maximal_abelian_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 @dataclass(frozen=True)
 class AbelianBasis:
-    """Invariant-factor basis of an abelian subgroup.
+    """Invariant-factor basis of an abelian subgroup H.
 
     The map (a_1..a_k) -> prod gens_i^(a_i) is an isomorphism from
-    Z/d_1 + ... + Z/d_k (orders satisfy d_1 | d_2 | ... | d_k); the full
-    discrete-log table is precomputed and verified at construction.
+    Z/d_1 + ... + Z/d_k onto H, where ``orders`` = (d_1, ..., d_k) and
+    d_1 | d_2 | ... | d_k.  ``dlog`` is its inverse: each member of H to
+    its exponent vector, 0 <= a_i < d_i.  ``abelian_basis`` builds the
+    table and checks that it is a bijection onto H.
     """
 
     subgroup: Subgroup
     gens: tuple[int, ...]
     orders: tuple[int, ...]
-
-    @property
-    def _dlog(self) -> dict[int, tuple[int, ...]]:
-        cached = self.__dict__.get("_dlog_cache")
-        if cached is None:
-            cached = _build_dlog(self.subgroup.parent, self.gens, self.orders)
-            self.__dict__["_dlog_cache"] = cached
-        return cached
-
-
-def _build_dlog(G: FiniteGroup, gens, orders) -> dict[int, tuple[int, ...]]:
-    table: dict[int, tuple[int, ...]] = {}
-    exps = [0] * len(gens)
-    elem = G.identity
-    total = math.prod(orders) if orders else 1
-    table[elem] = tuple(exps)
-    for _ in range(total - 1):
-        # odometer over the exponent vectors, updating the product incrementally
-        i = len(exps) - 1
-        while i >= 0:
-            exps[i] += 1
-            if exps[i] < orders[i]:
-                break
-            exps[i] = 0
-            i -= 1
-        elem = G.identity
-        for g, a in zip(gens, exps):
-            elem = G.mul(elem, G.power(g, a))
-        if elem in table:
-            raise InternalInvariantError("basis enumeration is not injective")
-        table[elem] = tuple(exps)
-    return table
-
-
-class _BaseView:
-    """Group elements as opaque handles, used by the basis recursion."""
-
-    def __init__(self, G: FiniteGroup, members: Sequence[int]):
-        self.G = G
-        self.elements = tuple(sorted(members))
-        self.ident = G.identity
-
-    def mul(self, a, b):
-        return self.G.mul(a, b)
-
-    def key(self, h):
-        return h
-
-
-class _QuotientView:
-    """Cosets of a cyclic subgroup of the parent view, as frozensets."""
-
-    def __init__(self, parent, gen: int, gen_order: int):
-        self.parent = parent
-        cyc = []
-        x = parent.ident
-        for _ in range(gen_order):
-            cyc.append(x)
-            x = parent.mul(x, gen)
-        self._coset_of = {}
-        cosets = []
-        for e in parent.elements:
-            if e in self._coset_of:
-                continue
-            coset = frozenset(parent.mul(e, c) for c in cyc)
-            for m in coset:
-                self._coset_of[m] = coset
-            cosets.append(coset)
-        self.elements = tuple(sorted(cosets, key=self.key))
-        self.ident = self._coset_of[parent.ident]
-
-    def key(self, h):
-        return min(self.parent.key(m) for m in h)
-
-    def rep(self, h):
-        return min(h, key=self.parent.key)
-
-    def mul(self, a, b):
-        return self._coset_of[self.parent.mul(self.rep(a), self.rep(b))]
-
-
-def _view_order(view, h) -> int:
-    k, x = 1, h
-    while x != view.ident:
-        x = view.mul(x, h)
-        k += 1
-    return k
-
-
-def _p_group_basis(view, p: int) -> list[tuple[object, int]]:
-    if len(view.elements) == 1:
-        return []
-    orders = [(_view_order(view, h), h) for h in view.elements]
-    e1 = max(o for o, _ in orders)
-    g1 = min((h for o, h in orders if o == e1), key=view.key)
-    quo = _QuotientView(view, g1, e1)
-    result = [(g1, e1)]
-    for coset, f in _p_group_basis(quo, p):
-        x = quo.rep(coset)
-        # x^f lands in <g1>; divide it out so the lift has exact order f
-        xf = x
-        for _ in range(f - 1):
-            xf = view.mul(xf, x)
-        t, y = 0, view.ident
-        while y != xf:
-            y = view.mul(y, g1)
-            t += 1
-        if t % f != 0:
-            raise InternalInvariantError("p-group basis lift: exponent not divisible")
-        adjust = (-(t // f)) % e1
-        for _ in range(adjust):
-            x = view.mul(x, g1)
-        result.append((x, f))
-    return result
+    dlog: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
 
 
 def abelian_basis(H: Subgroup) -> AbelianBasis:
-    """Invariant-factor basis d_1 | d_2 | ... | d_k of an abelian subgroup."""
+    """Invariant-factor basis d_1 | d_2 | ... | d_k of an abelian subgroup.
+
+    One greedy loop grows K = <g_1, ..., g_i> as a direct sum, with the
+    discrete-log table of K alongside.  Each step takes the least x in H
+    whose order f in H/K is largest, so f is the exponent of H/K.  Let
+    e_j be the order of g_j; it is the exponent of H/K_j, where
+    K_j = <g_1, ..., g_(j-1)>, and f | e_j since H/K is a quotient of
+    H/K_j.  Write x^f = prod g_j^(a_j) by the table.  Then f divides every
+    a_j: in H/K_j the images of g_j, ..., g_i still form a direct sum with
+    g_j of order e_j, and x^(e_j) = 1 there, so raising x^f to the power
+    e_j/f gives e_j | a_j e_j/f.  Hence x' = x prod g_j^(-a_j/f) has
+    x'^f = 1 and order f, meets K trivially, and K + <x'> is direct.  The
+    orders found satisfy e_(j+1) | e_j; the basis is returned reversed.
+    This holds for any finite abelian group, so there is no split by
+    primes.  The checks raise InternalInvariantError, naming what failed.
+    """
     if not H.is_abelian:
         raise NotAbelian(f"subgroup of order {H.order} is not abelian")
     G = H.parent
-    if H.order == 1:
-        return AbelianBasis(H, (), ())
-    primes = _prime_factors(H.order)
-    per_prime: dict[int, list[tuple[int, int]]] = {}
-    for p in primes:
-        members_p = [m for m in H.members if _is_prime_power_order(G.element_order(m), p)]
-        view = _BaseView(G, members_p)
-        per_prime[p] = [(int(g), o) for g, o in _p_group_basis(view, p)]
-    # combine across primes: pair the largest orders together (CRT)
-    width = max(len(v) for v in per_prime.values())
-    combined = []
-    for i in range(width):
-        elem = G.identity
-        order = 1
-        for p in sorted(per_prime):
-            basis_p = per_prime[p]
-            if i < len(basis_p):
-                g, o = basis_p[i]
-                elem = G.mul(elem, g)
-                order *= o
-        combined.append((elem, order))
-    combined.reverse()  # ascending d_1 | d_2 | ... | d_k
-    gens = tuple(g for g, _ in combined)
-    orders = tuple(o for _, o in combined)
-    if math.prod(orders) != H.order:
-        raise InternalInvariantError("basis orders do not multiply to the subgroup order")
-    basis = AbelianBasis(H, gens, orders)
-    if set(basis._dlog) != set(H.members):
+    T = G.table
+    members = np.array(H.members)
+    # K in enumeration order: row r is prod g_j^(a_j) for the digits a_j of r
+    # in the mixed radix (e_i, ..., e_1), the newest generator's digit first
+    elems = np.array([G.identity])
+    pos = np.full(G.order, -1)                   # element -> row, -1 outside K
+    pos[G.identity] = 0
+    gens: list[int] = []
+    orders: list[int] = []
+    f = G.element_orders()[members]              # orders in H/K while K = 1
+    while elems.size < members.size:
+        i = int(np.argmax(f))
+        x, fx = int(members[i]), int(f[i])
+        a = [int(aj) for aj in np.unravel_index(pos[G.power(x, fx)], orders[::-1])]
+        if any(aj % fx for aj in a):
+            raise InternalInvariantError(
+                f"abelian basis: x^{fx} has exponents {a} not divisible by {fx}")
+        for g, aj in zip(gens[::-1], a):
+            x = G.mul(x, G.power(g, -(aj // fx)))
+        # K + <x> enumerated as x^t k, t-major: t is the new leading digit
+        powers = np.array([G.power(x, t) for t in range(fx)])
+        elems = T[powers[:, None], elems[None, :]].ravel()
+        rows = np.arange(elems.size)
+        pos[elems] = rows
+        if (pos[elems] != rows).any():
+            raise InternalInvariantError("basis enumeration is not injective")
+        gens.append(x)
+        orders.append(fx)
+        f = _orders_modulo(T, members, pos >= 0)
+    if elems.size != members.size or (pos[members] < 0).any():
         raise InternalInvariantError("basis does not enumerate the subgroup")
-    return basis
+    digits = np.indices(orders[::-1]).reshape(len(orders), elems.size)
+    dlog = dict(zip(elems.tolist(), map(tuple, digits.T.tolist())))
+    return AbelianBasis(H, tuple(gens[::-1]), tuple(orders[::-1]), dlog)
 
 
 def discrete_log(B: AbelianBasis, g: int) -> tuple[int, ...]:
     """Exponent vector (a_i) with prod gens_i^(a_i) = g, 0 <= a_i < d_i."""
     try:
-        return B._dlog[int(g)]
+        return B.dlog[int(g)]
     except KeyError:
         raise NotMember(f"element {g} is not in the subgroup") from None
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_prime_power_order(order: int, p: int) -> bool:
-    while order % p == 0:
-        order //= p
-    return order == 1
 
 
 # -- the 2-group family es:n ---------------------------------------------------
@@ -795,6 +693,8 @@ def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
 
 
 def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
+    if not path:
+        raise ParseError("cayley:<path> needs a file path")
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -130,18 +130,26 @@ class HowellForm:
 
     # -- queries ---------------------------------------------------------------
 
-    def reduce(self, v: Sequence[int]) -> np.ndarray:
-        """Canonical representative of v modulo the row space."""
+    def _walk(self, v: Sequence[int],
+              combo: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """Reduce v against the pivots in column order.  When combo is given,
+        each multiple of a pivot row taken from v is added to it as input-row
+        coefficients, so that v = result + sum(combo_i * row_i) mod m."""
         vec = np.asarray(v, dtype=np.int64) % self.m
-        if self.m == 1:
-            return np.zeros(self.ncols, dtype=np.int64)
         for j in sorted(self._pivot_at):
             if vec[j]:
-                r = self._rows[self._pivot_at[j]]
+                idx = self._pivot_at[j]
+                r = self._rows[idx]
                 q = int(vec[j]) // int(r[j])
                 if q:
                     vec = (vec - q * r) % self.m
-        return vec
+                    if combo is not None:
+                        combo = (combo + q * _pad(self._coeffs[idx], combo.size)) % self.m
+        return vec, combo
+
+    def reduce(self, v: Sequence[int]) -> np.ndarray:
+        """Canonical representative of v modulo the row space."""
+        return self._walk(v, None)[0]
 
     def contains(self, v: Sequence[int]) -> bool:
         return not self.reduce(v).any()
@@ -151,21 +159,8 @@ class HowellForm:
         or None when v is outside the span.  Needs track=True."""
         if not self.track:
             raise ValueError("solve needs a coefficient-tracking form")
-        vec = np.asarray(v, dtype=np.int64) % self.m
-        combo = np.zeros(self.n_input, dtype=np.int64)
-        if self.m == 1:
-            return combo
-        for j in sorted(self._pivot_at):
-            if vec[j]:
-                idx = self._pivot_at[j]
-                r = self._rows[idx]
-                q = int(vec[j]) // int(r[j])
-                if q:
-                    vec = (vec - q * r) % self.m
-                    combo = (combo + q * _pad(self._coeffs[idx], self.n_input)) % self.m
-        if vec.any():
-            return None
-        return combo
+        vec, combo = self._walk(v, np.zeros(self.n_input, dtype=np.int64))
+        return None if vec.any() else combo
 
     def pivot_matrix(self) -> np.ndarray:
         cols = sorted(self._pivot_at)

@@ -123,14 +123,18 @@ def witness_from_json(data: Any) -> MinorWitness:
     if not isinstance(data, dict) or "model" not in data or "branch_sets" not in data:
         raise ParseError("witness JSON needs 'model' and 'branch_sets'")
     model = graph_from_json(data["model"])
+    raw_sets = data["branch_sets"]
+    if not isinstance(raw_sets, dict) or not all(isinstance(m, list) for m in raw_sets.values()):
+        raise ParseError("witness JSON 'branch_sets' must map each model vertex to a list")
+    raw_forest = data.get("forest_edges", [])
+    if not isinstance(raw_forest, list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in raw_forest):
+        raise ParseError("witness JSON 'forest_edges' must be a list of [u, v] pairs")
     branch_sets = {
         _vertex_token(x): frozenset(_vertex_token(u) for u in members)
-        for x, members in data["branch_sets"].items()
+        for x, members in raw_sets.items()
     }
-    forest = frozenset(
-        edge_key(_vertex_token(e[0]), _vertex_token(e[1]))
-        for e in data.get("forest_edges", [])
-    )
+    forest = frozenset(edge_key(_vertex_token(u), _vertex_token(v)) for u, v in raw_forest)
     return MinorWitness(model, branch_sets, forest)
 
 

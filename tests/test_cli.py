@@ -364,6 +364,76 @@ def test_cli_mutation_fuzz_keeps_exit_contract(tmp_path):
     assert {0, 1, 2} <= set(codes)
 
 
+def _mutate_cayley_text(rng, n, names, rows):
+    """A cayley file for the given table with one random defect, or none."""
+    names, rows = list(names), [list(r) for r in rows]
+    order_line = str(n)
+    kind = rng.choice(("short_row", "long_row", "non_integer", "out_of_range", "names",
+                       "truncated", "order_line", "swap", "duplicate_name", "none"))
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == "short_row":
+        del rows[i][j]
+    elif kind == "long_row":
+        rows[i].append(str(j))
+    elif kind == "non_integer":
+        rows[i][j] = rng.choice(("x", "1.5", "", "--1", "0x1"))
+    elif kind == "out_of_range":
+        rows[i][j] = rng.choice((str(n), "-1", str(10 ** 12), str(-10 ** 12)))
+    elif kind == "names":
+        names = names[:-1] if rng.random() < 0.5 else names + ["extra"]
+    elif kind == "truncated":
+        rows = rows[:-1]
+    elif kind == "order_line":
+        order_line = rng.choice(("x", "0", "-1", str(n - 1), str(n + 1), str(10 ** 9), ""))
+    elif kind == "swap":
+        rows[i][j], rows[j][i] = rows[j][i], rows[i][j]
+        rows[0][i], rows[0][j] = rows[0][j], rows[0][i]
+    elif kind == "duplicate_name":
+        names[i] = names[j - 1 if j else 1]
+    lines = [order_line, " ".join(names)] + [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_group_spec_mutation_fuzz_keeps_exit_contract(tmp_path):
+    """group-leakproof on nested product:/centprod: specs and on cayley:
+    files with one random defect gives a verdict or a usage error."""
+    rng = random.Random(20212)
+    bases = {name: standard_group(name) for name in ("quaternion", "dihedral:4", "cyclic:4")}
+    cayley = tmp_path / "table.txt"
+    templates = [
+        "cayley:{p}", "product:cayley:{p},cyclic:2", "product:cyclic:3,cayley:{p}",
+        "centprod:cayley:{p},quaternion", "centprod:dihedral:4,cayley:{p}",
+        "product:product:cyclic:2,cayley:{p},cyclic:2", "centprod:product:cayley:{p},cyclic:3,quaternion",
+        "product:cayley:{p},cayley:{p}",
+    ]
+    fixed = [
+        "cayley:", "product:cayley:,cyclic:2", "centprod:quaternion,cayley:",
+        "product:product:cyclic:2,cyclic:2,cyclic:3", "product:cyclic:2,product:cyclic:2,cyclic:2",
+        "centprod:quaternion,centprod:quaternion,quaternion", "centprod:quaternion,product:cyclic:2,cyclic:2",
+        "centprod:product:quaternion,cyclic:2,dihedral:4", "centprod:cyclic:3,quaternion",
+        "product:cyclic:2", "product:", "centprod:,", "product:,cyclic:2", "product:cyclic:x,cyclic:2",
+        "product:cyclic:2,,cyclic:2", "product:cayley,cyclic:2", "centprod:cyclic:0,quaternion",
+        "product:cayley:" + str(tmp_path / "missing.txt") + ",cyclic:2",
+    ]
+    runs = [(spec, None) for spec in fixed]
+    for _ in range(200):
+        G = bases[rng.choice(sorted(bases))]
+        text = _mutate_cayley_text(rng, G.order, G.names,
+                                   [[str(x) for x in row] for row in G.table.tolist()])
+        runs.append((rng.choice(templates).format(p=cayley), text))
+    codes = []
+    for spec, text in runs:
+        if text is not None:
+            cayley.write_text(text)
+        try:
+            code, _, err = invoke(["group-leakproof", spec])
+        except Exception as exc:   # any exception that escapes is the failure
+            pytest.fail(f"group-leakproof {spec!r} on {text!r} raised {exc!r}")
+        assert code in (0, 1, 2), (spec, text, code, err)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes)
+
+
 def test_unknown_subcommand():
     code, _, _ = invoke(["no-such-command"])
     assert code == 2

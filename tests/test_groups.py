@@ -126,7 +126,7 @@ def test_duplicate_names():
 def test_quaternion_table_roundtrip():
     q = standard_group("quaternion")
     g2 = group_from_cayley(q.table.tolist(), q.names)
-    orders = sorted(g2.element_order(a) for a in g2.elements())
+    orders = sorted(g2.element_orders().tolist())
     assert orders.count(2) == 1          # -1 is the only involution
     assert g2.order == 8
 
@@ -429,6 +429,52 @@ def test_abelian_basis_roundtrip(spec, members_of):
         for gen, a in zip(basis.gens, vec):
             rebuilt = G.mul(rebuilt, G.power(gen, a))
         assert rebuilt == g
+
+
+BENCHMARK_GROUPS = [
+    "es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
+    "product:quaternion,quaternion", "es:3", "dihedral:6", "product:sym:3,sym:3", "sym:4",
+    "alt:5", "sym:5", "alt:6", "sym:6",
+]
+
+
+def _relabelled(G, seed):
+    """G with its element indices shuffled, so that the least element of an
+    order does not follow the factors' order."""
+    perm = list(range(G.order))
+    random.Random(seed).shuffle(perm)
+    inv = np.argsort(perm)
+    table = [[perm[G.table[inv[a], inv[b]]] for b in range(G.order)] for a in range(G.order)]
+    return group_from_cayley(table, [G.names[inv[a]] for a in range(G.order)])
+
+
+@pytest.mark.parametrize("spec,seed", [(spec, None) for spec in BENCHMARK_GROUPS + [
+    "cyclic:12", "product:cyclic:6,cyclic:10", "product:cyclic:4,product:cyclic:2,cyclic:8",
+]] + [(spec, seed) for spec in ("product:cyclic:2,cyclic:4", "product:cyclic:4,cyclic:8",
+                                "product:cyclic:6,product:cyclic:2,cyclic:12") for seed in (1, 2, 3)])
+def test_abelian_basis_matches_order_count_oracle(spec, seed):
+    """On every maximal abelian subgroup H: the orders form a divisor chain
+    with product |H|; each generator has its order, so the basis map is a
+    homomorphism; the dlog table inverts it on all of H; and for every k
+    dividing |H| (so every k dividing the exponent), Z/d_1 + ... + Z/d_k
+    has as many solutions of h^k = 1 as H has, counted by powering in G.
+    Relabelled abelian groups make the greedy lift's correction step run."""
+    G = standard_group(spec) if seed is None else _relabelled(standard_group(spec), seed)
+    for H in maximal_abelian_subgroups(G):
+        basis = abelian_basis(H)
+        assert math.prod(basis.orders) == H.order
+        assert all(d > 1 for d in basis.orders)
+        assert all(b % a == 0 for a, b in zip(basis.orders, basis.orders[1:]))
+        assert [closure(G, [g]).order for g in basis.gens] == list(basis.orders)
+        assert set(basis.dlog) == set(H.members)
+        for h in H.members:
+            vec = discrete_log(basis, h)
+            assert all(0 <= a < d for a, d in zip(vec, basis.orders))
+            assert G.prod(G.power(g, a) for g, a in zip(basis.gens, vec)) == h
+        for k in range(1, H.order + 1):
+            if H.order % k == 0:
+                solutions = sum(G.power(h, k) == G.identity for h in H.members)
+                assert solutions == math.prod(math.gcd(k, d) for d in basis.orders), (H.members, k)
 
 
 def test_discrete_log_identity_and_unit():

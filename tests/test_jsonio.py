@@ -59,6 +59,20 @@ def test_witness_roundtrip():
     assert back.branch_sets == w.branch_sets
 
 
+@pytest.mark.parametrize("branch_sets, forest_edges", [
+    ([["1"]], []),                      # branch_sets not an object
+    ({"1": 5}, []),                     # a branch set not a list
+    ({"1": ["1"]}, [5]),                # a forest edge not a list
+    ({"1": ["1"]}, [["1"]]),            # a forest edge with one endpoint
+    ({"1": ["1"]}, 5),                  # forest_edges not a list
+])
+def test_witness_json_bad_shapes_are_parse_errors(branch_sets, forest_edges):
+    data = {"model": {"vertices": ["1"], "edges": []},
+            "branch_sets": branch_sets, "forest_edges": forest_edges}
+    with pytest.raises(ParseError):
+        jsonio.witness_from_json(data)
+
+
 def test_flow_roundtrip_k33():
     _, f = example_flow_k33()
     data = jsonio.flow_to_json(f)
