@@ -40,25 +40,21 @@ _MODEL_NAMES = {
 
 
 def _read_json(path: str):
+    return _read(path, json.loads)
+
+
+def _read_graph(path: str):
+    return _read(path, jsonio.graph_from_text)
+
+
+def _read(path: str, parse):
+    """parse(the file's text); read and JSON syntax errors become ParseErrors."""
     try:
-        return json.loads(Path(path).read_text())
+        return parse(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-
-
-def _read_graph(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    if text.strip().startswith("{"):
-        try:
-            return jsonio.graph_from_json(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return jsonio.graph_from_text(text)
 
 
 def _emit(args, payload: dict, text: str) -> None:

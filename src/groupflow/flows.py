@@ -6,7 +6,8 @@ validation, tractability, excess and leak detection, the two flows carried
 by the complete-bipartite and complete-graph examples, flow transport
 through subgraphs and edge un-contractions, leak synthesis for non-planar
 graphs, the face-walk conjugation transform, and a tree solver that
-generates conserving flows.
+generates conserving flows.  Tractability (the values entering each vertex
+commute) and every vertex's excess come from one pass over the support.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graphs import (
     vkey,
 )
 from .groups import FiniteGroup, conjugacy_class_id, es_group
-from .planar import RotationSystem, _face_orbit, euler_planar_check, test_planarity
+from .planar import RotationSystem, _face_orbits, euler_planar_check, test_planarity
 
 
 class GroupFlow:
@@ -72,10 +73,6 @@ class GroupFlow:
 
     def value(self, u: Vertex, v: Vertex) -> int:
         return self.values.get((u, v), self.group.identity)
-
-    def incident_values(self, v: Vertex) -> list[int]:
-        """Values flowing into v from its neighbours, in ascending neighbour order."""
-        return [self.value(u, v) for u in self.graph.neighbors(v)]
 
     def support_pairs(self) -> list[tuple[Vertex, Vertex]]:
         return sorted(self.values, key=lambda p: (vkey(p[0]), vkey(p[1])))
@@ -115,32 +112,43 @@ def _require_valid(f: GroupFlow) -> None:
         raise InvalidFlow(str(violation))
 
 
+def _excesses(f: GroupFlow) -> tuple[Optional[dict[Vertex, int]], Optional[Vertex]]:
+    """(excess of every vertex, None), or (None, v) for the first vertex v
+    whose incoming values do not commute pairwise, from one pass over the
+    support; pairs off the edge set are ignored."""
+    group = f.group
+    incoming: dict[Vertex, list[int]] = {}
+    for (u, v), g in f.values.items():
+        if f.graph.has_edge(u, v):
+            incoming.setdefault(v, []).append(g)
+    exc = {}
+    for v in f.graph.vertices:
+        vals = incoming.get(v, [])
+        for i, a in enumerate(vals):
+            if not all(group.commutes(a, b) for b in vals[i + 1:]):
+                return None, v
+        exc[v] = group.prod(vals)
+    return exc, None
+
+
 def is_tractable(f: GroupFlow) -> tuple[bool, Optional[Vertex]]:
     """True iff the values entering each vertex commute pairwise (then the
     subgroup they generate is abelian); on failure, the witness vertex."""
-    for v in f.graph.vertices:
-        vals = [g for g in f.incident_values(v) if g != f.group.identity]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if not f.group.commutes(vals[i], vals[j]):
-                    return False, v
-    return True, None
+    bad = _excesses(f)[1]
+    return bad is None, bad
 
 
 def excess(f: GroupFlow, v: Vertex) -> int:
     """Product of the values flowing into v.  Requires tractability, which
     makes the product independent of the multiplication order."""
-    ok, bad = is_tractable(f)
-    if not ok:
-        raise NotTractable(bad)
-    return f.group.prod(f.incident_values(v))
+    return excess_map(f)[v]
 
 
 def excess_map(f: GroupFlow) -> dict[Vertex, int]:
-    ok, bad = is_tractable(f)
-    if not ok:
+    exc, bad = _excesses(f)
+    if exc is None:
         raise NotTractable(bad)
-    return {v: f.group.prod(f.incident_values(v)) for v in f.graph.vertices}
+    return exc
 
 
 @dataclass(frozen=True)
@@ -160,10 +168,9 @@ def detect_leak(f: GroupFlow) -> LeakVerdict:
     """Classify a valid flow: tractable + conserving everywhere, leaking at
     exactly one vertex, or failing at several."""
     _require_valid(f)
-    ok, bad = is_tractable(f)
-    if not ok:
+    exc, bad = _excesses(f)
+    if exc is None:
         return LeakVerdict(LeakVerdict.NOT_TRACTABLE, vertex=bad)
-    exc = excess_map(f)
     off = [v for v in f.graph.vertices if exc[v] != f.group.identity]
     if not off:
         return LeakVerdict(LeakVerdict.CONSERVING)
@@ -183,10 +190,9 @@ def detect_binary_leak(f: GroupFlow, u: Vertex, v: Vertex) -> Optional[int]:
     if u not in vertex_set or v not in vertex_set:
         raise InvalidFlow(f"({u!r}, {v!r}) are not both vertices of the graph")
     _require_valid(f)
-    ok, _ = is_tractable(f)
-    if not ok:
+    exc, _ = _excesses(f)
+    if exc is None:
         return None
-    exc = excess_map(f)
     for w in f.graph.vertices:
         if w not in (u, v) and exc[w] != f.group.identity:
             return None
@@ -285,8 +291,8 @@ def uncontract_flow(G: Graph, e: tuple[Vertex, Vertex], f: GroupFlow) -> GroupFl
     contracted, quotient = contract_edge(G, (a, b))
     if f.graph != contracted:
         raise NotSubgraph("flow is not on the contraction of G along e")
-    ok, bad = is_tractable(f)
-    if not ok:
+    before, bad = _excesses(f)
+    if before is None:
         raise NotTractable(bad)
     group = f.group
     merged = quotient[a]
@@ -308,17 +314,15 @@ def uncontract_flow(G: Graph, e: tuple[Vertex, Vertex], f: GroupFlow) -> GroupFl
     values[(a, b)] = gab
     values[(b, a)] = group.inv(gab)
     result = GroupFlow(G, group, values)
-    _check_uncontract_contract(f, result, merged, a, b)
+    _check_uncontract_contract(before, result, merged, a, b)
     return result
 
 
-def _check_uncontract_contract(f: GroupFlow, g: GroupFlow, merged: Vertex,
+def _check_uncontract_contract(before: dict[Vertex, int], g: GroupFlow, merged: Vertex,
                                a: Vertex, b: Vertex) -> None:
-    ok, bad = is_tractable(g)
-    if not ok:
+    after, bad = _excesses(g)
+    if after is None:
         raise InternalInvariantError(f"uncontracted flow lost tractability at {bad}")
-    before = excess_map(f)
-    after = excess_map(g)
     ident = g.group.identity
     if after[a] != ident:
         raise InternalInvariantError("uncontraction left a non-conserving split vertex")
@@ -418,7 +422,7 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
         raise EdgeMissing(edge)
     if edge_key(v, w) in bridges(f.graph):
         raise BridgeEdge(edge)
-    walk_darts = set(_face_orbit(R, (v, w)))
+    walk_darts = next(set(orbit) for orbit in _face_orbits(R) if (v, w) in orbit)
     if (w, v) in walk_darts:
         raise InternalInvariantError("face walk of a non-bridge traverses both directions")
     group = f.group

@@ -213,15 +213,9 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
     target = D.embed(gamma)
     if not D.canonical.contains(target):
         raise NotInKernel("phi(gamma) is nonzero")
-    chosen, registry = _greedy_subfamily(D, gamma, target)
-    tracked = HowellForm(D.ncols, D.modulus, track=True)
-    for row, _tag in registry:
-        tracked.add_row(row)
-    coeffs = tracked.solve(target)
-    if coeffs is None:
-        raise InternalInvariantError("subfamily lost the membership certificate")
+    coeffs, tags = _greedy_solve(D, gamma, target)
     acc: dict[tuple[int, int], int] = {}
-    for c, (_row, tag) in zip(coeffs, registry):
+    for c, tag in zip(coeffs, tags):
         if tag is None or c % D.modulus == 0:
             continue
         pair, g = tag
@@ -246,39 +240,29 @@ def _complete_graph(n: int) -> Graph:
     return named_graph(f"complete:{n}") if n >= 1 else Graph((), frozenset())
 
 
-def _greedy_subfamily(D: DeltaPresentation, gamma: int, target: np.ndarray):
-    """Smallest prefix family of subgroups whose relation rows already
-    express the target vector; keeps the tracked solve instance small."""
+def _greedy_solve(D: DeltaPresentation, gamma: int, target: np.ndarray):
+    """Coefficients of the target over the relation rows of the smallest
+    prefix family of subgroups (gamma's first, then by decreasing overlap
+    with it) that expresses it, and the rows' tags."""
     igamma = D.containing_index(gamma)
     Hg = D.subgroups[igamma]
     rest = [i for i in range(len(D.subgroups)) if i != igamma]
     rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg._member_set), i))
-    order_rows_of: dict[int, list[np.ndarray]] = {}
-    chain_rows_of: dict[tuple[int, int], list[tuple[np.ndarray, tuple[tuple[int, int], int]]]] = {}
+    # order rows keyed by their subgroup i, chain rows by their pair (i, j)
+    rows_of: dict = {}
     for col, (row, tag) in enumerate(D.relation_rows()):
-        if tag is None:
-            order_rows_of.setdefault(D.generator_index[col][0], []).append(row)
-        else:
-            chain_rows_of.setdefault(tag[0], []).append((row, tag))
-    incremental = HowellForm(D.ncols, D.modulus)
-    registry: list[tuple[np.ndarray, Optional[tuple[tuple[int, int], int]]]] = []
-
-    def add_subgroup(i: int, chosen: list[int]) -> None:
-        for row in order_rows_of.get(i, []):
-            incremental.add_row(row)
-            registry.append((row, None))
-        for j in chosen:
-            for row, tag in chain_rows_of.get((min(i, j), max(i, j)), []):
-                incremental.add_row(row)
-                registry.append((row, tag))
-
+        key = D.generator_index[col][0] if tag is None else tag[0]
+        rows_of.setdefault(key, []).append((row, tag))
+    tracked = HowellForm(D.ncols, D.modulus, track=True)
+    tags: list[Optional[tuple[tuple[int, int], int]]] = []
     chosen: list[int] = []
-    add_subgroup(igamma, chosen)
-    chosen.append(igamma)
-    while not incremental.contains(target):
-        if not rest:
-            raise InternalInvariantError("full family does not express a certified member")
-        nxt = rest.pop(0)
-        add_subgroup(nxt, chosen)
-        chosen.append(nxt)
-    return chosen, registry
+    for i in [igamma] + rest:
+        for key in [i] + [(min(i, j), max(i, j)) for j in chosen]:
+            for row, tag in rows_of.get(key, []):
+                tracked.add_row(row)
+                tags.append(tag)
+        chosen.append(i)
+        coeffs = tracked.solve(target)
+        if coeffs is not None:
+            return coeffs, tags
+    raise InternalInvariantError("full family does not express a certified member")

@@ -54,7 +54,9 @@ class FiniteGroup:
     def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None):
         try:
             table = np.asarray(table, dtype=np.int32)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
+            raise ParseError("table entries out of range") from None
+        except (TypeError, ValueError):
             raise ParseError("multiplication table must be a square array of integers") from None
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ParseError("multiplication table must be square")

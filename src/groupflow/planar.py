@@ -2,7 +2,10 @@
 
 An embedding is a rotation system (cyclic neighbour order per vertex)
 accepted exactly when every connected component satisfies Euler's formula
-V - E + F = 2, faces being the orbits of the next-edge successor map.
+V - E + F = 2, faces being the orbits of the next-edge successor map, which
+``_face_orbits`` alone walks.  On a connected graph every rotation system
+gives V - E + F = 2 - 2g <= 2 for the genus g of its surface, so one face
+count over all components decides the per-component check.
 ``test_planarity`` always returns one of two independently checkable
 certificates: such a rotation system, or a K5/K3,3 minor witness.
 
@@ -95,33 +98,22 @@ class BoundaryWalk:
         return list(zip(self.sequence, self.sequence[1:]))
 
 
-def _face_orbit(R: RotationSystem, start: tuple[Vertex, Vertex]) -> list[tuple[Vertex, Vertex]]:
-    """The darts of the face walk through ``start``, beginning with it."""
-    orbit = [start]
-    cur = start
-    while True:
-        u, v = cur
-        cur = (v, R.next_neighbor(v, u))
-        if cur == start:
-            return orbit
-        orbit.append(cur)
-
-
 def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
-    """Every face orbit once, in canonical order: each starts at the least
-    dart that no earlier orbit covers."""
-    darts = set()
-    for u, v in R.graph.edges:
-        darts.add((u, v))
-        darts.add((v, u))
-    remaining = set(darts)
+    """Every face orbit once: the cycles of the dart successor map
+    (a, v) -> (v, b), where b follows a in v's rotation.  Each orbit starts
+    at the first dart (u, w), in vertex order and then neighbour order, that
+    no earlier orbit covers."""
+    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    for v, order in R.rotation.items():
+        for a, b in zip(order, order[1:] + order[:1]):
+            succ[(a, v)] = (v, b)
     orbits = []
-    for start in sorted(darts, key=lambda d: (vkey(d[0]), vkey(d[1]))):
-        if start not in remaining:
-            continue
-        orbit = _face_orbit(R, start)
-        remaining.difference_update(orbit)
-        orbits.append(orbit)
+    for start in ((u, w) for u in R.graph.vertices for w in R.graph.neighbors(u)):
+        if start in succ:
+            orbit = [start]
+            while (cur := succ.pop(orbit[-1])) != start:
+                orbit.append(cur)
+            orbits.append(orbit)
     return orbits
 
 
@@ -139,25 +131,16 @@ def faces(R: RotationSystem) -> list[BoundaryWalk]:
 def euler_planar_check(R: RotationSystem) -> bool:
     """True iff every component with at least one edge has V - E + F = 2.
 
-    Each component's edges are its degree sum halved; faces are counted as
-    the cycles of the dart successor map.
+    A rotation system embeds each connected component C in an orientable
+    surface of some genus g >= 0 with the face orbits as faces, so
+    V_C - E_C + F_C = 2 - 2g <= 2 (Mohar & Thomassen, "Graphs on Surfaces",
+    2001).  Summed over the k components that have an edge (an isolated
+    vertex has no edge and no face), V - E + F reaches 2k exactly when every
+    term is 2, so one face count over all components decides the check.
     """
     G = R.graph
-    comp: dict[Vertex, int] = {}
-    counts: list[list[int]] = []        # [V, E, F] per component
-    for i, members in enumerate(components(G)):
-        comp.update(dict.fromkeys(members, i))
-        counts.append([len(members), sum(G.degree(x) for x in members) // 2, 0])
-    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
-    for v, order in R.rotation.items():
-        for a, b in zip(order, order[1:] + order[:1]):
-            succ[(a, v)] = (v, b)
-    while succ:
-        start, cur = succ.popitem()
-        while cur != start:
-            cur = succ.pop(cur)
-        counts[comp[start[1]]][2] += 1
-    return all(n - m + f == 2 for n, m, f in counts if m)
+    sizes = [len(members) for members in components(G) if len(members) > 1]
+    return sum(sizes) - G.m + len(_face_orbits(R)) == 2 * len(sizes)
 
 
 # -- planarity dichotomy ---------------------------------------------------------
@@ -328,12 +311,10 @@ def walk_bridge_check(R: RotationSystem, walk: BoundaryWalk) -> list[tuple[Verte
     """
     if not euler_planar_check(R):
         raise NotPlanarEmbedding("rotation system fails the Euler criterion")
-    all_faces = faces(R)
-    target = frozenset(walk.directed_edges())
-    if not any(frozenset(f.directed_edges()) == target for f in all_faces):
-        raise ParseError("walk is not a face of this rotation system")
     darts = walk.directed_edges()
     dart_set = set(darts)
+    if not any(set(orbit) == dart_set for orbit in _face_orbits(R)):
+        raise ParseError("walk is not a face of this rotation system")
     found = sorted(
         {edge_key(u, v) for (u, v) in darts if (v, u) in dart_set},
         key=lambda e: (vkey(e[0]), vkey(e[1])),

@@ -8,7 +8,11 @@ group-leak decision's former construction, the per-pair planarity loop is
 extra_planar's former construction, and the exhaustive associativity loop
 is the group constructor's former check, the per-edge LR deletion loop is
 the Kuratowski extraction's former construction, and the unpruned
-backtracking is find_minor's former search, each kept here as its oracle.
+backtracking is find_minor's former search, the sorted-dart face walk and
+per-component Euler count are the planar module's former face routines,
+the neighbour scan is the former tractability and excess check, and the
+two-form solve is witness_flow_from_kernel's former solve, each kept here
+as its oracle.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from groupflow.graphs import (
     vkey,
 )
 from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
+from groupflow.howell import HowellForm
 from groupflow.planar import (
     ExtraPlanarVerdict,
     RotationSystem,
@@ -270,6 +275,103 @@ def find_minor_unpruned(G: Graph, M: Graph):
     for bset in assigned.values():
         forest.extend(spanning_forest(induced_subgraph(G, bset)).edges)
     return MinorWitness(M, dict(assigned), frozenset(forest))
+
+
+def face_orbits_by_next_neighbor(R: RotationSystem) -> list:
+    """Face orbits started at the darts in sorted order, each walked one
+    ``next_neighbor`` step at a time, skipping darts already covered."""
+    darts = sorted({d for u, v in R.graph.edges for d in ((u, v), (v, u))},
+                   key=lambda d: (vkey(d[0]), vkey(d[1])))
+    covered: set = set()
+    orbits = []
+    for start in darts:
+        if start in covered:
+            continue
+        orbit = [start]
+        while True:
+            u, v = orbit[-1]
+            nxt = (v, R.next_neighbor(v, u))
+            if nxt == start:
+                break
+            orbit.append(nxt)
+        covered.update(orbit)
+        orbits.append(orbit)
+    return orbits
+
+
+def euler_check_per_component(R: RotationSystem) -> bool:
+    """V - E + F = 2 checked separately on every component with an edge,
+    each face counted in the component of its first dart."""
+    G = R.graph
+    comp = {}
+    counts = []                         # [V, E, F] per component
+    for i, members in enumerate(components(G)):
+        comp.update(dict.fromkeys(members, i))
+        counts.append([len(members), sum(G.degree(x) for x in members) // 2, 0])
+    for orbit in face_orbits_by_next_neighbor(R):
+        counts[comp[orbit[0][0]]][2] += 1
+    return all(n - m + f == 2 for n, m, f in counts if m)
+
+
+def excesses_by_neighbor_scan(f: GroupFlow):
+    """(excess map, None), or (None, v) for the first vertex v whose
+    incoming values do not commute; every vertex's values are read from its
+    neighbours, and tractability is scanned before any excess."""
+    group = f.group
+    for v in f.graph.vertices:
+        vals = [f.value(u, v) for u in f.graph.neighbors(v)]
+        vals = [g for g in vals if g != group.identity]
+        if not all(group.commutes(a, b) for a, b in itertools.combinations(vals, 2)):
+            return None, v
+    return {v: group.prod(f.value(u, v) for u in f.graph.neighbors(v))
+            for v in f.graph.vertices}, None
+
+
+def witness_values_two_forms(D, gamma: int) -> dict:
+    """The values of witness_flow_from_kernel(D, gamma), solved with two
+    forms: an untracked one grows subgroup by subgroup (gamma's own first,
+    then by decreasing overlap with it) until it contains gamma's vector,
+    and a tracked one replays the same rows to solve for it."""
+    G = D.group
+    target = D.embed(gamma)
+    igamma = D.containing_index(gamma)
+    overlap = D.subgroups[igamma]._member_set
+    rest = sorted((i for i in range(len(D.subgroups)) if i != igamma),
+                  key=lambda i: (-len(D.subgroups[i]._member_set & overlap), i))
+    order_rows, chain_rows = {}, {}
+    for col, (row, tag) in enumerate(D.relation_rows()):
+        if tag is None:
+            order_rows.setdefault(D.generator_index[col][0], []).append((row, None))
+        else:
+            chain_rows.setdefault(tag[0], []).append((row, tag))
+    untracked = HowellForm(D.ncols, D.modulus)
+    registry = []
+    chosen = []
+    for i in [igamma] + rest:
+        added = list(order_rows.get(i, []))
+        for j in chosen:
+            added += chain_rows.get((min(i, j), max(i, j)), [])
+        for row, tag in added:
+            untracked.add_row(row)
+            registry.append((row, tag))
+        chosen.append(i)
+        if untracked.contains(target):
+            break
+    tracked = HowellForm(D.ncols, D.modulus, track=True)
+    for row, _tag in registry:
+        tracked.add_row(row)
+    coeffs = tracked.solve(target)
+    acc = {}
+    for c, (_row, tag) in zip(coeffs, registry):
+        if tag is None or c % D.modulus == 0:
+            continue
+        pair, g = tag
+        acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, int(c)))
+    values = {}
+    for (i, j), a in acc.items():
+        values[(j + 1, i + 1)] = a
+        values[(i + 1, j + 1)] = G.inv(a)
+    return {p: g for p, g in values.items() if g != G.identity}
 
 
 # -- flow helpers -----------------------------------------------------------------

@@ -453,6 +453,13 @@ def test_bad_cayley_file_is_usage_error(tmp_path):
         assert out == "" and err.startswith("error:")
 
 
+def test_cayley_entry_beyond_int32_is_out_of_range(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("2\na b\n0 1000000000000\n1 0\n")
+    code, out, err = invoke(["group-leakproof", f"cayley:{path}"])
+    assert (code, out, err) == (2, "", "error: table entries out of range\n")
+
+
 def test_cayley_order_over_max_size_is_usage_error(tmp_path):
     G = standard_group("cyclic:12")
     path = tmp_path / "c12.txt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -45,8 +46,10 @@ from groupflow.planar import RotationSystem
 from groupflow.planar import test_planarity as planarity_certificate
 
 from helpers import (
+    excesses_by_neighbor_scan,
     random_connected_planar_graph,
     random_flow,
+    random_graph,
     random_spanning_tree,
 )
 
@@ -378,6 +381,89 @@ def test_uncontract_contract_equalities_randomized():
             continue
         lifted = uncontract_flow(G, e, f)   # internal contract checks assert equalities
         assert validate_flow(lifted) is None
+
+
+def _expected_verdicts(f, pairs):
+    """detect_leak's verdict and detect_binary_leak's value on each pair,
+    derived from the neighbour-scan oracle."""
+    exc, bad = excesses_by_neighbor_scan(f)
+    ident = f.group.identity
+    if exc is None:
+        return LeakVerdict(LeakVerdict.NOT_TRACTABLE, vertex=bad), [None] * len(pairs)
+    off = [v for v in f.graph.vertices if exc[v] != ident]
+    if not off:
+        verdict = LeakVerdict(LeakVerdict.CONSERVING)
+    elif len(off) == 1:
+        verdict = LeakVerdict(LeakVerdict.LEAKS_AT, vertex=off[0], value=exc[off[0]])
+    else:
+        verdict = LeakVerdict(LeakVerdict.MULTIPLE, vertices=tuple(off))
+    binary = [f.group.mul(exc[u], exc[v]) if set(off) <= {u, v} else None for u, v in pairs]
+    return verdict, binary
+
+
+def _solved_flow(rng, group):
+    """A leaking flow synthesized on a random non-planar graph, or a flow
+    solved on a spanning tree of a random planar one (None when the solve
+    is not tractable)."""
+    G = random_graph(rng, rng.randint(5, 8), 0.7)
+    if rng.random() < 0.5 and not isinstance(planarity_certificate(G), RotationSystem):
+        return synthesize_leaking_flow(G)
+    G = random_connected_planar_graph(rng, rng.randint(2, 8), rng.randint(0, 4))
+    T = random_spanning_tree(rng, G)
+    boundary = {e: rng.randrange(group.order) for e in G.sorted_edges()
+                if e not in T.edges and rng.random() < 0.5}
+    return solve_tree_flow(G, T, rng.choice(G.vertices), boundary, group)[0]
+
+
+def test_excesses_match_neighbor_scan_oracle():
+    """One support pass gives the neighbour scan's tractability verdict,
+    NotTractable vertex, excesses and leak verdicts on random flows, sparse
+    flows, and solved flows as they are, with one edge perturbed, or with
+    support off the edge set."""
+    rng = random.Random(29)
+    groups = [standard_group(s) for s in ("es:2", "sym:3", "quaternion", "dihedral:4", "cyclic:6")]
+    kinds = Counter()
+    for trial in range(500):
+        group = rng.choice(groups)
+        mode = trial % 5
+        f = None if mode < 2 else _solved_flow(rng, group)
+        if f is None:
+            G = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.8))
+            keep = 0.3 if mode == 1 else 1.0
+            f = GroupFlow.skew(G, group, {e: rng.randrange(group.order)
+                                          for e in G.sorted_edges() if rng.random() < keep})
+        G, group, values = f.graph, f.group, dict(f.values)
+        if mode == 3 and G.edges:
+            u, v = rng.choice(G.sorted_edges())
+            g = rng.randrange(group.order)
+            values[(u, v)], values[(v, u)] = g, group.inv(g)
+        absent = [(a, b) for a, b in itertools.combinations(G.vertices, 2) if not G.has_edge(a, b)]
+        if mode == 4 and absent:
+            a, b = rng.choice(absent)
+            g = rng.randrange(1, group.order)
+            values[(a, b)], values[(b, a)] = g, group.inv(g)
+        f = GroupFlow(G, group, values)
+        exc, bad = excesses_by_neighbor_scan(f)
+        assert is_tractable(f) == (bad is None, bad)
+        if exc is None:
+            with pytest.raises(NotTractable) as info:
+                excess_map(f)
+            assert info.value.vertex == bad
+        else:
+            assert excess_map(f) == exc
+            assert all(excess(f, v) == exc[v] for v in G.vertices)
+        pairs = list(itertools.combinations(G.vertices, 2))[:6]
+        if validate_flow(f) is not None:
+            with pytest.raises(InvalidFlow):
+                detect_leak(f)
+            kinds["invalid"] += 1
+            continue
+        verdict, binary = _expected_verdicts(f, pairs)
+        assert detect_leak(f) == verdict
+        assert [detect_binary_leak(f, u, v) for u, v in pairs] == binary
+        kinds[verdict.kind] += 1
+        kinds["binary"] += sum(value is not None for value in binary)
+    assert min(kinds.values()) >= 15 and len(kinds) == 6
 
 
 # -- leak synthesis -----------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from groupflow.groups import (
 )
 from groupflow.howell import HowellForm
 
-from helpers import pairwise_relation_rows
+from helpers import pairwise_relation_rows, witness_values_two_forms
 
 
 # -- build_delta ----------------------------------------------------------------
@@ -304,6 +304,17 @@ def test_witness_closes_the_loop(spec):
     verdict = detect_leak(flow)
     assert verdict.kind == LeakVerdict.LEAKS_AT
     assert verdict.value == v.witness
+
+
+@pytest.mark.parametrize("spec", ["es:2", "es:3", "centprod:quaternion,dihedral:4",
+                                  "product:es:2,cyclic:2", "sym:6"])
+def test_witness_flow_matches_two_form_oracle(spec):
+    G = standard_group(spec)
+    D = build_delta(G)
+    v = is_leakproof_group(G, delta=D)
+    assert not v.leakproof
+    _graph, flow = witness_flow_from_kernel(D, v.witness)
+    assert flow.values == witness_values_two_forms(D, v.witness)
 
 
 def test_witness_values_live_in_the_column_subgroup():

@@ -118,6 +118,11 @@ def test_light_check_raises_exactly_on_non_associative_perturbations():
     assert raised >= 100 and kept >= 30
 
 
+def test_table_entry_beyond_int32_is_out_of_range():
+    with pytest.raises(ParseError, match="table entries out of range"):
+        group_from_cayley([[0, 10**12], [1, 0]], ["a", "b"])
+
+
 def test_duplicate_names():
     with pytest.raises(DuplicateName):
         group_from_cayley([[0, 1], [1, 0]], ["x", "x"])

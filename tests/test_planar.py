@@ -29,7 +29,14 @@ from groupflow.planar import (
 )
 from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import all_labeled_graphs, extra_planar_by_lr, kuratowski_by_lr, random_graph
+from helpers import (
+    all_labeled_graphs,
+    euler_check_per_component,
+    extra_planar_by_lr,
+    face_orbits_by_next_neighbor,
+    kuratowski_by_lr,
+    random_graph,
+)
 
 
 def embed(G):
@@ -122,6 +129,38 @@ def test_k5_no_rotation_attains_euler():
 def test_disconnected_euler_per_component():
     g = graph_from(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     assert euler_planar_check(embed(g))
+
+
+def test_face_orbits_and_euler_match_former_routines():
+    """_face_orbits equals the sorted-dart next_neighbor walk orbit for
+    orbit, and euler_planar_check the per-component count, on seeded random
+    rotation systems (disconnected graphs, isolated vertices, non-planar
+    rotations) and on LR embeddings."""
+    rng = random.Random(7)
+    seen = Counter()
+    for trial in range(900):
+        parts = [random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 1.0))
+                 for _ in range(rng.randint(1, 3))]
+        g = graph_from(
+            [10 * i + v for i, h in enumerate(parts) for v in h.vertices],
+            [(10 * i + u, 10 * i + v) for i, h in enumerate(parts) for u, v in h.edges])
+        R = planarity_certificate(g)
+        if trial % 3 or not isinstance(R, RotationSystem):
+            rotation = {}
+            for v in g.vertices:
+                order = list(g.neighbors(v))
+                rng.shuffle(order)
+                rotation[v] = tuple(order)
+            R = RotationSystem(g, rotation)
+        assert planar._face_orbits(R) == face_orbits_by_next_neighbor(R)
+        verdict = euler_planar_check(R)
+        assert verdict == euler_check_per_component(R)
+        with_edges = [c for c in components(g) if len(c) > 1]
+        seen[verdict, len(with_edges) > 1, len(with_edges) < len(components(g))] += 1
+    # both verdicts on graphs with several edged components, and with isolated vertices
+    for verdict in (True, False):
+        assert seen[verdict, True, False] + seen[verdict, True, True] >= 20
+        assert seen[verdict, False, True] + seen[verdict, True, True] >= 20
 
 
 # -- certified dichotomy ------------------------------------------------------------
