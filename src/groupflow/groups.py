@@ -699,7 +699,7 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
         raise ParseError("cayley:<path> needs a file path")
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read cayley file {path}: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

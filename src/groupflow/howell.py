@@ -5,8 +5,13 @@ echelon form of an integer row lattice modulo m.  Pivot values divide m,
 pivot rows have zeros left of their pivot, and for every pivot the
 annihilator multiple of its row is re-inserted, which saturates the span
 so that reduction against the pivots yields a canonical coset
-representative.  Membership, solving for coefficients over the original
-rows, and invariant factors of the quotient are all supported.
+representative (Howell, "Spans in the module (Z_m)^s", 1986; Storjohann &
+Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
+Saturation also makes the quotient's order the product of the pivot values
+times m per pivot-free column.  Membership, solving for coefficients over
+the original rows, and the quotient's invariant factors, read from the
+orders of its reductions modulo each prime power of m, all use this one
+form.
 """
 
 from __future__ import annotations
@@ -168,17 +173,51 @@ class HowellForm:
             return np.zeros((0, self.ncols), dtype=np.int64)
         return np.stack([self._rows[self._pivot_at[j]] for j in cols])
 
+    def _quotient_order(self) -> int:
+        """|(Z/m)^ncols / rowspace|: the form is saturated, so the span has
+        prod(m / d) elements over the pivot values d."""
+        order = self.m ** (self.ncols - len(self._pivot_at))
+        for j, idx in self._pivot_at.items():
+            order *= int(self._rows[idx][j])
+        return order
+
     def invariant_factors(self) -> list[int]:
-        """Invariant factors d_1 | d_2 | ... of (Z/m)^ncols / rowspace, with
-        trivial factors dropped."""
-        if self.m == 1:
-            return []
-        A = self.pivot_matrix() % self.m
-        diags = _diagonalize_mod(A.copy(), self.m)
-        factors = [self.m] * (self.ncols - len(diags))
-        factors += [math.gcd(d, self.m) for d in diags]
-        factors = [f for f in factors if f > 1]
-        return _divisor_chain(factors)
+        """Invariant factors d_1 | d_2 | ... of Q = (Z/m)^ncols / rowspace,
+        with trivial factors dropped.
+
+        For each prime power p^j dividing m, Q / p^jQ is (Z/p^j)^ncols
+        modulo the pivot rows, of order p^s_j with s_j = sum(min(e_i, j))
+        over the cyclic factors Z/p^e_i of Q's p-part.  So s_j - s_(j-1)
+        factors have e_i >= j, and multiplying that many of the last
+        entries by p, level after level, builds the sorted divisor chain.
+        """
+        factors = [1] * self.ncols
+        rows = self.pivot_matrix()
+        for p, k in _prime_powers(self.m):
+            prev = 0
+            for j in range(1, k + 1):
+                level = HowellForm(self.ncols, p ** j)
+                for r in rows:
+                    level.add_row(r)
+                # the order is p^s exactly, and a float log misses s by far less than 1/2
+                s = round(math.log(level._quotient_order(), p))
+                for i in range(self.ncols - s + prev, self.ncols):
+                    factors[i] *= p
+                prev = s
+        return [f for f in factors if f > 1]
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """(p, k) for every prime p with p^k exactly dividing m."""
+    out, p = [], 2
+    while m > 1:
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if k:
+            out.append((p, k))
+        p += 1
+    return out
 
 
 def _pad(c: Optional[np.ndarray], size: int) -> np.ndarray:
@@ -189,75 +228,6 @@ def _pad(c: Optional[np.ndarray], size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int64)
     out[: c.size] = c
     return out
-
-
-def _pivot(A: np.ndarray, m: int) -> tuple[int, int]:
-    """Position of the nonzero entry with the least gcd with m; ties go to
-    the first in row-major order."""
-    score = np.where(A != 0, np.gcd(A, m), m + 1)
-    i, j = np.unravel_index(int(np.argmin(score)), A.shape)
-    return int(i), int(j)
-
-
-def _diagonalize_mod(A: np.ndarray, m: int) -> list[int]:
-    """Diagonal entries of a row+column reduction of A over Z/m."""
-    diags: list[int] = []
-    A = A % m
-    while A.size and A.any():
-        i0, j0 = _pivot(A, m)
-        A[[0, i0], :] = A[[i0, 0], :]
-        A[:, [0, j0]] = A[:, [j0, 0]]
-        while True:
-            for i in range(1, A.shape[0]):
-                b = int(A[i, 0])
-                if b == 0:
-                    continue
-                a = int(A[0, 0])
-                if b % a == 0:
-                    A[i] = (A[i] - (b // a) * A[0]) % m
-                else:
-                    # determinant-one transform: [[s, t], [-b0, a0]] with
-                    # s*a + t*b = g, a0 = a//g, b0 = b//g
-                    g, s, t = _egcd(a, b)
-                    old = A[0].copy()
-                    A[0] = (s * old + t * A[i]) % m
-                    A[i] = ((a // g) * A[i] - (b // g) * old) % m
-            for j in range(1, A.shape[1]):
-                b = int(A[0, j])
-                if b == 0:
-                    continue
-                a = int(A[0, 0])
-                if b % a == 0:
-                    A[:, j] = (A[:, j] - (b // a) * A[:, 0]) % m
-                else:
-                    g, s, t = _egcd(a, b)
-                    old = A[:, 0].copy()
-                    A[:, 0] = (s * old + t * A[:, j]) % m
-                    A[:, j] = ((a // g) * A[:, j] - (b // g) * old) % m
-            if not A[1:, 0].any() and not A[0, 1:].any():
-                break
-        diags.append(int(A[0, 0]))
-        A = A[1:, 1:]
-    return [d for d in diags if d % m != 0]
-
-
-def _divisor_chain(factors: list[int]) -> list[int]:
-    """Normalize a multiset of cyclic orders into the invariant-factor chain."""
-    factors = [f for f in factors if f > 1]
-    changed = True
-    while changed:
-        changed = False
-        factors.sort()
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a != 0:
-                    g = math.gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-        factors = [f for f in factors if f > 1]
-    factors.sort()
-    return factors
 
 
 def lattice_normal_form(rows: Sequence[Sequence[int]], modulus: int,

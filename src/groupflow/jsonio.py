@@ -57,9 +57,10 @@ def graph_from_json(data: Any) -> Graph:
 
 
 def graph_from_text(text: str) -> Graph:
-    """Parse a graph file: JSON, or an edge list with one 'u v' pair per line."""
+    """Parse a graph file: JSON if it starts with '{' or '[', else an edge
+    list with one 'u v' pair per line."""
     stripped = text.strip()
-    if stripped.startswith("{"):
+    if stripped.startswith(("{", "[")):
         return graph_from_json(json.loads(text))
     vertices: set[Vertex] = set()
     edges = []

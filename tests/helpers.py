@@ -10,14 +10,17 @@ is the group constructor's former check, the per-edge LR deletion loop is
 the Kuratowski extraction's former construction, and the unpruned
 backtracking is find_minor's former search, the sorted-dart face walk and
 per-component Euler count are the planar module's former face routines,
-the neighbour scan is the former tractability and excess check, and the
-two-form solve is witness_flow_from_kernel's former solve, each kept here
-as its oracle.
+the neighbour scan is the former tractability and excess check, the
+two-form solve is witness_flow_from_kernel's former solve, and the
+row-and-column diagonalisation with its divisor-chain merge is
+HowellForm.invariant_factors' former elimination, each kept here as its
+oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import networkx as nx
@@ -38,7 +41,7 @@ from groupflow.graphs import (
     vkey,
 )
 from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
-from groupflow.howell import HowellForm
+from groupflow.howell import HowellForm, _egcd
 from groupflow.planar import (
     ExtraPlanarVerdict,
     RotationSystem,
@@ -372,6 +375,86 @@ def witness_values_two_forms(D, gamma: int) -> dict:
         values[(j + 1, i + 1)] = a
         values[(i + 1, j + 1)] = G.inv(a)
     return {p: g for p, g in values.items() if g != G.identity}
+
+
+def _pivot(A: np.ndarray, m: int) -> tuple[int, int]:
+    """Position of the nonzero entry with the least gcd with m; ties go to
+    the first in row-major order."""
+    score = np.where(A != 0, np.gcd(A, m), m + 1)
+    i, j = np.unravel_index(int(np.argmin(score)), A.shape)
+    return int(i), int(j)
+
+
+def _diagonalize_mod(A: np.ndarray, m: int) -> list[int]:
+    """Diagonal entries of a row+column reduction of A over Z/m."""
+    diags: list[int] = []
+    A = A % m
+    while A.size and A.any():
+        i0, j0 = _pivot(A, m)
+        A[[0, i0], :] = A[[i0, 0], :]
+        A[:, [0, j0]] = A[:, [j0, 0]]
+        while True:
+            for i in range(1, A.shape[0]):
+                b = int(A[i, 0])
+                if b == 0:
+                    continue
+                a = int(A[0, 0])
+                if b % a == 0:
+                    A[i] = (A[i] - (b // a) * A[0]) % m
+                else:
+                    # determinant-one transform: [[s, t], [-b0, a0]] with
+                    # s*a + t*b = g, a0 = a//g, b0 = b//g
+                    g, s, t = _egcd(a, b)
+                    old = A[0].copy()
+                    A[0] = (s * old + t * A[i]) % m
+                    A[i] = ((a // g) * A[i] - (b // g) * old) % m
+            for j in range(1, A.shape[1]):
+                b = int(A[0, j])
+                if b == 0:
+                    continue
+                a = int(A[0, 0])
+                if b % a == 0:
+                    A[:, j] = (A[:, j] - (b // a) * A[:, 0]) % m
+                else:
+                    g, s, t = _egcd(a, b)
+                    old = A[:, 0].copy()
+                    A[:, 0] = (s * old + t * A[:, j]) % m
+                    A[:, j] = ((a // g) * A[:, j] - (b // g) * old) % m
+            if not A[1:, 0].any() and not A[0, 1:].any():
+                break
+        diags.append(int(A[0, 0]))
+        A = A[1:, 1:]
+    return [d for d in diags if d % m != 0]
+
+
+def _divisor_chain(factors: list[int]) -> list[int]:
+    """Normalize a multiset of cyclic orders into the invariant-factor chain."""
+    factors = [f for f in factors if f > 1]
+    changed = True
+    while changed:
+        changed = False
+        factors.sort()
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                if b % a != 0:
+                    g = math.gcd(a, b)
+                    factors[i], factors[j] = g, a * b // g
+                    changed = True
+        factors = [f for f in factors if f > 1]
+    factors.sort()
+    return factors
+
+
+def invariant_factors_by_diagonalization(form: HowellForm) -> list:
+    """form.invariant_factors() by diagonalising its pivot matrix and
+    merging the diagonal into a divisor chain."""
+    if form.m == 1:
+        return []
+    diags = _diagonalize_mod(form.pivot_matrix() % form.m, form.m)
+    factors = [form.m] * (form.ncols - len(diags))
+    factors += [math.gcd(d, form.m) for d in diags]
+    return _divisor_chain([f for f in factors if f > 1])
 
 
 # -- flow helpers -----------------------------------------------------------------

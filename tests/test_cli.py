@@ -285,6 +285,30 @@ def test_malformed_flow_shape_is_usage_error(tmp_path, values):
     assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["planar", "{bad}"], ["extra-planar", "{bad}"], ["minor", "{bad}", "--model", "k5"],
+    ["leak-witness", "{bad}"], ["faces", "{k4}", "{bad}"], ["check-flow", "{bad}"],
+    ["group-leakproof", "cayley:{bad}"],
+], ids=["planar", "extra-planar", "minor", "leak-witness", "faces", "check-flow", "cayley"])
+def test_non_utf8_file_is_usage_error(tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00{")
+    k4 = write_graph(tmp_path, "k4.json", named_graph("complete:4"))
+    code, out, err = invoke([arg.format(bad=bad, k4=k4) for arg in argv])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and str(bad) in err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '  [["1", "2"]]\n', "[]"])
+def test_json_array_graph_is_usage_error(tmp_path, text):
+    path = tmp_path / "array.json"
+    path.write_text(text)
+    for command in ("planar", "extra-planar"):
+        code, out, err = invoke([command, str(path)])
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
 def _json_paths(data, path=()):
     """The key path of every value inside parsed JSON, the root included."""
     yield path
@@ -348,11 +372,8 @@ def test_cli_mutation_fuzz_keeps_exit_contract(tmp_path):
         "table_flow": (["check-flow", str(mutant)],),
     }
     codes = []
-    for i in range(300):
-        name = ("graph", "rotation", "spec_flow", "table_flow")[i % 4]
-        path = rng.choice(paths[name])
-        mutated = _replace_at(valid[name], path, _random_json_value(rng))
-        mutant.write_text(json.dumps(mutated))
+
+    def check(name, mutated):
         for argv in commands[name]:
             try:
                 code, _, _ = invoke(argv)
@@ -360,8 +381,26 @@ def test_cli_mutation_fuzz_keeps_exit_contract(tmp_path):
                 pytest.fail(f"{argv[0]} on {mutated!r} raised {exc!r}")
             assert code in (0, 1, 2), (argv[0], mutated, code)
             codes.append(code)
+
+    for i in range(300):
+        name = ("graph", "rotation", "spec_flow", "table_flow")[i % 4]
+        path = rng.choice(paths[name])
+        mutated = _replace_at(valid[name], path, _random_json_value(rng))
+        mutant.write_text(json.dumps(mutated))
+        check(name, mutated)
     # the mutations reach both verdicts and the usage-error path
     assert {0, 1, 2} <= set(codes)
+    # byte-level damage (truncation, a NUL byte, invalid UTF-8) and JSON
+    # roots that are not objects
+    for name, data in valid.items():
+        raw = json.dumps(data).encode()
+        blobs = [b"[1, 2]", b"[]", b'[["1", "2"]]', b"5", b'"x"', b"\xff\xfe\x00{",
+                 json.dumps(data).encode("utf-16")]
+        for cut in sorted(rng.sample(range(1, len(raw)), 3)):
+            blobs += [raw[:cut], raw[:cut] + b"\x00" + raw[cut:], raw[:cut] + b"\xff" + raw[cut:]]
+        for blob in blobs:
+            mutant.write_bytes(blob)
+            check(name, blob)
 
 
 def _mutate_cayley_text(rng, n, names, rows):

@@ -11,8 +11,11 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from groupflow import howell
-from groupflow.howell import HowellForm, _divisor_chain, lattice_normal_form
+import helpers
+from groupflow.groupleak import build_delta
+from groupflow.groups import standard_group
+from groupflow.howell import HowellForm, lattice_normal_form
+from helpers import _divisor_chain, invariant_factors_by_diagonalization
 
 
 def test_identity_matrix_spans_everything():
@@ -51,6 +54,7 @@ def test_membership_matches_exhaustive_span():
                            for i in range(k)))
         for v in itertools.product(range(m), repeat=k):
             assert form.contains(list(v)) == (v in span)
+        assert form._quotient_order() * len(span) == m ** k
 
 
 def test_solve_reproduces_vector():
@@ -114,6 +118,55 @@ def test_invariant_factors_vs_sympy_snf():
         assert form.invariant_factors() == expected
 
 
+def _snf_factors(rows, m, k):
+    """Invariant factors of Z^k / (rows + m Z^k), by sympy's Smith form."""
+    full = [list(r) for r in rows] + [[m if i == j else 0 for i in range(k)] for j in range(k)]
+    snf = smith_normal_form(Matrix(full))
+    return _divisor_chain([abs(int(snf[i, i])) for i in range(k)])
+
+
+# the 12 benchmark specs, then m = 1 and three with 3^2 or 2^3 in the exponent,
+# so the j >= 2 levels run
+DELTA_SPECS = ("es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
+               "product:quaternion,quaternion", "es:3", "dihedral:6", "product:sym:3,sym:3",
+               "sym:4", "alt:5", "sym:5", "alt:6", "sym:6", "cyclic:1", "cyclic:9",
+               "product:cyclic:9,cyclic:3", "product:cyclic:4,product:cyclic:2,cyclic:8")
+
+
+def test_invariant_factors_match_diagonalization_oracle():
+    """The prime-power orders give the factors the row-and-column
+    diagonalisation gives, and sympy's Smith form agrees, on random row
+    sets (zero rows and wide matrices included) and on the glued groups."""
+    rng = random.Random(360)
+    moduli = (2, 4, 8, 9, 16, 27, 36, 60, 72, 360, 420)
+    seen = set()
+    for t in range(330):
+        m = moduli[t % len(moduli)]
+        k = rng.randint(1, 6)
+        nrows = rng.randint(0, k + 1)
+        rows = [[rng.randrange(m) * (rng.random() < 0.7) for _ in range(k)]
+                for _ in range(nrows)]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(nrows)] = [0] * k
+        # rows of multiples of d, so the p^j levels with j >= 2 carry factors
+        rows += [[d * rng.randrange(m) % m for _ in range(k)]
+                 for d in (2, 3, 4, 8, 9) if m % d == 0 and rng.random() < 0.5]
+        form = HowellForm(k, m, track=t % 2 == 0)
+        for r in rows:
+            form.add_row(r)
+        factors = form.invariant_factors()
+        assert factors == invariant_factors_by_diagonalization(form) == _snf_factors(rows, m, k)
+        seen.add(tuple(factors))
+    assert len(seen) > 100
+    for spec in DELTA_SPECS:
+        D = build_delta(standard_group(spec))
+        factors = D.invariant_factors()
+        assert factors == invariant_factors_by_diagonalization(D.canonical), spec
+        if D.ncols <= 12:
+            rows = [row for row, _tag in D.relation_rows()]
+            assert factors == _snf_factors(rows, D.modulus, D.ncols), spec
+
+
 def test_modulus_one_degenerates():
     form = HowellForm(3, 1)
     form.add_row([0, 0, 0])
@@ -144,11 +197,11 @@ def test_pivot_choice_matches_argwhere_oracle(m, monkeypatch):
         A = rng.integers(0, m, size=shape)
         A[rng.random(shape) < 0.4] = 0
         if A.any():
-            assert howell._pivot(A, m) == _argwhere_pivot(A, m)
-        diags = howell._diagonalize_mod(A.copy(), m)
+            assert helpers._pivot(A, m) == _argwhere_pivot(A, m)
+        diags = helpers._diagonalize_mod(A.copy(), m)
         with monkeypatch.context() as patched:
-            patched.setattr(howell, "_pivot", _argwhere_pivot)
-            assert howell._diagonalize_mod(A.copy(), m) == diags
+            patched.setattr(helpers, "_pivot", _argwhere_pivot)
+            assert helpers._diagonalize_mod(A.copy(), m) == diags
 
 
 @pytest.mark.parametrize("m", [12, 60])
