@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import jsonio
-from .errors import GraphIsPlanar, GroupFlowError, InternalInvariantError, ParseError
+from .errors import GraphIsPlanar, GroupFlowError, HostTooLarge, InternalInvariantError, ParseError
 from .flows import (
     LeakVerdict,
     detect_binary_leak,
@@ -110,7 +110,16 @@ def _cmd_extra_planar(args) -> int:
 def _cmd_minor(args) -> int:
     G = _read_graph(args.graph)
     model = named_graph(_MODEL_NAMES[args.model])
-    witness = find_minor(G, model, host_bound=args.max_size or DEFAULT_HOST_BOUND)
+    bound = args.max_size or DEFAULT_HOST_BOUND
+    if G.n > bound:
+        raise HostTooLarge(G.n, bound)
+    # a minor of a planar graph is planar, so a planar host has no non-planar
+    # model; test_planarity returns only Euler-checked rotation systems
+    model_planar = isinstance(test_planarity(model), RotationSystem)
+    if not model_planar and isinstance(test_planarity(G), RotationSystem):
+        witness = None
+    else:
+        witness = find_minor(G, model, host_bound=bound)
     if witness is None:
         _emit(args, {"minor": False, "model": args.model}, f"no {args.model} minor")
         return 1

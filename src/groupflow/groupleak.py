@@ -153,7 +153,7 @@ def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPres
 def phi(D: DeltaPresentation, gamma: int) -> tuple[int, ...]:
     """Canonical coordinates of gamma's image; independent of which
     containing subgroup supplies the discrete log."""
-    return tuple(int(x) for x in D.canonical.reduce(D.embed(gamma)))
+    return tuple(D.canonical.reduce(D.embed(gamma)).tolist())
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,8 @@ class Subgroup:
 
     @property
     def is_abelian(self) -> bool:
+        if self.order == self.parent.order:
+            return self.parent.is_abelian
         m = np.array(self.members)
         T = self.parent.table[np.ix_(m, m)]
         return bool(np.array_equal(T, T.T))
@@ -282,12 +284,16 @@ def _right_closure(T: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
 
 def _orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.ndarray:
     """Order of each member modulo a subgroup K given as a mask: the least
-    k >= 1 with h^k in K, by one table lookup per power."""
+    k >= 1 with h^k in K, by one table lookup per power of each member whose
+    order is still unknown."""
     f = np.zeros(members.size, dtype=np.int64)
+    todo = np.arange(members.size)
     cur, k = members, 1
-    while not f.all():
-        f[(f == 0) & in_K[cur]] = k
-        cur, k = T[cur, members], k + 1
+    while todo.size:
+        hit = in_K[cur]
+        f[todo[hit]] = k
+        todo, cur = todo[~hit], cur[~hit]
+        cur, k = T[cur, members[todo]], k + 1
     return f
 
 

@@ -12,10 +12,17 @@ times m per pivot-free column.  Membership, solving for coefficients over
 the original rows, and the quotient's invariant factors, read from the
 orders of its reductions modulo each prime power of m, all use this one
 form.
+
+Rows are stored sparse, as dicts {column: value} of Python ints without
+zeros.  The relation rows of a glued group have a handful of nonzeros
+among hundreds of columns, and so do the pivot rows, so an elimination
+step costs the nonzeros of the two rows it combines rather than the width
+of the matrix.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Optional, Sequence
 
@@ -50,9 +57,15 @@ def _unit_scale(a: int, m: int) -> tuple[int, int]:
 class HowellForm:
     """Canonical form of the row space of integer vectors modulo m.
 
-    Rows are added incrementally.  With ``track=True`` every pivot carries
-    its expression as a combination of the original input rows, enabling
-    ``solve``.
+    Rows are added incrementally.  Each pivot row is stored sparse, as a
+    dict {column: value} of Python ints with the zeros dropped, so a step
+    of the elimination touches only the nonzero entries of the two rows it
+    combines; the leading column of a row is its least key.  With
+    ``track=True`` every pivot carries its expression as a combination of
+    the original input rows, stored the same way as {input row: value},
+    enabling ``solve``.  Rows go in and results come out dense: ``add_row``
+    takes ``ncols`` entries, ``reduce`` returns ``ncols`` and ``solve``
+    ``n_input``.
     """
 
     def __init__(self, ncols: int, modulus: int, track: bool = False):
@@ -63,122 +76,134 @@ class HowellForm:
         self.track = track
         self.n_input = 0
         self._pivot_at: dict[int, int] = {}       # column -> index into _rows
-        self._rows: list[np.ndarray] = []
-        # each keeps the length n_input had when it was stored; _pad extends it
-        self._coeffs: list[np.ndarray] = []
+        self._rows: list[dict[int, int]] = []
+        self._coeffs: list[Optional[dict[int, int]]] = []
 
     # -- construction ---------------------------------------------------------
 
     def add_row(self, row: Sequence[int]) -> None:
-        vec = np.asarray(row, dtype=np.int64) % self.m
-        if vec.shape != (self.ncols,):
-            raise ValueError("row width mismatch")
-        coeff = None
-        if self.track:
-            coeff = np.zeros(self.n_input + 1, dtype=np.int64)
-            coeff[self.n_input] = 1
+        vec = self._sparse(row)
+        coeff = {self.n_input: 1} if self.track else None
         self.n_input += 1
         if self.m == 1:
             return
         self._absorb(vec, coeff)
 
-    def _absorb(self, vec: np.ndarray, coeff: Optional[np.ndarray]) -> None:
+    def _sparse(self, row: Sequence[int]) -> dict[int, int]:
+        vec = np.asarray(row, dtype=np.int64) % self.m
+        if vec.shape != (self.ncols,):
+            raise ValueError("row width mismatch")
+        cols = np.flatnonzero(vec)
+        return dict(zip(cols.tolist(), vec[cols].tolist()))
+
+    def _absorb(self, vec: dict[int, int], coeff: Optional[dict[int, int]]) -> None:
+        m = self.m
         queue = [(vec, coeff)]
         while queue:
             v, c = queue.pop()
-            nz = np.nonzero(v)[0]
-            while nz.size:
-                j = int(nz[0])
+            while v:
+                j = min(v)
                 pivot_idx = self._pivot_at.get(j)
                 if pivot_idx is None:
-                    u, g = _unit_scale(int(v[j]), self.m)
-                    v = (v * u) % self.m
+                    u, g = _unit_scale(v[j], m)
+                    v = _scale(v, u, m)
                     if c is not None:
-                        c = (c * u) % self.m
+                        c = _scale(c, u, m)
                     self._pivot_at[j] = len(self._rows)
                     self._rows.append(v)
                     self._coeffs.append(c)
-                    ann = (v * (self.m // g)) % self.m
-                    if ann.any():
-                        queue.append((ann, None if c is None else (c * (self.m // g)) % self.m))
+                    ann = _scale(v, m // g, m)
+                    if ann:
+                        queue.append((ann, None if c is None else _scale(c, m // g, m)))
                     break
                 r = self._rows[pivot_idx]
                 cr = self._coeffs[pivot_idx]
-                p = int(r[j])
-                a = int(v[j])
+                p = r[j]
+                a = v[j]
                 if a % p == 0:
                     q = a // p
-                    v = (v - q * r) % self.m
+                    _add_multiple(v, -q, r, m)
                     if c is not None:
-                        c = (c - q * _pad(cr, c.size)) % self.m
+                        _add_multiple(c, -q, cr, m)
                 else:
                     g, s, t = _egcd(p, a)
-                    new = (s * r + t * v) % self.m
-                    new_c = None
+                    new = _scale(r, s, m)
+                    _add_multiple(new, t, v, m)
+                    old = dict(r)
+                    _add_multiple(old, -(p // g), new, m)
+                    _add_multiple(v, -(a // g), new, m)
+                    new_c = old_c = None
                     if c is not None:
-                        new_c = (s * _pad(cr, c.size) + t * c) % self.m
-                    old = (r - (p // g) * new) % self.m
-                    old_c = None
-                    if c is not None:
-                        old_c = (_pad(cr, c.size) - (p // g) * new_c) % self.m
-                    v = (v - (a // g) * new) % self.m
-                    if c is not None:
-                        c = (c - (a // g) * new_c) % self.m
+                        new_c = _scale(cr, s, m)
+                        _add_multiple(new_c, t, c, m)
+                        old_c = dict(cr)
+                        _add_multiple(old_c, -(p // g), new_c, m)
+                        _add_multiple(c, -(a // g), new_c, m)
                     self._rows[pivot_idx] = new
                     self._coeffs[pivot_idx] = new_c
-                    if old.any():
+                    if old:
                         queue.append((old, old_c))
-                    ann = (new * (self.m // g)) % self.m
-                    if ann.any():
-                        queue.append((ann, None if new_c is None else (new_c * (self.m // g)) % self.m))
-                nz = np.nonzero(v)[0]
+                    ann = _scale(new, m // g, m)
+                    if ann:
+                        queue.append((ann, None if new_c is None else _scale(new_c, m // g, m)))
 
     # -- queries ---------------------------------------------------------------
 
-    def _walk(self, v: Sequence[int],
-              combo: Optional[np.ndarray]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """Reduce v against the pivots in column order.  When combo is given,
-        each multiple of a pivot row taken from v is added to it as input-row
-        coefficients, so that v = result + sum(combo_i * row_i) mod m."""
-        vec = np.asarray(v, dtype=np.int64) % self.m
-        for j in sorted(self._pivot_at):
-            if vec[j]:
-                idx = self._pivot_at[j]
-                r = self._rows[idx]
-                q = int(vec[j]) // int(r[j])
-                if q:
-                    vec = (vec - q * r) % self.m
-                    if combo is not None:
-                        combo = (combo + q * _pad(self._coeffs[idx], combo.size)) % self.m
+    def _walk(self, v: Sequence[int], combo: Optional[dict[int, int]]
+              ) -> tuple[dict[int, int], Optional[dict[int, int]]]:
+        """Reduce v against the pivots in column order, visiting only the
+        columns where the reduced vector is nonzero: a pivot row is zero
+        left of its pivot, so a step adds nonzeros only to the right of the
+        column it clears.  When combo is given, each multiple of a pivot
+        row taken from v is added to it as input-row coefficients, so that
+        v = result + sum(combo_i * row_i) mod m."""
+        vec = self._sparse(v)
+        heap = sorted(vec)
+        while heap:
+            j = heapq.heappop(heap)
+            idx = self._pivot_at.get(j)
+            if idx is None or j not in vec:
+                continue
+            r = self._rows[idx]
+            q = vec[j] // r[j]
+            if q:
+                for k in r:
+                    if k not in vec:
+                        heapq.heappush(heap, k)
+                _add_multiple(vec, -q, r, self.m)
+                if combo is not None:
+                    _add_multiple(combo, q, self._coeffs[idx], self.m)
         return vec, combo
 
     def reduce(self, v: Sequence[int]) -> np.ndarray:
         """Canonical representative of v modulo the row space."""
-        return self._walk(v, None)[0]
+        return _dense(self._walk(v, None)[0], self.ncols)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not self.reduce(v).any()
+        return not self._walk(v, None)[0]
 
     def solve(self, v: Sequence[int]) -> Optional[np.ndarray]:
         """Coefficients c over the input rows with sum(c_i * row_i) = v mod m,
         or None when v is outside the span.  Needs track=True."""
         if not self.track:
             raise ValueError("solve needs a coefficient-tracking form")
-        vec, combo = self._walk(v, np.zeros(self.n_input, dtype=np.int64))
-        return None if vec.any() else combo
+        vec, combo = self._walk(v, {})
+        return None if vec else _dense(combo, self.n_input)
 
     def pivot_matrix(self) -> np.ndarray:
         cols = sorted(self._pivot_at)
-        if not cols:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        return np.stack([self._rows[self._pivot_at[j]] for j in cols])
+        out = np.zeros((len(cols), self.ncols), dtype=np.int64)
+        for i, j in enumerate(cols):
+            row = self._rows[self._pivot_at[j]]
+            out[i, list(row)] = list(row.values())
+        return out
 
     def _quotient_order(self) -> int:
         """|(Z/m)^ncols / rowspace|: the form is saturated, so the span has
         prod(m / d) elements over the pivot values d."""
         order = self.m ** (self.ncols - len(self._pivot_at))
         for j, idx in self._pivot_at.items():
-            order *= int(self._rows[idx][j])
+            order *= self._rows[idx][j]
         return order
 
     def invariant_factors(self) -> list[int]:
@@ -220,13 +245,29 @@ def _prime_powers(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pad(c: Optional[np.ndarray], size: int) -> np.ndarray:
-    if c is None:
-        return np.zeros(size, dtype=np.int64)
-    if c.size == size:
-        return c
+def _scale(x: dict[int, int], s: int, m: int) -> dict[int, int]:
+    """s * x mod m, zeros dropped."""
+    out = {}
+    for k, a in x.items():
+        b = a * s % m
+        if b:
+            out[k] = b
+    return out
+
+
+def _add_multiple(x: dict[int, int], s: int, y: dict[int, int], m: int) -> None:
+    """x += s * y mod m in place, zeros dropped."""
+    for k, b in y.items():
+        a = (x.get(k, 0) + s * b) % m
+        if a:
+            x[k] = a
+        else:
+            x.pop(k, None)
+
+
+def _dense(x: dict[int, int], size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int64)
-    out[: c.size] = c
+    out[list(x)] = list(x.values())
     return out
 
 

@@ -13,7 +13,8 @@ per-component Euler count are the planar module's former face routines,
 the neighbour scan is the former tractability and excess check, the
 two-form solve is witness_flow_from_kernel's former solve, and the
 row-and-column diagonalisation with its divisor-chain merge is
-HowellForm.invariant_factors' former elimination, each kept here as its
+HowellForm.invariant_factors' former elimination, and the dense-row
+elimination is HowellForm's former row storage, each kept here as its
 oracle.
 """
 
@@ -41,7 +42,7 @@ from groupflow.graphs import (
     vkey,
 )
 from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
-from groupflow.howell import HowellForm, _egcd
+from groupflow.howell import HowellForm, _egcd, _unit_scale
 from groupflow.planar import (
     ExtraPlanarVerdict,
     RotationSystem,
@@ -455,6 +456,126 @@ def invariant_factors_by_diagonalization(form: HowellForm) -> list:
     factors = [form.m] * (form.ncols - len(diags))
     factors += [math.gcd(d, form.m) for d in diags]
     return _divisor_chain([f for f in factors if f > 1])
+
+
+class DenseHowellForm(HowellForm):
+    """HowellForm with dense numpy rows and coefficient vectors: every
+    elimination step is a full-width array operation, and the walk visits
+    every pivot column in order.  Same algorithm, so the same pivot rows and
+    coefficients; the invariant factors are read from its pivot matrix by
+    the library's own code.  A stored coefficient vector keeps the length
+    n_input had when it was stored; _pad extends it."""
+
+    def add_row(self, row) -> None:
+        vec = np.asarray(row, dtype=np.int64) % self.m
+        if vec.shape != (self.ncols,):
+            raise ValueError("row width mismatch")
+        coeff = None
+        if self.track:
+            coeff = np.zeros(self.n_input + 1, dtype=np.int64)
+            coeff[self.n_input] = 1
+        self.n_input += 1
+        if self.m == 1:
+            return
+        self._absorb(vec, coeff)
+
+    def _absorb(self, vec, coeff) -> None:
+        queue = [(vec, coeff)]
+        while queue:
+            v, c = queue.pop()
+            nz = np.nonzero(v)[0]
+            while nz.size:
+                j = int(nz[0])
+                pivot_idx = self._pivot_at.get(j)
+                if pivot_idx is None:
+                    u, g = _unit_scale(int(v[j]), self.m)
+                    v = (v * u) % self.m
+                    if c is not None:
+                        c = (c * u) % self.m
+                    self._pivot_at[j] = len(self._rows)
+                    self._rows.append(v)
+                    self._coeffs.append(c)
+                    ann = (v * (self.m // g)) % self.m
+                    if ann.any():
+                        queue.append((ann, None if c is None else (c * (self.m // g)) % self.m))
+                    break
+                r = self._rows[pivot_idx]
+                cr = self._coeffs[pivot_idx]
+                p = int(r[j])
+                a = int(v[j])
+                if a % p == 0:
+                    q = a // p
+                    v = (v - q * r) % self.m
+                    if c is not None:
+                        c = (c - q * _pad(cr, c.size)) % self.m
+                else:
+                    g, s, t = _egcd(p, a)
+                    new = (s * r + t * v) % self.m
+                    new_c = None
+                    if c is not None:
+                        new_c = (s * _pad(cr, c.size) + t * c) % self.m
+                    old = (r - (p // g) * new) % self.m
+                    old_c = None
+                    if c is not None:
+                        old_c = (_pad(cr, c.size) - (p // g) * new_c) % self.m
+                    v = (v - (a // g) * new) % self.m
+                    if c is not None:
+                        c = (c - (a // g) * new_c) % self.m
+                    self._rows[pivot_idx] = new
+                    self._coeffs[pivot_idx] = new_c
+                    if old.any():
+                        queue.append((old, old_c))
+                    ann = (new * (self.m // g)) % self.m
+                    if ann.any():
+                        queue.append((ann, None if new_c is None else (new_c * (self.m // g)) % self.m))
+                nz = np.nonzero(v)[0]
+
+    def _walk(self, v, combo):
+        vec = np.asarray(v, dtype=np.int64) % self.m
+        for j in sorted(self._pivot_at):
+            if vec[j]:
+                idx = self._pivot_at[j]
+                r = self._rows[idx]
+                q = int(vec[j]) // int(r[j])
+                if q:
+                    vec = (vec - q * r) % self.m
+                    if combo is not None:
+                        combo = (combo + q * _pad(self._coeffs[idx], combo.size)) % self.m
+        return vec, combo
+
+    def reduce(self, v) -> np.ndarray:
+        return self._walk(v, None)[0]
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v).any()
+
+    def solve(self, v):
+        if not self.track:
+            raise ValueError("solve needs a coefficient-tracking form")
+        vec, combo = self._walk(v, np.zeros(self.n_input, dtype=np.int64))
+        return None if vec.any() else combo
+
+    def pivot_matrix(self) -> np.ndarray:
+        cols = sorted(self._pivot_at)
+        if not cols:
+            return np.zeros((0, self.ncols), dtype=np.int64)
+        return np.stack([self._rows[self._pivot_at[j]] for j in cols])
+
+    def _quotient_order(self) -> int:
+        order = self.m ** (self.ncols - len(self._pivot_at))
+        for j, idx in self._pivot_at.items():
+            order *= int(self._rows[idx][j])
+        return order
+
+
+def _pad(c, size: int) -> np.ndarray:
+    if c is None:
+        return np.zeros(size, dtype=np.int64)
+    if c.size == size:
+        return c
+    out = np.zeros(size, dtype=np.int64)
+    out[: c.size] = c
+    return out
 
 
 # -- flow helpers -----------------------------------------------------------------

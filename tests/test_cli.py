@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from groupflow import jsonio
+from groupflow import cli, jsonio
 from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
@@ -18,7 +18,7 @@ from groupflow.groups import group_from_cayley, standard_group
 from groupflow.planar import euler_planar_check
 from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import extra_planar_by_lr, random_flow
+from helpers import extra_planar_by_lr, random_connected_planar_graph, random_flow
 
 
 def invoke(argv):
@@ -121,6 +121,34 @@ def test_minor_absent(tmp_path):
     code, out, _ = invoke(["minor", path, "--model", "k33"])
     assert code == 1
     assert json.loads(out)["minor"] is False
+
+
+@pytest.mark.parametrize("model", ["k5", "k33", "k5minus", "k33minus"])
+def test_minor_planar_host_output_matches_full_search(tmp_path, monkeypatch, model):
+    """A planar host answers "no minor" for a non-planar model without the
+    branch-set search; the bytes are those of the search, which still runs
+    for planar models and non-planar hosts."""
+    rng = random.Random(187)
+    hosts = [random_connected_planar_graph(rng, n, extra) for n, extra in
+             [(5, 5), (6, 9), (7, 6), (8, 12), (8, 3)]]
+    hosts += [named_graph(name) for name in ("complete:4", "k5minus", "k33minus",
+                                              "complete:5", "complete_bipartite:3,3")]
+    runs = []
+    for i, host in enumerate(hosts):
+        path = write_graph(tmp_path, f"h{i}.json", host)
+        for fmt in ("json", "text"):
+            runs.append(["minor", path, "--model", model, "--format", fmt])
+    shortcut = [invoke(argv) for argv in runs]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "test_planarity", lambda _G: None)   # always search
+        assert [invoke(argv) for argv in runs] == shortcut
+
+
+def test_minor_host_bound_checked_before_planarity(tmp_path, monkeypatch):
+    path = write_graph(tmp_path, "k4.json", named_graph("complete:4"))
+    monkeypatch.setattr(cli, "test_planarity", None)
+    code, _, err = invoke(["minor", path, "--model", "k5", "--max-size", "3"])
+    assert code == 2 and "above the bound 3" in err
 
 
 # -- faces --------------------------------------------------------------------------

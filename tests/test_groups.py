@@ -20,6 +20,7 @@ from groupflow.errors import (
     ParseError,
     TooLarge,
 )
+from groupflow import groups
 from groupflow.groups import (
     Subgroup,
     abelian_basis,
@@ -530,3 +531,47 @@ def test_designated_central_involution():
     d4 = standard_group("dihedral:4")
     z = designated_central_involution(d4)
     assert d4.names[z] == "r2"
+
+
+def _orders_by_powers(G, members, in_K):
+    """Least k >= 1 with h^k in K, by multiplying h in one element at a time."""
+    out = []
+    for h in members:
+        x, k = h, 1
+        while not in_K[x]:
+            x, k = G.mul(x, h), k + 1
+        out.append(k)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5040", "cyclic:360", "dihedral:6", "quaternion",
+                                  "es:3", "sym:5", "alt:6", "product:cyclic:9,cyclic:3"])
+def test_element_orders_match_power_oracle(spec):
+    """Orders come out the same when only the members whose order is still
+    unknown take the next power; also modulo a subgroup K."""
+    G = standard_group(spec)
+    every = np.arange(G.order)
+    orders = G.element_orders().tolist()
+    if spec.startswith("cyclic:"):
+        assert orders == [G.order // math.gcd(i, G.order) for i in range(G.order)]
+    else:
+        assert orders == _orders_by_powers(G, every, every == G.identity)
+    rng = random.Random(spec)
+    members = np.array(sorted(rng.sample(range(G.order), min(G.order, 200))))
+    K = closure(G, [rng.randrange(G.order)])
+    in_K = np.zeros(G.order, dtype=bool)
+    in_K[list(K.members)] = True
+    assert (groups._orders_modulo(G.table, members, in_K).tolist()
+            == _orders_by_powers(G, members, in_K))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "product:cyclic:4,cyclic:6", "sym:4", "es:2"])
+def test_whole_group_subgroup_reads_cached_is_abelian(spec, monkeypatch):
+    G = standard_group(spec)
+    whole = Subgroup(G, tuple(range(G.order)))
+    assert whole.is_abelian == G.is_abelian == bool(np.array_equal(G.table, G.table.T))
+    for H in maximal_abelian_subgroups(G):
+        assert H.is_abelian
+    with monkeypatch.context() as patched:
+        patched.setattr(groups.np, "ix_", None)        # no sub-table is built
+        assert whole.is_abelian == G.is_abelian

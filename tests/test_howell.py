@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import random
@@ -12,10 +14,11 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
 import helpers
-from groupflow.groupleak import build_delta
+from groupflow import cli, groupleak
+from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_from_kernel
 from groupflow.groups import standard_group
 from groupflow.howell import HowellForm, lattice_normal_form
-from helpers import _divisor_chain, invariant_factors_by_diagonalization
+from helpers import DenseHowellForm, _divisor_chain, invariant_factors_by_diagonalization
 
 
 def test_identity_matrix_spans_everything():
@@ -221,3 +224,92 @@ def test_tracked_solve_many_rows(m):
         assert np.array_equal((sol @ rows) % m, v)
     for r in rows[:: 37]:
         assert np.array_equal((form.solve(r) @ rows) % m, r % m)
+
+
+def _assert_same_form(sparse, dense, probes, rows, m):
+    assert np.array_equal(sparse.pivot_matrix(), dense.pivot_matrix())
+    for v in probes:
+        assert np.array_equal(sparse.reduce(v), dense.reduce(v))
+        assert sparse.contains(v) == dense.contains(v)
+        if sparse.track:
+            a, b = sparse.solve(v), dense.solve(v)
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(a, b) and a.shape == (len(rows),)
+                A = np.array(rows, dtype=np.int64).reshape(len(rows), sparse.ncols)
+                assert np.array_equal((a @ A) % m, np.asarray(v) % m)
+
+
+def test_sparse_rows_match_dense_oracle():
+    """The sparse rows give the dense elimination's pivot rows, reductions
+    and tracked solutions, on random row sets (zero rows and pairs of rows
+    whose leading entries do not divide each other, so the egcd branch
+    runs) and on the glued groups."""
+    rng = random.Random(1998)
+    moduli = (2, 4, 8, 9, 12, 36, 60, 72, 360, 420)
+    egcd_steps = 0
+    for t in range(400):
+        m = moduli[t % len(moduli)]
+        k = rng.randint(1, 7)
+        rows = [[rng.randrange(m) * (rng.random() < 0.6) for _ in range(k)]
+                for _ in range(rng.randint(0, k + 2))]
+        if rows and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = [0] * k
+        divisors = [d for d in range(2, m) if m % d == 0]
+        if len(divisors) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(divisors, 2)
+            col = rng.randrange(k)
+            for d in (a, b):
+                rows.append([0] * col + [d] + [rng.randrange(m) for _ in range(k - col - 1)])
+            egcd_steps += a % b != 0 and b % a != 0
+        track = t % 2 == 0
+        sparse, dense = HowellForm(k, m, track), DenseHowellForm(k, m, track)
+        for r in rows:
+            sparse.add_row(r)
+            dense.add_row(r)
+        probes = [[rng.randrange(m) for _ in range(k)] for _ in range(4)]
+        probes += [[sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k)]
+                   for _ in range(3)]
+        _assert_same_form(sparse, dense, probes, rows, m)
+        assert sparse._quotient_order() == dense._quotient_order()
+    assert egcd_steps > 20
+    for spec in DELTA_SPECS:
+        D = build_delta(standard_group(spec))
+        rows = [row for row, _tag in D.relation_rows()]
+        # tracking leaves the pivot rows as they are, so one tracked pair checks all three
+        sparse = HowellForm(D.ncols, D.modulus, track=True)
+        dense = DenseHowellForm(D.ncols, D.modulus, track=True)
+        for r in rows:
+            sparse.add_row(r)
+            dense.add_row(r)
+        assert np.array_equal(sparse.pivot_matrix(), D.canonical.pivot_matrix())
+        probes = [D.embed(g) for g in itertools.islice(D.group.elements(), 40)]
+        _assert_same_form(sparse, dense, probes, rows, D.modulus)
+
+
+@pytest.mark.parametrize("spec", DELTA_SPECS)
+def test_group_outputs_match_dense_oracle(spec, monkeypatch):
+    """The group-leakproof and group-binary-leakproof CLI bytes and the
+    witness flow's values are the same when groupleak uses the dense form.
+    Each side builds its glued group once for its four CLI runs."""
+    def outputs():
+        delta = build_delta(standard_group(spec))
+        runs = []
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "build_delta", lambda _G, max_order: delta)
+            for command in ("group-leakproof", "group-binary-leakproof"):
+                for fmt in ("json", "text"):
+                    buf = io.StringIO()
+                    with contextlib.redirect_stdout(buf):
+                        code = cli.run([command, spec, "--format", fmt])
+                    runs.append((code, buf.getvalue()))
+        verdict = is_leakproof_group(delta.group, delta=delta)
+        if not verdict.leakproof:
+            _graph, flow = witness_flow_from_kernel(delta, verdict.witness)
+            runs.append(sorted(flow.values.items()))
+        return runs
+
+    expected = outputs()
+    with monkeypatch.context() as patched:
+        patched.setattr(groupleak, "HowellForm", DenseHowellForm)
+        assert outputs() == expected
