@@ -8,6 +8,12 @@ through subgraphs and edge un-contractions, leak synthesis for non-planar
 graphs, the face-walk conjugation transform, and a tree solver that
 generates conserving flows.  Tractability (the values entering each vertex
 commute) and every vertex's excess come from one pass over the support.
+
+Leak synthesis lifts the K5 or K3,3 example flow through a minor witness:
+each model value goes on one host edge, and the tree solver's leaf-first
+solve makes every branch-set vertex but its root conserve.  The lift is
+tractable because the values entering a branch set are products of the
+commuting values entering its model vertex.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from .graphs import (
     Vertex,
     bridges,
     components,
-    contract,
     contract_edge,
     edge_key,
     graph_from,
@@ -267,16 +272,6 @@ def lift_through_subgraph(G: Graph, H: Graph, g: GroupFlow) -> GroupFlow:
     return GroupFlow(G, g.group, dict(g.values))
 
 
-def relabel_flow(f: GroupFlow, mapping: Mapping[Vertex, Vertex], target: Graph) -> GroupFlow:
-    """Transport a flow along an injective vertex map into a supergraph of
-    the image."""
-    values = {(mapping[u], mapping[v]): g for (u, v), g in f.values.items()}
-    for (u, v) in values:
-        if not target.has_edge(u, v):
-            raise NotSubgraph(f"image pair ({u},{v}) is not an edge of the target")
-    return GroupFlow(target, f.group, values)
-
-
 def uncontract_flow(G: Graph, e: tuple[Vertex, Vertex], f: GroupFlow) -> GroupFlow:
     """Pull a tractable flow on G/e back to G.
 
@@ -339,11 +334,16 @@ def _check_uncontract_contract(before: dict[Vertex, int], g: GroupFlow, merged: 
 
 
 def synthesize_leaking_flow(G: Graph) -> GroupFlow:
-    """Build a leaking flow on a non-planar graph.
+    """Build a leaking flow on a non-planar graph by lifting the example
+    flow on its Kuratowski model through the minor witness.
 
-    Pipeline: Kuratowski witness -> example flow on the model -> transport
-    into the contraction of the witness forest -> un-contract the forest
-    edges leaf-first -> a flow on G that detect_leak certifies.
+    Each model edge xy puts the model's values on the least host edge
+    joining branch sets x and y; each branch-set tree of the witness forest
+    is then solved leaf-first toward its least vertex, so every other
+    vertex conserves.  The values entering a branch set are products of
+    the commuting values entering its model vertex, so the lift is
+    tractable and leaks, with the model's value, at the root of the
+    leaking vertex's branch set; detect_leak re-certifies it.
     """
     result = test_planarity(G)
     if isinstance(result, RotationSystem):
@@ -353,53 +353,24 @@ def synthesize_leaking_flow(G: Graph) -> GroupFlow:
         _, model_flow = example_flow_k5()
     else:
         _, model_flow = example_flow_k33()
-
-    forest_graph = graph_from(G.vertices, witness.forest_edges)
-    contracted, quotient = contract(G, forest_graph)
-    embed = {x: quotient[next(iter(witness.branch_sets[x]))] for x in witness.model.vertices}
-    flow = relabel_flow(model_flow, embed, contracted)
-
-    chain = []  # (graph before, edge contracted) pairs, applied in order
-    current = G
-    for u, v in _leaf_first_order(witness.forest_edges):
-        image = (_image_vertex(chain, u), _image_vertex(chain, v))
-        chain.append((current, image))
-        current, _ = contract_edge(current, image)
-    if current != contracted:
-        raise InternalInvariantError("edge-by-edge contraction disagrees with the forest contraction")
-    for before, e in reversed(chain):
-        flow = uncontract_flow(before, e, flow)
+    owner = {v: x for x, bset in witness.branch_sets.items() for v in bset}
+    values: dict[tuple[Vertex, Vertex], int] = {}
+    placed = set()
+    for u, v in G.sorted_edges():
+        x, y = owner.get(u), owner.get(v)
+        if x is None or y is None or x == y or edge_key(x, y) in placed:
+            continue
+        placed.add(edge_key(x, y))
+        values[(u, v)] = model_flow.value(x, y)
+        values[(v, u)] = model_flow.value(y, x)
+    roots = [min(bset, key=vkey) for bset in witness.branch_sets.values()]
+    _solve_forest(G, graph_from(G.vertices, witness.forest_edges), roots, values,
+                  model_flow.group)
+    flow = GroupFlow(G, model_flow.group, values)
     verdict = detect_leak(flow)
     if verdict.kind != LeakVerdict.LEAKS_AT or verdict.value == flow.group.identity:
         raise InternalInvariantError("synthesized flow does not leak")
     return flow
-
-
-def _image_vertex(chain, v: Vertex) -> Vertex:
-    """Follow the min-label merges recorded so far."""
-    for _, (a, b) in chain:
-        if v == a or v == b:
-            v = a if vkey(a) < vkey(b) else b
-    return v
-
-
-def _leaf_first_order(forest_edges) -> list[tuple[Vertex, Vertex]]:
-    """Order forest edges so each one, at its turn, has a leaf endpoint."""
-    remaining = set(forest_edges)
-    order = []
-    while remaining:
-        degree: dict[Vertex, int] = {}
-        for u, v in remaining:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        leaf_edges = sorted(
-            (e for e in remaining if degree[e[0]] == 1 or degree[e[1]] == 1),
-            key=lambda e: (vkey(e[0]), vkey(e[1])),
-        )
-        e = leaf_edges[0]
-        order.append(e)
-        remaining.remove(e)
-    return order
 
 
 # -- the conjugation transform -------------------------------------------------------
@@ -472,31 +443,37 @@ def solve_tree_flow(G: Graph, T: Graph, root: Vertex,
             raise InvalidFlow(f"boundary is not skew-symmetric at ({u},{v})")
         values[(u, v)] = g
         values.setdefault((v, u), group.inv(g))
-    parent: dict[Vertex, Optional[Vertex]] = {root: None}
-    depth = {root: 0}
-    order = [root]
-    queue = [root]
-    while queue:
-        x = queue.pop(0)
-        for y in T.neighbors(x):
-            if y not in parent:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
-                queue.append(y)
-    for v in sorted(order, key=lambda v: (-depth[v], vkey(v))):
-        if v == root:
-            continue
-        p = parent[v]
-        prod = group.identity
-        for u in G.neighbors(v):
-            if u == p:
-                continue
-            prod = group.mul(prod, values.get((u, v), group.identity))
-        values[(p, v)] = group.inv(prod)
-        values[(v, p)] = prod
+    _solve_forest(G, T, [root], values, group)
     flow = GroupFlow(G, group, values)
     ok, bad = is_tractable(flow)
     if not ok:
         return None, bad
     return flow, None
+
+
+def _solve_forest(G: Graph, forest: Graph, roots, values: dict[tuple[Vertex, Vertex], int],
+                  group: FiniteGroup) -> None:
+    """Complete ``values`` on the trees of ``forest`` that hold ``roots``,
+    one root per tree: vertices are taken leaf-to-root (deepest first, ties
+    by label), and each child's edge to its parent gets the value that
+    cancels the product of the child's other incoming values in G
+    (ascending neighbour order)."""
+    parent: dict[Vertex, Optional[Vertex]] = {r: None for r in roots}
+    depth = {r: 0 for r in roots}
+    order = list(roots)
+    for x in order:                 # breadth-first; order grows as it is read
+        for y in forest.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+    for v in sorted(order, key=lambda v: (-depth[v], vkey(v))):
+        p = parent[v]
+        if p is None:
+            continue
+        prod = group.identity
+        for u in G.neighbors(v):
+            if u != p:
+                prod = group.mul(prod, values.get((u, v), group.identity))
+        values[(p, v)] = group.inv(prod)
+        values[(v, p)] = prod

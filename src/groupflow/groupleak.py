@@ -9,7 +9,8 @@ chain telescopes, and h = g^k gives k times g's row.  An element maps to
 the canonical form of its coordinate vector; the group is leak-proof
 exactly when no nonidentity element maps to zero, and binary leak-proof
 exactly when the map is injective.  Any kernel element is turned back
-into an explicit leaking flow on the complete graph over the subgroups.
+into an explicit leaking flow on a graph over the subgroups, with one edge
+per subgroup pair the flow uses.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, NotInKernel, TooLarge
 from .flows import GroupFlow, LeakVerdict, detect_leak
-from .graphs import Graph, named_graph
+from .graphs import Graph, graph_from
 from .groups import (
     DEFAULT_MAX_ORDER,
     AbelianBasis,
@@ -198,13 +199,15 @@ def is_binary_leakproof_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
 
 def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
                              gamma: int) -> tuple[Graph, GroupFlow]:
-    """Turn a kernel element into a leaking flow on the complete graph over
-    the maximal abelian subgroups.
+    """Turn a kernel element into a leaking flow on a graph over the
+    maximal abelian subgroups: vertex i + 1 stands for subgroup i, with one
+    edge per subgroup pair that carries a value.
 
     A solution of the relation system expressing gamma's vector is folded,
     pair by pair, into one group element per subgroup pair; the resulting
     flow has excess gamma at gamma's subgroup and identity elsewhere, which
-    detect_leak re-certifies before returning.
+    detect_leak re-certifies before returning.  Any graph carrying a
+    leaking flow certifies the group, so no other edge is needed.
     """
     D = source if isinstance(source, DeltaPresentation) else build_delta(source)
     G = D.group
@@ -220,24 +223,19 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
             continue
         pair, g = tag
         acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, int(c)))
-    vertex_of = {i: i + 1 for i in range(len(D.subgroups))}
-    graph = _complete_graph(len(D.subgroups))
     values: dict[tuple[int, int], int] = {}
     for (i, j), a in acc.items():
-        # coordinate block i receives +a, block j receives -a
-        values[(vertex_of[j], vertex_of[i])] = a
-        values[(vertex_of[i], vertex_of[j])] = G.inv(a)
+        if a != G.identity:
+            # coordinate block i receives +a, block j receives -a
+            values[(j + 1, i + 1)] = a
+            values[(i + 1, j + 1)] = G.inv(a)
+    graph = graph_from(range(1, len(D.subgroups) + 1), values)
     flow = GroupFlow(graph, G, values)
     verdict = detect_leak(flow)
-    expected_vertex = vertex_of[D.containing_index(gamma)]
-    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != expected_vertex
+    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != D.containing_index(gamma) + 1
             or verdict.value != gamma):
         raise InternalInvariantError("kernel witness flow failed re-certification")
     return graph, flow
-
-
-def _complete_graph(n: int) -> Graph:
-    return named_graph(f"complete:{n}") if n >= 1 else Graph((), frozenset())
 
 
 def _greedy_solve(D: DeltaPresentation, gamma: int, target: np.ndarray):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -731,38 +732,41 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
 
 
 def _split_product_args(args: str) -> tuple[str, str]:
-    for pos in (i for i, ch in enumerate(args) if ch == ","):
-        left, right = args[:pos], args[pos + 1:]
-        try:
-            _validate_spec_shape(left)
-            _validate_spec_shape(right)
-            return left, right
-        except ParseError:
+    end = _spec_end(args, 0)
+    if end is None or args[end:end + 1] != ",":
+        raise ParseError(f"cannot split product arguments {args!r}")
+    return args[:end], args[end + 1:]
+
+
+_SPEC_TOKEN = re.compile(r"(product:|centprod:)|(?:cyclic|dihedral|sym|alt|es):\d+"
+                         r"|quaternion|cayley:[^,]+")
+
+
+def _spec_end(spec: str, i: int) -> Optional[int]:
+    """Index just past the group spec that starts at spec[i], or None when
+    none does, in one left-to-right pass: product: and centprod: read two
+    specs joined by a comma, and a cayley: path ends at the next comma."""
+    pending = 1                     # specs still to read
+    while True:
+        token = _SPEC_TOKEN.match(spec, i)
+        if token is None:
+            return None
+        i = token.end()
+        if token.group(1):
+            pending += 1
             continue
-    raise ParseError(f"cannot split product arguments {args!r}")
-
-
-def _validate_spec_shape(spec: str) -> None:
-    head, _, rest = spec.partition(":")
-    if head in ("cyclic", "dihedral", "sym", "alt", "es"):
-        if not rest.isdigit():
-            raise ParseError(spec)
-    elif head == "quaternion":
-        if rest:
-            raise ParseError(spec)
-    elif head in ("product", "centprod"):
-        _split_product_args(rest)
-    elif head == "cayley":
-        if not rest:
-            raise ParseError(spec)
-    else:
-        raise ParseError(f"unknown group spec {spec!r}")
+        pending -= 1
+        if pending == 0:
+            return i
+        if spec[i:i + 1] != ",":
+            return None
+        i += 1
 
 
 def _build_group(spec: str, max_order: int) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
-        if not rest.isdigit():
+        if not rest.isdecimal():
             raise ParseError(f"{head}:<n> needs a positive integer, got {spec!r}")
         n = int(rest)
         if n < 1:
@@ -800,6 +804,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
     raise ParseError(f"unknown group spec {spec!r}")
 
 
+_MAX_PRODUCTS = 64
 _standard_group_cached = lru_cache(maxsize=128)(_build_group)
 
 
@@ -812,6 +817,9 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
     spec = spec.strip().replace(" ", "")
     if not spec:
         raise ParseError("empty group spec")
+    if spec.count("product:") > _MAX_PRODUCTS:
+        # each nested product is a few Python frames deep when built
+        raise ParseError(f"group spec has more than {_MAX_PRODUCTS} product: or centprod: terms")
     if "cayley:" in spec:
         # a file may change between calls, also inside product: or centprod:
         return _build_group(spec, max_order)

@@ -23,7 +23,7 @@ def _vertex_token(raw: Any) -> Vertex:
     if isinstance(raw, int):
         return raw
     s = str(raw)
-    if s.lstrip("-").isdigit():
+    if s.lstrip("-").isdecimal():
         return int(s)
     return s
 

@@ -13,9 +13,11 @@ per-component Euler count are the planar module's former face routines,
 the neighbour scan is the former tractability and excess check, the
 two-form solve is witness_flow_from_kernel's former solve, and the
 row-and-column diagonalisation with its divisor-chain merge is
-HowellForm.invariant_factors' former elimination, and the dense-row
-elimination is HowellForm's former row storage, each kept here as its
-oracle.
+HowellForm.invariant_factors' former elimination, the dense-row
+elimination is HowellForm's former row storage, the edge-by-edge
+uncontraction chain is synthesize_leaking_flow's former construction, and
+the single-root leaf-first loop is solve_tree_flow's former solve, each kept
+here as its oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ import random
 import networkx as nx
 import numpy as np
 
-from groupflow.flows import GroupFlow
+from groupflow.errors import GraphIsPlanar
+from groupflow.flows import (
+    GroupFlow,
+    example_flow_k5,
+    example_flow_k33,
+    is_tractable,
+    uncontract_flow,
+)
 from groupflow.graphs import (
     Graph,
     MinorWitness,
@@ -35,6 +44,8 @@ from groupflow.graphs import (
     _sets_adjacent,
     add_edge,
     components,
+    contract,
+    contract_edge,
     edge_key,
     graph_from,
     induced_subgraph,
@@ -576,6 +587,101 @@ def _pad(c, size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int64)
     out[: c.size] = c
     return out
+
+
+def synthesize_by_uncontraction(G: Graph) -> GroupFlow:
+    """synthesize_leaking_flow's former construction: move the model flow
+    onto the contraction of the witness forest, contract the forest again
+    edge by edge (leaf-first) to check the two contractions agree, then
+    undo each edge contraction with uncontract_flow."""
+    result = test_planarity(G)
+    if isinstance(result, RotationSystem):
+        raise GraphIsPlanar("planar graphs admit no leaking flow")
+    witness = result
+    _, model_flow = example_flow_k5() if witness.model.n == 5 else example_flow_k33()
+    contracted, quotient = contract(G, graph_from(G.vertices, witness.forest_edges))
+    embed = {x: quotient[next(iter(witness.branch_sets[x]))] for x in witness.model.vertices}
+    flow = _relabel_flow(model_flow, embed, contracted)
+    chain = []  # (graph before, edge contracted) pairs, applied in order
+    current = G
+    for u, v in _leaf_first_order(witness.forest_edges):
+        image = (_image_vertex(chain, u), _image_vertex(chain, v))
+        chain.append((current, image))
+        current, _ = contract_edge(current, image)
+    assert current == contracted, "edge-by-edge contraction disagrees with the forest contraction"
+    for before, e in reversed(chain):
+        flow = uncontract_flow(before, e, flow)
+    return flow
+
+
+def _relabel_flow(f: GroupFlow, mapping, target: Graph) -> GroupFlow:
+    """Transport a flow along an injective vertex map into a supergraph of
+    the image."""
+    values = {(mapping[u], mapping[v]): g for (u, v), g in f.values.items()}
+    for (u, v) in values:
+        assert target.has_edge(u, v), f"image pair ({u},{v}) is not an edge of the target"
+    return GroupFlow(target, f.group, values)
+
+
+def _image_vertex(chain, v):
+    """Follow the min-label merges recorded so far."""
+    for _, (a, b) in chain:
+        if v == a or v == b:
+            v = a if vkey(a) < vkey(b) else b
+    return v
+
+
+def _leaf_first_order(forest_edges) -> list:
+    """Order forest edges so each one, at its turn, has a leaf endpoint."""
+    remaining = set(forest_edges)
+    order = []
+    while remaining:
+        degree = {}
+        for u, v in remaining:
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        leaf_edges = sorted(
+            (e for e in remaining if degree[e[0]] == 1 or degree[e[1]] == 1),
+            key=lambda e: (vkey(e[0]), vkey(e[1])),
+        )
+        order.append(leaf_edges[0])
+        remaining.remove(leaf_edges[0])
+    return order
+
+
+def tree_flow_by_leaf_first_loop(G: Graph, T: Graph, root, boundary, group: FiniteGroup):
+    """solve_tree_flow's former leaf-first loop on a valid spanning tree and
+    boundary: (flow, None) when tractable, else (None, failing vertex)."""
+    values = {}
+    for (u, v), g in boundary.items():
+        values[(u, v)] = int(g)
+        values.setdefault((v, u), group.inv(int(g)))
+    parent = {root: None}
+    depth = {root: 0}
+    order = [root]
+    queue = [root]
+    while queue:
+        x = queue.pop(0)
+        for y in T.neighbors(x):
+            if y not in parent:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+                queue.append(y)
+    for v in sorted(order, key=lambda v: (-depth[v], vkey(v))):
+        if v == root:
+            continue
+        p = parent[v]
+        prod = group.identity
+        for u in G.neighbors(v):
+            if u == p:
+                continue
+            prod = group.mul(prod, values.get((u, v), group.identity))
+        values[(p, v)] = group.inv(prod)
+        values[(v, p)] = prod
+    flow = GroupFlow(G, group, values)
+    ok, bad = is_tractable(flow)
+    return (flow, None) if ok else (None, bad)
 
 
 # -- flow helpers -----------------------------------------------------------------

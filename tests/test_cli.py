@@ -511,6 +511,18 @@ def test_bad_group_spec():
     assert code == 2
 
 
+def test_non_decimal_digits_are_not_integers(tmp_path):
+    """A superscript digit passes str.isdigit but not int(): a group spec
+    holding one is a usage error, and a vertex labelled with one is a name."""
+    for spec in ("cyclic:\u00b2", "product:cyclic:2,sym:\u00b3", "product:cyclic:\u00b2,cyclic:2"):
+        code, out, err = invoke(["group-leakproof", spec])
+        assert (code, out) == (2, "") and err.startswith("error:"), (spec, err)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": ["1", "\u00b2"], "edges": [["1", "\u00b2"]]}))
+    code, out, _ = invoke(["planar", str(path)])
+    assert code == 0 and json.loads(out)["planar"] is True
+
+
 def test_bad_cayley_file_is_usage_error(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 t\n0 1\n1 x\n")

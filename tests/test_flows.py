@@ -37,6 +37,7 @@ from groupflow.flows import (
 )
 from groupflow.graphs import (
     bridges,
+    components,
     contract_edge,
     graph_from,
     named_graph,
@@ -51,6 +52,8 @@ from helpers import (
     random_flow,
     random_graph,
     random_spanning_tree,
+    synthesize_by_uncontraction,
+    tree_flow_by_leaf_first_loop,
 )
 
 
@@ -485,6 +488,82 @@ def test_synthesize_petersen():
 def test_synthesize_planar_raises():
     with pytest.raises(GraphIsPlanar):
         synthesize_leaking_flow(named_graph("complete:4"))
+
+
+def _relabeled(G, label):
+    return graph_from([label(v) for v in G.vertices],
+                      [(label(u), label(v)) for u, v in G.edges])
+
+
+def _lift_targets():
+    """Named non-planar graphs, then seeded non-planar graphs on 5-12
+    vertices: some with isolated vertices, some with string labels."""
+    k33 = named_graph("complete_bipartite:3,3")
+    subdivided = graph_from(list(range(1, 16)),
+                            [e for i, (u, v) in enumerate(k33.sorted_edges())
+                             for e in ((u, 7 + i), (7 + i, v))])
+    yield from (named_graph("complete:5"), k33, named_graph("complete:6"),
+                named_graph("petersen"), subdivided)
+    rng = random.Random(4242)
+    found = 0
+    while found < 320:
+        n = rng.randint(5, 12)
+        G = random_graph(rng, n, rng.uniform(0.3, 0.8))
+        if isinstance(planarity_certificate(G), RotationSystem):
+            continue
+        found += 1
+        if found % 4 == 1:
+            G = graph_from(list(G.vertices) + list(range(n + 1, n + 1 + rng.randint(1, 3))),
+                           G.edges)
+        if found % 3 == 1:
+            G = _relabeled(G, lambda v: f"v{v}")
+        elif found % 7 == 2:
+            G = _relabeled(G, lambda v: v if v % 2 else f"s{v}")
+        yield G
+
+
+def test_lift_matches_uncontraction_oracle():
+    """The forest-solve lift and the former uncontraction chain both leak,
+    with the same value, at vertices of the same branch set."""
+    targets = 0
+    for G in _lift_targets():
+        lifted, oracle = synthesize_leaking_flow(G), synthesize_by_uncontraction(G)
+        assert lifted.graph == oracle.graph == G and lifted.group is oracle.group
+        got, want = detect_leak(lifted), detect_leak(oracle)
+        assert got.kind == want.kind == LeakVerdict.LEAKS_AT
+        assert got.value == want.value != lifted.group.identity
+        witness = planarity_certificate(G)
+        owner = {v: x for x, bset in witness.branch_sets.items() for v in bset}
+        assert owner[got.vertex] == owner[want.vertex]
+        targets += 1
+    assert targets == 325
+
+
+def test_solve_tree_flow_matches_leaf_first_oracle():
+    """solve_tree_flow gives the former leaf-first loop's flow, or its
+    failing vertex, on seeded trees, roots and boundaries."""
+    rng = random.Random(515)
+    groups = [es_group(2), standard_group("sym:3"), standard_group("quaternion"),
+              standard_group("cyclic:6")]
+    kinds = Counter()
+    for i in range(360):
+        if i % 2:
+            G = random_connected_planar_graph(rng, rng.randint(1, 10), rng.randint(0, 4))
+        else:
+            G = random_graph(rng, rng.randint(2, 9), 0.6)
+            if len(components(G)) != 1:
+                G = random_connected_planar_graph(rng, G.n, 6)
+        if i % 5 == 0:
+            G = _relabeled(G, lambda v: f"v{v}")
+        T = random_spanning_tree(rng, G)
+        group = groups[i % len(groups)]
+        boundary = {(u, v) if rng.random() < 0.5 else (v, u): rng.randrange(group.order)
+                    for u, v in G.sorted_edges() if (u, v) not in T.edges and rng.random() < 0.8}
+        root = rng.choice(G.vertices)
+        got = solve_tree_flow(G, T, root, boundary, group)
+        assert got == tree_flow_by_leaf_first_loop(G, T, root, boundary, group)
+        kinds["tractable" if got[1] is None else "not tractable"] += 1
+    assert min(kinds.values()) >= 30, kinds
 
 
 # -- conjugation transform ----------------------------------------------------------------------

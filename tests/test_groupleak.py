@@ -9,6 +9,7 @@ import pytest
 
 from groupflow.errors import NotInKernel
 from groupflow.flows import GroupFlow, LeakVerdict, detect_leak, is_tractable
+from groupflow.graphs import edge_key
 from groupflow.groupleak import (
     build_delta,
     is_binary_leakproof_group,
@@ -315,6 +316,19 @@ def test_witness_flow_matches_two_form_oracle(spec):
     assert not v.leakproof
     _graph, flow = witness_flow_from_kernel(D, v.witness)
     assert flow.values == witness_values_two_forms(D, v.witness)
+
+
+@pytest.mark.parametrize("spec", ["es:2", "es:3", "centprod:quaternion,dihedral:4",
+                                  "product:es:2,cyclic:2", "sym:6"])
+def test_witness_graph_is_the_flow_support(spec):
+    G = standard_group(spec)
+    D = build_delta(G)
+    v = is_leakproof_group(G, delta=D)
+    graph, flow = witness_flow_from_kernel(D, v.witness)
+    assert graph.n == len(D.subgroups)
+    assert graph.vertices == tuple(range(1, len(D.subgroups) + 1))
+    assert graph.edges == {edge_key(u, w) for u, w in flow.support_pairs()}
+    assert flow.graph is graph
 
 
 def test_witness_values_live_in_the_column_subgroup():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -236,6 +237,37 @@ def test_product_nested_parse():
     G = standard_group("product:cyclic:2,product:cyclic:3,cyclic:5")
     assert G.order == 30
     assert G.is_abelian
+
+
+def test_deeply_nested_product_parses_in_linear_time():
+    """Splitting product: arguments scans each spec once, so 40 nested
+    levels (each doubled the time of a try-every-comma split) take well
+    under a second, left- or right-nested."""
+    left, right = "cyclic:1", "cyclic:2"
+    for _ in range(40):
+        left, right = f"product:{left},cyclic:1", f"centprod:cyclic:2,{right}"
+    start = time.perf_counter()
+    assert standard_group(left).order == 1
+    assert standard_group(right).order == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_split_reads_each_argument_once():
+    assert groups._split_product_args("product:cyclic:2,quaternion,sym:3") == (
+        "product:cyclic:2,quaternion", "sym:3")
+    assert groups._split_product_args("cayley:a,b,cyclic:2") == ("cayley:a", "b,cyclic:2")
+    for bad in ("cyclic:2", "", ",cyclic:2", "cyclic:2x,cyclic:2", "cayley:,cyclic:2",
+                "product:cyclic:2,cyclic:3", "product:cyclic:2xcyclic:3,cyclic:2"):
+        with pytest.raises(ParseError, match="cannot split"):
+            groups._split_product_args(bad)
+
+
+def test_too_many_products_is_parse_error():
+    spec = "cyclic:1"
+    for _ in range(65):
+        spec = f"product:{spec},cyclic:1"
+    with pytest.raises(ParseError, match="more than 64"):
+        standard_group(spec)
 
 
 def test_parse_errors():
