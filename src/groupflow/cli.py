@@ -58,10 +58,12 @@ def _read(path: str, parse):
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        out = jsonio.dumps(payload)
-    else:
-        out = text if text.endswith("\n") else text + "\n"
+    _write(args, jsonio.dumps(payload) if args.format == "json" else text)
+
+
+def _write(args, out: str) -> None:
+    if not out.endswith("\n"):
+        out += "\n"
     if getattr(args, "output", None):
         Path(args.output).write_text(out)
     else:
@@ -85,17 +87,8 @@ def _cmd_extra_planar(args) -> int:
     G = _read_graph(args.graph)
     verdict = extra_planar(G)
     if verdict.extra_planar:
-        payload = {
-            "extra_planar": True,
-            "embeddings": [
-                {
-                    "pair": [jsonio.vertex_str(u), jsonio.vertex_str(v)],
-                    **jsonio.rotation_to_json(R),
-                }
-                for (u, v), R in sorted(verdict.embeddings.items())
-            ],
-        }
-        _emit(args, payload, "extra-planar")
+        _write(args, jsonio.extra_planar_to_text(verdict.embeddings)
+               if args.format == "json" else "extra-planar")
         return 0
     u, v = verdict.pair
     payload = {
@@ -239,8 +232,50 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="override the group-order / minor-host bounds")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_GRAPH = (("graph",), {})
+_GROUP = (("group",), {})
+
+# (name, help, arguments, handler): the subcommands in the order --help lists them
+_COMMANDS = (
+    ("planar", "planarity with embedding or minor witness", (_GRAPH,), _cmd_planar),
+    ("extra-planar", "is every single-edge addition planar?", (_GRAPH,), _cmd_extra_planar),
+    ("minor", "search for a fixed minor",
+     (_GRAPH, (("--model",), {"choices": sorted(_MODEL_NAMES), "required": True})), _cmd_minor),
+    ("faces", "boundary walks of a rotation system",
+     (_GRAPH, (("rotation",), {})), _cmd_faces),
+    ("check-flow", "validate a flow and classify its leak",
+     ((("flow",), {}),
+      (("--binary",), {"nargs": 2, "metavar": ("U", "V"),
+                       "help": "check for a binary leak at the two vertices"})),
+     _cmd_check_flow),
+    ("leak-witness", "synthesize a leaking flow on a non-planar graph", (_GRAPH,),
+     _cmd_leak_witness),
+    ("group-leakproof", "decide leak-proofness of a finite group", (_GROUP,),
+     _cmd_group_leakproof),
+    ("group-binary-leakproof", "decide binary leak-proofness", (_GROUP,),
+     _cmd_group_binary_leakproof),
+    ("examples", "emit one of the bundled example flows",
+     ((("which",), {"choices": ("k33", "k5", "k33minus")}),), _cmd_examples),
+)
+
+# top-level options that take the next token as their value
+_VALUE_FLAGS = ("-f", "-o", "--format", "--output", "--max-size")
+
+
+class _ParseFailed(Exception):
+    """Raised instead of printing a usage error, so that the full parser can
+    report it."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ParseFailed(message)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, one whose only subcommand is that
+    one and which raises ``_ParseFailed`` on a usage error."""
+    parser = (argparse.ArgumentParser if command is None else _QuietParser)(
         prog="groupflow",
         description="Group-valued graph flows: leak detection, certified planarity, leak-proof groups.",
     )
@@ -248,62 +283,49 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_common_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("planar", parents=[common],
-                       help="planarity with embedding or minor witness")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_planar)
-
-    p = sub.add_parser("extra-planar", parents=[common],
-                       help="is every single-edge addition planar?")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_extra_planar)
-
-    p = sub.add_parser("minor", parents=[common], help="search for a fixed minor")
-    p.add_argument("graph")
-    p.add_argument("--model", choices=sorted(_MODEL_NAMES), required=True)
-    p.set_defaults(func=_cmd_minor)
-
-    p = sub.add_parser("faces", parents=[common],
-                       help="boundary walks of a rotation system")
-    p.add_argument("graph")
-    p.add_argument("rotation")
-    p.set_defaults(func=_cmd_faces)
-
-    p = sub.add_parser("check-flow", parents=[common],
-                       help="validate a flow and classify its leak")
-    p.add_argument("flow")
-    p.add_argument("--binary", nargs=2, metavar=("U", "V"),
-                   help="check for a binary leak at the two vertices")
-    p.set_defaults(func=_cmd_check_flow)
-
-    p = sub.add_parser("leak-witness", parents=[common],
-                       help="synthesize a leaking flow on a non-planar graph")
-    p.add_argument("graph")
-    p.set_defaults(func=_cmd_leak_witness)
-
-    p = sub.add_parser("group-leakproof", parents=[common],
-                       help="decide leak-proofness of a finite group")
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_group_leakproof)
-
-    p = sub.add_parser("group-binary-leakproof", parents=[common],
-                       help="decide binary leak-proofness")
-    p.add_argument("group")
-    p.set_defaults(func=_cmd_group_binary_leakproof)
-
-    p = sub.add_parser("examples", parents=[common],
-                       help="emit one of the bundled example flows")
-    p.add_argument("which", choices=("k33", "k5", "k33minus"))
-    p.set_defaults(func=_cmd_examples)
-
+    for name, help_text, arguments, handler in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_text)
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+            p.set_defaults(func=handler)
     return parser
 
 
+def _subcommand(argv: list[str]) -> Optional[str]:
+    """The first token of ``argv`` that names a subcommand and is not the
+    value of a top-level option; None when there is none or when a help
+    flag appears anywhere.  An abbreviated option ("--out") is not known
+    here; if its value names a subcommand, that parse fails and ``_parse``
+    falls back to the full parser."""
+    if any(a.startswith(("-h", "--h")) for a in argv):
+        return None
+    names = {name for name, *_ in _COMMANDS}
+    tokens = iter(argv)
+    for a in tokens:
+        if a in names:
+            return a
+        if a in _VALUE_FLAGS:
+            next(tokens, None)
+    return None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone when it can be located;
+    any other argv, or a usage error, goes to the full parser, so help and
+    error text are always the full parser's."""
+    command = _subcommand(argv)
+    if command is not None:
+        try:
+            return build_parser(command).parse_args(argv)
+        except _ParseFailed:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -326,29 +326,40 @@ def _commuting_bitsets(G: FiniteGroup) -> list[int]:
 
 
 def _maximal_cliques(neigh: list[int], n: int) -> list[int]:
-    """Bron-Kerbosch with pivoting on bitset adjacency; returns clique bitsets."""
+    """Bron-Kerbosch with pivoting on bitset adjacency; returns clique bitsets.
+
+    The search runs on an explicit stack of frames [r, p, x, candidates],
+    so its depth is bounded by memory and not by the recursion limit.  A
+    frame's candidates are P minus the pivot's neighbours, fixed when the
+    frame is first reached, and are expanded lowest vertex first.
+    """
     out: list[int] = []
-
-    def bits(x: int):
-        while x:
-            b = x & -x
-            yield b.bit_length() - 1
-            x ^= b
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pivot = max(bits(p | x), key=lambda u: (p & neigh[u]).bit_count())
-        candidates = p & ~neigh[pivot]
-        for v in bits(candidates):
-            bit = 1 << v
-            expand(r | bit, p & neigh[v], x & neigh[v])
-            p &= ~bit
-            x |= bit
-
-    expand(0, (1 << n) - 1, 0)
+    stack: list[list] = [[0, (1 << n) - 1, 0, None]]
+    while stack:
+        frame = stack[-1]
+        r, p, x, candidates = frame
+        if candidates is None:
+            if p == 0 and x == 0:
+                out.append(r)
+                stack.pop()
+                continue
+            pivot = max(_bits(p | x), key=lambda u: (p & neigh[u]).bit_count())
+            candidates = p & ~neigh[pivot]
+        if candidates == 0:
+            stack.pop()
+            continue
+        bit = candidates & -candidates
+        v = bit.bit_length() - 1
+        frame[:] = [r, p & ~bit, x | bit, candidates ^ bit]
+        stack.append([r | bit, p & neigh[v], x & neigh[v], None])
     return out
+
+
+def _bits(x: int):
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
 
 
 def maximal_abelian_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -362,15 +373,7 @@ def maximal_abelian_subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
         return (Subgroup(G, tuple(range(G.order))),)
     neigh = _commuting_bitsets(G)
     cliques = _maximal_cliques(neigh, G.order)
-    subs = []
-    for mask in cliques:
-        members = []
-        x = mask
-        while x:
-            b = x & -x
-            members.append(b.bit_length() - 1)
-            x ^= b
-        subs.append(Subgroup(G, tuple(members)))
+    subs = [Subgroup(G, tuple(_bits(mask))) for mask in cliques]
     subs.sort(key=lambda s: s.members)
     return tuple(subs)
 
@@ -616,15 +619,13 @@ def _perm_group(n: int, even_only: bool, spec: str, max_order: int) -> FiniteGro
         perms.append(p)
     P = np.array(perms, dtype=np.int64)
     powers = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
-    keys = P @ powers
-    sorted_idx = np.argsort(keys)
-    sorted_keys = keys[sorted_idx]
     m = len(perms)
+    # index of each permutation by its base-n key (n ** n entries)
+    index = np.zeros(n ** n, dtype=np.int32)
+    index[P @ powers] = np.arange(m, dtype=np.int32)
     table = np.zeros((m, m), dtype=np.int32)
     for a in range(m):
-        composed = P[a][P]            # (p_a o p_b)(x) = p_a[p_b[x]]
-        ck = composed @ powers
-        table[a] = sorted_idx[np.searchsorted(sorted_keys, ck)]
+        table[a] = index[P[a][P] @ powers]   # (p_a o p_b)(x) = p_a[p_b[x]]
     names = [_perm_cycle_name(p) for p in perms]
     return FiniteGroup(table, names, spec=spec)
 

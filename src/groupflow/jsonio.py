@@ -92,6 +92,38 @@ def rotation_to_json(R: RotationSystem) -> dict:
     }
 
 
+def extra_planar_to_text(embeddings: dict[tuple[Vertex, Vertex], RotationSystem]) -> str:
+    """``dumps`` of {"extra_planar": true, "embeddings": [{"pair": [u, v],
+    **rotation_to_json(R)}, ...]}, one entry per pair in the given order,
+    written directly: each vertex name and each distinct (vertex, rotation)
+    entry is encoded once, and every embedding that shares an entry reuses
+    its text."""
+    if not embeddings:
+        return '{\n  "embeddings": [],\n  "extra_planar": true\n}\n'
+    vertices = next(iter(embeddings.values())).graph.vertices
+    name = {v: json.dumps(vertex_str(v)) for v in vertices}
+    by_name = sorted(vertices, key=vertex_str)   # sort_keys order of the rotation keys
+    entries: dict[tuple[Vertex, tuple[Vertex, ...]], str] = {}
+
+    def entry(v: Vertex, order: tuple[Vertex, ...]) -> str:
+        text = entries.get((v, order))
+        if text is None:
+            members = ",\n          ".join(name[u] for u in order)
+            text = (f'        {name[v]}: [\n          {members}\n        ]' if order
+                    else f'        {name[v]}: []')
+            entries[(v, order)] = text
+        return text
+
+    blocks = []
+    for (u, v), R in embeddings.items():
+        rotation = R.rotation
+        body = ",\n".join([entry(x, rotation[x]) for x in by_name])
+        blocks.append(f'    {{\n      "pair": [\n        {name[u]},\n        {name[v]}\n      ],\n'
+                      f'      "rotation": {{\n{body}\n      }}\n    }}')
+    return ('{\n  "embeddings": [\n' + ",\n".join(blocks)
+            + '\n  ],\n  "extra_planar": true\n}\n')
+
+
 def rotation_from_json(data: Any, G: Graph) -> RotationSystem:
     raw = data.get("rotation") if isinstance(data, dict) else None
     if not isinstance(raw, dict) or not all(isinstance(order, list) for order in raw.values()):

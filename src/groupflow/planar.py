@@ -9,13 +9,18 @@ count over all components decides the per-component check.
 ``test_planarity`` always returns one of two independently checkable
 certificates: such a rotation system, or a K5/K3,3 minor witness.
 
-``extra_planar`` embeds G once.  A non-adjacent pair u, v whose endpoints
-both have a corner on one face of that embedding gets G + uv's embedding
-by splicing the new edge into that face: v goes into u's rotation right
+``extra_planar`` embeds G once and keeps a pool of embeddings of G: the
+base one, then every LR embedding of some G + xy with xy taken out again.
+A non-adjacent pair u, v in one component whose endpoints both have a
+corner on one face of a pooled embedding gets G + uv's embedding by
+splicing the new edge into that face: v goes into u's rotation right
 after the dart that enters u along the face, and u into v's rotation
-likewise, which adds one edge and one face.  Only the pairs that share no
-face are run through the LR planarity test again (Brandes, "The
-Left-Right Planarity Test", 2009, as networkx implements it).  Every
+likewise, which adds one edge and one face.  A pair whose endpoints lie in
+different components is spliced at any corner of each (an isolated
+endpoint gets the rotation of the other alone); the two faces merge into
+one, so V - E + F stays 2 on the joined component.  Only a pair that no
+pooled embedding places is run through the LR planarity test (Brandes,
+"The Left-Right Planarity Test", 2009, as networkx implements it).  Every
 spliced embedding is Euler-checked like any other.
 
 A non-planar graph's witness comes from deleting edges, in sorted order,
@@ -354,13 +359,15 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     """Check that G plus any single edge is planar.
 
     G is embedded once.  Pairs that are already adjacent reuse that
-    embedding.  A non-adjacent pair with a corner of each endpoint on a
-    common face (the lowest-indexed such face, see ``_face_orbits``) has
-    the new edge spliced into the embedding there; the spliced rotation
-    system is validated and Euler-checked.  Only the other pairs, among
-    them those with endpoints in different components or at an isolated
-    vertex, are tested afresh, so the first failing pair (in canonical
-    order) and its witness are those of the per-pair test.
+    embedding.  A pair in two components is spliced into the base embedding
+    at any corner of each endpoint.  A non-adjacent pair in one component
+    is spliced into the first pooled embedding that has a corner of each
+    endpoint on a common face (its lowest-indexed such face, see
+    ``_face_orbits``).  Every spliced rotation system is validated and
+    Euler-checked.  A pair that no pooled embedding places is tested
+    afresh; its embedding, with the pair's edge taken out, joins the pool.
+    No failing pair is ever spliced, so the first failing pair (in
+    canonical order) and its witness are those of the per-pair test.
     """
     pairs = _vertex_pairs(G)
     base = test_planarity(G)
@@ -368,10 +375,8 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
         pair = pairs[0]
         # the witness lives inside G, hence also inside G plus the extra edge
         return ExtraPlanarVerdict(False, pair=pair, witness=base)
-    corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in G.vertices}
-    for f, orbit in enumerate(_face_orbits(base)):
-        for x, w in orbit:
-            corners[w].setdefault(f, x)
+    component = {v: i for i, members in enumerate(components(G)) for v in members}
+    pool = [(base, _corners(base))]
     embeddings: dict[tuple[Vertex, Vertex], RotationSystem] = {}
     for pair in pairs:
         if G.has_edge(*pair):
@@ -379,40 +384,62 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
             continue
         u, v = pair
         H = add_edge(G, u, v)
-        at = _splice_corners(corners[u], corners[v])
-        if at is None:
+        if component[u] != component[v]:
+            # any corner of each endpoint: after its first neighbour, if any
+            at = (next(iter(base.rotation[u]), None), next(iter(base.rotation[v]), None))
+            embeddings[pair] = _splice(H, base, pair, at)
+            continue
+        for R, corners in pool:
+            at = _splice_corners(corners[u], corners[v])
+            if at is not None:
+                embeddings[pair] = _splice(H, R, pair, at)
+                break
+        else:
             result = test_planarity(H)
             if isinstance(result, MinorWitness):
                 return ExtraPlanarVerdict(False, pair=pair, witness=result)
-        else:
-            result = _splice(H, base, pair, at)
-        embeddings[pair] = result
+            embeddings[pair] = result
+            rotation = dict(result.rotation)
+            rotation[u] = tuple(w for w in rotation[u] if w != v)
+            rotation[v] = tuple(w for w in rotation[v] if w != u)
+            pooled = RotationSystem(G, rotation)
+            pool.append((pooled, _corners(pooled)))
     return ExtraPlanarVerdict(True, embeddings=embeddings)
+
+
+def _corners(R: RotationSystem) -> dict[Vertex, dict[int, Vertex]]:
+    """For each vertex, its first corner on each face of R: face index (in
+    ``_face_orbits`` order) -> the vertex the face enters it from."""
+    corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in R.graph.vertices}
+    for f, orbit in enumerate(_face_orbits(R)):
+        for x, w in orbit:
+            corners[w].setdefault(f, x)
+    return corners
 
 
 def _splice_corners(at_u: dict[int, Vertex],
                     at_v: dict[int, Vertex]) -> Optional[tuple[Vertex, Vertex]]:
     """The in-neighbours of the corners at u and at v that the new edge uv
-    joins, given each endpoint's first corner per face (face index -> the
-    vertex the face enters it from, in face order); None when u and v share
-    no face."""
+    joins, given each endpoint's first corner per face (see ``_corners``);
+    None when u and v share no face."""
     for f, x in at_u.items():
         if f in at_v:
             return x, at_v[f]
     return None
 
 
-def _splice(H: Graph, base: RotationSystem, pair: tuple[Vertex, Vertex],
-            at: tuple[Vertex, Vertex]) -> RotationSystem:
-    """The base embedding with the edge uv = ``pair`` of H added at the
-    corners ``at``; it must pass the Euler check."""
-    rotation = dict(base.rotation)
+def _splice(H: Graph, R: RotationSystem, pair: tuple[Vertex, Vertex],
+            at: tuple[Optional[Vertex], Optional[Vertex]]) -> RotationSystem:
+    """The embedding R of G with the edge uv = ``pair`` of H added at the
+    corners ``at`` (None for an endpoint without edges, whose rotation
+    becomes the other endpoint alone); it must pass the Euler check."""
+    rotation = dict(R.rotation)
     for w, other, x in ((pair[0], pair[1], at[0]), (pair[1], pair[0], at[1])):
-        order = base.rotation[w]
-        i = order.index(x) + 1
+        order = R.rotation[w]
+        i = 0 if x is None else order.index(x) + 1
         rotation[w] = order[:i] + (other,) + order[i:]
-    R = RotationSystem(H, rotation)
-    if not euler_planar_check(R):
+    spliced = RotationSystem(H, rotation)
+    if not euler_planar_check(spliced):
         raise InternalInvariantError(
             f"extra_planar splice: embedding of G plus {pair!r} failed the Euler check")
-    return R
+    return spliced

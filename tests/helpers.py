@@ -15,9 +15,12 @@ two-form solve is witness_flow_from_kernel's former solve, and the
 row-and-column diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
 elimination is HowellForm's former row storage, the edge-by-edge
-uncontraction chain is synthesize_leaking_flow's former construction, and
-the single-root leaf-first loop is solve_tree_flow's former solve, each kept
-here as its oracle.
+uncontraction chain is synthesize_leaking_flow's former construction, the
+single-root leaf-first loop is solve_tree_flow's former solve, the recursive
+Bron-Kerbosch is _maximal_cliques' former search, the sorted-key search is
+the permutation-group table's former lookup, and the payload dict passed to
+dumps is the extra-planar JSON's former writer, each kept here as its
+oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from groupflow.graphs import (
     spanning_forest,
     vkey,
 )
-from groupflow.groups import FiniteGroup, Subgroup, abelian_basis
+from groupflow.groups import FiniteGroup, Subgroup, _perm_parity, abelian_basis
 from groupflow.howell import HowellForm, _egcd, _unit_scale
+from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
     ExtraPlanarVerdict,
     RotationSystem,
@@ -205,6 +209,65 @@ def maximal_abelian_oracle(G: FiniteGroup) -> set:
         if not any(mset < set(other) for other in subs):
             out.add(members)
     return out
+
+
+def maximal_cliques_by_recursion(neigh: list, n: int) -> list:
+    """Bron-Kerbosch with pivoting on bitset adjacency, one Python call per
+    clique member; returns clique bitsets in discovery order."""
+    out = []
+
+    def bits(x: int):
+        while x:
+            b = x & -x
+            yield b.bit_length() - 1
+            x ^= b
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot = max(bits(p | x), key=lambda u: (p & neigh[u]).bit_count())
+        candidates = p & ~neigh[pivot]
+        for v in bits(candidates):
+            bit = 1 << v
+            expand(r | bit, p & neigh[v], x & neigh[v])
+            p &= ~bit
+            x |= bit
+
+    expand(0, (1 << n) - 1, 0)
+    return out
+
+
+def perm_table_by_searchsorted(n: int, even_only: bool) -> np.ndarray:
+    """The Cayley table of sym:n (alt:n when even_only), each composed
+    permutation located by a binary search over the sorted base-n keys."""
+    perms = [p for p in itertools.permutations(range(n))
+             if not (even_only and _perm_parity(p) != 0)]
+    P = np.array(perms, dtype=np.int64)
+    powers = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
+    keys = P @ powers
+    sorted_idx = np.argsort(keys)
+    sorted_keys = keys[sorted_idx]
+    m = len(perms)
+    table = np.zeros((m, m), dtype=np.int32)
+    for a in range(m):
+        ck = P[a][P] @ powers
+        table[a] = sorted_idx[np.searchsorted(sorted_keys, ck)]
+    return table
+
+
+def extra_planar_text_by_payload(embeddings: dict) -> str:
+    """The extra-planar CLI's JSON for a positive verdict: the payload dict,
+    pairs in canonical order, written by ``dumps``."""
+    payload = {
+        "extra_planar": True,
+        "embeddings": [
+            {"pair": [vertex_str(u), vertex_str(v)], **rotation_to_json(R)}
+            for (u, v), R in sorted(embeddings.items(),
+                                    key=lambda kv: (vkey(kv[0][0]), vkey(kv[0][1])))
+        ],
+    }
+    return dumps(payload)
 
 
 def associative_by_exhaustion(T) -> bool:

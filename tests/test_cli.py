@@ -15,10 +15,17 @@ from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
 from groupflow.groups import group_from_cayley, standard_group
-from groupflow.planar import euler_planar_check
+from groupflow.planar import euler_planar_check, extra_planar
 from groupflow.planar import test_planarity as planarity_certificate
 
-from helpers import extra_planar_by_lr, random_connected_planar_graph, random_flow
+from helpers import (
+    all_labeled_graphs,
+    extra_planar_by_lr,
+    extra_planar_text_by_payload,
+    random_connected_planar_graph,
+    random_flow,
+    random_graph,
+)
 
 
 def invoke(argv):
@@ -607,3 +614,106 @@ def test_common_flags_after_subcommand(tmp_path):
     code, out, _ = invoke(["-f", "text", "planar", gpath])
     assert code == 0
     assert out.strip() == "planar"
+
+
+# -- parser per subcommand ---------------------------------------------------------
+
+
+def _parser_argvs(g, rot, flow):
+    bad = {"planar": [g, "extra"], "extra-planar": [g, "--model", "k5"],
+           "minor": [g, "--model", "k7"], "faces": [g], "check-flow": [flow, "--binary", "1"],
+           "leak-witness": [g, g], "group-leakproof": ["cyclic:4", "--max-size", "x"],
+           "group-binary-leakproof": ["cyclic:4", "-f", "xml"], "examples": ["k99"]}
+    good = {"planar": [g], "extra-planar": [g], "minor": [g, "--model", "k33"],
+            "faces": [g, rot], "check-flow": [flow, "--binary", "1", "2"], "leak-witness": [g],
+            "group-leakproof": ["cyclic:4"], "group-binary-leakproof": ["dihedral:3"],
+            "examples": ["k5"]}
+    for name, *_ in cli._COMMANDS:
+        yield [name, "-h"]
+        yield [name]
+        yield [name, *bad[name]]
+        yield [name, *good[name]]
+        yield ["-f", "text", name, *good[name]]
+        yield [name, *good[name], "-f", "text", "--max-size", "9"]
+        yield ["--max-size", "nine", name, *good[name]]
+        yield ["--form", "text", name, *good[name]]
+    yield from ([], ["-h"], ["--help"], ["-f", "text"], ["plnar", g],
+                ["-o", "planar", "extra-planar", g], ["--out", "planar", "extra-planar", g],
+                ["--max-size", "planar", "extra-planar", g], ["-f", "planar", "planar", g],
+                ["--output=planar", "extra-planar", g], ["-oplanar", "extra-planar", g])
+
+
+def test_subcommand_parser_matches_full_parser(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    k4 = named_graph("complete:4")
+    g = write_graph(tmp_path, "g.json", k4)
+    (tmp_path / "rot.json").write_text(jsonio.dumps(jsonio.rotation_to_json(
+        planarity_certificate(k4))))
+    (tmp_path / "flow.json").write_text(jsonio.dumps(jsonio.flow_to_json(example_flow_k33()[1])))
+    located = written = 0
+    subcommand = cli._subcommand
+    out = tmp_path / "planar"     # the -o target of the argvs that name it
+    for argv in _parser_argvs(g, "rot.json", "flow.json"):
+        results = []
+        for locate in (subcommand, lambda argv: None):
+            monkeypatch.setattr(cli, "_subcommand", locate)
+            out.unlink(missing_ok=True)
+            results.append((invoke(argv), out.exists() and out.read_text()))
+        assert results[0] == results[1], argv
+        located += subcommand(argv) is not None
+        written += bool(results[0][1])
+    assert located >= 60 and written >= 3
+
+
+def test_subcommand_located_only_where_exact():
+    assert cli._subcommand(["-f", "text", "planar", "g.json"]) == "planar"
+    assert cli._subcommand(["-o", "planar", "extra-planar", "g.json"]) == "extra-planar"
+    assert cli._subcommand(["--output=planar", "faces", "g", "r"]) == "faces"
+    for argv in ([], ["-h"], ["planar", "-h"], ["--help", "planar"], ["-o", "planar"],
+                 ["--max-size", "examples"]):
+        assert cli._subcommand(argv) is None
+    full = {a.dest: a for a in cli.build_parser()._actions}["command"].choices
+    assert list(full) == [name for name, *_ in cli._COMMANDS]
+    for name in full:
+        assert list({a.dest: a for a in cli.build_parser(name)._actions}["command"].choices) == [name]
+
+
+# -- extra-planar JSON writer ------------------------------------------------------
+
+
+def _writer_graphs():
+    for n in range(0, 6):
+        yield from all_labeled_graphs(n)
+    rng = random.Random(67)
+    for _ in range(60):
+        yield random_graph(rng, rng.randint(6, 12), rng.uniform(0.05, 0.3))
+    yield graph_from(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
+    yield graph_from([9, 10, 11, "x", "y"], [(9, 10), (10, "x"), (11, "y")])
+    yield graph_from(list(range(1, 13)), [(9, 10), (10, 11), (1, 12)])
+    yield graph_from(['q"uote', "été", "tab\\"], [('q"uote', "été")])
+
+
+def test_extra_planar_json_matches_payload_dumps(tmp_path):
+    """Every positive verdict's JSON equals dumps of the payload dict: every
+    graph on at most 5 vertices (and the empty graph), seeded sparse 6-12
+    vertex graphs, string and mixed labels ("10" sorts before "9" as a key)
+    and labels that JSON escapes."""
+    positive = 0
+    for i, G in enumerate(_writer_graphs()):
+        path = tmp_path / "g.json"
+        path.write_text(jsonio.dumps(jsonio.graph_to_json(G)))
+        code, out, err = invoke(["extra-planar", str(path)])
+        verdict = extra_planar(G)
+        assert code == (0 if verdict.extra_planar else 1), (G, err)
+        if verdict.extra_planar:
+            positive += 1
+            assert out == extra_planar_text_by_payload(verdict.embeddings), G
+    assert positive >= 900
+
+
+def test_group_leakproof_dihedral_1000_gets_a_verdict():
+    """The rotation subgroup of order 1000 is an abelian subgroup as deep as
+    the clique search goes; it must not reach the recursion limit."""
+    code, out, err = invoke(["group-leakproof", "dihedral:1000"])
+    assert code in (0, 1), err
+    assert json.loads(out)["group"] == "dihedral:1000"

@@ -38,7 +38,12 @@ from groupflow.groups import (
     standard_group,
 )
 
-from helpers import associative_by_exhaustion, maximal_abelian_oracle
+from helpers import (
+    associative_by_exhaustion,
+    maximal_abelian_oracle,
+    maximal_cliques_by_recursion,
+    perm_table_by_searchsorted,
+)
 
 
 # -- group_from_cayley ---------------------------------------------------------
@@ -417,6 +422,33 @@ def test_maximal_abelian_vs_clique_oracle(spec):
     cliques = {tuple(sorted(c)) for c in nx.find_cliques(graph)}
     got = {s.members for s in maximal_abelian_subgroups(G)}
     assert got == cliques
+
+
+def _cliques_match_recursive_oracle(G):
+    neigh = groups._commuting_bitsets(G)
+    cliques = groups._maximal_cliques(neigh, G.order)
+    assert cliques == maximal_cliques_by_recursion(neigh, G.order)
+    if not G.is_abelian:
+        expected = sorted(tuple(groups._bits(c)) for c in cliques)
+        assert [s.members for s in maximal_abelian_subgroups(G)] == expected
+
+
+def test_maximal_cliques_match_recursive_oracle_benchmark_specs():
+    for spec in BENCHMARK_GROUPS:
+        _cliques_match_recursive_oracle(standard_group(spec))
+
+
+def test_maximal_cliques_match_recursive_oracle_dihedral_up_to_200():
+    for n in range(1, 101):
+        _cliques_match_recursive_oracle(standard_group(f"dihedral:{n}"))
+
+
+@pytest.mark.parametrize("spec", [f"sym:{n}" for n in range(1, 7)]
+                         + [f"alt:{n}" for n in range(3, 8)])
+def test_perm_table_matches_searchsorted_oracle(spec):
+    head, n = spec.split(":")
+    G = standard_group(spec)
+    assert np.array_equal(G.table, perm_table_by_searchsorted(int(n), head == "alt"))
 
 
 # -- abelian basis and discrete log -------------------------------------------------------

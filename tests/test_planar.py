@@ -430,20 +430,45 @@ def test_extra_planar_matches_lr_oracle_sampled_6_to_10_vertices():
     assert disconnected >= 50 and isolated >= 20
 
 
-def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
-    """A tree's embedding has one face, so pairs inside a tree are spliced;
-    pairs across trees or at an isolated vertex share no face and get their
-    own planarity test."""
+def _count_planarity_tests(monkeypatch) -> list:
     calls = []
     original = planar.test_planarity
     monkeypatch.setattr(planar, "test_planarity", lambda G: calls.append(G) or original(G))
+    return calls
+
+
+def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
+    """A tree's embedding has one face, so pairs inside a tree are spliced;
+    pairs across trees or at an isolated vertex are spliced at any corner
+    of each endpoint, so the forest needs its base test alone."""
+    calls = _count_planarity_tests(monkeypatch)
     g = graph_from(range(1, 10), [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
     verdict = extra_planar(g)
     assert verdict.extra_planar and len(verdict.embeddings) == 36
     comp = {v: i for i, c in enumerate(components(g)) for v in c}
     apart = [(u, v) for u, v in verdict.embeddings if comp[u] != comp[v]]
     assert len(apart) == 27
-    assert calls == [g] + [add_edge(g, u, v) for u, v in apart]
+    assert calls == [g]
+    for u, v in apart:
+        R = verdict.embeddings[(u, v)]
+        assert R.graph == add_edge(g, u, v) and euler_planar_check(R)
+    assert verdict.embeddings[(8, 9)].rotation[8] == (9,)
+
+
+def test_extra_planar_pool_places_pair_the_base_embedding_does_not(monkeypatch):
+    """(1, 5), (2, 4) and (4, 5) share no face of the base embedding.  The
+    first two get their own test; (4, 5) shares a face of a pooled
+    embedding of G, one that an LR test of G plus an earlier pair gave."""
+    g = graph_from(range(1, 7), [(1, 3), (1, 6), (2, 3), (2, 5), (2, 6), (3, 5), (3, 6),
+                                 (4, 6), (5, 6)])
+    base_faces = [{w for _, w in orbit} for orbit in planar._face_orbits(embed(g))]
+    for u, v in [(1, 5), (2, 4), (4, 5)]:
+        assert not any(u in f and v in f for f in base_faces)
+    calls = _count_planarity_tests(monkeypatch)
+    verdict = extra_planar(g)
+    assert verdict.extra_planar
+    assert calls == [g, add_edge(g, 1, 5), add_edge(g, 2, 4)]
+    _assert_matches_lr_oracle(g)
 
 
 def test_extra_planar_splice_failing_euler_check_names_stage_and_pair(monkeypatch):
