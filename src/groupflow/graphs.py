@@ -81,7 +81,17 @@ def graph_from(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]
 
 
 def add_edge(G: Graph, u: Vertex, v: Vertex) -> Graph:
-    return Graph(G.vertices, G.edges | {edge_key(u, v)})
+    """G plus the edge uv.  When G's adjacency is already built, the new
+    graph's is G's with only the neighbour tuples of u and v re-sorted."""
+    e = edge_key(u, v)
+    H = Graph(G.vertices, G.edges | {e})
+    adj = G.__dict__.get("adjacency")
+    if adj is not None and e not in G.edges:
+        adj = dict(adj)
+        adj[u] = tuple(sorted(adj[u] + (v,), key=vkey))
+        adj[v] = tuple(sorted(adj[v] + (u,), key=vkey))
+        H.__dict__["adjacency"] = adj
+    return H
 
 
 def remove_edge(G: Graph, u: Vertex, v: Vertex) -> Graph:

@@ -260,7 +260,6 @@ def _greedy_solve(D: DeltaPresentation, gamma: int, target: np.ndarray):
                 tracked.add_row(row)
                 tags.append(tag)
         chosen.append(i)
-        coeffs = tracked.solve(target)
-        if coeffs is not None:
-            return coeffs, tags
+        if tracked.contains(target):
+            return tracked.solve(target), tags
     raise InternalInvariantError("full family does not express a certified member")

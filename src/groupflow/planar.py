@@ -20,8 +20,8 @@ different components is spliced at any corner of each (an isolated
 endpoint gets the rotation of the other alone); the two faces merge into
 one, so V - E + F stays 2 on the joined component.  Only a pair that no
 pooled embedding places is run through the LR planarity test (Brandes,
-"The Left-Right Planarity Test", 2009, as networkx implements it).  Every
-spliced embedding is Euler-checked like any other.
+"The Left-Right Planarity Test", 2009; see ``_lr``).  Every spliced
+embedding is Euler-checked like any other.
 
 A non-planar graph's witness comes from deleting edges, in sorted order,
 while the graph stays non-planar.  Each "still non-planar without e?"
@@ -31,8 +31,9 @@ and a vertex of degree 2 is suppressed into an edge between its
 neighbours (or deleted when they are already adjacent).  A reduced graph
 on at most 5 vertices is non-planar only if it is K5; one with more than
 3n - 6 edges is non-planar by Euler's formula; only the rest go to the LR
-test.  Every answer is the one an LR test of the whole graph would give,
-so the witness does not depend on the reduction.
+test, which then only decides and builds no embedding.  Every answer is
+the one an LR test of the whole graph would give, so the witness does not
+depend on the reduction.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-import networkx as nx
-
+from ._lr import lr_planarity
 from .errors import InternalInvariantError, NotPlanarEmbedding, ParseError
 from .graphs import (
     Graph,
@@ -142,28 +142,34 @@ def euler_planar_check(R: RotationSystem) -> bool:
     2001).  Summed over the k components that have an edge (an isolated
     vertex has no edge and no face), V - E + F reaches 2k exactly when every
     term is 2, so one face count over all components decides the check.
+    One traversal counts those k components and their vertices.
     """
     G = R.graph
-    sizes = [len(members) for members in components(G) if len(members) > 1]
-    return sum(sizes) - G.m + len(_face_orbits(R)) == 2 * len(sizes)
+    adj = G.adjacency
+    seen: set[Vertex] = set()
+    k = 0
+    for start in G.vertices:
+        if start in seen or not adj[start]:
+            continue
+        k += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) - G.m + len(_face_orbits(R)) == 2 * k
 
 
 # -- planarity dichotomy ---------------------------------------------------------
 
 
-def _nx_graph(G: Graph) -> nx.Graph:
-    H = nx.Graph()
-    H.add_nodes_from(G.vertices)
-    H.add_edges_from(G.edges)
-    return H
-
-
 def _embedding(G: Graph) -> Optional[RotationSystem]:
-    ok, emb = nx.check_planarity(_nx_graph(G), counterexample=False)
-    if not ok:
-        return None
-    data = emb.get_data()
-    return RotationSystem(G, {v: tuple(data.get(v, ())) for v in G.vertices})
+    """G's LR embedding, walked over ``G.adjacency`` in vertex order, so one
+    graph always gets one rotation system; None when G is not planar."""
+    rotation = lr_planarity(G.adjacency, embed=True)
+    return None if rotation is None else RotationSystem(G, rotation)
 
 
 def _reduce(adj: dict[Vertex, set[Vertex]]) -> dict[Vertex, set[Vertex]]:
@@ -199,7 +205,8 @@ def _reduce(adj: dict[Vertex, set[Vertex]]) -> dict[Vertex, set[Vertex]]:
 def _reduced_is_planar(adj: dict[Vertex, set[Vertex]]) -> bool:
     """Planarity of the graph with adjacency ``adj``, decided on its
     reduction: with at most 5 vertices only K5 is non-planar, more than
-    3n - 6 edges break Euler's bound, and anything else gets the LR test."""
+    3n - 6 edges break Euler's bound, and anything else gets the LR test
+    without its embedding phases."""
     H = _reduce(adj)
     n = len(H)
     m = sum(len(ns) for ns in H.values()) // 2
@@ -207,7 +214,7 @@ def _reduced_is_planar(adj: dict[Vertex, set[Vertex]]) -> bool:
         return m < 10
     if m > 3 * n - 6:
         return False
-    return nx.check_planarity(nx.Graph(H), counterexample=False)[0]
+    return lr_planarity(H)
 
 
 def _kuratowski_witness(G: Graph) -> MinorWitness:

@@ -16,7 +16,8 @@ row-and-column diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
 elimination is HowellForm's former row storage, the edge-by-edge
 uncontraction chain is synthesize_leaking_flow's former construction, the
-single-root leaf-first loop is solve_tree_flow's former solve, the recursive
+single-root leaf-first loop is solve_tree_flow's former solve, networkx's
+check_planarity is the planar module's former LR test, the recursive
 Bron-Kerbosch is _maximal_cliques' former search, the sorted-key search is
 the permutation-group table's former lookup, and the payload dict passed to
 dumps is the extra-planar JSON's former writer, each kept here as its
@@ -61,7 +62,6 @@ from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
     ExtraPlanarVerdict,
     RotationSystem,
-    _nx_graph,
     _subdivision_witness,
     test_planarity,
 )
@@ -311,6 +311,18 @@ def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:
     return ExtraPlanarVerdict(True, embeddings=embeddings)
 
 
+def nx_is_planar(G) -> bool:
+    """networkx's LR planarity verdict for a Graph (its edges added in
+    sorted order) or an adjacency mapping."""
+    if isinstance(G, Graph):
+        H = nx.Graph()
+        H.add_nodes_from(G.vertices)
+        H.add_edges_from(G.sorted_edges())
+    else:
+        H = nx.Graph(G)
+    return nx.check_planarity(H, counterexample=False)[0]
+
+
 def kuratowski_by_lr(G: Graph) -> MinorWitness:
     """The Kuratowski witness of a non-planar G with one full LR test of the
     current edge set per edge, deleting each edge (in sorted order) whose
@@ -318,7 +330,7 @@ def kuratowski_by_lr(G: Graph) -> MinorWitness:
     edges = set(G.edges)
     for e in G.sorted_edges():
         trial = Graph(G.vertices, frozenset(edges - {e}))
-        if not nx.check_planarity(_nx_graph(trial), counterexample=False)[0]:
+        if not nx_is_planar(trial):
             edges.remove(e)
     return _subdivision_witness(G, edges)
 

@@ -6,10 +6,15 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import groupflow
 from groupflow import cli, jsonio
 from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
@@ -109,6 +114,39 @@ def test_extra_planar_negative_output_matches_lr_oracle(tmp_path, monkeypatch, f
     monkeypatch.setattr(cli, "extra_planar", extra_planar_by_lr)
     assert code == 1
     assert (code, out) == invoke(["extra-planar", path, "-f", fmt])[:2]
+
+
+# -- fresh interpreters ------------------------------------------------------------
+
+
+def _fresh_python(args, hash_seed=0):
+    """Run ``python args`` in a new interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(groupflow.__file__).parents[1]),
+               PYTHONHASHSEED=str(hash_seed))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=False)
+
+
+def test_cli_import_leaves_networkx_out():
+    proc = _fresh_python(["-c", "import sys, groupflow.cli; print('networkx' in sys.modules)"])
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def test_planar_outputs_do_not_depend_on_hash_seed(tmp_path):
+    """String labels hash differently per process; the certificates must
+    not change with them."""
+    cases = [
+        ("planar", [("va", "vb"), ("va", "vd"), ("va", "vf"), ("va", "vg"), ("vb", "vd"),
+                    ("vb", "ve"), ("vc", "vd"), ("vd", "ve"), ("vf", "vg")]),
+        ("extra-planar", [("wa", "wb"), ("wb", "wc"), ("wc", "wd"), ("wc", "we"), ("wc", "wg"),
+                          ("wc", "wi"), ("wd", "wf"), ("wf", "wh"), ("wg", "wh")]),
+    ]
+    for command, edges in cases:
+        path = write_graph(tmp_path, f"{command}.json",
+                           graph_from({v for e in edges for v in e}, edges))
+        runs = [_fresh_python(["-m", "groupflow.cli", command, path], seed) for seed in range(4)]
+        assert all(proc.returncode == 0 for proc in runs), runs[0].stderr
+        assert len({proc.stdout for proc in runs}) == 1, command
 
 
 # -- minor -------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from helpers import (
     extra_planar_by_lr,
     face_orbits_by_next_neighbor,
     kuratowski_by_lr,
+    nx_is_planar,
     random_graph,
 )
 
@@ -226,10 +227,6 @@ def _adjacency(G):
     return {v: set(G.neighbors(v)) for v in G.vertices}
 
 
-def _lr_planar(adj):
-    return nx.check_planarity(nx.Graph(adj), counterexample=False)[0]
-
-
 def test_kuratowski_witness_matches_lr_oracle(monkeypatch):
     """The reduced deletion tests find the witness of one LR test per edge,
     with fewer LR calls, some edges deleted by the pendant rule alone."""
@@ -240,24 +237,25 @@ def test_kuratowski_witness_matches_lr_oracle(monkeypatch):
     sampled = 0
     while sampled < 300:
         g = random_graph(rng, rng.randint(5, 14), rng.uniform(0.3, 0.9))
-        if not _lr_planar(_adjacency(g)):
+        if not nx_is_planar(_adjacency(g)):
             graphs.append(g)
             sampled += 1
     lr_calls = Counter()
-    lr = nx.check_planarity
+    oracle = nx.check_planarity
+    lr = planar.lr_planarity
     decider = planar._reduced_is_planar
-    side = "oracle"
     monkeypatch.setattr(nx, "check_planarity",
-                        lambda *a, **k: lr_calls.update([side]) or lr(*a, **k))
+                        lambda *a, **k: lr_calls.update(["oracle"]) or oracle(*a, **k))
+    monkeypatch.setattr(planar, "lr_planarity",
+                        lambda *a, **k: lr_calls.update(["reduced"]) or lr(*a, **k))
     monkeypatch.setattr(planar, "_reduced_is_planar",
                         lambda adj: lr_calls.update(["decider"]) or decider(adj))
     for g in graphs:
-        side = "oracle"
         want = kuratowski_by_lr(g)
-        side = "reduced"
         got = planar._kuratowski_witness(g)
         assert got == want, g
         assert verify_minor(g, got)
+    assert lr_calls["reduced"] > 0
     assert lr_calls["oracle"] == sum(g.m for g in graphs)
     assert lr_calls["reduced"] < lr_calls["oracle"] / 2
     assert lr_calls["decider"] < lr_calls["oracle"]   # the rest were pendant edges
@@ -279,17 +277,17 @@ def test_reduced_planarity_decider_matches_lr():
     decided = Counter()
     for _ in range(400):
         adj = _adjacency(random_graph(rng, rng.randint(3, 12), rng.uniform(0.1, 0.9)))
-        assert planar._reduced_is_planar(adj) == _lr_planar(adj)
+        assert planar._reduced_is_planar(adj) == nx_is_planar(adj)
         decided[_deciding_rule(adj)] += 1
     while sum(decided.values()) < 2400:
         g = random_graph(rng, rng.randint(5, 12), rng.uniform(0.4, 0.9))
         adj = _adjacency(g)
-        if _lr_planar(adj):
+        if nx_is_planar(adj):
             continue
         for u, v in g.sorted_edges():
             adj[u].remove(v)
             adj[v].remove(u)
-            planar_now = _lr_planar(adj)
+            planar_now = nx_is_planar(adj)
             if not (adj[u] and adj[v]):
                 assert not planar_now
                 decided["pendant"] += 1
@@ -456,18 +454,17 @@ def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
 
 
 def test_extra_planar_pool_places_pair_the_base_embedding_does_not(monkeypatch):
-    """(1, 5), (2, 4) and (4, 5) share no face of the base embedding.  The
-    first two get their own test; (4, 5) shares a face of a pooled
+    """(3, 5), (4, 6) and (5, 6) share no face of the base embedding.  The
+    first two get their own test; (5, 6) shares a face of a pooled
     embedding of G, one that an LR test of G plus an earlier pair gave."""
-    g = graph_from(range(1, 7), [(1, 3), (1, 6), (2, 3), (2, 5), (2, 6), (3, 5), (3, 6),
-                                 (4, 6), (5, 6)])
+    g = graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)])
     base_faces = [{w for _, w in orbit} for orbit in planar._face_orbits(embed(g))]
-    for u, v in [(1, 5), (2, 4), (4, 5)]:
+    for u, v in [(3, 5), (4, 6), (5, 6)]:
         assert not any(u in f and v in f for f in base_faces)
     calls = _count_planarity_tests(monkeypatch)
     verdict = extra_planar(g)
     assert verdict.extra_planar
-    assert calls == [g, add_edge(g, 1, 5), add_edge(g, 2, 4)]
+    assert calls == [g, add_edge(g, 3, 5), add_edge(g, 4, 6)]
     _assert_matches_lr_oracle(g)
 
 
