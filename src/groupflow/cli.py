@@ -40,7 +40,7 @@ _MODEL_NAMES = {
 
 
 def _read_json(path: str):
-    return _read(path, json.loads)
+    return _read(path, jsonio.loads)
 
 
 def _read_graph(path: str):
@@ -228,8 +228,15 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="output mode (default json)")
     parser.add_argument("--output", "-o", default=default(None),
                         help="write output to a file instead of stdout")
-    parser.add_argument("--max-size", type=int, default=default(None),
+    parser.add_argument("--max-size", type=_positive_int, default=default(None),
                         help="override the group-order / minor-host bounds")
+
+
+def _positive_int(text: str) -> int:
+    """--max-size's value: a positive integer of at most 18 digits."""
+    if not (text.isascii() and text.isdigit() and len(text) <= 18 and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"needs a positive integer below 10^18, got {text[:20]!r}")
+    return int(text)
 
 
 _GRAPH = (("graph",), {})

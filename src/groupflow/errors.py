@@ -10,8 +10,11 @@ class ParseError(GroupFlowError):
 
 
 class TooLarge(GroupFlowError):
-    def __init__(self, order, bound):
-        super().__init__(f"order {order} exceeds the configured bound {bound}")
+    """An order above its bound.  ``order`` may be a short text, such as
+    "1000!", for a number too long to write out."""
+
+    def __init__(self, order, bound, message=None):
+        super().__init__(message or f"order {order} exceeds the configured bound {bound}")
         self.order = order
         self.bound = bound
 
@@ -47,14 +50,6 @@ class NotAbelian(GroupFlowError):
 
 
 class NotMember(GroupFlowError):
-    pass
-
-
-class NotSpanning(GroupFlowError):
-    pass
-
-
-class NotForest(GroupFlowError):
     pass
 
 

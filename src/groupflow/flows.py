@@ -2,12 +2,12 @@
 
 A flow assigns a group element to each ordered vertex pair, skew-symmetric
 (f(u,v) = f(v,u)^-1) and identity off the edge set.  This module covers
-validation, tractability, excess and leak detection, the two flows carried
-by the complete-bipartite and complete-graph examples, flow transport
-through subgraphs and edge un-contractions, leak synthesis for non-planar
-graphs, the face-walk conjugation transform, and a tree solver that
-generates conserving flows.  Tractability (the values entering each vertex
-commute) and every vertex's excess come from one pass over the support.
+validation, tractability, excess and leak detection, the flows carried by
+the complete-bipartite and complete-graph examples, leak synthesis for
+non-planar graphs, the face-walk conjugation transform, and a tree solver
+that generates conserving flows.  Tractability (the values entering each
+vertex commute) and every vertex's excess come from one pass over the
+support.
 
 Leak synthesis lifts the K5 or K3,3 example flow through a minor witness:
 each model value goes on one host edge, and the tree solver's leaf-first
@@ -37,11 +37,9 @@ from .graphs import (
     Vertex,
     bridges,
     components,
-    contract_edge,
     edge_key,
     graph_from,
     is_forest,
-    is_subgraph,
     named_graph,
     vkey,
 )
@@ -258,76 +256,6 @@ def example_flow_k33_minus() -> tuple[Graph, GroupFlow]:
     host = remove_edge(graph, 3, 6)
     values = {p: g for p, g in flow.values.items() if set(p) != {3, 6}}
     return host, GroupFlow(host, flow.group, values)
-
-
-# -- transport ----------------------------------------------------------------------
-
-
-def lift_through_subgraph(G: Graph, H: Graph, g: GroupFlow) -> GroupFlow:
-    """Extend a flow on a subgraph H to all of G by the identity elsewhere."""
-    if g.graph != H:
-        raise NotSubgraph("flow is not on the given subgraph")
-    if not is_subgraph(H, G):
-        raise NotSubgraph("H is not a subgraph of G")
-    return GroupFlow(G, g.group, dict(g.values))
-
-
-def uncontract_flow(G: Graph, e: tuple[Vertex, Vertex], f: GroupFlow) -> GroupFlow:
-    """Pull a tractable flow on G/e back to G.
-
-    With e = {a, b}, X = N(a) minus e and Y = N(b) minus (e union X), the
-    values into the contracted vertex are split among a and b, and the new
-    edge value g(a,b) = prod over u in X of g(u,a) restores conservation at
-    a while moving the excess of the contracted vertex to b.
-    """
-    a, b = e
-    if not G.has_edge(a, b):
-        raise EdgeMissing(e)
-    contracted, quotient = contract_edge(G, (a, b))
-    if f.graph != contracted:
-        raise NotSubgraph("flow is not on the contraction of G along e")
-    before, bad = _excesses(f)
-    if before is None:
-        raise NotTractable(bad)
-    group = f.group
-    merged = quotient[a]
-    X = [u for u in G.neighbors(a) if u not in (a, b)]
-    Y = [v for v in G.neighbors(b) if v not in (a, b) and v not in X]
-    values: dict[tuple[Vertex, Vertex], int] = {}
-    for (u, v), g in f.values.items():
-        if u != merged and v != merged:
-            values[(u, v)] = g
-    for u in X:
-        g = f.value(u, merged)
-        values[(u, a)] = g
-        values[(a, u)] = group.inv(g)
-    for v in Y:
-        g = f.value(merged, v)
-        values[(b, v)] = g
-        values[(v, b)] = group.inv(g)
-    gab = group.prod(values.get((u, a), group.identity) for u in X)
-    values[(a, b)] = gab
-    values[(b, a)] = group.inv(gab)
-    result = GroupFlow(G, group, values)
-    _check_uncontract_contract(before, result, merged, a, b)
-    return result
-
-
-def _check_uncontract_contract(before: dict[Vertex, int], g: GroupFlow, merged: Vertex,
-                               a: Vertex, b: Vertex) -> None:
-    after, bad = _excesses(g)
-    if after is None:
-        raise InternalInvariantError(f"uncontracted flow lost tractability at {bad}")
-    ident = g.group.identity
-    if after[a] != ident:
-        raise InternalInvariantError("uncontraction left a non-conserving split vertex")
-    if after[b] != before[merged]:
-        raise InternalInvariantError("uncontraction did not transfer the excess")
-    for v in g.graph.vertices:
-        if v in (a, b):
-            continue
-        if after[v] != before[v]:
-            raise InternalInvariantError(f"uncontraction changed the excess at {v}")
 
 
 # -- leak synthesis ------------------------------------------------------------------

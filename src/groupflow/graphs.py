@@ -1,4 +1,4 @@
-"""Simple undirected graphs with contraction and minor search.
+"""Simple undirected graphs with connectivity tools and minor search.
 
 Vertices are opaque ordered tokens (ints or strings); canonical outputs
 sort by token.  Minor containment is decided exactly at desk scale by a
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import HostTooLarge, InternalInvariantError, NotForest, NotSpanning, ParseError
+from .errors import HostTooLarge, InternalInvariantError, ParseError
 
 Vertex = Union[int, str]
 
@@ -103,10 +103,6 @@ def induced_subgraph(G: Graph, vertices: Iterable[Vertex]) -> Graph:
     return graph_from(vs, (e for e in G.edges if e[0] in vs and e[1] in vs))
 
 
-def is_subgraph(H: Graph, G: Graph) -> bool:
-    return set(H.vertices) <= set(G.vertices) and H.edges <= G.edges
-
-
 def named_graph(name: str) -> Graph:
     """Canonical graphs on vertex labels 1..n.
 
@@ -179,10 +175,6 @@ def components(G: Graph) -> list[tuple[Vertex, ...]]:
     return out
 
 
-def connected(G: Graph) -> bool:
-    return len(components(G)) <= 1
-
-
 def bridges(G: Graph) -> frozenset[tuple[Vertex, Vertex]]:
     """Edges whose removal disconnects their endpoints (Tarjan low-links)."""
     index: dict[Vertex, int] = {}
@@ -239,38 +231,6 @@ def spanning_forest(G: Graph) -> Graph:
 
 def is_forest(G: Graph) -> bool:
     return G.m == G.n - len(components(G))
-
-
-def contract(G: Graph, H: Graph) -> tuple[Graph, dict[Vertex, Vertex]]:
-    """Contract a spanning forest H inside G.
-
-    Each connected component of H becomes a single vertex, labelled by its
-    minimal member; the returned map sends every vertex of G to its class.
-    """
-    if set(H.vertices) != set(G.vertices):
-        raise NotSpanning("H must span the vertices of G")
-    if not H.edges <= G.edges:
-        raise NotSpanning("H must be a subgraph of G")
-    if not is_forest(H):
-        raise NotForest("H has a cycle")
-    quotient: dict[Vertex, Vertex] = {}
-    for comp in components(H):
-        rep = comp[0]
-        for v in comp:
-            quotient[v] = rep
-    edges = set()
-    for u, v in G.edges:
-        ru, rv = quotient[u], quotient[v]
-        if ru != rv:
-            edges.add(edge_key(ru, rv))
-    return graph_from(set(quotient.values()), edges), quotient
-
-
-def contract_edge(G: Graph, e: tuple[Vertex, Vertex]) -> tuple[Graph, dict[Vertex, Vertex]]:
-    """Contract a single edge of G (forest = that edge plus isolated vertices)."""
-    u, v = e
-    forest = graph_from(G.vertices, [edge_key(u, v)])
-    return contract(G, forest)
 
 
 # -- minors ---------------------------------------------------------------------

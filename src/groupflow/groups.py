@@ -17,7 +17,6 @@ no split by primes: see ``abelian_basis``.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -40,6 +39,7 @@ from .errors import (
 )
 
 DEFAULT_MAX_ORDER = 5040
+MAX_TABLE_BYTES = 1 << 30       # the largest array a group builder may allocate
 
 
 class FiniteGroup:
@@ -198,9 +198,6 @@ class FiniteGroup:
             self._orders.setflags(write=False)
         return self._orders
 
-    def exponent(self) -> int:
-        return int(np.lcm.reduce(self.element_orders()))
-
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -210,10 +207,6 @@ class FiniteGroup:
     def center(self) -> tuple[int, ...]:
         mask = np.all(self.table == self.table.T, axis=1)
         return tuple(int(i) for i in np.nonzero(mask)[0])
-
-    def conjugate(self, h: int, g: int) -> int:
-        """h g h^-1."""
-        return self.mul(self.mul(h, g), self.inv(h))
 
     def __repr__(self) -> str:
         label = self.spec or "group"
@@ -296,14 +289,6 @@ def _orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.n
         todo, cur = todo[~hit], cur[~hit]
         cur, k = T[cur, members[todo]], k + 1
     return f
-
-
-def closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """The subgroup generated by gens."""
-    reached = np.zeros(G.order, dtype=bool)
-    reached[G.identity] = True
-    _right_closure(G.table, reached, [int(g) for g in gens])
-    return Subgroup(G, tuple(np.nonzero(reached)[0].tolist()))
 
 
 def centralizer(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
@@ -478,10 +463,6 @@ class EsElement:
         return EsElement(eps, self.u ^ other.u, self.v ^ other.v)
 
 
-def es_encode(n: int, e: EsElement) -> int:
-    return e.eps | (e.u << 1) | (e.v << (n + 1))
-
-
 def es_decode(n: int, idx: int) -> EsElement:
     mask = (1 << n) - 1
     return EsElement(idx & 1, (idx >> 1) & mask, (idx >> (n + 1)) & mask)
@@ -508,10 +489,8 @@ def es_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     return _standard_group_cached(f"es:{n}", max_order)
 
 
-def _es_group_impl(n: int, max_order: int) -> FiniteGroup:
+def _es_group_impl(n: int) -> FiniteGroup:
     order = 1 << (2 * n + 1)
-    if order > max_order:
-        raise TooLarge(order, max_order)
     idx = np.arange(order, dtype=np.int64)
     eps = idx & 1
     umask = (1 << n) - 1
@@ -606,12 +585,7 @@ def _perm_cycle_name(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "1"
 
 
-def _perm_group(n: int, even_only: bool, spec: str, max_order: int) -> FiniteGroup:
-    order = math.factorial(n)
-    if even_only:
-        order //= 2 if n >= 2 else 1
-    if order > max_order:
-        raise TooLarge(order, max_order)
+def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
     perms = []
     for p in itertools.permutations(range(n)):
         if even_only and _perm_parity(p) != 0:
@@ -646,11 +620,8 @@ def _perm_parity(perm: Sequence[int]) -> int:
     return parity
 
 
-def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str],
-                    max_order: int) -> FiniteGroup:
+def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str]) -> FiniteGroup:
     order = A.order * B.order
-    if order > max_order:
-        raise TooLarge(order, max_order)
     nb = B.order
     ia, ib = divmod(np.arange(order), nb)
     table = A.table[np.ix_(ia, ia)].astype(np.int64) * nb + B.table[np.ix_(ib, ib)]
@@ -665,15 +636,13 @@ def designated_central_involution(G: FiniteGroup) -> Optional[int]:
     return candidates[0] if len(candidates) == 1 else None
 
 
-def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str, max_order: int) -> FiniteGroup:
+def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     za = designated_central_involution(A)
     zb = designated_central_involution(B)
     if za is None or zb is None:
         raise CentreMismatch("central product needs a unique central involution in each factor")
     order = A.order * B.order // 2
-    if order > max_order:
-        raise TooLarge(order, max_order)
-    prod = _direct_product(A, B, spec=None, max_order=max_order * 2)
+    prod = _direct_product(A, B, spec=None)
     zz = za * B.order + zb
     rep = {}
     reps = []
@@ -716,8 +685,7 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
         n = int(lines[0].strip())
     except ValueError:
         raise ParseError("cayley file: first line must be the order") from None
-    if n > max_order:
-        raise TooLarge(n, max_order)
+    _check_size(n, 4 * n * n, max_order)
     if len(lines) < 2 + n:
         raise ParseError("cayley file: truncated")
     names = lines[1].split()
@@ -730,13 +698,6 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
     if any(len(row) != n for row in rows):
         raise ParseError("cayley file: row width mismatch")
     return group_from_cayley(rows, names, spec=f"cayley:{path}")
-
-
-def _split_product_args(args: str) -> tuple[str, str]:
-    end = _spec_end(args, 0)
-    if end is None or args[end:end + 1] != ",":
-        raise ParseError(f"cannot split product arguments {args!r}")
-    return args[:end], args[end + 1:]
 
 
 _SPEC_TOKEN = re.compile(r"(product:|centprod:)|(?:cyclic|dihedral|sym|alt|es):\d+"
@@ -764,42 +725,79 @@ def _spec_end(spec: str, i: int) -> Optional[int]:
         i += 1
 
 
+def _family_order(head: str, rest: str, max_order: int) -> tuple[int, int]:
+    """n and the order of the group head:n, with head one of cyclic,
+    dihedral, sym, alt and es.  An order past max_order is not always
+    computed: every family has order at least n, so an n with more digits
+    than max_order is refused unread, n! is multiplied out only while it
+    stays within the bound, and 2^(2n+1) is compared by its bit length;
+    each raises TooLarge naming the order in a few characters."""
+    if not rest.isdecimal():
+        raise ParseError(f"{head}:<n> needs a positive integer, got {head + ':' + rest!r}")
+    digits = rest.lstrip("0")
+    if len(digits) > len(str(max_order)):
+        raise TooLarge(f"above 10^{len(digits) - 1}", max_order)
+    n = int(digits or "0")
+    if n < 1:
+        raise ParseError(f"{head}:<n> needs n >= 1")
+    if head == "es":
+        if 2 * n + 1 >= max_order.bit_length():
+            raise TooLarge(f"2^{2 * n + 1}", max_order)
+        return n, 1 << (2 * n + 1)
+    if head in ("sym", "alt"):
+        limit = max_order * (2 if head == "alt" else 1)
+        order, k = 1, 1
+        while k < n and order <= limit:
+            k += 1
+            order *= k
+        if k < n:
+            raise TooLarge(f"{n}!" + ("/2" if head == "alt" else ""), max_order)
+        if head == "alt" and n >= 2:
+            order //= 2
+        return n, order
+    return n, 2 * n if head == "dihedral" else n
+
+
+def _check_size(order: int, nbytes: int, max_order: int) -> None:
+    """TooLarge, before anything is allocated, when order is above max_order
+    or the largest array its builder makes takes more than MAX_TABLE_BYTES."""
+    if order > max_order:
+        raise TooLarge(order, max_order)
+    if nbytes > MAX_TABLE_BYTES:
+        raise TooLarge(order, max_order, f"order {order} needs a {nbytes}-byte array, above "
+                                         f"the table-memory bound of {MAX_TABLE_BYTES} bytes")
+
+
 def _build_group(spec: str, max_order: int) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
-        if not rest.isdecimal():
-            raise ParseError(f"{head}:<n> needs a positive integer, got {spec!r}")
-        n = int(rest)
-        if n < 1:
-            raise ParseError(f"{head}:<n> needs n >= 1")
-    if head == "cyclic":
-        if n > max_order:
-            raise TooLarge(n, max_order)
-        return _cyclic(n)
-    if head == "dihedral":
-        if 2 * n > max_order:
-            raise TooLarge(2 * n, max_order)
-        return _dihedral(n)
+        n, order = _family_order(head, rest, max_order)
+        if head in ("sym", "alt"):
+            # the table, or the index of all n ** n words, whichever is larger
+            _check_size(order, 4 * max(order * order, n ** n), max_order)
+            return _perm_group(n, head == "alt", spec)
+        if head == "es":
+            _check_size(order, 8 * order * order, max_order)    # int64 tables
+            return _es_group_impl(n)
+        _check_size(order, 4 * order * order, max_order)
+        return _cyclic(n) if head == "cyclic" else _dihedral(n)
     if head == "quaternion":
         if rest:
             raise ParseError("quaternion takes no arguments")
         return _quaternion()
-    if head == "sym":
-        return _perm_group(n, False, spec, max_order)
-    if head == "alt":
-        return _perm_group(n, True, spec, max_order)
-    if head == "es":
-        return _es_group_impl(n, max_order)
-    if head == "product":
-        left, right = _split_product_args(rest)
-        A = standard_group(left, max_order)
-        B = standard_group(right, max_order)
-        return _direct_product(A, B, spec, max_order)
-    if head == "centprod":
-        left, right = _split_product_args(rest)
-        A = standard_group(left, max_order)
-        B = standard_group(right, max_order)
-        return _central_product(A, B, spec, max_order)
+    if head in ("product", "centprod"):
+        end = _spec_end(rest, 0)
+        if end is None or rest[end:end + 1] != ",":
+            raise ParseError(f"cannot split product arguments {rest!r}")
+        A = standard_group(rest[:end], max_order)
+        B = standard_group(rest[end + 1:], max_order)
+        order = A.order * B.order
+        # both build the direct product's table through an int64 one
+        if head == "product":
+            _check_size(order, 8 * order * order, max_order)
+            return _direct_product(A, B, spec)
+        _check_size(order // 2, 8 * order * order, max_order)
+        return _central_product(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)
     raise ParseError(f"unknown group spec {spec!r}")

@@ -269,17 +269,3 @@ def _dense(x: dict[int, int], size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int64)
     out[list(x)] = list(x.values())
     return out
-
-
-def lattice_normal_form(rows: Sequence[Sequence[int]], modulus: int,
-                        ncols: Optional[int] = None) -> HowellForm:
-    """Canonical row-space form over Z/modulus with membership and solve."""
-    rows = [list(r) for r in rows]
-    if ncols is None:
-        if not rows:
-            raise ValueError("need ncols when no rows are given")
-        ncols = len(rows[0])
-    form = HowellForm(ncols, modulus, track=True)
-    for r in rows:
-        form.add_row(r)
-    return form

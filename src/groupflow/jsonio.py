@@ -19,12 +19,29 @@ from .groups import DEFAULT_MAX_ORDER, FiniteGroup, group_from_cayley, standard_
 from .planar import RotationSystem
 
 
+# the least limit Python's int <-> text conversions may be set to refuse beyond
+_MAX_INT_DIGITS = 640
+
+
+def _int(text: str) -> int:
+    """int(text), or a ParseError for an integer of more than
+    _MAX_INT_DIGITS characters."""
+    if len(text) > _MAX_INT_DIGITS:
+        raise ParseError(f"integer of {len(text)} characters, above the limit of {_MAX_INT_DIGITS}")
+    return int(text)
+
+
+def loads(text: str) -> Any:
+    """json.loads, with over-long integers refused as a ParseError."""
+    return json.loads(text, parse_int=_int)
+
+
 def _vertex_token(raw: Any) -> Vertex:
     if isinstance(raw, int):
         return raw
     s = str(raw)
-    if s.lstrip("-").isdecimal():
-        return int(s)
+    if s.removeprefix("-").isdecimal():
+        return _int(s)
     return s
 
 
@@ -61,7 +78,7 @@ def graph_from_text(text: str) -> Graph:
     list with one 'u v' pair per line."""
     stripped = text.strip()
     if stripped.startswith(("{", "[")):
-        return graph_from_json(json.loads(text))
+        return graph_from_json(loads(text))
     vertices: set[Vertex] = set()
     edges = []
     for line in stripped.splitlines():

@@ -42,13 +42,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._lr import lr_planarity
-from .errors import InternalInvariantError, NotPlanarEmbedding, ParseError
+from .errors import InternalInvariantError, ParseError
 from .graphs import (
     Graph,
     MinorWitness,
     Vertex,
     add_edge,
-    bridges,
     components,
     edge_key,
     graph_from,
@@ -74,11 +73,6 @@ class RotationSystem:
                 raise ParseError(f"rotation at {v!r} is not a cyclic order of its neighbours")
             rot[v] = _canonical_rotation(order)
         object.__setattr__(self, "rotation", rot)
-
-    def next_neighbor(self, v: Vertex, u: Vertex) -> Vertex:
-        order = self.rotation[v]
-        i = order.index(u)
-        return order[(i + 1) % len(order)]
 
 
 def _canonical_rotation(order: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
@@ -313,29 +307,6 @@ def test_planarity(G: Graph) -> PlanarityResult:
             raise InternalInvariantError("embedding failed the Euler check")
         return R
     return _kuratowski_witness(G)
-
-
-def walk_bridge_check(R: RotationSystem, walk: BoundaryWalk) -> list[tuple[Vertex, Vertex]]:
-    """Edges traversed in both directions within a single face walk.
-
-    In a planar embedding these are exactly bridges; that containment is
-    asserted before returning.
-    """
-    if not euler_planar_check(R):
-        raise NotPlanarEmbedding("rotation system fails the Euler criterion")
-    darts = walk.directed_edges()
-    dart_set = set(darts)
-    if not any(set(orbit) == dart_set for orbit in _face_orbits(R)):
-        raise ParseError("walk is not a face of this rotation system")
-    found = sorted(
-        {edge_key(u, v) for (u, v) in darts if (v, u) in dart_set},
-        key=lambda e: (vkey(e[0]), vkey(e[1])),
-    )
-    graph_bridges = bridges(R.graph)
-    for e in found:
-        if e not in graph_bridges:
-            raise InternalInvariantError(f"doubled walk edge {e} is not a bridge")
-    return found
 
 
 # -- extra-planarity --------------------------------------------------------------

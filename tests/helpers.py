@@ -21,7 +21,10 @@ check_planarity is the planar module's former LR test, the recursive
 Bron-Kerbosch is _maximal_cliques' former search, the sorted-key search is
 the permutation-group table's former lookup, and the payload dict passed to
 dumps is the extra-planar JSON's former writer, each kept here as its
-oracle.
+oracle.  The edge contractions and uncontract_flow that the uncontraction
+chain runs, the subgroup closure behind the subgroup lattice, the rotation
+step next_neighbor and the face-walk bridge check were library functions
+that only these oracles and the tests called.
 """
 
 from __future__ import annotations
@@ -33,13 +36,22 @@ import random
 import networkx as nx
 import numpy as np
 
-from groupflow.errors import GraphIsPlanar
+from groupflow.errors import (
+    EdgeMissing,
+    GraphIsPlanar,
+    GroupFlowError,
+    InternalInvariantError,
+    NotPlanarEmbedding,
+    NotSubgraph,
+    NotTractable,
+    ParseError,
+)
 from groupflow.flows import (
     GroupFlow,
+    _excesses,
     example_flow_k5,
     example_flow_k33,
     is_tractable,
-    uncontract_flow,
 )
 from groupflow.graphs import (
     Graph,
@@ -47,22 +59,25 @@ from groupflow.graphs import (
     _connected_subsets,
     _sets_adjacent,
     add_edge,
+    bridges,
     components,
-    contract,
-    contract_edge,
     edge_key,
     graph_from,
     induced_subgraph,
+    is_forest,
     spanning_forest,
     vkey,
 )
-from groupflow.groups import FiniteGroup, Subgroup, _perm_parity, abelian_basis
+from groupflow.groups import FiniteGroup, Subgroup, _perm_parity, _right_closure, abelian_basis
 from groupflow.howell import HowellForm, _egcd, _unit_scale
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
+    BoundaryWalk,
     ExtraPlanarVerdict,
     RotationSystem,
+    _face_orbits,
     _subdivision_witness,
+    euler_planar_check,
     test_planarity,
 )
 
@@ -177,10 +192,16 @@ def _adjacent(G: Graph, A: frozenset, B: frozenset) -> bool:
     return any(w in B for u in A for w in G.neighbors(u))
 
 
+def closure(G: FiniteGroup, gens) -> Subgroup:
+    """The subgroup generated by gens."""
+    reached = np.zeros(G.order, dtype=bool)
+    reached[G.identity] = True
+    _right_closure(G.table, reached, [int(g) for g in gens])
+    return Subgroup(G, tuple(np.nonzero(reached)[0].tolist()))
+
+
 def abelian_subgroup_lattice(G: FiniteGroup) -> set:
     """All abelian subgroups, by closure walks from singletons upward."""
-    from groupflow.groups import closure
-
     found: set[tuple[int, ...]] = set()
     frontier = []
     for g in G.elements():
@@ -367,6 +388,35 @@ def find_minor_unpruned(G: Graph, M: Graph):
     return MinorWitness(M, dict(assigned), frozenset(forest))
 
 
+def next_neighbor(R: RotationSystem, v, u):
+    """The neighbour that follows u in v's rotation."""
+    order = R.rotation[v]
+    return order[(order.index(u) + 1) % len(order)]
+
+
+def walk_bridge_check(R: RotationSystem, walk: BoundaryWalk) -> list:
+    """Edges traversed in both directions within a single face walk.
+
+    In a planar embedding these are exactly bridges; that containment is
+    asserted before returning.
+    """
+    if not euler_planar_check(R):
+        raise NotPlanarEmbedding("rotation system fails the Euler criterion")
+    darts = walk.directed_edges()
+    dart_set = set(darts)
+    if not any(set(orbit) == dart_set for orbit in _face_orbits(R)):
+        raise ParseError("walk is not a face of this rotation system")
+    found = sorted(
+        {edge_key(u, v) for (u, v) in darts if (v, u) in dart_set},
+        key=lambda e: (vkey(e[0]), vkey(e[1])),
+    )
+    graph_bridges = bridges(R.graph)
+    for e in found:
+        if e not in graph_bridges:
+            raise InternalInvariantError(f"doubled walk edge {e} is not a bridge")
+    return found
+
+
 def face_orbits_by_next_neighbor(R: RotationSystem) -> list:
     """Face orbits started at the darts in sorted order, each walked one
     ``next_neighbor`` step at a time, skipping darts already covered."""
@@ -380,7 +430,7 @@ def face_orbits_by_next_neighbor(R: RotationSystem) -> list:
         orbit = [start]
         while True:
             u, v = orbit[-1]
-            nxt = (v, R.next_neighbor(v, u))
+            nxt = (v, next_neighbor(R, v, u))
             if nxt == start:
                 break
             orbit.append(nxt)
@@ -662,6 +712,88 @@ def _pad(c, size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int64)
     out[: c.size] = c
     return out
+
+
+class NotSpanning(GroupFlowError):
+    pass
+
+
+class NotForest(GroupFlowError):
+    pass
+
+
+def contract(G: Graph, H: Graph):
+    """Contract a spanning forest H inside G.
+
+    Each connected component of H becomes a single vertex, labelled by its
+    minimal member; the returned map sends every vertex of G to its class.
+    """
+    if set(H.vertices) != set(G.vertices):
+        raise NotSpanning("H must span the vertices of G")
+    if not H.edges <= G.edges:
+        raise NotSpanning("H must be a subgraph of G")
+    if not is_forest(H):
+        raise NotForest("H has a cycle")
+    quotient = {}
+    for comp in components(H):
+        for v in comp:
+            quotient[v] = comp[0]
+    edges = {edge_key(quotient[u], quotient[v]) for u, v in G.edges
+             if quotient[u] != quotient[v]}
+    return graph_from(set(quotient.values()), edges), quotient
+
+
+def contract_edge(G: Graph, e):
+    """Contract a single edge of G (forest = that edge plus isolated vertices)."""
+    return contract(G, graph_from(G.vertices, [edge_key(*e)]))
+
+
+def uncontract_flow(G: Graph, e, f: GroupFlow) -> GroupFlow:
+    """Pull a tractable flow on G/e back to G.
+
+    With e = {a, b}, X = N(a) minus e and Y = N(b) minus (e union X), the
+    values into the contracted vertex are split among a and b, and the new
+    edge value g(a,b) = prod over u in X of g(u,a) restores conservation at
+    a while moving the excess of the contracted vertex to b.  The excesses
+    of the result are checked against those of f.
+    """
+    a, b = e
+    if not G.has_edge(a, b):
+        raise EdgeMissing(e)
+    contracted, quotient = contract_edge(G, (a, b))
+    if f.graph != contracted:
+        raise NotSubgraph("flow is not on the contraction of G along e")
+    before, bad = _excesses(f)
+    if before is None:
+        raise NotTractable(bad)
+    group = f.group
+    merged = quotient[a]
+    X = [u for u in G.neighbors(a) if u not in (a, b)]
+    Y = [v for v in G.neighbors(b) if v not in (a, b) and v not in X]
+    values = {(u, v): g for (u, v), g in f.values.items() if merged not in (u, v)}
+    for u in X:
+        g = f.value(u, merged)
+        values[(u, a)] = g
+        values[(a, u)] = group.inv(g)
+    for v in Y:
+        g = f.value(merged, v)
+        values[(b, v)] = g
+        values[(v, b)] = group.inv(g)
+    gab = group.prod(values.get((u, a), group.identity) for u in X)
+    values[(a, b)] = gab
+    values[(b, a)] = group.inv(gab)
+    result = GroupFlow(G, group, values)
+    after, bad = _excesses(result)
+    if after is None:
+        raise InternalInvariantError(f"uncontracted flow lost tractability at {bad}")
+    if after[a] != group.identity:
+        raise InternalInvariantError("uncontraction left a non-conserving split vertex")
+    if after[b] != before[merged]:
+        raise InternalInvariantError("uncontraction did not transfer the excess")
+    for v in G.vertices:
+        if v not in (a, b) and after[v] != before[v]:
+            raise InternalInvariantError(f"uncontraction changed the excess at {v}")
+    return result
 
 
 def synthesize_by_uncontraction(G: Graph) -> GroupFlow:

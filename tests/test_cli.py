@@ -10,12 +10,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import groupflow
-from groupflow import cli, jsonio
+from groupflow import cli, groups, jsonio
 from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
@@ -755,3 +756,48 @@ def test_group_leakproof_dihedral_1000_gets_a_verdict():
     code, out, err = invoke(["group-leakproof", "dihedral:1000"])
     assert code in (0, 1), err
     assert json.loads(out)["group"] == "dihedral:1000"
+
+
+# -- numbers too large to build or to write out -----------------------------------
+
+_BIG = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["group-leakproof", "sym:1600"],
+    ["group-leakproof", "alt:1800"],
+    ["group-leakproof", "es:8000"],
+    ["group-leakproof", "product:sym:1800,cyclic:2"],
+    ["group-leakproof", "cyclic:" + _BIG],
+    ["group-leakproof", "sym:1000"],
+    ["group-leakproof", "sym:300000"],
+    ["--max-size", "100000", "group-leakproof", "cyclic:50000"],
+    ["planar", "edges.txt"],
+    ["planar", "string.json"],
+    ["planar", "number.json"],
+], ids=["sym", "alt", "es", "product", "cyclic", "sym1000", "sym300000", "table-memory",
+        "edge-list-label", "json-string-label", "json-number-label"])
+def test_huge_numbers_are_short_usage_errors(tmp_path, monkeypatch, argv):
+    """Orders and labels past Python's int-to-text limit, or too large to
+    build, exit 2 at once with a short message; no group table is built."""
+    for builder in ("_cyclic", "_dihedral", "_perm_group", "_es_group_impl",
+                    "_direct_product", "_central_product"):
+        monkeypatch.setattr(groups, builder, None)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "edges.txt").write_text(f"1 2\n2 {_BIG}\n")
+    (tmp_path / "string.json").write_text(json.dumps({"vertices": ["1", _BIG],
+                                                      "edges": [["1", _BIG]]}))
+    (tmp_path / "number.json").write_text(f'{{"vertices": [1, {_BIG}], "edges": [[1, {_BIG}]]}}')
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert (code, out) == (2, "") and err.startswith("error:"), err[:300]
+    assert len(err) <= 200
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("argv", [["--max-size", "0"], ["--max-size", "-1"], ["--max-size=-1"]])
+def test_max_size_must_be_positive(tmp_path, argv):
+    path = write_graph(tmp_path, "k4.json", named_graph("complete:4"))
+    for full in ([*argv, "minor", path, "--model", "k5"], ["minor", path, "--model", "k5", *argv]):
+        code, out, err = invoke(full)
+        assert (code, out) == (2, "") and "--max-size: needs a positive integer" in err

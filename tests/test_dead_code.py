@@ -1,0 +1,72 @@
+"""No dead code in src/groupflow: every module-level function or class is
+referenced somewhere in the package, exported, or read by the benchmark."""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import groupflow
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "groupflow"
+
+# kept though nothing in src/ calls them, each for its reason
+ALLOWED = {
+    "jsonio.witness_from_json",     # the reader of the witness JSON the CLI writes
+}
+
+
+def _names_read(tree: ast.AST) -> Counter:
+    """How often each name or attribute is read in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _perfbench_names() -> set[str]:
+    """"module.name" for each groupflow name the benchmark uses: as an
+    attribute of a groupflow module, imported from one, or in a
+    ("module", "name") pair such as the span table's keys."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    named = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                named.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("groupflow."):
+                named.update(f"{node.module[10:]}.{a.name}" for a in node.names)
+            elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                          for e in node.elts)):
+                named.add(".".join(e.value for e in node.elts))
+    return named
+
+
+def dead_definitions(src: Path = SRC) -> list[str]:
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    read = sum((_names_read(t) for t in trees.values()), Counter())
+    kept = ALLOWED | _perfbench_names()
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if read[node.name] > _names_read(node)[node.name]:
+                continue                # read outside its own definition
+            if node.name in groupflow.__all__ or f"{module}.{node.name}" in kept:
+                continue
+            dead.append(f"{module}.{node.name}")
+    return dead
+
+
+def test_no_dead_definitions():
+    assert dead_definitions() == []
+
+
+def test_perfbench_names_are_found():
+    named = _perfbench_names()
+    assert {"jsonio.witness_from_json", "graphs.add_edge", "planar.faces",
+            "groups.designated_central_involution"} <= named
+    assert "graphs.connected" not in named       # perfbench/check.py's own helper

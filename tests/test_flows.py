@@ -28,17 +28,14 @@ from groupflow.flows import (
     excess,
     excess_map,
     is_tractable,
-    lift_through_subgraph,
     round_flow,
     solve_tree_flow,
     synthesize_leaking_flow,
-    uncontract_flow,
     validate_flow,
 )
 from groupflow.graphs import (
     bridges,
     components,
-    contract_edge,
     graph_from,
     named_graph,
 )
@@ -47,6 +44,7 @@ from groupflow.planar import RotationSystem
 from groupflow.planar import test_planarity as planarity_certificate
 
 from helpers import (
+    contract_edge,
     excesses_by_neighbor_scan,
     random_connected_planar_graph,
     random_flow,
@@ -54,6 +52,7 @@ from helpers import (
     random_spanning_tree,
     synthesize_by_uncontraction,
     tree_flow_by_leaf_first_loop,
+    uncontract_flow,
 )
 
 
@@ -285,16 +284,10 @@ def test_word_order_matters():
 # -- transport ------------------------------------------------------------------------------
 
 
-def test_lift_identity_case():
-    g33, f = example_flow_k33()
-    lifted = lift_through_subgraph(g33, g33, f)
-    assert lifted == f
-
-
 def test_lift_k33_into_k6():
-    g33, f = example_flow_k33()
+    _, f = example_flow_k33()
     k6 = named_graph("complete:6")
-    lifted = lift_through_subgraph(k6, g33, f)
+    lifted = GroupFlow(k6, f.group, f.values)
     verdict = detect_leak(lifted)
     assert verdict.kind == LeakVerdict.LEAKS_AT
     assert verdict.vertex == 6
@@ -305,14 +298,8 @@ def test_lift_empty_subgraph():
     k4 = named_graph("complete:4")
     empty = graph_from(k4.vertices, [])
     f = GroupFlow(empty, standard_group("sym:3"), {})
-    lifted = lift_through_subgraph(k4, empty, f)
+    lifted = GroupFlow(k4, f.group, f.values)
     assert detect_leak(lifted).kind == LeakVerdict.CONSERVING
-
-
-def test_lift_rejects_non_subgraph():
-    g33, f = example_flow_k33()
-    with pytest.raises(NotSubgraph):
-        lift_through_subgraph(named_graph("complete:4"), g33, f)
 
 
 # -- uncontraction ----------------------------------------------------------------------------

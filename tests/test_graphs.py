@@ -7,14 +7,12 @@ import zlib
 
 import pytest
 
-from groupflow.errors import HostTooLarge, NotForest, NotSpanning, ParseError
+from groupflow.errors import HostTooLarge, ParseError
 from groupflow.graphs import (
     Graph,
     MinorWitness,
     bridges,
     components,
-    contract,
-    contract_edge,
     edge_key,
     find_minor,
     graph_from,
@@ -25,9 +23,13 @@ from groupflow.graphs import (
 )
 
 from helpers import (
+    NotForest,
+    NotSpanning,
     all_labeled_graphs,
     bridge_oracle,
     compose_minor_witnesses,
+    contract,
+    contract_edge,
     find_minor_unpruned,
     minor_oracle,
     random_graph,

@@ -18,7 +18,6 @@ from groupflow.groupleak import (
     witness_flow_from_kernel,
 )
 from groupflow.groups import (
-    closure,
     designated_central_involution,
     discrete_log,
     es_group,
@@ -27,7 +26,7 @@ from groupflow.groups import (
 )
 from groupflow.howell import HowellForm
 
-from helpers import pairwise_relation_rows, witness_values_two_forms
+from helpers import closure, pairwise_relation_rows, witness_values_two_forms
 
 
 # -- build_delta ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 import time
 
 import networkx as nx
@@ -26,12 +27,10 @@ from groupflow.groups import (
     Subgroup,
     abelian_basis,
     centralizer,
-    closure,
     conjugacy_class_id,
     designated_central_involution,
     discrete_log,
     es_decode,
-    es_encode,
     es_group,
     group_from_cayley,
     maximal_abelian_subgroups,
@@ -40,6 +39,7 @@ from groupflow.groups import (
 
 from helpers import (
     associative_by_exhaustion,
+    closure,
     maximal_abelian_oracle,
     maximal_cliques_by_recursion,
     perm_table_by_searchsorted,
@@ -167,7 +167,8 @@ def test_es_element_law_matches_table():
     G = es_group(2)
     for i, j in itertools.product(range(G.order), repeat=2):
         a, b = es_decode(2, i), es_decode(2, j)
-        assert es_encode(2, a.mul(b)) == G.mul(i, j)
+        c = a.mul(b)
+        assert c.eps | (c.u << 1) | (c.v << 3) == G.mul(i, j)
 
 
 def test_es2_defining_relations():
@@ -222,7 +223,7 @@ def test_centprod_d4_d4_matches_es2_profile():
     G = standard_group("centprod:dihedral:4,dihedral:4")
     E = es_group(2)
     assert G.order == 32
-    assert G.exponent() == 4
+    assert int(np.lcm.reduce(G.element_orders())) == 4
     assert len(G.center()) == 2
     profile = lambda H: sorted(H.element_orders().tolist())
     assert profile(G) == profile(E)
@@ -258,13 +259,18 @@ def test_deeply_nested_product_parses_in_linear_time():
 
 
 def test_product_split_reads_each_argument_once():
-    assert groups._split_product_args("product:cyclic:2,quaternion,sym:3") == (
-        "product:cyclic:2,quaternion", "sym:3")
-    assert groups._split_product_args("cayley:a,b,cyclic:2") == ("cayley:a", "b,cyclic:2")
+    def split(args):
+        end = groups._spec_end(args, 0)
+        return args[:end], args[end + 1:]
+
+    assert split("product:cyclic:2,quaternion,sym:3") == ("product:cyclic:2,quaternion", "sym:3")
+    assert split("cayley:a,b,cyclic:2") == ("cayley:a", "b,cyclic:2")
     for bad in ("cyclic:2", "", ",cyclic:2", "cyclic:2x,cyclic:2", "cayley:,cyclic:2",
                 "product:cyclic:2,cyclic:3", "product:cyclic:2xcyclic:3,cyclic:2"):
+        end = groups._spec_end(bad, 0)
+        assert end is None or bad[end:end + 1] != ","
         with pytest.raises(ParseError, match="cannot split"):
-            groups._split_product_args(bad)
+            standard_group(f"product:{bad}")
 
 
 def test_too_many_products_is_parse_error():
@@ -284,6 +290,41 @@ def test_parse_errors():
 def test_too_large_group():
     with pytest.raises(TooLarge):
         standard_group("sym:8")
+
+
+@pytest.mark.parametrize("spec, builder", [
+    ("cyclic:50000", "_cyclic"),
+    ("dihedral:25000", "_dihedral"),
+    ("sym:9", "_perm_group"),
+    ("alt:9", "_perm_group"),
+    ("es:8", "_es_group_impl"),
+    ("product:cyclic:200,cyclic:200", "_direct_product"),
+    ("centprod:dihedral:100,dihedral:100", "_central_product"),
+    ("cayley:big.txt", "group_from_cayley"),
+])
+def test_table_memory_bound_checked_before_allocation(tmp_path, monkeypatch, spec, builder):
+    """Inside a generous order bound, a group whose builder would allocate
+    an array above MAX_TABLE_BYTES is refused before the builder runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.txt").write_text("50000\n")
+    monkeypatch.setattr(groups, builder, None)
+    with pytest.raises(TooLarge, match="table-memory bound"):
+        standard_group(spec, max_order=10 ** 6)
+
+
+def test_orders_decided_without_building_them():
+    """Orders too large to compute or to write out are refused, with a
+    short message, before n! or 2^(2n+1) is multiplied out."""
+    for spec, order in (("sym:300000", "above 10^5"), ("sym:1000", "1000!"),
+                        ("alt:1800", "1800!/2"), ("es:8000", "2^16001"),
+                        ("cyclic:" + "9" * 5000, "above 10^4999"), ("sym:8", "40320")):
+        with pytest.raises(TooLarge, match=rf"^order {re.escape(order)} exceeds"):
+            standard_group(spec)
+    assert standard_group("alt:2", max_order=1).order == 1
+    assert standard_group("cyclic:" + "0" * 5000 + "5").order == 5
+    assert standard_group("es:5", max_order=2048).order == 2048
+    with pytest.raises(TooLarge):
+        standard_group("es:5", max_order=2047)
 
 
 def test_cayley_file(tmp_path):
@@ -586,7 +627,7 @@ def test_conjugation_invariance():
     for _ in range(200):
         g = rng.randrange(G.order)
         h = rng.randrange(G.order)
-        assert conjugacy_class_id(G, g) == conjugacy_class_id(G, G.conjugate(h, g))
+        assert conjugacy_class_id(G, g) == conjugacy_class_id(G, G.mul(G.mul(h, g), G.inv(h)))
 
 
 def test_designated_central_involution():

@@ -17,12 +17,14 @@ import helpers
 from groupflow import cli, groupleak
 from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_from_kernel
 from groupflow.groups import standard_group
-from groupflow.howell import HowellForm, lattice_normal_form
+from groupflow.howell import HowellForm
 from helpers import DenseHowellForm, _divisor_chain, invariant_factors_by_diagonalization
 
 
 def test_identity_matrix_spans_everything():
-    form = lattice_normal_form([[1, 0], [0, 1]], 6)
+    form = HowellForm(2, 6, track=True)
+    for r in [[1, 0], [0, 1]]:
+        form.add_row(r)
     for v in itertools.product(range(6), repeat=2):
         assert form.contains(list(v))
         sol = form.solve(list(v))
@@ -30,14 +32,18 @@ def test_identity_matrix_spans_everything():
 
 
 def test_zero_matrix_spans_nothing():
-    form = lattice_normal_form([[0, 0], [0, 0]], 4)
+    form = HowellForm(2, 4, track=True)
+    for r in [[0, 0], [0, 0]]:
+        form.add_row(r)
     assert form.contains([0, 0])
     assert not form.contains([1, 0])
     assert not form.contains([0, 2])
 
 
 def test_two_by_two_example():
-    form = lattice_normal_form([[2, 0], [0, 2]], 4)
+    form = HowellForm(2, 4, track=True)
+    for r in [[2, 0], [0, 2]]:
+        form.add_row(r)
     assert not form.contains([1, 0])
     assert form.contains([2, 2])
     assert list(form.solve([2, 2])) == [1, 1]
@@ -50,7 +56,9 @@ def test_membership_matches_exhaustive_span():
         k = rng.randint(1, 3)
         nrows = rng.randint(0, 4)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
-        form = lattice_normal_form(rows, m, ncols=k)
+        form = HowellForm(k, m, track=True)
+        for r in rows:
+            form.add_row(r)
         span = set()
         for coeffs in itertools.product(range(m), repeat=nrows):
             span.add(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % m
@@ -67,7 +75,9 @@ def test_solve_reproduces_vector():
         k = rng.randint(1, 4)
         nrows = rng.randint(1, 5)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
-        form = lattice_normal_form(rows, m, ncols=k)
+        form = HowellForm(k, m, track=True)
+        for r in rows:
+            form.add_row(r)
         coeffs = [rng.randrange(m) for _ in range(nrows)]
         v = [sum(c * r[i] for c, r in zip(coeffs, rows)) % m for i in range(k)]
         sol = form.solve(v)
@@ -84,7 +94,9 @@ def test_reduce_is_constant_on_cosets():
         m = rng.choice([4, 6, 8])
         k = rng.randint(1, 3)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(rng.randint(1, 3))]
-        form = lattice_normal_form(rows, m, ncols=k)
+        form = HowellForm(k, m, track=True)
+        for r in rows:
+            form.add_row(r)
         members = [v for v in itertools.product(range(m), repeat=k)
                    if form.contains(list(v))]
         for v, w in itertools.islice(itertools.product(members, repeat=2), 60):
@@ -99,7 +111,9 @@ def test_reduce_is_constant_on_cosets():
 def test_quaternion_delta_lattice_factors():
     """Relation lattice of the three C4 subgroups glued along the centre."""
     rows = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, -2, 0), (2, 0, -2)]
-    form = lattice_normal_form(rows, 4, ncols=3)
+    form = HowellForm(3, 4, track=True)
+    for r in rows:
+        form.add_row(r)
     snf = smith_normal_form(Matrix([list(r) for r in rows]))
     expected = _divisor_chain([int(snf[i, i]) for i in range(3) if int(snf[i, i]) > 1])
     assert expected == [2, 2, 4]          # confirm the oracle first

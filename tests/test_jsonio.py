@@ -34,6 +34,18 @@ def test_graph_edge_list_text():
     assert g.n == 4 and g.m == 3
 
 
+def test_integer_labels():
+    """One leading minus makes an integer label; a label that only looks
+    like one is a string; an integer past 640 digits is a ParseError."""
+    g = jsonio.graph_from_text("-1 --5\n-1 -\n")
+    assert set(g.vertices) == {-1, "--5", "-"}
+    assert jsonio.graph_from_text('{"vertices": [7, "-8"], "edges": [[7, "-8"]]}').edges == {(-8, 7)}
+    for text in ("1 " + "9" * 641, '{"vertices": [' + "9" * 641 + '], "edges": []}'):
+        with pytest.raises(ParseError, match="above the limit of 640"):
+            jsonio.graph_from_text(text)
+    assert jsonio.graph_from_text("1 " + "9" * 640).m == 1
+
+
 def test_graph_json_errors():
     with pytest.raises(ParseError):
         jsonio.graph_from_json({"vertices": ["1"]})
