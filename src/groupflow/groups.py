@@ -172,7 +172,7 @@ class FiniteGroup:
         try:
             return self._name_index[name]
         except KeyError:
-            raise ParseError(f"unknown element name {name!r}") from None
+            raise ParseError(f"unknown element name {_clip(name)!r}") from None
 
     def parse_word(self, word: str) -> int:
         """Parse products written as names joined by '*'; '1' is the identity.
@@ -450,34 +450,9 @@ def discrete_log(B: AbelianBasis, g: int) -> tuple[int, ...]:
 # -- the 2-group family es:n ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EsElement:
-    """Element of es:n as bits: eps for the central z, u and v as bitmasks."""
-
-    eps: int
-    u: int
-    v: int
-
-    def mul(self, other: "EsElement") -> "EsElement":
-        eps = self.eps ^ other.eps ^ ((self.v & other.u).bit_count() & 1)
-        return EsElement(eps, self.u ^ other.u, self.v ^ other.v)
-
-
-def es_decode(n: int, idx: int) -> EsElement:
-    mask = (1 << n) - 1
-    return EsElement(idx & 1, (idx >> 1) & mask, (idx >> (n + 1)) & mask)
-
-
-def _es_name(n: int, e: EsElement) -> str:
-    parts = []
-    if e.eps:
-        parts.append("z")
-    for i in range(n):
-        if (e.u >> i) & 1:
-            parts.append(f"x{i + 1}")
-    for i in range(n):
-        if (e.v >> i) & 1:
-            parts.append(f"x{n + i + 1}")
+def _es_name(n: int, idx: int) -> str:
+    """Element idx of es:n as a word: bit 0 of idx is z and bit k is x_k."""
+    parts = ["z"] * (idx & 1) + [f"x{k}" for k in range(1, 2 * n + 1) if idx >> k & 1]
     return "*".join(parts) if parts else "1"
 
 
@@ -490,20 +465,14 @@ def es_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
 
 
 def _es_group_impl(n: int) -> FiniteGroup:
-    order = 1 << (2 * n + 1)
-    idx = np.arange(order, dtype=np.int64)
-    eps = idx & 1
-    umask = (1 << n) - 1
-    u = (idx >> 1) & umask
-    v = (idx >> (n + 1)) & umask
-    parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)], dtype=np.int64)
-    cross = parity[v[:, None] & u[None, :]]
-    eps2 = eps[:, None] ^ eps[None, :] ^ cross
-    u2 = u[:, None] ^ u[None, :]
-    v2 = v[:, None] ^ v[None, :]
-    table = eps2 | (u2 << 1) | (v2 << (n + 1))
-    names = [_es_name(n, es_decode(n, i)) for i in range(order)]
-    return FiniteGroup(table, names, spec=f"es:{n}")
+    """Element idx has the bits eps + 2u + 2^(n+1) v, so a product XORs the
+    indices and adds <v1, u2> to eps."""
+    idx = np.arange(1 << (2 * n + 1), dtype=np.int32)
+    u, v = (idx >> 1) & ((1 << n) - 1), idx >> (n + 1)
+    parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)], dtype=np.int32)
+    table = parity[v[:, None] & u]
+    table ^= idx[:, None] ^ idx
+    return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=f"es:{n}")
 
 
 # -- standard families ---------------------------------------------------------
@@ -518,79 +487,59 @@ def _cyclic(n: int) -> FiniteGroup:
 
 
 def _dihedral(n: int) -> FiniteGroup:
-    """Dihedral group with n rotations (order 2n); r^n = s^2 = 1, srs = r^-1."""
-    order = 2 * n
-    table = np.zeros((order, order), dtype=np.int32)
-    for i1, j1, i2, j2 in itertools.product(range(n), (0, 1), range(n), (0, 1)):
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        j = j1 ^ j2
-        table[i1 + n * j1, i2 + n * j2] = i + n * j
-    names = []
-    for j in (0, 1):
-        for i in range(n):
-            word = []
-            if i == 1:
-                word.append("r")
-            elif i > 1:
-                word.append(f"r{i}")
-            if j:
-                word.append("s")
-            names.append("*".join(word) if word else "1")
-    return FiniteGroup(table, names, spec=f"dihedral:{n}")
+    """Dihedral group with n rotations (order 2n); r^n = s^2 = 1, srs = r^-1.
+    Element i + n*j is r^i s^j, and r^i1 s^j1 r^i2 s^j2 = r^(i1 +- i2) s^(j1 ^ j2),
+    with - when j1 = 1.  The table is filled in place as table[j1, i1, j2, i2]."""
+    i = np.arange(n, dtype=np.int32)
+    table = np.empty((2, n, 2, n), dtype=np.int32)
+    np.add(i[:, None, None], i, out=table[0])
+    np.subtract(i[:, None, None], i, out=table[1])
+    table %= n
+    table[0, :, 1] += n
+    table[1, :, 0] += n
+    rotations = ["1", "r"] + [f"r{k}" for k in range(2, n)]
+    names = rotations[:n] + [f"{r}*s" if k else "s" for k, r in enumerate(rotations[:n])]
+    return FiniteGroup(table.reshape(2 * n, 2 * n), names, spec=f"dihedral:{n}")
 
 
 def _quaternion() -> FiniteGroup:
-    # elements (sign, axis) with axis in 1,i,j,k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul_axis = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-    }
-
-    def split(nm):
-        return (-1, nm[1:]) if nm.startswith("-") else (1, nm)
-
-    def join(sign, axis):
-        nm = axis if sign == 1 else "-" + axis
-        return names.index(nm)
-
-    table = np.zeros((8, 8), dtype=np.int32)
-    for a, b in itertools.product(range(8), repeat=2):
-        s1, x1 = split(names[a])
-        s2, x2 = split(names[b])
-        s3, x3 = mul_axis[(x1, x2)]
-        table[a, b] = join(s1 * s2 * s3, x3)
+    """Element 2a + s is (-1)^s times unit a of (1, i, j, k).  Units multiply
+    by the XOR of their indices; negative[a, b] is 1 when that product of
+    units a and b carries a minus sign."""
+    negative = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
+    idx = np.arange(8)[:, None]
+    a, s = idx >> 1, idx & 1
+    table = 2 * (a ^ a.T) + (s ^ s.T ^ negative[a, a.T])
+    names = [sign + unit for unit in "1ijk" for sign in ("", "-")]
     return FiniteGroup(table, names, spec="quaternion")
 
 
-def _perm_cycle_name(perm: tuple[int, ...]) -> str:
-    seen: set[int] = set()
-    parts = []
+def _cycle_name_and_parity(perm: tuple[int, ...]) -> tuple[str, int]:
+    """The cycle notation of a permutation of 0..n-1 (points from 1) and its
+    parity, from one walk over its cycles."""
+    seen = [False] * len(perm)
+    parts, parity = [], 0
     for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            seen.add(start)
+        if seen[start] or perm[start] == start:
             continue
-        cyc = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
+        cycle, x = [], start
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(str(x + 1))
             x = perm[x]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
-    return "".join(parts) if parts else "1"
+        parts.append("(" + " ".join(cycle) + ")")
+        parity ^= (len(cycle) - 1) & 1
+    return "".join(parts) or "1", parity
 
 
 def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
-    perms = []
+    perms, names = [], []
     for p in itertools.permutations(range(n)):
-        if even_only and _perm_parity(p) != 0:
+        name, parity = _cycle_name_and_parity(p)
+        if even_only and parity:
             continue
         perms.append(p)
+        names.append(name)
     P = np.array(perms, dtype=np.int64)
     powers = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     m = len(perms)
@@ -600,24 +549,7 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
     table = np.zeros((m, m), dtype=np.int32)
     for a in range(m):
         table[a] = index[P[a][P] @ powers]   # (p_a o p_b)(x) = p_a[p_b[x]]
-    names = [_perm_cycle_name(p) for p in perms]
     return FiniteGroup(table, names, spec=spec)
-
-
-def _perm_parity(perm: Sequence[int]) -> int:
-    seen = set()
-    parity = 0
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
 
 
 def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str]) -> FiniteGroup:
@@ -641,26 +573,15 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     zb = designated_central_involution(B)
     if za is None or zb is None:
         raise CentreMismatch("central product needs a unique central involution in each factor")
-    order = A.order * B.order // 2
     prod = _direct_product(A, B, spec=None)
-    zz = za * B.order + zb
-    rep = {}
-    reps = []
-    for x in range(prod.order):
-        if x in rep:
-            continue
-        y = prod.mul(x, zz)
-        r = min(x, y)
-        rep[x] = r
-        rep[y] = r
-        reps.append(r)
-    reps.sort()
-    pos = {r: i for i, r in enumerate(reps)}
-    table = np.zeros((order, order), dtype=np.int32)
-    for i, x in enumerate(reps):
-        row = prod.table[x, reps]
-        table[i] = [pos[rep[int(y)]] for y in row]
-    names = [prod.names[r] for r in reps]
+    # each coset {x, x (za, zb)} is represented by its least member
+    x = np.arange(prod.order, dtype=np.int32)
+    rep = np.minimum(x, prod.table[:, za * B.order + zb])
+    is_rep = rep == x
+    reps = x[is_rep]
+    pos = np.cumsum(is_rep, dtype=np.int32) - 1          # representative -> its index
+    table = pos[rep[prod.table[np.ix_(reps, reps)]]]
+    names = [prod.names[r] for r in reps.tolist()]
     return FiniteGroup(table, names, spec=spec)
 
 
@@ -676,15 +597,17 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
         raise ParseError("cayley:<path> needs a file path")
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read cayley file {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:   # an OSError's text repeats the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read cayley file {_clip(path)}: {reason}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParseError(f"empty cayley file {path}")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise ParseError("cayley file: first line must be the order") from None
+        raise ParseError(f"empty cayley file {_clip(path)}")
+    order_line = lines[0].strip()
+    if not order_line.isdecimal():
+        raise ParseError("cayley file: first line must be the order")
+    # an order of at most 18 digits is named in full when it is refused
+    n = int(order_line) if len(order_line) <= 18 else _bounded_int(order_line, max_order)
     _check_size(n, 4 * n * n, max_order)
     if len(lines) < 2 + n:
         raise ParseError("cayley file: truncated")
@@ -733,11 +656,8 @@ def _family_order(head: str, rest: str, max_order: int) -> tuple[int, int]:
     stays within the bound, and 2^(2n+1) is compared by its bit length;
     each raises TooLarge naming the order in a few characters."""
     if not rest.isdecimal():
-        raise ParseError(f"{head}:<n> needs a positive integer, got {head + ':' + rest!r}")
-    digits = rest.lstrip("0")
-    if len(digits) > len(str(max_order)):
-        raise TooLarge(f"above 10^{len(digits) - 1}", max_order)
-    n = int(digits or "0")
+        raise ParseError(f"{head}:<n> needs a positive integer, got {_clip(head + ':' + rest)!r}")
+    n = _bounded_int(rest, max_order)
     if n < 1:
         raise ParseError(f"{head}:<n> needs n >= 1")
     if head == "es":
@@ -758,6 +678,21 @@ def _family_order(head: str, rest: str, max_order: int) -> tuple[int, int]:
     return n, 2 * n if head == "dihedral" else n
 
 
+def _bounded_int(digits: str, max_order: int) -> int:
+    """The integer written by the decimal digits; TooLarge, without reading
+    them, when they are more than max_order has."""
+    digits = digits.lstrip("0")
+    if len(digits) > len(str(max_order)):
+        raise TooLarge(f"above 10^{len(digits) - 1}", max_order)
+    return int(digits or "0")
+
+
+def _clip(text: str) -> str:
+    """text, cut to its first 100 characters and "..." when it is longer:
+    the form in which a message quotes user input."""
+    return text if len(text) <= 100 else text[:100] + "..."
+
+
 def _check_size(order: int, nbytes: int, max_order: int) -> None:
     """TooLarge, before anything is allocated, when order is above max_order
     or the largest array its builder makes takes more than MAX_TABLE_BYTES."""
@@ -776,11 +711,8 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
             # the table, or the index of all n ** n words, whichever is larger
             _check_size(order, 4 * max(order * order, n ** n), max_order)
             return _perm_group(n, head == "alt", spec)
-        if head == "es":
-            _check_size(order, 8 * order * order, max_order)    # int64 tables
-            return _es_group_impl(n)
         _check_size(order, 4 * order * order, max_order)
-        return _cyclic(n) if head == "cyclic" else _dihedral(n)
+        return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
     if head == "quaternion":
         if rest:
             raise ParseError("quaternion takes no arguments")
@@ -788,7 +720,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
     if head in ("product", "centprod"):
         end = _spec_end(rest, 0)
         if end is None or rest[end:end + 1] != ",":
-            raise ParseError(f"cannot split product arguments {rest!r}")
+            raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
         A = standard_group(rest[:end], max_order)
         B = standard_group(rest[end + 1:], max_order)
         order = A.order * B.order
@@ -800,7 +732,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
         return _central_product(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)
-    raise ParseError(f"unknown group spec {spec!r}")
+    raise ParseError(f"unknown group spec {_clip(spec)!r}")
 
 
 _MAX_PRODUCTS = 64

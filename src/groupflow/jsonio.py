@@ -15,7 +15,8 @@ from typing import Any
 from .errors import ParseError
 from .flows import GroupFlow, LeakVerdict
 from .graphs import Graph, MinorWitness, Vertex, edge_key, graph_from, vkey
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, group_from_cayley, standard_group
+from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, _check_size, _clip, group_from_cayley,
+                     standard_group)
 from .planar import RotationSystem
 
 
@@ -32,17 +33,20 @@ def _int(text: str) -> int:
 
 
 def loads(text: str) -> Any:
-    """json.loads, with over-long integers refused as a ParseError."""
-    return json.loads(text, parse_int=_int)
+    """json.loads, refusing over-long integers and too deep nesting as a ParseError."""
+    try:
+        return json.loads(text, parse_int=_int)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
 
 
 def _vertex_token(raw: Any) -> Vertex:
-    if isinstance(raw, int):
+    """An int, or a str (read as an int when it is one); no other value is a label."""
+    if isinstance(raw, str):
+        return _int(raw) if raw.removeprefix("-").isdecimal() else raw
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    s = str(raw)
-    if s.removeprefix("-").isdecimal():
-        return _int(s)
-    return s
+    raise ParseError(f"vertex label must be a string or an integer, got {type(raw).__name__}")
 
 
 def vertex_str(v: Vertex) -> str:
@@ -149,6 +153,9 @@ def rotation_from_json(data: Any, G: Graph) -> RotationSystem:
         _vertex_token(v): tuple(_vertex_token(u) for u in order)
         for v, order in raw.items()
     }
+    for v in rotation:
+        if v not in G.adjacency:
+            raise ParseError(f"rotation names vertex {_clip(str(v))!r}, which the graph lacks")
     return RotationSystem(G, rotation)
 
 
@@ -220,6 +227,8 @@ def flow_from_json(data: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupFlow:
         if (not isinstance(spec, dict) or not isinstance(spec.get("table"), list)
                 or not isinstance(spec.get("names"), list)):
             raise ParseError("flow JSON 'group_table' needs 'table' and 'names' lists")
+        n = len(spec["names"])
+        _check_size(n, 4 * n * n, max_order)
         group = group_from_cayley(spec["table"], [str(nm) for nm in spec["names"]])
     else:
         raise ParseError("flow JSON needs 'group' or 'group_table'")

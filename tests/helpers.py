@@ -19,9 +19,12 @@ uncontraction chain is synthesize_leaking_flow's former construction, the
 single-root leaf-first loop is solve_tree_flow's former solve, networkx's
 check_planarity is the planar module's former LR test, the recursive
 Bron-Kerbosch is _maximal_cliques' former search, the sorted-key search is
-the permutation-group table's former lookup, and the payload dict passed to
-dumps is the extra-planar JSON's former writer, each kept here as its
-oracle.  The edge contractions and uncontract_flow that the uncontraction
+the permutation-group table's former lookup, the payload dict passed to
+dumps is the extra-planar JSON's former writer, and the entry-by-entry
+dihedral loop, the quaternion dictionary, the coset dictionary of the
+central product, the separate parity and cycle-name walks of a permutation
+and the EsElement bit law are the group builders' former constructions,
+each kept here as its oracle.  The edge contractions and uncontract_flow that the uncontraction
 chain runs, the subgroup closure behind the subgroup lattice, the rotation
 step next_neighbor and the face-walk bridge check were library functions
 that only these oracles and the tests called.
@@ -32,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -68,7 +72,14 @@ from groupflow.graphs import (
     spanning_forest,
     vkey,
 )
-from groupflow.groups import FiniteGroup, Subgroup, _perm_parity, _right_closure, abelian_basis
+from groupflow.groups import (
+    FiniteGroup,
+    Subgroup,
+    _direct_product,
+    _right_closure,
+    abelian_basis,
+    designated_central_involution,
+)
 from groupflow.howell import HowellForm, _egcd, _unit_scale
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
@@ -263,7 +274,7 @@ def perm_table_by_searchsorted(n: int, even_only: bool) -> np.ndarray:
     """The Cayley table of sym:n (alt:n when even_only), each composed
     permutation located by a binary search over the sorted base-n keys."""
     perms = [p for p in itertools.permutations(range(n))
-             if not (even_only and _perm_parity(p) != 0)]
+             if not (even_only and perm_parity(p) != 0)]
     P = np.array(perms, dtype=np.int64)
     powers = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
     keys = P @ powers
@@ -275,6 +286,156 @@ def perm_table_by_searchsorted(n: int, even_only: bool) -> np.ndarray:
         ck = P[a][P] @ powers
         table[a] = sorted_idx[np.searchsorted(sorted_keys, ck)]
     return table
+
+
+def perm_parity(perm) -> int:
+    seen = set()
+    parity = 0
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        parity ^= (length - 1) & 1
+    return parity
+
+
+def perm_cycle_name(perm) -> str:
+    seen: set = set()
+    parts = []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            seen.add(start)
+            continue
+        cyc = [start]
+        seen.add(start)
+        x = perm[start]
+        while x != start:
+            cyc.append(x)
+            seen.add(x)
+            x = perm[x]
+        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+    return "".join(parts) if parts else "1"
+
+
+def perm_names_by_cycle_walk(n: int, even_only: bool) -> list:
+    """The element names of sym:n (alt:n when even_only), in table order."""
+    return [perm_cycle_name(p) for p in itertools.permutations(range(n))
+            if not (even_only and perm_parity(p) != 0)]
+
+
+def dihedral_by_loop(n: int) -> FiniteGroup:
+    """Dihedral group with n rotations (order 2n); r^n = s^2 = 1, srs = r^-1."""
+    order = 2 * n
+    table = np.zeros((order, order), dtype=np.int32)
+    for i1, j1, i2, j2 in itertools.product(range(n), (0, 1), range(n), (0, 1)):
+        i = (i1 + (i2 if j1 == 0 else -i2)) % n
+        j = j1 ^ j2
+        table[i1 + n * j1, i2 + n * j2] = i + n * j
+    names = []
+    for j in (0, 1):
+        for i in range(n):
+            word = []
+            if i == 1:
+                word.append("r")
+            elif i > 1:
+                word.append(f"r{i}")
+            if j:
+                word.append("s")
+            names.append("*".join(word) if word else "1")
+    return FiniteGroup(table, names, spec=f"dihedral:{n}")
+
+
+def quaternion_by_dictionary() -> FiniteGroup:
+    # elements (sign, axis) with axis in 1,i,j,k
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    mul_axis = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+        ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
+        ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
+    }
+
+    def split(nm):
+        return (-1, nm[1:]) if nm.startswith("-") else (1, nm)
+
+    def join(sign, axis):
+        nm = axis if sign == 1 else "-" + axis
+        return names.index(nm)
+
+    table = np.zeros((8, 8), dtype=np.int32)
+    for a, b in itertools.product(range(8), repeat=2):
+        s1, x1 = split(names[a])
+        s2, x2 = split(names[b])
+        s3, x3 = mul_axis[(x1, x2)]
+        table[a, b] = join(s1 * s2 * s3, x3)
+    return FiniteGroup(table, names, spec="quaternion")
+
+
+def central_product_by_cosets(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
+    """A x B modulo (za, zb), each coset named by its least member."""
+    za = designated_central_involution(A)
+    zb = designated_central_involution(B)
+    order = A.order * B.order // 2
+    prod = _direct_product(A, B, spec=None)
+    zz = za * B.order + zb
+    rep = {}
+    reps = []
+    for x in range(prod.order):
+        if x in rep:
+            continue
+        y = prod.mul(x, zz)
+        r = min(x, y)
+        rep[x] = r
+        rep[y] = r
+        reps.append(r)
+    reps.sort()
+    pos = {r: i for i, r in enumerate(reps)}
+    table = np.zeros((order, order), dtype=np.int32)
+    for i, x in enumerate(reps):
+        row = prod.table[x, reps]
+        table[i] = [pos[rep[int(y)]] for y in row]
+    names = [prod.names[r] for r in reps]
+    return FiniteGroup(table, names, spec=spec)
+
+
+@dataclass(frozen=True)
+class EsElement:
+    """Element of es:n as bits: eps for the central z, u and v as bitmasks."""
+
+    eps: int
+    u: int
+    v: int
+
+    def mul(self, other: "EsElement") -> "EsElement":
+        eps = self.eps ^ other.eps ^ ((self.v & other.u).bit_count() & 1)
+        return EsElement(eps, self.u ^ other.u, self.v ^ other.v)
+
+
+def es_decode(n: int, idx: int) -> EsElement:
+    mask = (1 << n) - 1
+    return EsElement(idx & 1, (idx >> 1) & mask, (idx >> (n + 1)) & mask)
+
+
+def es_by_element_law(n: int):
+    """The table and names of es:n from EsElement.mul, element by element."""
+    order = 1 << (2 * n + 1)
+    elements = [es_decode(n, i) for i in range(order)]
+    table = [[(c.eps | c.u << 1 | c.v << (n + 1)) for c in (a.mul(b) for b in elements)]
+             for a in elements]
+    names = []
+    for e in elements:
+        parts = ["z"] if e.eps else []
+        parts += [f"x{i + 1}" for i in range(n) if (e.u >> i) & 1]
+        parts += [f"x{n + i + 1}" for i in range(n) if (e.v >> i) & 1]
+        names.append("*".join(parts) if parts else "1")
+    return np.array(table), names
 
 
 def extra_planar_text_by_payload(embeddings: dict) -> str:

@@ -795,6 +795,61 @@ def test_huge_numbers_are_short_usage_errors(tmp_path, monkeypatch, argv):
     assert time.perf_counter() - start < 0.5
 
 
+_LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize("spec", [
+    "product:" + _LONG, "cyclic:" + _LONG, _LONG, "cayley:{order}", "cayley:" + _LONG,
+], ids=["product", "cyclic", "unknown", "cayley-order-line", "cayley-path"])
+def test_long_user_input_gives_a_short_usage_error(tmp_path, spec):
+    """A message quotes at most a short prefix of the spec, and a cayley
+    order line longer than the bound is refused before it is read."""
+    order = tmp_path / "order.txt"
+    order.write_text("7" * 4000 + "\n")
+    code, out, err = invoke(["group-leakproof", spec.format(order=order)])
+    assert (code, out) == (2, "") and err.startswith("error:"), err[:300]
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [["planar", "{path}"], ["check-flow", "{path}"]])
+def test_deeply_nested_json_is_usage_error(tmp_path, argv):
+    nested = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "nested.json"
+    if argv[0] == "planar":
+        path.write_text(f'{{"vertices": {nested}, "edges": []}}')
+    else:
+        path.write_text(f'{{"group": "es:2", "graph": {{"vertices": [], "edges": []}}, '
+                        f'"values": {nested}}}')
+    code, out, err = invoke([arg.format(path=path) for arg in argv])
+    assert (code, out) == (2, "") and err.startswith("error:"), err
+
+
+def test_inline_group_table_obeys_max_size(tmp_path):
+    """An inline group_table is held to --max-size as a cayley: file is."""
+    G = standard_group("cyclic:600")
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({
+        "group_table": {"names": list(G.names), "table": G.table.tolist()},
+        "graph": jsonio.graph_to_json(named_graph("complete:4")),
+        "values": [],
+    }))
+    code, out, err = invoke(["check-flow", "--max-size", "10", str(path)])
+    assert (code, out) == (2, ""), err
+    assert "order 600 exceeds the configured bound 10" in err
+    assert invoke(["check-flow", str(path)])[0] == 0
+
+
+def test_rotation_naming_a_vertex_the_graph_lacks_is_usage_error(tmp_path):
+    gpath = write_graph(tmp_path, "path.json", graph_from([1, 2, 3], [(1, 2), (2, 3)]))
+    rpath = tmp_path / "rot.json"
+    rotation = {"1": ["2"], "2": ["1", "3"], "3": ["2"]}
+    rpath.write_text(json.dumps({"rotation": rotation}))
+    assert invoke(["faces", gpath, str(rpath)])[0] == 0
+    rpath.write_text(json.dumps({"rotation": {**rotation, "9": []}}))
+    code, out, err = invoke(["faces", gpath, str(rpath)])
+    assert (code, out) == (2, "") and "'9'" in err, err
+
+
 @pytest.mark.parametrize("argv", [["--max-size", "0"], ["--max-size", "-1"], ["--max-size=-1"]])
 def test_max_size_must_be_positive(tmp_path, argv):
     path = write_graph(tmp_path, "k4.json", named_graph("complete:4"))

@@ -30,7 +30,6 @@ from groupflow.groups import (
     conjugacy_class_id,
     designated_central_involution,
     discrete_log,
-    es_decode,
     es_group,
     group_from_cayley,
     maximal_abelian_subgroups,
@@ -39,10 +38,16 @@ from groupflow.groups import (
 
 from helpers import (
     associative_by_exhaustion,
+    central_product_by_cosets,
     closure,
+    dihedral_by_loop,
+    es_by_element_law,
+    es_decode,
     maximal_abelian_oracle,
     maximal_cliques_by_recursion,
+    perm_names_by_cycle_walk,
     perm_table_by_searchsorted,
+    quaternion_by_dictionary,
 )
 
 
@@ -349,6 +354,48 @@ def test_cayley_file_order_bound_checked_before_rows(tmp_path):
     path.write_text("12\n")        # truncated: the bound is checked first
     with pytest.raises(TooLarge):
         standard_group(f"cayley:{path}", max_order=5)
+
+
+_CENTPROD_SPECS = (
+    "centprod:quaternion,quaternion", "centprod:quaternion,dihedral:4",
+    "centprod:dihedral:4,dihedral:4", "centprod:cyclic:4,quaternion",
+    "centprod:es:1,es:2", "centprod:dihedral:6,cyclic:2",
+    "centprod:product:cyclic:4,cyclic:3,quaternion",
+    "centprod:quaternion,centprod:dihedral:4,quaternion",
+    "centprod:centprod:quaternion,quaternion,product:cyclic:3,cyclic:4",
+    "centprod:es:2,es:2",
+)
+
+
+def _oracle_group(spec: str):
+    """The table and names of spec from the builders' former constructions."""
+    head, _, rest = spec.partition(":")
+    if head == "dihedral":
+        G = dihedral_by_loop(int(rest))
+    elif head == "quaternion":
+        G = quaternion_by_dictionary()
+    elif head in ("sym", "alt"):
+        return (perm_table_by_searchsorted(int(rest), head == "alt"),
+                perm_names_by_cycle_walk(int(rest), head == "alt"))
+    elif head == "es":
+        return es_by_element_law(int(rest))
+    else:
+        end = groups._spec_end(rest, 0)
+        G = central_product_by_cosets(standard_group(rest[:end]), standard_group(rest[end + 1:]),
+                                      spec)
+    return G.table, list(G.names)
+
+
+@pytest.mark.parametrize("spec", [f"dihedral:{n}" for n in range(1, 81)] + ["quaternion"]
+                         + list(_CENTPROD_SPECS) + [f"{h}:{n}" for h in ("sym", "alt")
+                                                    for n in range(1, 7)]
+                         + [f"es:{n}" for n in (1, 2, 3)])
+def test_builders_match_their_former_constructions(spec):
+    G = standard_group(spec)
+    table, names = _oracle_group(spec)
+    assert G.table.dtype == np.int32
+    assert np.array_equal(G.table, table)
+    assert list(G.names) == names
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60])

@@ -46,6 +46,21 @@ def test_integer_labels():
     assert jsonio.graph_from_text("1 " + "9" * 640).m == 1
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": [1, true, 2.5], "edges": [[2.5, 1]]}',
+    '{"vertices": [1, true], "edges": []}',
+    '{"vertices": [1, 2.5], "edges": []}',
+    '{"vertices": [1, 2], "edges": [[1, null]]}',
+    '{"vertices": [1, [2]], "edges": []}',
+    '{"vertices": [1, {"a": 2}], "edges": []}',
+])
+def test_vertex_labels_are_strings_or_integers(text):
+    """A JSON vertex label that is neither a string nor an integer (a bool
+    is not one) is refused, not coerced to another label."""
+    with pytest.raises(ParseError, match="must be a string or an integer"):
+        jsonio.graph_from_text(text)
+
+
 def test_graph_json_errors():
     with pytest.raises(ParseError):
         jsonio.graph_from_json({"vertices": ["1"]})
