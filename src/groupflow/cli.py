@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import jsonio
-from .errors import GraphIsPlanar, GroupFlowError, HostTooLarge, InternalInvariantError, ParseError
+from .errors import (GraphIsPlanar, GroupFlowError, HostTooLarge, InternalInvariantError, ParseError,
+                     _clip)
 from .flows import (
     LeakVerdict,
     detect_binary_leak,
@@ -52,9 +53,10 @@ def _read(path: str, parse):
     try:
         return parse(Path(path).read_text())
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+        raise ParseError(f"{_clip(path)}: invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:   # an OSError's text repeats the path
+        raise ParseError(f"cannot read {_clip(path)}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def _emit(args, payload: dict, text: str) -> None:

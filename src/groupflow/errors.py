@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_clip``, the form in
+which their messages quote user input."""
+
+
+def _clip(text: str) -> str:
+    """text, cut to its first 100 characters and "..." when it is longer:
+    the form in which a message quotes user input."""
+    return text if len(text) <= 100 else text[:100] + "..."
 
 
 class GroupFlowError(Exception):
@@ -37,7 +44,7 @@ class NoInverse(GroupFlowError):
 
 class DuplicateName(GroupFlowError):
     def __init__(self, name):
-        super().__init__(f"duplicate element name {name!r}")
+        super().__init__(f"duplicate element name {_clip(str(name))!r}")
         self.name = name
 
 

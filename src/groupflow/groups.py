@@ -36,6 +36,7 @@ from .errors import (
     NotMember,
     ParseError,
     TooLarge,
+    _clip,
 )
 
 DEFAULT_MAX_ORDER = 5040
@@ -553,11 +554,16 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
 
 
 def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str]) -> FiniteGroup:
-    order = A.order * B.order
-    nb = B.order
-    ia, ib = divmod(np.arange(order), nb)
-    table = A.table[np.ix_(ia, ia)].astype(np.int64) * nb + B.table[np.ix_(ib, ib)]
-    names = [f"({A.names[a]},{B.names[b]})" for a in range(A.order) for b in range(B.order)]
+    na, nb = A.order, B.order
+    # (a1, b1)(a2, b2) = (a1 a2, b1 b2), element (a, b) at index a * nb + b:
+    # A's table spread over the blocks, scaled in place, then B's added in
+    # place, so the int32 table is the only array of order ** 2 entries
+    table = np.empty((na, nb, na, nb), dtype=np.int32)
+    table[...] = A.table[:, None, :, None]
+    table *= nb
+    table += B.table[None, :, None, :]
+    table = table.reshape(na * nb, na * nb)
+    names = [f"({A.names[a]},{B.names[b]})" for a in range(na) for b in range(nb)]
     return FiniteGroup(table, names, spec=spec)
 
 
@@ -687,12 +693,6 @@ def _bounded_int(digits: str, max_order: int) -> int:
     return int(digits or "0")
 
 
-def _clip(text: str) -> str:
-    """text, cut to its first 100 characters and "..." when it is longer:
-    the form in which a message quotes user input."""
-    return text if len(text) <= 100 else text[:100] + "..."
-
-
 def _check_size(order: int, nbytes: int, max_order: int) -> None:
     """TooLarge, before anything is allocated, when order is above max_order
     or the largest array its builder makes takes more than MAX_TABLE_BYTES."""
@@ -724,11 +724,11 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
         A = standard_group(rest[:end], max_order)
         B = standard_group(rest[end + 1:], max_order)
         order = A.order * B.order
-        # both build the direct product's table through an int64 one
+        # both build the direct product's int32 table
         if head == "product":
-            _check_size(order, 8 * order * order, max_order)
+            _check_size(order, 4 * order * order, max_order)
             return _direct_product(A, B, spec)
-        _check_size(order // 2, 8 * order * order, max_order)
+        _check_size(order // 2, 4 * order * order, max_order)
         return _central_product(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError
+from .errors import ParseError, _clip
 from .flows import GroupFlow, LeakVerdict
 from .graphs import Graph, MinorWitness, Vertex, edge_key, graph_from, vkey
-from .groups import (DEFAULT_MAX_ORDER, FiniteGroup, _check_size, _clip, group_from_cayley,
-                     standard_group)
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_size, group_from_cayley, standard_group
 from .planar import RotationSystem
 
 

@@ -3,7 +3,7 @@
 An embedding is a rotation system (cyclic neighbour order per vertex)
 accepted exactly when every connected component satisfies Euler's formula
 V - E + F = 2, faces being the orbits of the next-edge successor map, which
-``_face_orbits`` alone walks.  On a connected graph every rotation system
+``_face_orbits`` alone walks in full.  On a connected graph every rotation system
 gives V - E + F = 2 - 2g <= 2 for the genus g of its surface, so one face
 count over all components decides the per-component check.
 ``test_planarity`` always returns one of two independently checkable
@@ -20,8 +20,18 @@ different components is spliced at any corner of each (an isolated
 endpoint gets the rotation of the other alone); the two faces merge into
 one, so V - E + F stays 2 on the joined component.  Only a pair that no
 pooled embedding places is run through the LR planarity test (Brandes,
-"The Left-Right Planarity Test", 2009; see ``_lr``).  Every spliced
-embedding is Euler-checked like any other.
+"The Left-Right Planarity Test", 2009; see ``_lr``).
+
+Every pooled embedding gets one full ``euler_planar_check`` when it joins
+the pool (the base one inside ``test_planarity``).  A spliced embedding is
+then checked exactly where the splice changed it: its two new rotations,
+at u and v, are validated against G + uv, and its face count is the pool
+entry's, less the faces through the darts whose successor changed, plus
+the new orbits through those darts, which include (u, v) and (v, u); each
+is walked by jumping along the entry's faces from one changed dart to the
+next.  That count must give V - E + F = 2k for G + uv, as in the full
+check.  Apart from a copy of the pooled rotation dict, a splice so costs
+what it changed, not the size of G.
 
 A non-planar graph's witness comes from deleting edges, in sorted order,
 while the graph stays non-planar.  Each "still non-planar without e?"
@@ -38,11 +48,12 @@ depend on the reduction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ._lr import lr_planarity
-from .errors import InternalInvariantError, ParseError
+from .errors import InternalInvariantError, ParseError, _clip
 from .graphs import (
     Graph,
     MinorWitness,
@@ -70,7 +81,8 @@ class RotationSystem:
             order = tuple(self.rotation.get(v, ()))
             members = set(order)
             if members != set(self.graph.neighbors(v)) or len(order) != len(members):
-                raise ParseError(f"rotation at {v!r} is not a cyclic order of its neighbours")
+                raise ParseError(f"rotation at {_clip(repr(v))} is not a cyclic order of "
+                                 "its neighbours")
             rot[v] = _canonical_rotation(order)
         object.__setattr__(self, "rotation", rot)
 
@@ -104,8 +116,7 @@ def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
     no earlier orbit covers."""
     succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
     for v, order in R.rotation.items():
-        for a, b in zip(order, order[1:] + order[:1]):
-            succ[(a, v)] = (v, b)
+        _add_successors(succ, v, order)
     orbits = []
     for start in ((u, w) for u in R.graph.vertices for w in R.graph.neighbors(u)):
         if start in succ:
@@ -114,6 +125,13 @@ def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
                 orbit.append(cur)
             orbits.append(orbit)
     return orbits
+
+
+def _add_successors(succ: dict, v: Vertex, order: tuple[Vertex, ...]) -> None:
+    """Enter the successor (v, b) of every dart (a, v) into v, b following
+    a in v's rotation ``order``."""
+    for a, b in zip(order, order[1:] + order[:1]):
+        succ[(a, v)] = (v, b)
 
 
 def faces(R: RotationSystem) -> list[BoundaryWalk]:
@@ -341,11 +359,13 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     at any corner of each endpoint.  A non-adjacent pair in one component
     is spliced into the first pooled embedding that has a corner of each
     endpoint on a common face (its lowest-indexed such face, see
-    ``_face_orbits``).  Every spliced rotation system is validated and
-    Euler-checked.  A pair that no pooled embedding places is tested
-    afresh; its embedding, with the pair's edge taken out, joins the pool.
-    No failing pair is ever spliced, so the first failing pair (in
-    canonical order) and its witness are those of the per-pair test.
+    ``_face_orbits``).  A pair that no pooled embedding places is tested
+    afresh; its embedding, with the pair's edge taken out, is Euler-checked
+    in full and joins the pool.  Each spliced rotation system has its two
+    new rotations validated and its faces counted exactly from its pool
+    entry's (see ``_splice``).  No failing pair is ever spliced, so the
+    first failing pair (in canonical order) and its witness are those of
+    the per-pair test.
     """
     pairs = _vertex_pairs(G)
     base = test_planarity(G)
@@ -353,8 +373,12 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
         pair = pairs[0]
         # the witness lives inside G, hence also inside G plus the extra edge
         return ExtraPlanarVerdict(False, pair=pair, witness=base)
-    component = {v: i for i, members in enumerate(components(G)) for v in members}
-    pool = [(base, _corners(base))]
+    comps = components(G)
+    component = {v: i for i, members in enumerate(comps) for v in members}
+    # vertices with an edge, and components with an edge: V and k of G's Euler check
+    n = sum(len(members) for members in comps if len(members) > 1)
+    k = sum(len(members) > 1 for members in comps)
+    pool = [_PoolEntry(base)]
     embeddings: dict[tuple[Vertex, Vertex], RotationSystem] = {}
     for pair in pairs:
         if G.has_edge(*pair):
@@ -363,14 +387,16 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
         u, v = pair
         H = add_edge(G, u, v)
         if component[u] != component[v]:
-            # any corner of each endpoint: after its first neighbour, if any
+            # any corner of each endpoint: after its first neighbour, if any;
+            # an isolated endpoint joins V, and two components become one
             at = (next(iter(base.rotation[u]), None), next(iter(base.rotation[v]), None))
-            embeddings[pair] = _splice(H, base, pair, at)
+            isolated = (at[0] is None) + (at[1] is None)
+            embeddings[pair] = _splice(H, pool[0], pair, at, n + isolated, k - 1 + isolated)
             continue
-        for R, corners in pool:
-            at = _splice_corners(corners[u], corners[v])
+        for entry in pool:
+            at = _splice_corners(entry.corners[u], entry.corners[v])
             if at is not None:
-                embeddings[pair] = _splice(H, R, pair, at)
+                embeddings[pair] = _splice(H, entry, pair, at, n, k)
                 break
         else:
             result = test_planarity(H)
@@ -381,24 +407,35 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
             rotation[u] = tuple(w for w in rotation[u] if w != v)
             rotation[v] = tuple(w for w in rotation[v] if w != u)
             pooled = RotationSystem(G, rotation)
-            pool.append((pooled, _corners(pooled)))
+            if not euler_planar_check(pooled):
+                raise InternalInvariantError(
+                    f"extra_planar pool: embedding of G plus {_clip(repr(pair))} without "
+                    "that edge failed the Euler check")
+            pool.append(_PoolEntry(pooled))
     return ExtraPlanarVerdict(True, embeddings=embeddings)
 
 
-def _corners(R: RotationSystem) -> dict[Vertex, dict[int, Vertex]]:
-    """For each vertex, its first corner on each face of R: face index (in
-    ``_face_orbits`` order) -> the vertex the face enters it from."""
-    corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in R.graph.vertices}
-    for f, orbit in enumerate(_face_orbits(R)):
-        for x, w in orbit:
-            corners[w].setdefault(f, x)
-    return corners
+class _PoolEntry:
+    """An Euler-checked embedding R of G with what a splice into it reads:
+    its face orbits, each dart's place (face index, position on the face),
+    and each vertex's first corner per face (face index -> the vertex the
+    face enters it from)."""
+
+    def __init__(self, R: RotationSystem):
+        self.R = R
+        self.orbits = _face_orbits(R)
+        self.place: dict[tuple[Vertex, Vertex], tuple[int, int]] = {}
+        self.corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in R.graph.vertices}
+        for f, orbit in enumerate(self.orbits):
+            for i, d in enumerate(orbit):
+                self.place[d] = (f, i)
+                self.corners[d[1]].setdefault(f, d[0])
 
 
 def _splice_corners(at_u: dict[int, Vertex],
                     at_v: dict[int, Vertex]) -> Optional[tuple[Vertex, Vertex]]:
     """The in-neighbours of the corners at u and at v that the new edge uv
-    joins, given each endpoint's first corner per face (see ``_corners``);
+    joins, given each endpoint's first corner per face (see ``_PoolEntry``);
     None when u and v share no face."""
     for f, x in at_u.items():
         if f in at_v:
@@ -406,18 +443,70 @@ def _splice_corners(at_u: dict[int, Vertex],
     return None
 
 
-def _splice(H: Graph, R: RotationSystem, pair: tuple[Vertex, Vertex],
-            at: tuple[Optional[Vertex], Optional[Vertex]]) -> RotationSystem:
-    """The embedding R of G with the edge uv = ``pair`` of H added at the
-    corners ``at`` (None for an endpoint without edges, whose rotation
-    becomes the other endpoint alone); it must pass the Euler check."""
+def _splice(H: Graph, entry: _PoolEntry, pair: tuple[Vertex, Vertex],
+            at: tuple[Optional[Vertex], Optional[Vertex]], n: int, k: int) -> RotationSystem:
+    """The embedding R = ``entry.R`` of G with the edge uv = ``pair`` of H
+    added at the corners ``at`` (None for an endpoint without edges, whose
+    rotation becomes the other endpoint alone), checked exactly where the
+    splice changed it.
+
+    Only the rotations at u and v are new: each must be a cyclic order of
+    its neighbours in H, and is canonicalised; every other rotation is R's,
+    already checked.  So only darts into u or v can change their successor,
+    and the faces of H's embedding are R's, less those through a changed
+    dart, plus the new orbits through one.  A new orbit runs along R's
+    faces from one changed dart to the next, so it is walked by jumping
+    between changed darts.  With ``n`` and ``k`` the vertices with an edge
+    and the components with an edge of H, the face count must satisfy
+    Euler's V - E + F = 2k (see ``euler_planar_check``): a splice inside a
+    component splits one face, and one across components merges the faces
+    at its two corners into one.
+    """
+    R = entry.R
     rotation = dict(R.rotation)
+    # the successors of the darts into u and v, in R and after the splice
+    before: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
     for w, other, x in ((pair[0], pair[1], at[0]), (pair[1], pair[0], at[1])):
         order = R.rotation[w]
+        _add_successors(before, w, order)
         i = 0 if x is None else order.index(x) + 1
-        rotation[w] = order[:i] + (other,) + order[i:]
-    spliced = RotationSystem(H, rotation)
-    if not euler_planar_check(spliced):
+        order = order[:i] + (other,) + order[i:]
+        if len(order) != H.degree(w) or set(order) != set(H.neighbors(w)):
+            raise InternalInvariantError(
+                f"extra_planar splice: rotation at {_clip(repr(w))} in G plus "
+                f"{_clip(repr(pair))} is not a cyclic order of its neighbours")
+        rotation[w] = _canonical_rotation(order)
+        _add_successors(succ, w, order)
+    changed = {d for d, s in succ.items() if s != before.get(d)}
+    cuts: dict[int, list[int]] = {}     # R's face -> positions of its changed darts
+    for d in changed & entry.place.keys():
+        f, i = entry.place[d]
+        cuts.setdefault(f, []).append(i)
+    for positions in cuts.values():
+        positions.sort()
+
+    def next_changed(d):
+        s = succ[d]
+        if s in changed:
+            return s
+        f, i = entry.place[s]
+        positions = cuts[f]
+        return entry.orbits[f][positions[bisect_left(positions, i) % len(positions)]]
+
+    new_orbits = 0
+    unseen = set(changed)
+    while unseen:
+        start = d = unseen.pop()
+        new_orbits += 1
+        while (d := next_changed(d)) != start:
+            unseen.remove(d)
+    faces = len(entry.orbits) - len(cuts) + new_orbits
+    if n - H.m + faces != 2 * k:
         raise InternalInvariantError(
-            f"extra_planar splice: embedding of G plus {pair!r} failed the Euler check")
+            f"extra_planar splice: embedding of G plus {_clip(repr(pair))} failed the Euler check")
+    # built without __post_init__, which would re-validate every rotation
+    spliced = object.__new__(RotationSystem)
+    object.__setattr__(spliced, "graph", H)
+    object.__setattr__(spliced, "rotation", rotation)
     return spliced

@@ -5,14 +5,16 @@ the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
 group-leak decision's former construction, the per-pair planarity loop is
-extra_planar's former construction, and the exhaustive associativity loop
-is the group constructor's former check, the per-edge LR deletion loop is
-the Kuratowski extraction's former construction, and the unpruned
-backtracking is find_minor's former search, the sorted-dart face walk and
-per-component Euler count are the planar module's former face routines,
-the neighbour scan is the former tractability and excess check, the
-two-form solve is witness_flow_from_kernel's former solve, and the
-row-and-column diagonalisation with its divisor-chain merge is
+extra_planar's former construction, the whole-system build and full Euler
+check of every spliced embedding is extra_planar's former splice, and the
+exhaustive associativity loop is the group constructor's former check, the
+per-edge LR deletion loop is the Kuratowski extraction's former
+construction, and the unpruned backtracking is find_minor's former
+search, the sorted-dart face walk and per-component Euler count are the
+planar module's former face routines, the neighbour scan is the former
+tractability and excess check, the two-form solve is
+witness_flow_from_kernel's former solve, and the row-and-column
+diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
 elimination is HowellForm's former row storage, the edge-by-edge
 uncontraction chain is synthesize_leaking_flow's former construction, the
@@ -21,10 +23,11 @@ check_planarity is the planar module's former LR test, the recursive
 Bron-Kerbosch is _maximal_cliques' former search, the sorted-key search is
 the permutation-group table's former lookup, the payload dict passed to
 dumps is the extra-planar JSON's former writer, and the entry-by-entry
-dihedral loop, the quaternion dictionary, the coset dictionary of the
-central product, the separate parity and cycle-name walks of a permutation
-and the EsElement bit law are the group builders' former constructions,
-each kept here as its oracle.  The edge contractions and uncontract_flow that the uncontraction
+dihedral loop, the quaternion dictionary, the int64 gather of the direct
+product, the coset dictionary of the central product, the separate
+parity and cycle-name walks of a permutation and the EsElement bit law are
+the group builders' former constructions, each kept here as its oracle.
+The edge contractions and uncontract_flow that the uncontraction
 chain runs, the subgroup closure behind the subgroup lattice, the rotation
 step next_neighbor and the face-walk bridge check were library functions
 that only these oracles and the tests called.
@@ -75,7 +78,6 @@ from groupflow.graphs import (
 from groupflow.groups import (
     FiniteGroup,
     Subgroup,
-    _direct_product,
     _right_closure,
     abelian_basis,
     designated_central_involution,
@@ -378,12 +380,22 @@ def quaternion_by_dictionary() -> FiniteGroup:
     return FiniteGroup(table, names, spec="quaternion")
 
 
+def direct_product_by_int64(A: FiniteGroup, B: FiniteGroup, spec) -> FiniteGroup:
+    """A x B with (a, b) at index a * |B| + b, its table gathered through
+    int64 intermediates."""
+    nb = B.order
+    ia, ib = divmod(np.arange(A.order * nb), nb)
+    table = A.table[np.ix_(ia, ia)].astype(np.int64) * nb + B.table[np.ix_(ib, ib)]
+    names = [f"({A.names[a]},{B.names[b]})" for a in range(A.order) for b in range(nb)]
+    return FiniteGroup(table, names, spec=spec)
+
+
 def central_product_by_cosets(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     """A x B modulo (za, zb), each coset named by its least member."""
     za = designated_central_involution(A)
     zb = designated_central_involution(B)
     order = A.order * B.order // 2
-    prod = _direct_product(A, B, spec=None)
+    prod = direct_product_by_int64(A, B, spec=None)
     zz = za * B.order + zb
     rep = {}
     reps = []
@@ -491,6 +503,23 @@ def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:
             return ExtraPlanarVerdict(False, pair=pair, witness=result)
         embeddings[pair] = result
     return ExtraPlanarVerdict(True, embeddings=embeddings)
+
+
+def splice_by_full_check(H: Graph, R: RotationSystem, pair, at) -> RotationSystem:
+    """extra_planar's former splice: the embedding R of G with the edge
+    uv = ``pair`` of H added at the corners ``at`` (None for an endpoint
+    without edges), built as a whole RotationSystem and Euler-checked in
+    full."""
+    rotation = dict(R.rotation)
+    for w, other, x in ((pair[0], pair[1], at[0]), (pair[1], pair[0], at[1])):
+        order = R.rotation[w]
+        i = 0 if x is None else order.index(x) + 1
+        rotation[w] = order[:i] + (other,) + order[i:]
+    spliced = RotationSystem(H, rotation)
+    if not euler_planar_check(spliced):
+        raise InternalInvariantError(
+            f"extra_planar splice: embedding of G plus {pair!r} failed the Euler check")
+    return spliced
 
 
 def nx_is_planar(G) -> bool:

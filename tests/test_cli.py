@@ -811,6 +811,29 @@ def test_long_user_input_gives_a_short_usage_error(tmp_path, spec):
     assert len(err.encode()) < 300
 
 
+def _long_input_argv(tmp_path, kind: str) -> list:
+    name = "x" * 100_000
+    if kind == "path":
+        return ["planar", str(tmp_path / name)]
+    if kind == "duplicate-name":
+        path = tmp_path / "dup.txt"
+        path.write_text(f"2\n{name} {name}\n0 1\n1 0\n")
+        return ["group-leakproof", f"cayley:{path}"]
+    graph = graph_from([name, "a", "b"], [(name, "a"), (name, "b")])
+    rotation = tmp_path / "rot.json"
+    rotation.write_text(json.dumps({"rotation": {name: ["a"], "a": [name], "b": [name]}}))
+    return ["faces", write_graph(tmp_path, "g.json", graph), str(rotation)]
+
+
+@pytest.mark.parametrize("kind", ["path", "duplicate-name", "rotation-vertex"])
+def test_messages_quote_100000_character_input_briefly(tmp_path, kind):
+    """A path that cannot be read, a duplicate element name and a vertex
+    whose rotation is wrong are each quoted once, cut to 100 characters."""
+    code, out, err = invoke(_long_input_argv(tmp_path, kind))
+    assert (code, out) == (2, "") and err.startswith("error:"), err[:300]
+    assert len(err.encode()) < 400 and err.count("...") == 1, err[:300]
+
+
 @pytest.mark.parametrize("argv", [["planar", "{path}"], ["check-flow", "{path}"]])
 def test_deeply_nested_json_is_usage_error(tmp_path, argv):
     nested = "[" * 100_000 + "]" * 100_000

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -41,6 +42,7 @@ from helpers import (
     central_product_by_cosets,
     closure,
     dihedral_by_loop,
+    direct_product_by_int64,
     es_by_element_law,
     es_decode,
     maximal_abelian_oracle,
@@ -367,6 +369,30 @@ _CENTPROD_SPECS = (
 )
 
 
+_PRODUCT_SPECS = (
+    "product:cyclic:2,cyclic:2", "product:cyclic:5,dihedral:3", "product:quaternion,sym:3",
+    "product:es:2,cyclic:2", "product:product:cyclic:2,cyclic:3,alt:4",
+    "product:centprod:quaternion,dihedral:4,cyclic:3", "product:cyclic:70,cyclic:7",
+)
+
+
+def test_direct_product_table_is_its_only_order_squared_array(monkeypatch):
+    """The int32 table is built in place: the builder's peak traced memory
+    stays within one 4-byte entry per table cell, plus a little."""
+    A, B = standard_group("cyclic:40"), standard_group("dihedral:20")
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None: table)
+    tracemalloc.start()
+    try:
+        table = groups._direct_product(A, B, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    order = A.order * B.order
+    assert table.dtype == np.int32 and table.shape == (order, order)
+    assert 4 * order * order <= peak < 4.5 * order * order
+    assert np.array_equal(table, direct_product_by_int64(A, B, None).table)
+
+
 def _oracle_group(spec: str):
     """The table and names of spec from the builders' former constructions."""
     head, _, rest = spec.partition(":")
@@ -379,6 +405,10 @@ def _oracle_group(spec: str):
                 perm_names_by_cycle_walk(int(rest), head == "alt"))
     elif head == "es":
         return es_by_element_law(int(rest))
+    elif head == "product":
+        end = groups._spec_end(rest, 0)
+        G = direct_product_by_int64(standard_group(rest[:end]), standard_group(rest[end + 1:]),
+                                    spec)
     else:
         end = groups._spec_end(rest, 0)
         G = central_product_by_cosets(standard_group(rest[:end]), standard_group(rest[end + 1:]),
@@ -389,7 +419,7 @@ def _oracle_group(spec: str):
 @pytest.mark.parametrize("spec", [f"dihedral:{n}" for n in range(1, 81)] + ["quaternion"]
                          + list(_CENTPROD_SPECS) + [f"{h}:{n}" for h in ("sym", "alt")
                                                     for n in range(1, 7)]
-                         + [f"es:{n}" for n in (1, 2, 3)])
+                         + [f"es:{n}" for n in (1, 2, 3)] + list(_PRODUCT_SPECS))
 def test_builders_match_their_former_constructions(spec):
     G = standard_group(spec)
     table, names = _oracle_group(spec)

@@ -37,6 +37,7 @@ from helpers import (
     next_neighbor,
     nx_is_planar,
     random_graph,
+    splice_by_full_check,
     walk_bridge_check,
 )
 
@@ -469,10 +470,121 @@ def test_extra_planar_pool_places_pair_the_base_embedding_does_not(monkeypatch):
     _assert_matches_lr_oracle(g)
 
 
+def _splices_checked_by_full_oracle(monkeypatch) -> list:
+    """Make every splice also run ``splice_by_full_check`` on the same pool
+    embedding and corners, and assert the same rotation system.  The
+    oracle's is built by ``RotationSystem(H, rotation)`` and passes a full
+    ``euler_planar_check``, so an equal certificate rebuilds to itself and
+    passes too.  Returns the list of spliced pairs."""
+    spliced = []
+    original = planar._splice
+
+    def checked(H, entry, pair, at, n, k):
+        R = original(H, entry, pair, at, n, k)
+        assert R == splice_by_full_check(H, entry.R, pair, at), (H, pair, at)
+        spliced.append(pair)
+        return R
+    monkeypatch.setattr(planar, "_splice", checked)
+    return spliced
+
+
+def test_splices_match_full_check_oracle_up_to_6_vertices(monkeypatch):
+    spliced = _splices_checked_by_full_oracle(monkeypatch)
+    for n in range(1, 7):
+        for g in all_labeled_graphs(n):
+            extra_planar(g)
+    assert len(spliced) > 100_000
+
+
+def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
+    """Sparse graphs with isolated vertices and several components, so that
+    both splice kinds and isolated endpoints occur.  Every certificate is
+    also rebuilt and Euler-checked in full."""
+    spliced = _splices_checked_by_full_oracle(monkeypatch)
+    rng = random.Random(67)
+    isolated = several = 0
+    for _ in range(120):
+        g = random_graph(rng, rng.randint(7, 12), rng.uniform(0.05, 0.3))
+        isolated += any(g.degree(v) == 0 for v in g.vertices)
+        several += len([c for c in components(g) if len(c) > 1]) > 1
+        verdict = extra_planar(g)
+        for (u, v), R in (verdict.embeddings or {}).items():
+            rebuilt = RotationSystem(R.graph, R.rotation)
+            assert R.graph == add_edge(g, u, v)
+            assert rebuilt.rotation == R.rotation and euler_planar_check(rebuilt), (g, u, v)
+    assert isolated >= 30 and several >= 30 and len(spliced) > 3_000
+
+
+def _one_face_too_many(monkeypatch):
+    class Miscounted(planar._PoolEntry):
+        def __init__(self, R):
+            super().__init__(R)
+            self.orbits.append([])
+    monkeypatch.setattr(planar, "_PoolEntry", Miscounted)
+
+
+def _corners_on_different_faces(monkeypatch):
+    def wrong(at_u, at_v):
+        f = next(iter(at_u))
+        return at_u[f], next(x for g, x in at_v.items() if g != f)
+    monkeypatch.setattr(planar, "_splice_corners", wrong)
+
+
+_SPLICE_1_3_FAILS = r"splice: embedding of G plus \(1, 3\) failed the Euler check"
+
+
 def test_extra_planar_splice_failing_euler_check_names_stage_and_pair(monkeypatch):
-    original = planar.euler_planar_check
-    # the base embedding of path:4 (3 edges) passes; every spliced one fails
-    monkeypatch.setattr(planar, "euler_planar_check",
-                        lambda R: R.graph.m == 3 and original(R))
-    with pytest.raises(InternalInvariantError, match=r"splice.*\(1, 3\)"):
+    """path:4's base embedding passes its full check; with its pool entry
+    counting one face too many, the first spliced pair, (1, 3), fails the
+    exact face count of its splice."""
+    _one_face_too_many(monkeypatch)
+    with pytest.raises(InternalInvariantError, match=_SPLICE_1_3_FAILS):
         extra_planar(named_graph("path:4"))
+
+
+def test_extra_planar_splice_at_corners_on_two_faces_fails_euler_check(monkeypatch):
+    """cycle:4 has two faces; joining 1 and 3 across them gives a torus."""
+    _corners_on_different_faces(monkeypatch)
+    with pytest.raises(InternalInvariantError, match=_SPLICE_1_3_FAILS):
+        extra_planar(named_graph("cycle:4"))
+
+
+@pytest.mark.parametrize("graph", [
+    # (1, 3) joins the components {1, 2} and {3, 4}, merging their faces
+    graph_from([1, 2, 3, 4], [(1, 2), (3, 4)]),
+    # (1, 3) joins {1, 2} and the isolated 3, which has no face to merge
+    graph_from([1, 2, 3], [(1, 2)]),
+])
+def test_extra_planar_cross_component_splice_failing_euler_check(monkeypatch, graph):
+    _one_face_too_many(monkeypatch)
+    with pytest.raises(InternalInvariantError, match=_SPLICE_1_3_FAILS):
+        extra_planar(graph)
+
+
+def test_extra_planar_splice_validates_the_new_rotations(monkeypatch):
+    # a graph without the new edge: the spliced rotation at 1 names 3 wrongly
+    monkeypatch.setattr(planar, "add_edge", lambda G, u, v: G)
+    with pytest.raises(InternalInvariantError, match=r"splice: rotation at 1 in G plus \(1, 3\)"):
+        extra_planar(named_graph("path:4"))
+
+
+def test_extra_planar_checks_each_pooled_embedding_in_full(monkeypatch):
+    """Each embedding that joins the pool gets a full Euler check; the base
+    one gets it from test_planarity."""
+    g = graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)])
+    checked = []
+    original = planar.euler_planar_check
+    monkeypatch.setattr(planar, "euler_planar_check", lambda R: checked.append(R.graph) or original(R))
+    assert extra_planar(g).extra_planar
+    # the base, then per LR-tested pair its embedding and its pooled one
+    assert checked == [g, add_edge(g, 3, 5), g, add_edge(g, 4, 6), g]
+    embeddings_of_g = []
+
+    def base_passes_pooled_fail(R):
+        if R.graph != g:
+            return original(R)
+        embeddings_of_g.append(R)
+        return len(embeddings_of_g) == 1 and original(R)
+    monkeypatch.setattr(planar, "euler_planar_check", base_passes_pooled_fail)
+    with pytest.raises(InternalInvariantError, match=r"pool: .*\(3, 5\)"):
+        extra_planar(g)
