@@ -5,6 +5,11 @@ leaks, not extra-planar, ...), 2 = usage or parse error, 3 = internal
 invariant violation or any other unexpected exception (named on stderr
 with the subcommand, without a traceback).  Negative mathematical verdicts
 are results, not failures, so shell pipelines can branch on them.
+
+The argument parser is built once, when the module is imported, and every
+``run`` parses with it: help text, usage errors and parsed arguments all
+come from that one parser.  Parsing keeps no state between calls; each
+call gets a fresh namespace.
 """
 
 from __future__ import annotations
@@ -267,24 +272,9 @@ _COMMANDS = (
      ((("which",), {"choices": ("k33", "k5", "k33minus")}),), _cmd_examples),
 )
 
-# top-level options that take the next token as their value
-_VALUE_FLAGS = ("-f", "-o", "--format", "--output", "--max-size")
-
-
-class _ParseFailed(Exception):
-    """Raised instead of printing a usage error, so that the full parser can
-    report it."""
-
-
-class _QuietParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ParseFailed(message)
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, one whose only subcommand is that
-    one and which raises ``_ParseFailed`` on a usage error."""
-    parser = (argparse.ArgumentParser if command is None else _QuietParser)(
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with one subcommand per entry of ``_COMMANDS``."""
+    parser = argparse.ArgumentParser(
         prog="groupflow",
         description="Group-valued graph flows: leak detection, certified planarity, leak-proof groups.",
     )
@@ -293,48 +283,19 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     _add_common_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, arguments, handler in _COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, parents=[common], help=help_text)
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
-            p.set_defaults(func=handler)
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
-def _subcommand(argv: list[str]) -> Optional[str]:
-    """The first token of ``argv`` that names a subcommand and is not the
-    value of a top-level option; None when there is none or when a help
-    flag appears anywhere.  An abbreviated option ("--out") is not known
-    here; if its value names a subcommand, that parse fails and ``_parse``
-    falls back to the full parser."""
-    if any(a.startswith(("-h", "--h")) for a in argv):
-        return None
-    names = {name for name, *_ in _COMMANDS}
-    tokens = iter(argv)
-    for a in tokens:
-        if a in names:
-            return a
-        if a in _VALUE_FLAGS:
-            next(tokens, None)
-    return None
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone when it can be located;
-    any other argv, or a usage error, goes to the full parser, so help and
-    error text are always the full parser's."""
-    command = _subcommand(argv)
-    if command is not None:
-        try:
-            return build_parser(command).parse_args(argv)
-        except _ParseFailed:
-            pass
-    return build_parser().parse_args(argv)
+_PARSER = build_parser()
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
+        args = _PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -41,6 +41,32 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 5040
 MAX_TABLE_BYTES = 1 << 30       # the largest array a group builder may allocate
+_ASSOCIATIVITY_BLOCK_BYTES = 1 << 20    # the rows Light's test compares at a time
+
+
+def _square_table(table) -> np.ndarray:
+    """table as a square int32 array with entries in range(order); a
+    ParseError (NoIdentity when empty) says what it is not.  A bool, float
+    or string entry is refused, not read as 0, 1, its integer part or its
+    digits."""
+    try:
+        arr = np.asarray(table, dtype=np.int32)
+    except OverflowError:
+        raise ParseError("table entries out of range") from None
+    except (TypeError, ValueError):
+        raise ParseError("multiplication table must be a square array of integers") from None
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ParseError("multiplication table must be square")
+    n = arr.shape[0]
+    if n == 0:
+        raise NoIdentity("empty table")
+    types = ({table.dtype.type} if isinstance(table, np.ndarray)
+             else set(map(type, itertools.chain.from_iterable(table))))
+    if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
+        raise ParseError("table entries must be integers")
+    if arr.min() < 0 or arr.max() >= n:
+        raise ParseError("table entries out of range")
+    return arr
 
 
 class FiniteGroup:
@@ -54,19 +80,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None):
-        try:
-            table = np.asarray(table, dtype=np.int32)
-        except OverflowError:
-            raise ParseError("table entries out of range") from None
-        except (TypeError, ValueError):
-            raise ParseError("multiplication table must be a square array of integers") from None
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ParseError("multiplication table must be square")
+        table = _square_table(table)
         n = table.shape[0]
-        if n == 0:
-            raise NoIdentity("empty table")
-        if table.min() < 0 or table.max() >= n:
-            raise ParseError("table entries out of range")
         if len(names) != n:
             raise ParseError("need exactly one name per element")
         if len(set(names)) != n:
@@ -114,14 +129,19 @@ class FiniteGroup:
 
         The g that pass contain the identity and are closed under products,
         so when they generate the table the whole table is associative.
+        Rows are compared a block of _ASSOCIATIVITY_BLOCK_BYTES at a time, so
+        the test holds two such blocks, not two copies of the table.
         """
         T = self.table
+        rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
         for g in self._generating_set():
-            lhs = T[T[:, g], :]          # (a g) b
-            rhs = T[:, T[g, :]]          # a (g b)
-            if not np.array_equal(lhs, rhs):
-                bad = np.argwhere(lhs != rhs)[0]
-                raise NotAssociative(self.names[bad[0]], self.names[g], self.names[bad[1]])
+            for start in range(0, self.order, rows):
+                block = T[start:start + rows]
+                lhs = T[block[:, g], :]          # (a g) b for the block's rows a
+                rhs = block[:, T[g, :]]          # a (g b)
+                if not np.array_equal(lhs, rhs):
+                    a, b = np.argwhere(lhs != rhs)[0]
+                    raise NotAssociative(self.names[start + a], self.names[g], self.names[b])
 
     def _generating_set(self) -> list[int]:
         """Greedy generators: each is the least element not yet reached from

@@ -470,6 +470,26 @@ def associative_by_exhaustion(T) -> bool:
     return all(np.array_equal(T[T[:, g], :], T[:, T[g, :]]) for g in range(len(T)))
 
 
+def light_mismatch_by_full_arrays(T, e: int):
+    """The (a, g, b) that Light's test on whole order-squared arrays reports
+    for table T with identity e: the first row-major mismatch of
+    (a g) b against a (g b) for the first greedy generator g that has one;
+    None when every generator passes."""
+    T = np.asarray(T)
+    reached = np.zeros(len(T), dtype=bool)
+    reached[e] = True
+    gens: list = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        _right_closure(T, reached, gens)
+    for g in gens:
+        lhs, rhs = T[T[:, g], :], T[:, T[g, :]]
+        if not np.array_equal(lhs, rhs):
+            a, b = np.argwhere(lhs != rhs)[0]
+            return int(a), g, int(b)
+    return None
+
+
 def pairwise_relation_rows(D) -> list:
     """Relation rows of D's glued group built pair by pair: the order rows,
     then dlog_i(g) - dlog_j(g) for each basis generator g of every

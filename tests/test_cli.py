@@ -585,6 +585,17 @@ def test_cayley_entry_beyond_int32_is_out_of_range(tmp_path):
     assert (code, out, err) == (2, "", "error: table entries out of range\n")
 
 
+@pytest.mark.parametrize("table", ([[0, 1], [1, 0.7]], [[False, True], [True, False]]))
+def test_non_integer_group_table_entries_are_usage_errors(tmp_path, table):
+    """A float is not truncated and a bool is not read as 0 or 1."""
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"group_table": {"names": ["1", "t"], "table": table},
+                                "graph": {"vertices": [1, 2], "edges": [[1, 2]]},
+                                "values": []}))
+    code, out, err = invoke(["check-flow", str(path)])
+    assert (code, out, err) == (2, "", "error: table entries must be integers\n")
+
+
 def test_cayley_order_over_max_size_is_usage_error(tmp_path):
     G = standard_group("cyclic:12")
     path = tmp_path / "c12.txt"
@@ -655,7 +666,7 @@ def test_common_flags_after_subcommand(tmp_path):
     assert out.strip() == "planar"
 
 
-# -- parser per subcommand ---------------------------------------------------------
+# -- one parser ------------------------------------------------------------------
 
 
 def _parser_argvs(g, rot, flow):
@@ -682,39 +693,34 @@ def _parser_argvs(g, rot, flow):
                 ["--output=planar", "extra-planar", g], ["-oplanar", "extra-planar", g])
 
 
-def test_subcommand_parser_matches_full_parser(tmp_path, monkeypatch):
+def test_module_parser_reuse_matches_fresh_parser(tmp_path, monkeypatch):
+    """run parses every argv with the parser built at import; two calls in a
+    row print, write and exit as a freshly built parser does."""
     monkeypatch.chdir(tmp_path)
     k4 = named_graph("complete:4")
     g = write_graph(tmp_path, "g.json", k4)
     (tmp_path / "rot.json").write_text(jsonio.dumps(jsonio.rotation_to_json(
         planarity_certificate(k4))))
     (tmp_path / "flow.json").write_text(jsonio.dumps(jsonio.flow_to_json(example_flow_k33()[1])))
-    located = written = 0
-    subcommand = cli._subcommand
+    written = 0
+    module_parser = cli._PARSER
     out = tmp_path / "planar"     # the -o target of the argvs that name it
     for argv in _parser_argvs(g, "rot.json", "flow.json"):
         results = []
-        for locate in (subcommand, lambda argv: None):
-            monkeypatch.setattr(cli, "_subcommand", locate)
+        for parser in (module_parser, module_parser, cli.build_parser()):
+            monkeypatch.setattr(cli, "_PARSER", parser)
             out.unlink(missing_ok=True)
             results.append((invoke(argv), out.exists() and out.read_text()))
-        assert results[0] == results[1], argv
-        located += subcommand(argv) is not None
+        assert results[0] == results[1] == results[2], argv
         written += bool(results[0][1])
-    assert located >= 60 and written >= 3
+    assert written >= 3
 
 
-def test_subcommand_located_only_where_exact():
-    assert cli._subcommand(["-f", "text", "planar", "g.json"]) == "planar"
-    assert cli._subcommand(["-o", "planar", "extra-planar", "g.json"]) == "extra-planar"
-    assert cli._subcommand(["--output=planar", "faces", "g", "r"]) == "faces"
-    for argv in ([], ["-h"], ["planar", "-h"], ["--help", "planar"], ["-o", "planar"],
-                 ["--max-size", "examples"]):
-        assert cli._subcommand(argv) is None
-    full = {a.dest: a for a in cli.build_parser()._actions}["command"].choices
-    assert list(full) == [name for name, *_ in cli._COMMANDS]
-    for name in full:
-        assert list({a.dest: a for a in cli.build_parser(name)._actions}["command"].choices) == [name]
+def test_help_lists_subcommands_in_order():
+    names = [name for name, *_ in cli._COMMANDS]
+    assert list({a.dest: a for a in cli._PARSER._actions}["command"].choices) == names
+    code, out, _ = invoke(["--help"])
+    assert code == 0 and "{" + ",".join(names) + "}" in out
 
 
 # -- extra-planar JSON writer ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import zlib
 
@@ -11,6 +12,7 @@ from groupflow.errors import HostTooLarge, ParseError
 from groupflow.graphs import (
     Graph,
     MinorWitness,
+    add_edge,
     bridges,
     components,
     edge_key,
@@ -34,6 +36,29 @@ from helpers import (
     minor_oracle,
     random_graph,
 )
+
+
+# -- add_edge --------------------------------------------------------------------
+
+
+def test_add_edge_adjacency_matches_rebuilt_graph():
+    """add_edge inserts into the cached neighbour tuples; the result equals
+    the adjacency graph_from builds from scratch, for int, str and mixed
+    labels, isolated endpoints and edges already present."""
+    rng = random.Random(17)
+    labelings = (lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else str(9 - i))
+    isolated = present = 0
+    for trial in range(240):
+        vs = [labelings[trial % 3](i) for i in range(rng.randint(2, 10))]
+        edges = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.3]
+        G = graph_from(vs, edges)
+        G.adjacency                     # built, so add_edge extends it
+        for u, v in itertools.combinations(vs, 2):
+            H = add_edge(G, u, v)
+            assert list(H.adjacency.items()) == list(graph_from(vs, [*edges, (u, v)]).adjacency.items())
+            isolated += not (G.degree(u) and G.degree(v))
+            present += G.has_edge(u, v)
+    assert isolated >= 100 and present >= 100
 
 
 # -- named graphs ----------------------------------------------------------------

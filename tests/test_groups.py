@@ -45,6 +45,7 @@ from helpers import (
     direct_product_by_int64,
     es_by_element_law,
     es_decode,
+    light_mismatch_by_full_arrays,
     maximal_abelian_oracle,
     maximal_cliques_by_recursion,
     perm_names_by_cycle_walk,
@@ -130,6 +131,57 @@ def test_light_check_raises_exactly_on_non_associative_perturbations():
         assert T[T[a, g], b] != T[a, T[g, b]]
         raised += 1
     assert raised >= 100 and kept >= 30
+
+
+def test_light_check_in_blocks_reports_the_full_array_triple(monkeypatch):
+    """Whatever the block size, the triple raised is the first row-major
+    mismatch of the first failing generator, as on whole arrays."""
+    rng = random.Random(5)
+    bases = [standard_group(s) for s in ("dihedral:3", "quaternion", "alt:4", "dihedral:10",
+                                         "product:cyclic:3,alt:4", "cyclic:60")]
+    tables = []
+    while len(tables) < 40:
+        G = rng.choice(bases)
+        n, e = G.order, G.identity
+        T = np.array(G.table)
+        for _ in range(rng.choice((1, 2, 3))):
+            a, b = rng.choice([(a, b) for a in range(n) for b in range(n)
+                               if e not in (a, b, T[a, b])])
+            T[a, b] = rng.choice([c for c in range(n) if c not in (e, T[a, b])])
+        triple = light_mismatch_by_full_arrays(T, e)
+        if triple is not None:
+            tables.append((T, triple))
+    for block_bytes in (1, 100, 1000, groups._ASSOCIATIVITY_BLOCK_BYTES):
+        monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+        for T, (a, g, b) in tables:
+            names = [f"g{i}" for i in range(len(T))]
+            with pytest.raises(NotAssociative) as info:
+                group_from_cayley(T, names)
+            assert info.value.triple == (names[a], names[g], names[b])
+
+
+@pytest.mark.parametrize("spec", ("cyclic:1600", "product:cyclic:40,cyclic:40"))
+def test_table_validation_peaks_within_the_table_bytes(spec):
+    """Light's test compares rows in blocks, so validating a table allocates
+    less than the table itself."""
+    G = standard_group(spec)
+    table, names = np.array(G.table), list(G.names)
+    tracemalloc.start()
+    try:
+        group_from_cayley(table, names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes
+
+
+@pytest.mark.parametrize("table", ([[0, 1], [1, 0.7]], [[False, True], [True, False]],
+                                   [[0, 1], [1, True]], [[0, 1.0], [1, 0]],
+                                   [["0", "1"], ["1", "0"]],
+                                   np.array([[0, 1], [1, 0]], dtype=float)))
+def test_non_integer_table_entries_are_refused(table):
+    with pytest.raises(ParseError, match="table entries must be integers"):
+        group_from_cayley(table, ["a", "b"])
 
 
 def test_table_entry_beyond_int32_is_out_of_range():
