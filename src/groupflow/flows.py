@@ -35,11 +35,9 @@ from .graphs import (
     Graph,
     MinorWitness,
     Vertex,
-    bridges,
     components,
     edge_key,
     graph_from,
-    is_forest,
     named_graph,
     vkey,
 )
@@ -311,6 +309,10 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
     With gamma = f(v,w) and b the indicator of directed edges on the face
     walk starting (v,w), the new flow is
     (s,t) -> gamma^b(t,s) * f(s,t) * gamma^-b(s,t).
+
+    In a planar embedding an edge is a bridge exactly when one face walk
+    passes it in both directions (Mohar & Thomassen, Graphs on Surfaces,
+    2001), so the walk that starts at (v,w) also decides BridgeEdge.
     """
     v, w = edge
     if R.graph != f.graph:
@@ -319,11 +321,9 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
         raise NotPlanarEmbedding("rotation system fails the Euler criterion")
     if not f.graph.has_edge(v, w):
         raise EdgeMissing(edge)
-    if edge_key(v, w) in bridges(f.graph):
-        raise BridgeEdge(edge)
     walk_darts = next(set(orbit) for orbit in _face_orbits(R) if (v, w) in orbit)
     if (w, v) in walk_darts:
-        raise InternalInvariantError("face walk of a non-bridge traverses both directions")
+        raise BridgeEdge(edge)
     group = f.group
     gamma = f.value(v, w)
     values: dict[tuple[Vertex, Vertex], int] = {}
@@ -357,20 +357,14 @@ def solve_tree_flow(G: Graph, T: Graph, root: Vertex,
     """
     if set(T.vertices) != set(G.vertices) or not T.edges <= G.edges:
         raise NotSubgraph("T must be a spanning subgraph of G")
-    if not is_forest(T) or len(components(T)) != 1:
+    if T.m != T.n - 1 or len(components(T)) != 1:
         raise NotSubgraph("T must be a spanning tree")
     if root not in set(G.vertices):
         raise InvalidFlow(f"root {root!r} is not a vertex")
-    values: dict[tuple[Vertex, Vertex], int] = {}
-    for (u, v), g in boundary.items():
+    for u, v in boundary:
         if edge_key(u, v) in T.edges or not G.has_edge(u, v):
             raise InvalidFlow(f"boundary pair ({u},{v}) is not a non-tree edge")
-        g = int(g)
-        rev = values.get((v, u))
-        if rev is not None and rev != group.inv(g):
-            raise InvalidFlow(f"boundary is not skew-symmetric at ({u},{v})")
-        values[(u, v)] = g
-        values.setdefault((v, u), group.inv(g))
+    values = GroupFlow.skew(G, group, boundary).values
     _solve_forest(G, T, [root], values, group)
     flow = GroupFlow(G, group, values)
     ok, bad = is_tractable(flow)

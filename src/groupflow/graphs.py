@@ -178,41 +178,6 @@ def components(G: Graph) -> list[tuple[Vertex, ...]]:
     return out
 
 
-def bridges(G: Graph) -> frozenset[tuple[Vertex, Vertex]]:
-    """Edges whose removal disconnects their endpoints (Tarjan low-links)."""
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
-    out = set()
-    counter = itertools.count()
-    for root in G.vertices:
-        if root in index:
-            continue
-        # iterative DFS; parent edge tracked to skip the tree edge once
-        stack = [(root, None, iter(G.neighbors(root)))]
-        index[root] = low[root] = next(counter)
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    parent = None  # a parallel edge cannot occur in a simple graph
-                    continue
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append((w, v, iter(G.neighbors(w))))
-                    advanced = True
-                    break
-                low[v] = min(low[v], index[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > index[u]:
-                        out.add(edge_key(u, v))
-    return frozenset(out)
-
-
 def spanning_forest(G: Graph) -> Graph:
     """A maximal acyclic subgraph spanning all vertices (BFS trees)."""
     seen: set[Vertex] = set()
@@ -230,10 +195,6 @@ def spanning_forest(G: Graph) -> Graph:
                     tree_edges.append(edge_key(x, y))
                     queue.append(y)
     return graph_from(G.vertices, tree_edges)
-
-
-def is_forest(G: Graph) -> bool:
-    return G.m == G.n - len(components(G))
 
 
 # -- minors ---------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .errors import (
 
 DEFAULT_MAX_ORDER = 5040
 MAX_TABLE_BYTES = 1 << 30       # the largest array a group builder may allocate
-_ASSOCIATIVITY_BLOCK_BYTES = 1 << 20    # the rows Light's test compares at a time
+_ASSOCIATIVITY_BLOCK_BYTES = 1 << 20    # the rows Light's test and the inverse search take at a time
 
 
 def _square_table(table) -> np.ndarray:
@@ -100,7 +100,6 @@ class FiniteGroup:
         self._check_associativity()
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders: Optional[np.ndarray] = None
-        self._conj_ids: dict[int, int] = {}
         self._abelian: Optional[bool] = None
 
     # -- construction checks ------------------------------------------------
@@ -114,13 +113,18 @@ class FiniteGroup:
         raise NoIdentity("no two-sided identity element")
 
     def _find_inverses(self) -> np.ndarray:
+        """Two-sided inverses, a block of rows at a time; NoInverse names
+        the first element that has none."""
         T, e = self.table, self.identity
-        is_e = T == e
-        two_sided = is_e & is_e.T
-        missing = ~two_sided.any(axis=1)
-        if missing.any():
-            raise NoInverse(self.names[int(np.argmax(missing))])
-        inv = np.argmax(two_sided, axis=1).astype(np.int32)
+        rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
+        inv = np.empty(self.order, dtype=np.int32)
+        for start in range(0, self.order, rows):
+            block = slice(start, start + rows)
+            two_sided = (T[block] == e) & (T[:, block] == e).T
+            missing = ~two_sided.any(axis=1)
+            if missing.any():
+                raise NoInverse(self.names[start + int(np.argmax(missing))])
+            inv[block] = np.argmax(two_sided, axis=1)
         inv.setflags(write=False)
         return inv
 
@@ -236,15 +240,7 @@ class FiniteGroup:
 
 def conjugacy_class_id(G: FiniteGroup, g: int) -> int:
     """Canonical identifier of g's conjugacy class: the minimal member index."""
-    cached = G._conj_ids.get(g)
-    if cached is not None:
-        return cached
-    t1 = G.table[:, g]                       # h*g over all h
-    members = np.unique(G.table[t1, G.inverse[np.arange(G.order)]])
-    cid = int(members.min())
-    for m in members.tolist():
-        G._conj_ids[int(m)] = cid
-    return cid
+    return int(G.table[G.table[:, g], G.inverse].min())      # min over h of h g h^-1
 
 
 # -- subgroups ----------------------------------------------------------------

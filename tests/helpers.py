@@ -66,12 +66,10 @@ from groupflow.graphs import (
     _connected_subsets,
     _sets_adjacent,
     add_edge,
-    bridges,
     components,
     edge_key,
     graph_from,
     induced_subgraph,
-    is_forest,
     spanning_forest,
     vkey,
 )
@@ -134,6 +132,20 @@ def random_connected_planar_graph(rng: random.Random, n: int, extra: int) -> Gra
     return G
 
 
+def random_planar_graph_with_trees(rng: random.Random, n: int) -> Graph:
+    """A planar graph on 1..n with one to three components, each a random
+    planar core with a random tree hung off it: pendant bridges, cycle
+    edges, and now and then an isolated vertex."""
+    cuts = sorted(rng.sample(range(2, n + 1), rng.randint(0, 2)))
+    edges = []
+    for first, last in zip([1] + cuts, cuts + [n + 1]):
+        core = rng.randint(1, last - first)
+        H = random_connected_planar_graph(rng, core, 2 * core)
+        edges += [(u + first - 1, v + first - 1) for u, v in H.edges]
+        edges += [(rng.randrange(first, v), v) for v in range(first + core, last)]
+    return graph_from(range(1, n + 1), edges)
+
+
 def random_spanning_tree(rng: random.Random, G: Graph) -> Graph:
     """Uniform-ish spanning tree by randomized growth (G must be connected)."""
     start = rng.choice(G.vertices)
@@ -152,6 +164,10 @@ def random_spanning_tree(rng: random.Random, G: Graph) -> Graph:
 
 
 # -- independent oracles --------------------------------------------------------
+
+
+def is_forest(G: Graph) -> bool:
+    return G.m == G.n - len(components(G))
 
 
 def bridge_oracle(G: Graph) -> frozenset:
@@ -620,7 +636,7 @@ def walk_bridge_check(R: RotationSystem, walk: BoundaryWalk) -> list:
         {edge_key(u, v) for (u, v) in darts if (v, u) in dart_set},
         key=lambda e: (vkey(e[0]), vkey(e[1])),
     )
-    graph_bridges = bridges(R.graph)
+    graph_bridges = bridge_oracle(R.graph)
     for e in found:
         if e not in graph_bridges:
             raise InternalInvariantError(f"doubled walk edge {e} is not a bridge")
@@ -1114,7 +1130,6 @@ def two_root_tree_flow(rng: random.Random, G: Graph, T: Graph, group: FiniteGrou
     """Like solve_tree_flow, but conservation is not enforced at one extra
     vertex, whose parent edge gets a random value instead."""
     from groupflow.flows import GroupFlow, is_tractable
-    from groupflow.graphs import is_forest
 
     assert is_forest(T) and len(components(T)) == 1
     values = {}

@@ -4,6 +4,7 @@ referenced somewhere in the package, exported, or read by the benchmark."""
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -70,3 +71,48 @@ def test_perfbench_names_are_found():
     assert {"jsonio.witness_from_json", "graphs.add_edge", "planar.faces",
             "groups.designated_central_involution"} <= named
     assert "graphs.connected" not in named       # perfbench/check.py's own helper
+
+
+def _traced_keys() -> set[tuple[str, str]]:
+    """The (module, name) keys of perfbench/spans.py's TRACED table, those
+    its ``**{(module, f): ... for f in (...)}`` entries make included."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    keys = set()
+    for key, value in zip(table.keys, table.values):
+        if key is not None:
+            keys.add(ast.literal_eval(key))
+            continue
+        module, _ = value.key.elts
+        keys.update((module.value, f) for f in ast.literal_eval(value.generators[0].iter))
+    return keys
+
+
+def _worker_attributes() -> set[tuple[str, str]]:
+    """(module, attribute) for each attribute perfbench/worker.py reads off
+    a groupflow module it imports."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name, a.name) for a in node.names
+                            if a.name.split(".")[0] == "groupflow")
+        elif isinstance(node, ast.ImportFrom) and node.module == "groupflow":
+            imported.update((a.asname or a.name, f"groupflow.{a.name}") for a in node.names)
+    return {(imported[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in imported}
+
+
+def test_benchmark_names_resolve():
+    """A traced benchmark run looks up every TRACED key with getattr, and the
+    worker calls into groupflow's modules: each such name must exist."""
+    traced = _traced_keys()
+    read = _worker_attributes()
+    assert ("jsonio", "dumps") in traced and ("planar", "faces") in traced
+    assert ("groupflow.cli", "run") in read and ("groupflow.groups", "standard_group") in read
+    missing = [f"{module}.{name}" for module, name in
+               {(f"groupflow.{m}", n) for m, n in traced} | read
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

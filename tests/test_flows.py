@@ -34,7 +34,6 @@ from groupflow.flows import (
     validate_flow,
 )
 from groupflow.graphs import (
-    bridges,
     components,
     graph_from,
     named_graph,
@@ -44,11 +43,14 @@ from groupflow.planar import RotationSystem
 from groupflow.planar import test_planarity as planarity_certificate
 
 from helpers import (
+    all_labeled_graphs,
+    bridge_oracle,
     contract_edge,
     excesses_by_neighbor_scan,
     random_connected_planar_graph,
     random_flow,
     random_graph,
+    random_planar_graph_with_trees,
     random_spanning_tree,
     synthesize_by_uncontraction,
     tree_flow_by_leaf_first_loop,
@@ -592,7 +594,7 @@ def test_conjugate_random_flows_preserve_round_classes():
     done = 0
     while done < 50:
         G = random_connected_planar_graph(rng, rng.randint(3, 9), 3)
-        non_bridges = [e for e in G.sorted_edges() if e not in bridges(G)]
+        non_bridges = [e for e in G.sorted_edges() if e not in bridge_oracle(G)]
         if not non_bridges:
             continue
         group = rng.choice(groups)
@@ -604,6 +606,44 @@ def test_conjugate_random_flows_preserve_round_classes():
         for v in G.vertices:
             assert round_flow(f, R, v) == round_flow(g, R, v)
         done += 1
+
+
+def _conjugate_every_edge(rng, G, groups) -> tuple[int, int]:
+    """conjugate_along_walk on each edge of G in both directions: BridgeEdge
+    exactly on bridge_oracle's edges, every other edge zeroed.  Returns the
+    numbers of bridges and non-bridges seen."""
+    R = embed(G)
+    f = random_flow(rng, G, rng.choice(groups))
+    expected = bridge_oracle(G)
+    for u, v in G.sorted_edges():
+        for edge in ((u, v), (v, u)):
+            if (u, v) in expected:
+                with pytest.raises(BridgeEdge):
+                    conjugate_along_walk(f, R, edge)
+            else:
+                assert conjugate_along_walk(f, R, edge).value(*edge) == f.group.identity
+    return len(expected), G.m - len(expected)
+
+
+def test_conjugate_rejects_exactly_the_bridges():
+    """The face walk from (v,w) holds (w,v) exactly when vw is a bridge: on
+    every planar graph with at most 5 vertices, and on 200 seeded planar
+    graphs on 7-12 vertices with pendant trees and several components."""
+    rng = random.Random(23)
+    groups = [standard_group("quaternion"), standard_group("sym:3")]
+    seen = [0, 0]
+    for n in range(1, 6):
+        for G in all_labeled_graphs(n):
+            if isinstance(planarity_certificate(G), RotationSystem):
+                seen = [a + b for a, b in zip(seen, _conjugate_every_edge(rng, G, groups))]
+    assert seen[0] > 1000 and seen[1] > 1000
+    several = pendant = 0
+    for _ in range(200):
+        G = random_planar_graph_with_trees(rng, rng.randint(7, 12))
+        _conjugate_every_edge(rng, G, groups)
+        several += len(components(G)) > 1
+        pendant += any(G.degree(v) == 1 for v in G.vertices)
+    assert several > 50 and pendant > 50
 
 
 # -- tree solver ------------------------------------------------------------------------------

@@ -10,15 +10,11 @@ import pytest
 
 from groupflow.errors import HostTooLarge, ParseError
 from groupflow.graphs import (
-    Graph,
     MinorWitness,
     add_edge,
-    bridges,
     components,
-    edge_key,
     find_minor,
     graph_from,
-    is_forest,
     named_graph,
     spanning_forest,
     verify_minor,
@@ -28,11 +24,11 @@ from helpers import (
     NotForest,
     NotSpanning,
     all_labeled_graphs,
-    bridge_oracle,
     compose_minor_witnesses,
     contract,
     contract_edge,
     find_minor_unpruned,
+    is_forest,
     minor_oracle,
     random_graph,
 )
@@ -104,12 +100,6 @@ def test_no_loops():
 def test_cycle4_connectivity():
     g = named_graph("cycle:4")
     assert components(g) == [(1, 2, 3, 4)]
-    assert bridges(g) == frozenset()
-
-
-def test_path4_all_bridges():
-    g = named_graph("path:4")
-    assert bridges(g) == frozenset({(1, 2), (2, 3), (3, 4)})
 
 
 def test_two_triangles():
@@ -118,34 +108,6 @@ def test_two_triangles():
     forest = spanning_forest(g)
     assert forest.m == 4
     assert is_forest(forest)
-
-
-def test_bridges_vs_oracle_small_graphs():
-    rng = random.Random(2)
-    count = 0
-    for g in all_labeled_graphs(5):
-        if rng.random() < 0.1:
-            assert bridges(g) == bridge_oracle(g)
-            count += 1
-    for _ in range(60):
-        g = random_graph(rng, 8, rng.uniform(0.1, 0.6))
-        assert bridges(g) == bridge_oracle(g)
-        count += 1
-    assert count > 60
-
-
-def test_bridges_are_edges_on_no_cycle():
-    """An edge lies on a cycle iff its endpoints stay connected without it."""
-    rng = random.Random(9)
-    for _ in range(40):
-        g = random_graph(rng, 8, 0.3)
-        cyc = set()
-        for u, v in g.edges:
-            without = Graph(g.vertices, g.edges - {edge_key(u, v)})
-            comp_of = {x: i for i, c in enumerate(components(without)) for x in c}
-            if comp_of[u] == comp_of[v]:
-                cyc.add(edge_key(u, v))
-        assert bridges(g) == g.edges - cyc
 
 
 # -- contraction --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -162,8 +163,8 @@ def test_light_check_in_blocks_reports_the_full_array_triple(monkeypatch):
 
 @pytest.mark.parametrize("spec", ("cyclic:1600", "product:cyclic:40,cyclic:40"))
 def test_table_validation_peaks_within_the_table_bytes(spec):
-    """Light's test compares rows in blocks, so validating a table allocates
-    less than the table itself."""
+    """The inverse search and Light's test both take rows in blocks, so
+    validating a table allocates well under the table itself."""
     G = standard_group(spec)
     table, names = np.array(G.table), list(G.names)
     tracemalloc.start()
@@ -172,7 +173,32 @@ def test_table_validation_peaks_within_the_table_bytes(spec):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= table.nbytes
+    assert peak <= 0.4 * table.nbytes
+
+
+def test_inverse_search_in_blocks_names_the_first_element_without_one(monkeypatch):
+    """Whatever the block size, NoInverse names the least element with no
+    two-sided inverse, and the inverses found are those of the table."""
+    rng = random.Random(7)
+    bases = [standard_group(s) for s in ("dihedral:3", "quaternion", "alt:4", "cyclic:60")]
+    tables = []
+    for _ in range(30):
+        G = rng.choice(bases)
+        T = np.array(G.table)
+        for a in rng.sample([a for a in range(G.order) if a != G.identity], rng.choice((1, 2))):
+            T[a, G.inverse[a]] = rng.choice([c for c in range(G.order) if c != G.identity])
+        first = next(a for a in range(G.order)
+                     if not any(T[a, b] == T[b, a] == G.identity for b in range(G.order)))
+        tables.append((T, first))
+    for block_bytes in (1, 100, 1000, groups._ASSOCIATIVITY_BLOCK_BYTES):
+        monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+        for T, first in tables:
+            names = [f"g{i}" for i in range(len(T))]
+            with pytest.raises(NoInverse) as info:
+                group_from_cayley(T, names)
+            assert info.value.element == names[first]
+        for G in bases:
+            assert np.array_equal(group_from_cayley(G.table, G.names).inverse, G.inverse)
 
 
 @pytest.mark.parametrize("table", ([[0, 1], [1, 0.7]], [[False, True], [True, False]],
@@ -757,6 +783,19 @@ def test_conjugation_invariance():
         g = rng.randrange(G.order)
         h = rng.randrange(G.order)
         assert conjugacy_class_id(G, g) == conjugacy_class_id(G, G.mul(G.mul(h, g), G.inv(h)))
+
+
+@pytest.mark.parametrize("spec", ("sym:4", "es:2", "quaternion", "dihedral:6"))
+def test_conjugacy_class_id_is_the_least_conjugate_and_leaves_the_group_as_it_was(spec):
+    G = standard_group(spec)
+    before = {k: copy.copy(v) for k, v in vars(G).items()}
+    for g in G.elements():
+        assert conjugacy_class_id(G, g) == min(G.mul(G.mul(h, g), G.inv(h))
+                                               for h in G.elements())
+    after = vars(G)
+    assert after.keys() == before.keys()
+    for k, v in before.items():
+        assert (np.array_equal(v, after[k]) if isinstance(v, np.ndarray) else v == after[k]), k
 
 
 def test_designated_central_involution():
