@@ -11,6 +11,16 @@ exactly when no nonidentity element maps to zero, and binary leak-proof
 exactly when the map is injective.  Any kernel element is turned back
 into an explicit leaking flow on a graph over the subgroups, with one edge
 per subgroup pair the flow uses.
+
+The chain rows reach the Howell form sorted by pair (j, i), the larger
+index first: the form glues one subgroup at a time to those before it,
+with all rows of a pair together, and a row of pair (i, j) meets only
+pivot rows over the blocks up to j.  Absorbing them element by element,
+each generator's chain at a time, takes two to three times the
+elimination passes (es:3 74,852 against 22,795, sym:6 36,226 against
+17,231).  The lattice is the same in any order, and reduction against a
+saturated Howell form is canonical, so phi, the verdicts and the
+witnesses do not depend on it.
 """
 
 from __future__ import annotations
@@ -53,9 +63,10 @@ class DeltaPresentation:
 
     Global coordinates are the concatenated subgroup bases.  ``pair_rows``
     tags each chain row ((i, j), g): dlog_i(g) - dlog_j(g) for subgroups
-    i < j consecutive among those containing g.  The rows are not stored;
-    ``relation_rows`` rebuilds them, and ``canonical`` is the Howell form
-    of their span modulo ``modulus``.
+    i < j consecutive among those containing g, sorted by (j, i) and then
+    by g, the order in which ``canonical`` absorbs them (see the module
+    docstring).  The rows are not stored; ``relation_rows`` rebuilds them,
+    and ``canonical`` is the Howell form of their span modulo ``modulus``.
     """
 
     group: FiniteGroup
@@ -86,16 +97,21 @@ class DeltaPresentation:
         vec[self.offsets[i]: self.offsets[i] + len(dlog)] = dlog
         return vec
 
-    def relation_rows(self) -> Iterator[tuple[np.ndarray, Optional[tuple[tuple[int, int], int]]]]:
-        """Every relation row with its tag: the order row of each column (tag
-        None), then dlog_i(g) - dlog_j(g) for each pair_rows tag ((i, j), g)."""
+    def relation_rows(self) -> Iterator[tuple[dict[int, int], Optional[tuple[tuple[int, int], int]]]]:
+        """Every relation row, sparse as {column: value mod m}, with its tag:
+        the order row of each column (tag None; empty when the order is m),
+        then dlog_i(g) - dlog_j(g) for each pair_rows tag ((i, j), g), read
+        straight from the two discrete-log tables."""
+        m = self.modulus
         for col, (i, k) in enumerate(self.generator_index):
-            row = np.zeros(self.ncols, dtype=np.int64)
-            row[col] = self.bases[i].orders[k]
-            yield row, None
+            order = self.bases[i].orders[k] % m
+            yield ({col: order} if order else {}), None
         for tag in self.pair_rows:
             (i, j), g = tag
-            yield self.embed(g, i) - self.embed(g, j), tag
+            row = {self.offsets[i] + t: a for t, a in enumerate(discrete_log(self.bases[i], g)) if a}
+            row.update((self.offsets[j] + t, m - a)
+                       for t, a in enumerate(discrete_log(self.bases[j], g)) if a)
+            yield row, tag
 
     def invariant_factors(self) -> list[int]:
         return self.canonical.invariant_factors()
@@ -103,7 +119,9 @@ class DeltaPresentation:
 
 def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...]) -> list[tuple[tuple[int, int], int]]:
     """Tags ((i_k, i_{k+1}), g) for the least-index generator g of each
-    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g."""
+    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g;
+    stably sorted by pair (j, i), the larger index first, so that the
+    Howell form absorbs them pair by pair (see the module docstring)."""
     containing: list[list[int]] = [[] for _ in G.elements()]
     for i, H in enumerate(subgroups):
         for h in H.members:
@@ -120,6 +138,7 @@ def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...]) -> list[tuple[t
         seen.add(cyclic)
         chain = containing[g]
         tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
+    tags.sort(key=lambda tag: (tag[0][1], tag[0][0]))
     return tags
 
 

@@ -17,14 +17,19 @@ Rows are stored sparse, as dicts {column: value} of Python ints without
 zeros.  The relation rows of a glued group have a handful of nonzeros
 among hundreds of columns, and so do the pivot rows, so an elimination
 step costs the nonzeros of the two rows it combines rather than the width
-of the matrix.
+of the matrix.  Rows are also taken in sparse form, so no dense vector is
+built per relation row.  The form is canonical whatever order its rows
+come in, but the work is not.  The group-leak decision feeds its rows
+sorted by the later of the two subgroup blocks they join (pair order,
+see ``groupleak``): every pivot row then lies within the blocks glued so
+far, and a new row meets no pivot beyond them.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +68,10 @@ class HowellForm:
     combines; the leading column of a row is its least key.  With
     ``track=True`` every pivot carries its expression as a combination of
     the original input rows, stored the same way as {input row: value},
-    enabling ``solve``.  Rows go in and results come out dense: ``add_row``
-    takes ``ncols`` entries, ``reduce`` returns ``ncols`` and ``solve``
-    ``n_input``.
+    enabling ``solve``.  Rows go in sparse, as {column: value}, the form
+    the relation rows of a glued group are built in; query vectors go in
+    and results come out dense: ``reduce`` returns ``ncols`` entries and
+    ``solve`` ``n_input``.
     """
 
     def __init__(self, ncols: int, modulus: int, track: bool = False):
@@ -81,20 +87,22 @@ class HowellForm:
 
     # -- construction ---------------------------------------------------------
 
-    def add_row(self, row: Sequence[int]) -> None:
-        vec = self._sparse(row)
+    def add_row(self, row: Mapping[int, int]) -> None:
+        """Absorb a row given sparse, as {column: value}; values are taken
+        modulo m, so zeros and negative values may appear."""
+        if row and (min(row) < 0 or max(row) >= self.ncols):
+            raise ValueError("row column out of range")
+        m = self.m
+        vec = {}
+        for j, a in row.items():
+            a = int(a) % m
+            if a:
+                vec[j] = a
         coeff = {self.n_input: 1} if self.track else None
         self.n_input += 1
-        if self.m == 1:
+        if m == 1:
             return
         self._absorb(vec, coeff)
-
-    def _sparse(self, row: Sequence[int]) -> dict[int, int]:
-        vec = np.asarray(row, dtype=np.int64) % self.m
-        if vec.shape != (self.ncols,):
-            raise ValueError("row width mismatch")
-        cols = np.flatnonzero(vec)
-        return dict(zip(cols.tolist(), vec[cols].tolist()))
 
     def _absorb(self, vec: dict[int, int], coeff: Optional[dict[int, int]]) -> None:
         m = self.m
@@ -157,8 +165,12 @@ class HowellForm:
         column it clears.  When combo is given, each multiple of a pivot
         row taken from v is added to it as input-row coefficients, so that
         v = result + sum(combo_i * row_i) mod m."""
-        vec = self._sparse(v)
-        heap = sorted(vec)
+        dense = np.asarray(v, dtype=np.int64) % self.m
+        if dense.shape != (self.ncols,):
+            raise ValueError("vector width mismatch")
+        cols = np.flatnonzero(dense)
+        vec = dict(zip(cols.tolist(), dense[cols].tolist()))
+        heap = cols.tolist()
         while heap:
             j = heapq.heappop(heap)
             idx = self._pivot_at.get(j)
@@ -217,7 +229,7 @@ class HowellForm:
         entries by p, level after level, builds the sorted divisor chain.
         """
         factors = [1] * self.ncols
-        rows = self.pivot_matrix()
+        rows = [self._rows[self._pivot_at[j]] for j in sorted(self._pivot_at)]
         for p, k in _prime_powers(self.m):
             prev = 0
             for j in range(1, k + 1):

@@ -4,8 +4,10 @@ Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
-group-leak decision's former construction, the per-pair planarity loop is
-extra_planar's former construction, the whole-system build and full Euler
+group-leak decision's former construction, the element-major chain tags
+are the order in which build_delta absorbed its chain rows before it took
+them pair by pair, the per-pair planarity loop is extra_planar's former
+construction, the whole-system build and full Euler
 check of every spliced embedding is extra_planar's former splice, and the
 exhaustive associativity loop is the group constructor's former check, the
 per-edge LR deletion loop is the Kuratowski extraction's former
@@ -16,7 +18,8 @@ tractability and excess check, the two-form solve is
 witness_flow_from_kernel's former solve, and the row-and-column
 diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
-elimination is HowellForm's former row storage, the edge-by-edge
+elimination is HowellForm's former row storage (it reads the sparse rows
+through dense_row), the edge-by-edge
 uncontraction chain is synthesize_leaking_flow's former construction, the
 single-root leaf-first loop is solve_tree_flow's former solve, networkx's
 check_planarity is the planar module's former LR test, the recursive
@@ -506,19 +509,49 @@ def light_mismatch_by_full_arrays(T, e: int):
     return None
 
 
+def dense_row(row: dict, ncols: int) -> np.ndarray:
+    """The dense int64 vector of a sparse row {column: value}."""
+    out = np.zeros(ncols, dtype=np.int64)
+    out[list(row)] = list(row.values())
+    return out
+
+
 def pairwise_relation_rows(D) -> list:
     """Relation rows of D's glued group built pair by pair: the order rows,
     then dlog_i(g) - dlog_j(g) for each basis generator g of every
     nontrivial intersection of two maximal abelian subgroups i < j.
-    Returns (row, tag) pairs tagged like ``DeltaPresentation.relation_rows``."""
+    Returns sparse (row, tag) pairs tagged like
+    ``DeltaPresentation.relation_rows``."""
     rows = list(itertools.islice(D.relation_rows(), D.ncols))
     for i, j in itertools.combinations(range(len(D.subgroups)), 2):
         inter = Subgroup(D.group, tuple(set(D.subgroups[i].members) & set(D.subgroups[j].members)))
         if inter.order <= 1:
             continue
         for g in abelian_basis(inter).gens:
-            rows.append((D.embed(g, i) - D.embed(g, j), ((i, j), g)))
+            rows.append((dict(enumerate((D.embed(g, i) - D.embed(g, j)).tolist())), ((i, j), g)))
     return rows
+
+
+def chain_tags_element_major(G: FiniteGroup, subgroups) -> list:
+    """The chain tags ((i_k, i_{k+1}), g) of ``groupleak._chain_tags`` in
+    element order: all of one generator's chain before the next one's."""
+    containing = [[] for _ in G.elements()]
+    for i, H in enumerate(subgroups):
+        for h in H.members:
+            containing[h].append(i)
+    seen = {frozenset([G.identity])}
+    tags = []
+    for g in G.elements():
+        powers = [g]
+        while powers[-1] != G.identity:
+            powers.append(G.mul(powers[-1], g))
+        cyclic = frozenset(powers)
+        if cyclic in seen:
+            continue
+        seen.add(cyclic)
+        chain = containing[g]
+        tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
+    return tags
 
 
 def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:
@@ -829,9 +862,9 @@ class DenseHowellForm(HowellForm):
     n_input had when it was stored; _pad extends it."""
 
     def add_row(self, row) -> None:
-        vec = np.asarray(row, dtype=np.int64) % self.m
-        if vec.shape != (self.ncols,):
-            raise ValueError("row width mismatch")
+        if row and (min(row) < 0 or max(row) >= self.ncols):
+            raise ValueError("row column out of range")
+        vec = dense_row(row, self.ncols) % self.m
         coeff = None
         if self.track:
             coeff = np.zeros(self.n_input + 1, dtype=np.int64)
@@ -928,6 +961,12 @@ class DenseHowellForm(HowellForm):
         for j, idx in self._pivot_at.items():
             order *= int(self._rows[idx][j])
         return order
+
+    def invariant_factors(self) -> list:
+        sparse = HowellForm(self.ncols, self.m)
+        for r in self.pivot_matrix():
+            sparse.add_row(dict(enumerate(r.tolist())))
+        return sparse.invariant_factors()
 
 
 def _pad(c, size: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 One test per criterion; each prints a PASS line with its measured runtime
 (visible under ``pytest -s``).  Criterion 10 is the non-gating stretch
-batch; set GROUPFLOW_SKIP_SLOW=1 to skip its alt:7 part.
+batch; set GROUPFLOW_SKIP_SLOW=1 to skip its alt:7 and es:4 part.
 """
 
 from __future__ import annotations
@@ -326,7 +326,14 @@ def test_criterion_10_stretch_groups():
     detail = "sym:6 leaks; alt:6 and sym:5 leak-proof"
     if os.environ.get("GROUPFLOW_SKIP_SLOW") != "1":
         assert not is_leakproof_group(standard_group("alt:7")).leakproof
-        detail += "; alt:7 leaks"
+        G = es_group(4)
+        D = build_delta(G)
+        verdict = is_leakproof_group(G, delta=D)
+        z = designated_central_involution(G)
+        assert z is not None and verdict.witness == z
+        closed = detect_leak(witness_flow_from_kernel(D, verdict.witness)[1])
+        assert closed.kind == LeakVerdict.LEAKS_AT and closed.value == verdict.witness
+        detail += "; alt:7 leaks; es:4 leaks at z with a closed witness"
     _report(10, t0, 900.0, detail)
 
 

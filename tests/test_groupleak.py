@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from groupflow.errors import NotInKernel
@@ -26,7 +28,13 @@ from groupflow.groups import (
 )
 from groupflow.howell import HowellForm
 
-from helpers import closure, pairwise_relation_rows, witness_values_two_forms
+from helpers import (
+    chain_tags_element_major,
+    closure,
+    dense_row,
+    pairwise_relation_rows,
+    witness_values_two_forms,
+)
 
 
 # -- build_delta ----------------------------------------------------------------
@@ -54,7 +62,7 @@ def test_sym3_phi_injective_by_exhaustion():
     G = standard_group("sym:3")
     D = build_delta(G)
     m, k = D.modulus, D.ncols
-    rows = [tuple(int(x) % m for x in row) for row, _tag in D.relation_rows()]
+    rows = [tuple(int(x) % m for x in dense_row(row, k)) for row, _tag in D.relation_rows()]
     span = {tuple([0] * k)}
     frontier = [tuple([0] * k)]
     while frontier:
@@ -75,17 +83,22 @@ def test_sym3_phi_injective_by_exhaustion():
 
 
 def test_relation_rows_recompute_mod_m():
-    """The order rows, then one chain row per tag, each equal to its integer
-    recomputation from the bases (so also modulo m)."""
+    """The order rows, then one chain row per tag, each equal modulo m to
+    its integer recomputation from the bases; an order row whose order is
+    m is the empty row."""
     G = es_group(2)
     D = build_delta(G)
+    m = D.modulus
     rows = list(D.relation_rows())
     assert [tag for _row, tag in rows] == [None] * D.ncols + list(D.pair_rows)
+    assert any(not row for row, _tag in rows[:D.ncols])
+    for row, _tag in rows:
+        assert all(0 < a < m for a in row.values())
     for col, (row, _tag) in enumerate(rows[:D.ncols]):
         i, k = D.generator_index[col]
         expected = [0] * D.ncols
         expected[col] = D.bases[i].orders[k]
-        assert [int(x) for x in row] == expected
+        assert [int(x) for x in dense_row(row, D.ncols)] == [a % m for a in expected]
     for row, (pair, g) in rows[D.ncols:]:
         i, j = pair
         di = discrete_log(D.bases[i], g)
@@ -95,7 +108,7 @@ def test_relation_rows_recompute_mod_m():
             expected[D.offsets[i] + t] += a
         for t, a in enumerate(dj):
             expected[D.offsets[j] + t] -= a
-        assert [int(x) for x in row] == expected
+        assert [int(x) for x in dense_row(row, D.ncols)] == [a % m for a in expected]
 
 
 def test_pair_rows_identify_same_element():
@@ -152,7 +165,7 @@ def test_chain_rows_match_pairwise_oracle(spec):
         oracle.add_row(row)
     # inclusion one way plus quotients of equal order: the lattices are equal
     for row, _tag in D.relation_rows():
-        assert oracle.contains(row)
+        assert oracle.contains(dense_row(row, D.ncols))
     assert D.invariant_factors() == oracle.invariant_factors()
     kernel = None
     for g in G.elements():
@@ -163,6 +176,39 @@ def test_chain_rows_match_pairwise_oracle(spec):
     verdict = is_leakproof_group(G, delta=D)
     assert verdict.leakproof == (kernel is None)
     assert verdict.witness == kernel
+
+
+def _element_major_delta(D):
+    """D with its chain rows absorbed in element order, each generator's
+    whole chain before the next generator's: the tag order build_delta
+    used before it absorbed the rows pair by pair."""
+    tags = chain_tags_element_major(D.group, D.subgroups)
+    assert sorted(tags) == sorted(D.pair_rows)
+    E = dataclasses.replace(D, pair_rows=tuple(tags), canonical=HowellForm(D.ncols, D.modulus))
+    for row, _tag in E.relation_rows():
+        E.canonical.add_row(row)
+    return E
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS + ["es:3"])
+def test_pair_major_rows_match_element_major_oracle(spec):
+    """Absorbing the chain rows pair by pair gives the same canonical form
+    as absorbing them element by element: the same reduction of every
+    element, invariant factors, leak witness, binary collision and
+    witness-flow values."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    E = _element_major_delta(D)
+    for g in G.elements():
+        assert np.array_equal(D.canonical.reduce(D.embed(g)), E.canonical.reduce(E.embed(g)))
+    assert D.invariant_factors() == E.invariant_factors()
+    leak = is_leakproof_group(G, delta=D)
+    assert leak.witness == is_leakproof_group(G, delta=E).witness
+    assert (is_binary_leakproof_group(G, delta=D).collision
+            == is_binary_leakproof_group(G, delta=E).collision)
+    if not leak.leakproof:
+        assert (witness_flow_from_kernel(D, leak.witness)[1].values
+                == witness_flow_from_kernel(E, leak.witness)[1].values)
 
 
 # -- phi -------------------------------------------------------------------------

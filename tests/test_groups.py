@@ -24,7 +24,7 @@ from groupflow.errors import (
     ParseError,
     TooLarge,
 )
-from groupflow import groups
+from groupflow import groupleak, groups
 from groupflow.groups import (
     Subgroup,
     abelian_basis,
@@ -89,6 +89,7 @@ def test_builtin_tables_pass_light_and_exhaustive_checks(spec):
     assert G.order <= 720
     G._check_associativity()
     assert associative_by_exhaustion(G.table)
+    assert G.is_abelian == bool(np.array_equal(G.table, G.table.T))
     gens = G._generating_set()
     reached, frontier = {G.identity}, [G.identity]
     while frontier:
@@ -630,7 +631,7 @@ def _cliques_match_recursive_oracle(G):
 
 
 def test_maximal_cliques_match_recursive_oracle_benchmark_specs():
-    for spec in BENCHMARK_GROUPS:
+    for spec in BENCHMARK_GROUPS + ["alt:7"]:
         _cliques_match_recursive_oracle(standard_group(spec))
 
 
@@ -836,6 +837,43 @@ def test_element_orders_match_power_oracle(spec):
     in_K[list(K.members)] = True
     assert (groups._orders_modulo(G.table, members, in_K).tolist()
             == _orders_by_powers(G, members, in_K))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:5040", "cyclic:97", "dihedral:1",
+                                  "dihedral:30", "quaternion", "sym:1", "sym:5", "alt:6", "es:1",
+                                  "es:3", "product:cyclic:12,dihedral:5",
+                                  "product:product:cyclic:8,cyclic:9,cyclic:25",
+                                  "centprod:quaternion,dihedral:4", "cayley"])
+def test_element_orders_match_orders_modulo(spec, tmp_path):
+    """The orders from the p-parts of |G| equal the least k with x^k = 1,
+    found one power at a time by _orders_modulo, on every family, on
+    products and on a relabelled table read from a file."""
+    if spec == "cayley":
+        H = _relabelled(standard_group("product:sym:3,cyclic:4"), 5)
+        lines = ([str(H.order), " ".join(f"g{i}" for i in range(H.order))]
+                 + [" ".join(map(str, r)) for r in H.table.tolist()])
+        (tmp_path / "h.txt").write_text("\n".join(lines) + "\n")
+        spec = f"cayley:{tmp_path / 'h.txt'}"
+    G = standard_group(spec)
+    every = np.arange(G.order)
+    assert (G.element_orders().tolist()
+            == groups._orders_modulo(G.table, every, every == G.identity).tolist())
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "es:2", "product:cyclic:4,cyclic:6", "quaternion"])
+def test_group_unchanged_by_the_group_leak_decision(spec):
+    """A built group is shared by every caller of standard_group, so no
+    query may write into it: its attributes are the same objects before and
+    after the orders, the commutativity flag, the maximal abelian
+    subgroups and the glued group are read."""
+    G = standard_group(spec)
+    before = dict(vars(G))
+    assert not G.element_orders().flags.writeable
+    G.is_abelian
+    maximal_abelian_subgroups(G)
+    groupleak.build_delta(G)
+    assert vars(G).keys() == before.keys()
+    assert all(vars(G)[k] is v for k, v in before.items())
 
 
 @pytest.mark.parametrize("spec", ["cyclic:12", "product:cyclic:4,cyclic:6", "sym:4", "es:2"])

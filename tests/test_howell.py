@@ -18,13 +18,18 @@ from groupflow import cli, groupleak
 from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_from_kernel
 from groupflow.groups import standard_group
 from groupflow.howell import HowellForm
-from helpers import DenseHowellForm, _divisor_chain, invariant_factors_by_diagonalization
+from helpers import (
+    DenseHowellForm,
+    _divisor_chain,
+    dense_row,
+    invariant_factors_by_diagonalization,
+)
 
 
 def test_identity_matrix_spans_everything():
     form = HowellForm(2, 6, track=True)
     for r in [[1, 0], [0, 1]]:
-        form.add_row(r)
+        form.add_row(dict(enumerate(r)))
     for v in itertools.product(range(6), repeat=2):
         assert form.contains(list(v))
         sol = form.solve(list(v))
@@ -34,7 +39,7 @@ def test_identity_matrix_spans_everything():
 def test_zero_matrix_spans_nothing():
     form = HowellForm(2, 4, track=True)
     for r in [[0, 0], [0, 0]]:
-        form.add_row(r)
+        form.add_row(dict(enumerate(r)))
     assert form.contains([0, 0])
     assert not form.contains([1, 0])
     assert not form.contains([0, 2])
@@ -43,7 +48,7 @@ def test_zero_matrix_spans_nothing():
 def test_two_by_two_example():
     form = HowellForm(2, 4, track=True)
     for r in [[2, 0], [0, 2]]:
-        form.add_row(r)
+        form.add_row(dict(enumerate(r)))
     assert not form.contains([1, 0])
     assert form.contains([2, 2])
     assert list(form.solve([2, 2])) == [1, 1]
@@ -58,7 +63,7 @@ def test_membership_matches_exhaustive_span():
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
         form = HowellForm(k, m, track=True)
         for r in rows:
-            form.add_row(r)
+            form.add_row(dict(enumerate(r)))
         span = set()
         for coeffs in itertools.product(range(m), repeat=nrows):
             span.add(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % m
@@ -77,7 +82,7 @@ def test_solve_reproduces_vector():
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
         form = HowellForm(k, m, track=True)
         for r in rows:
-            form.add_row(r)
+            form.add_row(dict(enumerate(r)))
         coeffs = [rng.randrange(m) for _ in range(nrows)]
         v = [sum(c * r[i] for c, r in zip(coeffs, rows)) % m for i in range(k)]
         sol = form.solve(v)
@@ -96,7 +101,7 @@ def test_reduce_is_constant_on_cosets():
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(rng.randint(1, 3))]
         form = HowellForm(k, m, track=True)
         for r in rows:
-            form.add_row(r)
+            form.add_row(dict(enumerate(r)))
         members = [v for v in itertools.product(range(m), repeat=k)
                    if form.contains(list(v))]
         for v, w in itertools.islice(itertools.product(members, repeat=2), 60):
@@ -113,7 +118,7 @@ def test_quaternion_delta_lattice_factors():
     rows = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, -2, 0), (2, 0, -2)]
     form = HowellForm(3, 4, track=True)
     for r in rows:
-        form.add_row(r)
+        form.add_row(dict(enumerate(r)))
     snf = smith_normal_form(Matrix([list(r) for r in rows]))
     expected = _divisor_chain([int(snf[i, i]) for i in range(3) if int(snf[i, i]) > 1])
     assert expected == [2, 2, 4]          # confirm the oracle first
@@ -129,7 +134,7 @@ def test_invariant_factors_vs_sympy_snf():
         full = rows + [[m if i == j else 0 for i in range(k)] for j in range(k)]
         form = HowellForm(k, m)
         for r in full:
-            form.add_row(r)
+            form.add_row(dict(enumerate(r)))
         snf = smith_normal_form(Matrix(full))
         expected = _divisor_chain([int(snf[i, i]) for i in range(k) if int(snf[i, i]) > 1])
         assert form.invariant_factors() == expected
@@ -170,7 +175,7 @@ def test_invariant_factors_match_diagonalization_oracle():
                  for d in (2, 3, 4, 8, 9) if m % d == 0 and rng.random() < 0.5]
         form = HowellForm(k, m, track=t % 2 == 0)
         for r in rows:
-            form.add_row(r)
+            form.add_row(dict(enumerate(r)))
         factors = form.invariant_factors()
         assert factors == invariant_factors_by_diagonalization(form) == _snf_factors(rows, m, k)
         seen.add(tuple(factors))
@@ -180,21 +185,46 @@ def test_invariant_factors_match_diagonalization_oracle():
         factors = D.invariant_factors()
         assert factors == invariant_factors_by_diagonalization(D.canonical), spec
         if D.ncols <= 12:
-            rows = [row for row, _tag in D.relation_rows()]
+            rows = [dense_row(row, D.ncols) for row, _tag in D.relation_rows()]
             assert factors == _snf_factors(rows, D.modulus, D.ncols), spec
 
 
 def test_modulus_one_degenerates():
     form = HowellForm(3, 1)
-    form.add_row([0, 0, 0])
+    form.add_row({0: 0, 1: 0, 2: 0})
     assert form.contains([0, 0, 0])
     assert form.invariant_factors() == []
 
 
 def test_row_width_checked():
-    form = HowellForm(3, 4)
-    with pytest.raises(ValueError):
-        form.add_row([1, 2])
+    """A sparse row may name only the columns 0 .. ncols - 1, and a dense
+    query vector must have ncols entries."""
+    for form in (HowellForm(3, 4), DenseHowellForm(3, 4)):
+        for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
+            with pytest.raises(ValueError):
+                form.add_row(row)
+    form = HowellForm(3, 4, track=True)
+    form.add_row({0: 1})
+    for query in (form.reduce, form.contains, form.solve):
+        for vector in ([1, 2], [1, 2, 3, 0]):
+            with pytest.raises(ValueError, match="width"):
+                query(vector)
+
+
+def test_sparse_row_values_taken_mod_m():
+    """Values of a sparse row are read modulo m: zeros, negative values
+    and values of m or more give the form of their residues."""
+    rng = random.Random(86)
+    for m in (4, 12, 60):
+        for _ in range(30):
+            k = rng.randint(1, 5)
+            rows = [{j: rng.randrange(-3 * m, 3 * m) for j in rng.sample(range(k), rng.randint(0, k))}
+                    for _ in range(rng.randint(1, 4))]
+            raw, residues = HowellForm(k, m), HowellForm(k, m)
+            for row in rows:
+                raw.add_row(row)
+                residues.add_row({j: a % m for j, a in row.items() if a % m})
+            assert np.array_equal(raw.pivot_matrix(), residues.pivot_matrix())
 
 
 def _argwhere_pivot(A, m):
@@ -230,7 +260,7 @@ def test_tracked_solve_many_rows(m):
     rows[rng.random(rows.shape) < 0.5] = 0
     form = HowellForm(10, m, track=True)
     for r in rows:
-        form.add_row(r)
+        form.add_row(dict(enumerate(r)))
     for _ in range(20):
         v = (rng.integers(0, m, size=len(rows)) @ rows) % m
         sol = form.solve(v)
@@ -279,8 +309,8 @@ def test_sparse_rows_match_dense_oracle():
         track = t % 2 == 0
         sparse, dense = HowellForm(k, m, track), DenseHowellForm(k, m, track)
         for r in rows:
-            sparse.add_row(r)
-            dense.add_row(r)
+            sparse.add_row(dict(enumerate(r)))
+            dense.add_row(dict(enumerate(r)))
         probes = [[rng.randrange(m) for _ in range(k)] for _ in range(4)]
         probes += [[sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k)]
                    for _ in range(3)]
@@ -290,6 +320,7 @@ def test_sparse_rows_match_dense_oracle():
     for spec in DELTA_SPECS:
         D = build_delta(standard_group(spec))
         rows = [row for row, _tag in D.relation_rows()]
+        dense_rows = [dense_row(row, D.ncols) for row in rows]
         # tracking leaves the pivot rows as they are, so one tracked pair checks all three
         sparse = HowellForm(D.ncols, D.modulus, track=True)
         dense = DenseHowellForm(D.ncols, D.modulus, track=True)
@@ -298,7 +329,7 @@ def test_sparse_rows_match_dense_oracle():
             dense.add_row(r)
         assert np.array_equal(sparse.pivot_matrix(), D.canonical.pivot_matrix())
         probes = [D.embed(g) for g in itertools.islice(D.group.elements(), 40)]
-        _assert_same_form(sparse, dense, probes, rows, D.modulus)
+        _assert_same_form(sparse, dense, probes, dense_rows, D.modulus)
 
 
 @pytest.mark.parametrize("spec", DELTA_SPECS)
