@@ -69,12 +69,16 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _write(args, out: str) -> None:
+    """out to --output or stdout; a write error becomes a ParseError."""
     if not out.endswith("\n"):
         out += "\n"
-    if getattr(args, "output", None):
-        Path(args.output).write_text(out)
-    else:
+    if not getattr(args, "output", None):
         sys.stdout.write(out)
+        return
+    try:
+        Path(args.output).write_text(out)
+    except OSError as exc:                          # an OSError's text repeats the path
+        raise ParseError(f"cannot write {_clip(args.output)}: {exc.strerror or exc}")
 
 
 def _cmd_planar(args) -> int:
@@ -133,10 +137,10 @@ def _cmd_faces(args) -> int:
     R = jsonio.rotation_from_json(_read_json(args.rotation), G)
     walks = faces(R)
     payload = {
-        "faces": [[jsonio.vertex_str(x) for x in w.sequence] for w in walks],
+        "faces": [[jsonio.vertex_str(x) for x in w] for w in walks],
         "euler_planar": euler_planar_check(R),
     }
-    text = "\n".join(" ".join(map(str, w.sequence)) for w in walks) or "(no faces)"
+    text = "\n".join(" ".join(map(str, w)) for w in walks) or "(no faces)"
     _emit(args, payload, text)
     return 0
 

@@ -6,7 +6,10 @@ discrete logs of each cyclic subgroup's generator g in the subgroups
 i_1 < i_2 < ... that contain it, as dlog_{i_k}(g) - dlog_{i_{k+1}}(g).
 They span the lattice of gluing every pair along its intersection: the
 chain telescopes, and h = g^k gives k times g's row.  An element maps to
-the canonical form of its coordinate vector; the group is leak-proof
+the canonical form of its coordinate vector.  Every vector here is sparse,
+{column: value} without zeros, the one format ``embed`` builds and the
+Howell form takes and returns, and phi is the sorted tuple of the
+canonical form's nonzero (column, value) pairs.  The group is leak-proof
 exactly when no nonidentity element maps to zero, and binary leak-proof
 exactly when the map is injective.  Any kernel element is turned back
 into an explicit leaking flow on a graph over the subgroups, with one edge
@@ -28,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .errors import InternalInvariantError, NotInKernel, TooLarge
 from .flows import GroupFlow, LeakVerdict, detect_leak
@@ -89,28 +90,25 @@ class DeltaPresentation:
                 return i
         raise InternalInvariantError("element outside every maximal abelian subgroup")
 
-    def embed(self, gamma: int, subgroup_index: Optional[int] = None) -> np.ndarray:
-        """gamma's coordinate vector, via its discrete log in one subgroup."""
+    def embed(self, gamma: int, subgroup_index: Optional[int] = None) -> dict[int, int]:
+        """gamma's coordinate vector {column: value}, read from its discrete
+        log in one subgroup (by default the first that contains it)."""
         i = self.containing_index(gamma) if subgroup_index is None else subgroup_index
-        vec = np.zeros(self.ncols, dtype=np.int64)
-        dlog = discrete_log(self.bases[i], gamma)
-        vec[self.offsets[i]: self.offsets[i] + len(dlog)] = dlog
-        return vec
+        offset = self.offsets[i]
+        return {offset + t: a for t, a in enumerate(discrete_log(self.bases[i], gamma)) if a}
 
     def relation_rows(self) -> Iterator[tuple[dict[int, int], Optional[tuple[tuple[int, int], int]]]]:
         """Every relation row, sparse as {column: value mod m}, with its tag:
         the order row of each column (tag None; empty when the order is m),
-        then dlog_i(g) - dlog_j(g) for each pair_rows tag ((i, j), g), read
-        straight from the two discrete-log tables."""
+        then embed(g, i) - embed(g, j) for each pair_rows tag ((i, j), g)."""
         m = self.modulus
         for col, (i, k) in enumerate(self.generator_index):
             order = self.bases[i].orders[k] % m
             yield ({col: order} if order else {}), None
         for tag in self.pair_rows:
             (i, j), g = tag
-            row = {self.offsets[i] + t: a for t, a in enumerate(discrete_log(self.bases[i], g)) if a}
-            row.update((self.offsets[j] + t, m - a)
-                       for t, a in enumerate(discrete_log(self.bases[j], g)) if a)
+            row = self.embed(g, i)      # blocks i and j are disjoint
+            row.update((col, m - a) for col, a in self.embed(g, j).items())
             yield row, tag
 
     def invariant_factors(self) -> list[int]:
@@ -170,10 +168,11 @@ def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPres
     return D
 
 
-def phi(D: DeltaPresentation, gamma: int) -> tuple[int, ...]:
-    """Canonical coordinates of gamma's image; independent of which
-    containing subgroup supplies the discrete log."""
-    return tuple(D.canonical.reduce(D.embed(gamma)).tolist())
+def phi(D: DeltaPresentation, gamma: int) -> tuple[tuple[int, int], ...]:
+    """gamma's image: the sorted nonzero (column, value) pairs of the
+    canonical form of its coordinates, () exactly when gamma maps to zero;
+    independent of which containing subgroup supplies the discrete log."""
+    return tuple(sorted(D.canonical.reduce(D.embed(gamma)).items()))
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def is_leakproof_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER,
     for gamma in G.elements():
         if gamma == G.identity:
             continue
-        if not any(phi_coord for phi_coord in phi(D, gamma)):
+        if not phi(D, gamma):
             return LeakproofVerdict(False, witness=gamma, delta=D)
     return LeakproofVerdict(True, delta=D)
 
@@ -207,7 +206,7 @@ def is_binary_leakproof_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER
                               delta: Optional[DeltaPresentation] = None) -> InjectivityVerdict:
     """Injective phi (all normal forms pairwise distinct) or a colliding pair."""
     D = delta or build_delta(G, max_order)
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[tuple[int, int], ...], int] = {}
     for gamma in G.elements():
         key = phi(D, gamma)
         if key in seen:
@@ -237,11 +236,11 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
         raise NotInKernel("phi(gamma) is nonzero")
     coeffs, tags = _greedy_solve(D, gamma, target)
     acc: dict[tuple[int, int], int] = {}
-    for c, tag in zip(coeffs, tags):
-        if tag is None or c % D.modulus == 0:
+    for k in sorted(coeffs):
+        if tags[k] is None:
             continue
-        pair, g = tag
-        acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, int(c)))
+        pair, g = tags[k]
+        acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, coeffs[k]))
     values: dict[tuple[int, int], int] = {}
     for (i, j), a in acc.items():
         if a != G.identity:
@@ -257,10 +256,10 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
     return graph, flow
 
 
-def _greedy_solve(D: DeltaPresentation, gamma: int, target: np.ndarray):
-    """Coefficients of the target over the relation rows of the smallest
-    prefix family of subgroups (gamma's first, then by decreasing overlap
-    with it) that expresses it, and the rows' tags."""
+def _greedy_solve(D: DeltaPresentation, gamma: int, target: dict[int, int]):
+    """Coefficients {row: c} of the target over the relation rows of the
+    smallest prefix family of subgroups (gamma's first, then by decreasing
+    overlap with it) that expresses it, and the rows' tags."""
     igamma = D.containing_index(gamma)
     Hg = D.subgroups[igamma]
     rest = [i for i in range(len(D.subgroups)) if i != igamma]

@@ -5,8 +5,8 @@ construction, a spec mini-language for the standard families (cyclic,
 dihedral, quaternion, symmetric, alternating, the 2-group family ``es:n``
 used by the flow examples, direct and central products, and tables read
 from files), plus the abelian-structure utilities the leak machinery
-needs: centralizers, maximal abelian subgroups, invariant-factor bases
-with discrete logarithms, and conjugacy class identifiers.
+needs: maximal abelian subgroups, invariant-factor bases with discrete
+logarithms, and conjugacy class identifiers.
 
 Element orders, and orders modulo a subgroup, come from vectorised table
 lookups over many elements at once.  An abelian subgroup's basis is found
@@ -335,14 +335,6 @@ def _orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.n
         todo, cur = todo[~hit], cur[~hit]
         cur, k = T[cur, members[todo]], k + 1
     return f
-
-
-def centralizer(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
-    """All g commuting with every element of the given set."""
-    mask = np.ones(G.order, dtype=bool)
-    for s in elements:
-        mask &= G.table[:, s] == G.table[s, :]
-    return Subgroup(G, tuple(int(i) for i in np.nonzero(mask)[0]))
 
 
 def _commuting_bitsets(G: FiniteGroup) -> list[int]:

@@ -17,9 +17,11 @@ Rows are stored sparse, as dicts {column: value} of Python ints without
 zeros.  The relation rows of a glued group have a handful of nonzeros
 among hundreds of columns, and so do the pivot rows, so an elimination
 step costs the nonzeros of the two rows it combines rather than the width
-of the matrix.  Rows are also taken in sparse form, so no dense vector is
-built per relation row.  The form is canonical whatever order its rows
-come in, but the work is not.  The group-leak decision feeds its rows
+of the matrix.  Every vector goes in and comes out in that one format:
+rows and queries are {column: value} dicts, ``reduce`` returns one and
+``solve`` returns {input row: coefficient}, so no dense vector is built
+per relation row or per query.  The form is canonical whatever order its
+rows come in, but the work is not.  The group-leak decision feeds its rows
 sorted by the later of the two subgroup blocks they join (pair order,
 see ``groupleak``): every pivot row then lies within the blocks glued so
 far, and a new row meets no pivot beyond them.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -68,10 +70,9 @@ class HowellForm:
     combines; the leading column of a row is its least key.  With
     ``track=True`` every pivot carries its expression as a combination of
     the original input rows, stored the same way as {input row: value},
-    enabling ``solve``.  Rows go in sparse, as {column: value}, the form
-    the relation rows of a glued group are built in; query vectors go in
-    and results come out dense: ``reduce`` returns ``ncols`` entries and
-    ``solve`` ``n_input``.
+    enabling ``solve``.  Rows and query vectors go in as {column: value},
+    their values read modulo m; results come out the same way, without
+    zeros.
     """
 
     def __init__(self, ncols: int, modulus: int, track: bool = False):
@@ -87,20 +88,26 @@ class HowellForm:
 
     # -- construction ---------------------------------------------------------
 
-    def add_row(self, row: Mapping[int, int]) -> None:
-        """Absorb a row given sparse, as {column: value}; values are taken
-        modulo m, so zeros and negative values may appear."""
-        if row and (min(row) < 0 or max(row) >= self.ncols):
-            raise ValueError("row column out of range")
+    def _vector(self, row: Mapping[int, int]) -> dict[int, int]:
+        """row as {column: value mod m} with the zeros dropped; a ValueError
+        for a column outside range(ncols)."""
         m = self.m
         vec = {}
         for j, a in row.items():
+            if not 0 <= j < self.ncols:
+                raise ValueError(f"column {j} out of range")
             a = int(a) % m
             if a:
                 vec[j] = a
+        return vec
+
+    def add_row(self, row: Mapping[int, int]) -> None:
+        """Absorb a row {column: value}; values are taken modulo m, so zeros
+        and negative values may appear."""
+        vec = self._vector(row)
         coeff = {self.n_input: 1} if self.track else None
         self.n_input += 1
-        if m == 1:
+        if self.m == 1:
             return
         self._absorb(vec, coeff)
 
@@ -157,7 +164,7 @@ class HowellForm:
 
     # -- queries ---------------------------------------------------------------
 
-    def _walk(self, v: Sequence[int], combo: Optional[dict[int, int]]
+    def _walk(self, v: Mapping[int, int], combo: Optional[dict[int, int]]
               ) -> tuple[dict[int, int], Optional[dict[int, int]]]:
         """Reduce v against the pivots in column order, visiting only the
         columns where the reduced vector is nonzero: a pivot row is zero
@@ -165,12 +172,8 @@ class HowellForm:
         column it clears.  When combo is given, each multiple of a pivot
         row taken from v is added to it as input-row coefficients, so that
         v = result + sum(combo_i * row_i) mod m."""
-        dense = np.asarray(v, dtype=np.int64) % self.m
-        if dense.shape != (self.ncols,):
-            raise ValueError("vector width mismatch")
-        cols = np.flatnonzero(dense)
-        vec = dict(zip(cols.tolist(), dense[cols].tolist()))
-        heap = cols.tolist()
+        vec = self._vector(v)
+        heap = sorted(vec)              # a sorted list is a heap
         while heap:
             j = heapq.heappop(heap)
             idx = self._pivot_at.get(j)
@@ -187,20 +190,21 @@ class HowellForm:
                     _add_multiple(combo, q, self._coeffs[idx], self.m)
         return vec, combo
 
-    def reduce(self, v: Sequence[int]) -> np.ndarray:
-        """Canonical representative of v modulo the row space."""
-        return _dense(self._walk(v, None)[0], self.ncols)
+    def reduce(self, v: Mapping[int, int]) -> dict[int, int]:
+        """Canonical representative of v modulo the row space, as
+        {column: value}; empty exactly when v is in the span."""
+        return self._walk(v, None)[0]
 
-    def contains(self, v: Sequence[int]) -> bool:
+    def contains(self, v: Mapping[int, int]) -> bool:
         return not self._walk(v, None)[0]
 
-    def solve(self, v: Sequence[int]) -> Optional[np.ndarray]:
-        """Coefficients c over the input rows with sum(c_i * row_i) = v mod m,
-        or None when v is outside the span.  Needs track=True."""
+    def solve(self, v: Mapping[int, int]) -> Optional[dict[int, int]]:
+        """Coefficients {input row: c} with sum(c * row) = v mod m, or None
+        when v is outside the span.  Needs track=True."""
         if not self.track:
             raise ValueError("solve needs a coefficient-tracking form")
         vec, combo = self._walk(v, {})
-        return None if vec else _dense(combo, self.n_input)
+        return None if vec else combo
 
     def pivot_matrix(self) -> np.ndarray:
         cols = sorted(self._pivot_at)
@@ -275,9 +279,3 @@ def _add_multiple(x: dict[int, int], s: int, y: dict[int, int], m: int) -> None:
             x[k] = a
         else:
             x.pop(k, None)
-
-
-def _dense(x: dict[int, int], size: int) -> np.ndarray:
-    out = np.zeros(size, dtype=np.int64)
-    out[list(x)] = list(x.values())
-    return out

@@ -40,9 +40,13 @@ def loads(text: str) -> Any:
 
 
 def _vertex_token(raw: Any) -> Vertex:
-    """An int, or a str (read as an int when it is one); no other value is a label."""
+    """An int, or a str: read as an int only when it is that int's canonical
+    spelling, so "01", "-0" and non-ASCII digits stay strings and no two
+    labels merge; no other value is a label."""
     if isinstance(raw, str):
-        return _int(raw) if raw.removeprefix("-").isdecimal() else raw
+        if raw.removeprefix("-").isdecimal() and str(n := _int(raw)) == raw:
+            return n
+        return raw
     if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
     raise ParseError(f"vertex label must be a string or an integer, got {type(raw).__name__}")

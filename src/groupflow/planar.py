@@ -94,21 +94,6 @@ def _canonical_rotation(order: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
     return order[i:] + order[:i]
 
 
-@dataclass(frozen=True)
-class BoundaryWalk:
-    """A closed face walk (x0, ..., xn) with xn = x0, following the rule
-    x_{i+2} = rotation(x_{i+1})(x_i); no directed edge repeats."""
-
-    sequence: tuple[Vertex, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.sequence) - 1
-
-    def directed_edges(self) -> list[tuple[Vertex, Vertex]]:
-        return list(zip(self.sequence, self.sequence[1:]))
-
-
 def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
     """Every face orbit once: the cycles of the dart successor map
     (a, v) -> (v, b), where b follows a in v's rotation.  Each orbit starts
@@ -134,15 +119,16 @@ def _add_successors(succ: dict, v: Vertex, order: tuple[Vertex, ...]) -> None:
         succ[(a, v)] = (v, b)
 
 
-def faces(R: RotationSystem) -> list[BoundaryWalk]:
+def faces(R: RotationSystem) -> list[tuple[Vertex, ...]]:
     """Decompose the directed edges into boundary walks.
 
     The successor map (u, v) -> (v, rotation(v)(u)) is a bijection on the
-    directed edges; its cycles are the returned walks.  Every directed edge
-    occurs in exactly one walk, so the walk lengths add up to 2|E|.
+    directed edges; its cycles are the returned walks, each a closed vertex
+    tuple (x0, ..., xn) with xn = x0 and x_{i+2} = rotation(x_{i+1})(x_i).
+    Every directed edge occurs in exactly one walk, so the walk lengths n
+    add up to 2|E|.
     """
-    return [BoundaryWalk(tuple(d[0] for d in orbit) + (orbit[0][0],))
-            for orbit in _face_orbits(R)]
+    return [tuple(d[0] for d in orbit) + (orbit[0][0],) for orbit in _face_orbits(R)]
 
 
 def euler_planar_check(R: RotationSystem) -> bool:

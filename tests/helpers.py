@@ -18,8 +18,8 @@ tractability and excess check, the two-form solve is
 witness_flow_from_kernel's former solve, and the row-and-column
 diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
-elimination is HowellForm's former row storage (it reads the sparse rows
-through dense_row), the edge-by-edge
+elimination is HowellForm's former row storage (it takes and returns
+sparse vectors, converting them through dense_row), the edge-by-edge
 uncontraction chain is synthesize_leaking_flow's former construction, the
 single-root leaf-first loop is solve_tree_flow's former solve, networkx's
 check_planarity is the planar module's former LR test, the recursive
@@ -31,9 +31,10 @@ product, the coset dictionary of the central product, the separate
 parity and cycle-name walks of a permutation and the EsElement bit law are
 the group builders' former constructions, each kept here as its oracle.
 The edge contractions and uncontract_flow that the uncontraction
-chain runs, the subgroup closure behind the subgroup lattice, the rotation
-step next_neighbor and the face-walk bridge check were library functions
-that only these oracles and the tests called.
+chain runs, the subgroup closure behind the subgroup lattice, the
+centralizer behind the self-centralizer check of the maximal abelian
+subgroups, the rotation step next_neighbor and the face-walk bridge check
+were library functions that only these oracles and the tests called.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ from groupflow.groups import (
 from groupflow.howell import HowellForm, _egcd, _unit_scale
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
-    BoundaryWalk,
     ExtraPlanarVerdict,
     RotationSystem,
     _face_orbits,
@@ -222,6 +222,15 @@ def minor_oracle(G: Graph, M: Graph) -> bool:
 
 def _adjacent(G: Graph, A: frozenset, B: frozenset) -> bool:
     return any(w in B for u in A for w in G.neighbors(u))
+
+
+def centralizer(G: FiniteGroup, elements) -> Subgroup:
+    """All g commuting with every element of the given set: the
+    self-centralizer oracle of the maximal abelian subgroups."""
+    mask = np.ones(G.order, dtype=bool)
+    for s in elements:
+        mask &= G.table[:, s] == G.table[s, :]
+    return Subgroup(G, tuple(int(i) for i in np.nonzero(mask)[0]))
 
 
 def closure(G: FiniteGroup, gens) -> Subgroup:
@@ -528,7 +537,8 @@ def pairwise_relation_rows(D) -> list:
         if inter.order <= 1:
             continue
         for g in abelian_basis(inter).gens:
-            rows.append((dict(enumerate((D.embed(g, i) - D.embed(g, j)).tolist())), ((i, j), g)))
+            row = dense_row(D.embed(g, i), D.ncols) - dense_row(D.embed(g, j), D.ncols)
+            rows.append((dict(enumerate(row.tolist())), ((i, j), g)))
     return rows
 
 
@@ -653,15 +663,16 @@ def next_neighbor(R: RotationSystem, v, u):
     return order[(order.index(u) + 1) % len(order)]
 
 
-def walk_bridge_check(R: RotationSystem, walk: BoundaryWalk) -> list:
-    """Edges traversed in both directions within a single face walk.
+def walk_bridge_check(R: RotationSystem, walk: tuple) -> list:
+    """Edges traversed in both directions within a single face walk, a
+    closed vertex tuple as ``faces`` returns it.
 
     In a planar embedding these are exactly bridges; that containment is
     asserted before returning.
     """
     if not euler_planar_check(R):
         raise NotPlanarEmbedding("rotation system fails the Euler criterion")
-    darts = walk.directed_edges()
+    darts = list(zip(walk, walk[1:]))
     dart_set = set(darts)
     if not any(set(orbit) == dart_set for orbit in _face_orbits(R)):
         raise ParseError("walk is not a face of this rotation system")
@@ -759,7 +770,7 @@ def witness_values_two_forms(D, gamma: int) -> dict:
     tracked = HowellForm(D.ncols, D.modulus, track=True)
     for row, _tag in registry:
         tracked.add_row(row)
-    coeffs = tracked.solve(target)
+    coeffs = dense_row(tracked.solve(target), len(registry))
     acc = {}
     for c, (_row, tag) in zip(coeffs, registry):
         if tag is None or c % D.modulus == 0:
@@ -858,13 +869,19 @@ class DenseHowellForm(HowellForm):
     elimination step is a full-width array operation, and the walk visits
     every pivot column in order.  Same algorithm, so the same pivot rows and
     coefficients; the invariant factors are read from its pivot matrix by
-    the library's own code.  A stored coefficient vector keeps the length
-    n_input had when it was stored; _pad extends it."""
+    the library's own code.  Vectors go in and come out sparse, as the
+    library's do, and are converted only there.  A stored coefficient
+    vector keeps the length n_input had when it was stored; _pad extends
+    it."""
+
+    def _dense(self, v) -> np.ndarray:
+        """The dense residue vector of a sparse {column: value}."""
+        if v and (min(v) < 0 or max(v) >= self.ncols):
+            raise ValueError("column out of range")
+        return dense_row(v, self.ncols) % self.m
 
     def add_row(self, row) -> None:
-        if row and (min(row) < 0 or max(row) >= self.ncols):
-            raise ValueError("row column out of range")
-        vec = dense_row(row, self.ncols) % self.m
+        vec = self._dense(row)
         coeff = None
         if self.track:
             coeff = np.zeros(self.n_input + 1, dtype=np.int64)
@@ -926,7 +943,7 @@ class DenseHowellForm(HowellForm):
                 nz = np.nonzero(v)[0]
 
     def _walk(self, v, combo):
-        vec = np.asarray(v, dtype=np.int64) % self.m
+        vec = self._dense(v)
         for j in sorted(self._pivot_at):
             if vec[j]:
                 idx = self._pivot_at[j]
@@ -938,17 +955,17 @@ class DenseHowellForm(HowellForm):
                         combo = (combo + q * _pad(self._coeffs[idx], combo.size)) % self.m
         return vec, combo
 
-    def reduce(self, v) -> np.ndarray:
-        return self._walk(v, None)[0]
+    def reduce(self, v) -> dict:
+        return _sparse(self._walk(v, None)[0])
 
     def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+        return not self._walk(v, None)[0].any()
 
     def solve(self, v):
         if not self.track:
             raise ValueError("solve needs a coefficient-tracking form")
         vec, combo = self._walk(v, np.zeros(self.n_input, dtype=np.int64))
-        return None if vec.any() else combo
+        return None if vec.any() else _sparse(combo)
 
     def pivot_matrix(self) -> np.ndarray:
         cols = sorted(self._pivot_at)
@@ -967,6 +984,11 @@ class DenseHowellForm(HowellForm):
         for r in self.pivot_matrix():
             sparse.add_row(dict(enumerate(r.tolist())))
         return sparse.invariant_factors()
+
+
+def _sparse(x: np.ndarray) -> dict:
+    """{index: value} of the nonzero entries of a dense vector."""
+    return {int(i): int(x[i]) for i in np.flatnonzero(x)}
 
 
 def _pad(c, size: int) -> np.ndarray:

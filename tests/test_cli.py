@@ -254,6 +254,30 @@ def test_check_flow_binary(tmp_path):
     assert code == 0
 
 
+def test_check_flow_binary_reads_labels_as_spelled(tmp_path):
+    """--binary names a vertex "03" as the flow file spells it, and 3 is
+    then not a vertex of the graph."""
+    code, out, _ = invoke(["examples", "k33minus"])
+    fpath = tmp_path / "fm.json"
+    fpath.write_text(out.replace('"3"', '"03"'))
+    code, out, _ = invoke(["check-flow", str(fpath), "--binary", "03", "6"])
+    assert code == 1 and json.loads(out)["pair"] == ["03", "6"]
+    code, out, err = invoke(["check-flow", str(fpath), "--binary", "3", "6"])
+    assert (code, out) == (2, "") and "not both vertices" in err
+
+
+def test_digit_labels_keep_their_spelling(tmp_path):
+    """Labels that differ only in spelling stay apart in the certificate,
+    each written back byte for byte."""
+    path = tmp_path / "g.txt"
+    path.write_text("01 2\n1 3\n-0 0\n-12 \u0661\n", encoding="utf-8")
+    code, out, _ = invoke(["planar", str(path)])
+    assert code == 0
+    rotation = json.loads(out)["rotation"]
+    assert set(rotation) == {"01", "2", "1", "3", "-0", "0", "-12", "\u0661"}
+    assert rotation["01"] == ["2"] and rotation["1"] == ["3"] and rotation["-0"] == ["0"]
+
+
 # -- leak-witness ------------------------------------------------------------------------
 
 
@@ -838,6 +862,21 @@ def test_messages_quote_100000_character_input_briefly(tmp_path, kind):
     code, out, err = invoke(_long_input_argv(tmp_path, kind))
     assert (code, out) == (2, "") and err.startswith("error:"), err[:300]
     assert len(err.encode()) < 400 and err.count("...") == 1, err[:300]
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory", "long-path"])
+@pytest.mark.parametrize("command", ["planar", "extra-planar", "group-leakproof"])
+def test_unwritable_output_is_usage_error(tmp_path, command, target):
+    """An --output that cannot be written, for a missing directory, a
+    directory or a 100,000-character name, is one short usage error: one
+    line on stderr, so no traceback."""
+    output = {"missing-directory": tmp_path / "missing" / "out.json", "directory": tmp_path,
+              "long-path": tmp_path / ("x" * 100_000)}[target]
+    source = ("es:2" if command == "group-leakproof"
+              else write_graph(tmp_path, "k4.json", named_graph("complete:4")))
+    code, out, err = invoke([command, source, "-o", str(output)])
+    assert (code, out) == (2, "") and err.startswith("error: cannot write "), err[:300]
+    assert err.count("\n") == 1 and len(err.encode()) < 400, err[:300]
 
 
 @pytest.mark.parametrize("argv", [["planar", "{path}"], ["check-flow", "{path}"]])

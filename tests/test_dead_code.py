@@ -1,5 +1,6 @@
 """No dead code in src/groupflow: every module-level function or class is
-referenced somewhere in the package, exported, or read by the benchmark."""
+referenced somewhere in the package, exported, or read by the benchmark,
+and every name a module imports is read in that module."""
 
 from __future__ import annotations
 
@@ -64,6 +65,31 @@ def dead_definitions(src: Path = SRC) -> list[str]:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def unused_imports(src: Path = SRC) -> list[str]:
+    """"module.name" for each name a module-level import binds that the
+    module never reads; ``from __future__`` and the re-exports of
+    ``__init__.py`` are exempt."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused.extend(f"{path.stem}.{name}" for name in bound if name not in read)
+    return unused
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
 
 
 def test_perfbench_names_are_found():

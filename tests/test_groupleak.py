@@ -6,7 +6,6 @@ import dataclasses
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from groupflow.errors import NotInKernel
@@ -29,6 +28,7 @@ from groupflow.groups import (
 from groupflow.howell import HowellForm
 
 from helpers import (
+    DenseHowellForm,
     chain_tags_element_major,
     closure,
     dense_row,
@@ -74,7 +74,7 @@ def test_sym3_phi_injective_by_exhaustion():
                 frontier.append(nxt)
     images = {}
     for g in G.elements():
-        vec = tuple(int(x) for x in D.embed(g))
+        vec = tuple(dense_row(D.embed(g), k).tolist())
         for other, ovec in images.items():
             diff = tuple((a - b) % m for a, b in zip(vec, ovec))
             assert (diff in span) == (phi(D, g) == phi(D, other))
@@ -165,13 +165,13 @@ def test_chain_rows_match_pairwise_oracle(spec):
         oracle.add_row(row)
     # inclusion one way plus quotients of equal order: the lattices are equal
     for row, _tag in D.relation_rows():
-        assert oracle.contains(dense_row(row, D.ncols))
+        assert oracle.contains(row)
     assert D.invariant_factors() == oracle.invariant_factors()
     kernel = None
     for g in G.elements():
-        image = tuple(int(x) for x in oracle.reduce(D.embed(g)))
-        assert phi(D, g) == image
-        if kernel is None and g != G.identity and not any(image):
+        image = oracle.reduce(D.embed(g))
+        assert dict(phi(D, g)) == image
+        if kernel is None and g != G.identity and not image:
             kernel = g
     verdict = is_leakproof_group(G, delta=D)
     assert verdict.leakproof == (kernel is None)
@@ -200,7 +200,7 @@ def test_pair_major_rows_match_element_major_oracle(spec):
     D = build_delta(G)
     E = _element_major_delta(D)
     for g in G.elements():
-        assert np.array_equal(D.canonical.reduce(D.embed(g)), E.canonical.reduce(E.embed(g)))
+        assert D.canonical.reduce(D.embed(g)) == E.canonical.reduce(E.embed(g))
     assert D.invariant_factors() == E.invariant_factors()
     leak = is_leakproof_group(G, delta=D)
     assert leak.witness == is_leakproof_group(G, delta=E).witness
@@ -216,7 +216,27 @@ def test_pair_major_rows_match_element_major_oracle(spec):
 
 def test_phi_identity_is_zero():
     D = build_delta(standard_group("sym:3"))
-    assert not any(phi(D, D.group.identity))
+    assert phi(D, D.group.identity) == ()
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS)
+def test_phi_empty_exactly_on_kernel(spec):
+    """phi(gamma) is () exactly when gamma's coordinates lie in the lattice
+    of the pairwise gluing, tested by the dense elimination; any other
+    image is its sorted nonzero (column, residue) pairs."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    oracle = DenseHowellForm(D.ncols, D.modulus)
+    for row, _tag in pairwise_relation_rows(D):
+        oracle.add_row(row)
+    kernel = 0
+    for g in G.elements():
+        image = phi(D, g)
+        assert (image == ()) == oracle.contains(D.embed(g))
+        assert list(image) == sorted(image)
+        assert all(0 <= c < D.ncols and 0 < a < D.modulus for c, a in image)
+        kernel += image == ()
+    assert (kernel == 1) == is_leakproof_group(G, delta=D).leakproof
 
 
 def test_phi_independent_of_containing_subgroup():
@@ -227,8 +247,9 @@ def test_phi_independent_of_containing_subgroup():
     forms = set()
     for i, H in enumerate(D.subgroups):
         assert z in H          # the centre sits inside every maximal abelian
-        forms.add(tuple(int(x) for x in canon.reduce(D.embed(z, subgroup_index=i))))
-    assert len(forms) == 1
+        assert D.embed(z, subgroup_index=i)
+        forms.add(tuple(sorted(canon.reduce(D.embed(z, subgroup_index=i)).items())))
+    assert forms == {phi(D, z)}
 
 
 def test_phi_choice_independent_for_every_element():
@@ -236,11 +257,11 @@ def test_phi_choice_independent_for_every_element():
     D = build_delta(G)
     for g in G.elements():
         forms = {
-            tuple(int(x) for x in D.canonical.reduce(D.embed(g, subgroup_index=i)))
+            tuple(sorted(D.canonical.reduce(D.embed(g, subgroup_index=i)).items()))
             for i, H in enumerate(D.subgroups)
             if g in H
         }
-        assert len(forms) == 1
+        assert forms == {phi(D, g)}
 
 
 def test_lattice_contains_modulus_times_units():
@@ -248,27 +269,25 @@ def test_lattice_contains_modulus_times_units():
     for spec in ("quaternion", "sym:3", "es:2"):
         D = build_delta(standard_group(spec))
         for j in range(D.ncols):
-            vec = [0] * D.ncols
-            vec[j] = D.modulus
-            assert D.canonical.contains(vec)
+            assert D.canonical.contains({j: D.modulus})
 
 
 def test_phi_z_is_zero_in_es2():
     G = es_group(2)
     D = build_delta(G)
-    assert not any(phi(D, G.index_of("z")))
+    assert phi(D, G.index_of("z")) == ()
 
 
 def test_phi_additive_on_commuting_pairs():
     G = standard_group("sym:4")
     D = build_delta(G)
-    m = D.modulus
     count = 0
     for H in D.subgroups:
         for a, b in itertools.islice(itertools.product(H.members, repeat=2), 40):
             lhs = phi(D, G.mul(a, b))
-            rhs = tuple((x + y) % m for x, y in zip(phi(D, a), phi(D, b)))
-            assert lhs == tuple(int(v) for v in D.canonical.reduce(list(rhs)))
+            total = dense_row(dict(phi(D, a)), D.ncols) + dense_row(dict(phi(D, b)), D.ncols)
+            rhs = D.canonical.reduce(dict(enumerate(total.tolist())))
+            assert lhs == tuple(sorted(rhs.items()))
             count += 1
     assert count > 50
 

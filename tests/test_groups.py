@@ -28,7 +28,6 @@ from groupflow import groupleak, groups
 from groupflow.groups import (
     Subgroup,
     abelian_basis,
-    centralizer,
     conjugacy_class_id,
     designated_central_involution,
     discrete_log,
@@ -41,6 +40,7 @@ from groupflow.groups import (
 from helpers import (
     associative_by_exhaustion,
     central_product_by_cosets,
+    centralizer,
     closure,
     dihedral_by_loop,
     direct_product_by_int64,

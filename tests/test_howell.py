@@ -26,32 +26,40 @@ from helpers import (
 )
 
 
+def _sparse(v) -> dict:
+    """A dense vector as {column: value}, zeros kept: the form drops them."""
+    return dict(enumerate(v))
+
+
 def test_identity_matrix_spans_everything():
     form = HowellForm(2, 6, track=True)
     for r in [[1, 0], [0, 1]]:
-        form.add_row(dict(enumerate(r)))
+        form.add_row(_sparse(r))
     for v in itertools.product(range(6), repeat=2):
-        assert form.contains(list(v))
-        sol = form.solve(list(v))
-        assert sol is not None and tuple(sol % 6) == v
+        assert form.contains(_sparse(v))
+        sol = form.solve(_sparse(v))
+        assert sol is not None and tuple(dense_row(sol, 2).tolist()) == v
 
 
 def test_zero_matrix_spans_nothing():
     form = HowellForm(2, 4, track=True)
     for r in [[0, 0], [0, 0]]:
-        form.add_row(dict(enumerate(r)))
-    assert form.contains([0, 0])
-    assert not form.contains([1, 0])
-    assert not form.contains([0, 2])
+        form.add_row(_sparse(r))
+    assert form.contains({})
+    assert form.contains({0: 0, 1: 0})
+    assert not form.contains({0: 1})
+    assert not form.contains({1: 2})
+    assert form.reduce({1: 2}) == {1: 2}
 
 
 def test_two_by_two_example():
     form = HowellForm(2, 4, track=True)
     for r in [[2, 0], [0, 2]]:
-        form.add_row(dict(enumerate(r)))
-    assert not form.contains([1, 0])
-    assert form.contains([2, 2])
-    assert list(form.solve([2, 2])) == [1, 1]
+        form.add_row(_sparse(r))
+    assert not form.contains({0: 1})
+    assert form.contains({0: 2, 1: 2})
+    assert form.solve({0: 2, 1: 2}) == {0: 1, 1: 1}
+    assert form.reduce({0: 3, 1: 2}) == {0: 1}
 
 
 def test_membership_matches_exhaustive_span():
@@ -69,7 +77,7 @@ def test_membership_matches_exhaustive_span():
             span.add(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % m
                            for i in range(k)))
         for v in itertools.product(range(m), repeat=k):
-            assert form.contains(list(v)) == (v in span)
+            assert form.contains(_sparse(v)) == (v in span)
         assert form._quotient_order() * len(span) == m ** k
 
 
@@ -85,9 +93,9 @@ def test_solve_reproduces_vector():
             form.add_row(dict(enumerate(r)))
         coeffs = [rng.randrange(m) for _ in range(nrows)]
         v = [sum(c * r[i] for c, r in zip(coeffs, rows)) % m for i in range(k)]
-        sol = form.solve(v)
-        assert sol is not None
-        rebuilt = [sum(int(c) * r[i] for c, r in zip(sol, rows)) % m for i in range(k)]
+        sol = form.solve(_sparse(v))
+        assert sol is not None and all(0 <= t < nrows and 0 < c < m for t, c in sol.items())
+        rebuilt = [sum(c * rows[t][i] for t, c in sol.items()) % m for i in range(k)]
         assert rebuilt == v
 
 
@@ -103,14 +111,14 @@ def test_reduce_is_constant_on_cosets():
         for r in rows:
             form.add_row(dict(enumerate(r)))
         members = [v for v in itertools.product(range(m), repeat=k)
-                   if form.contains(list(v))]
+                   if form.contains(_sparse(v))]
         for v, w in itertools.islice(itertools.product(members, repeat=2), 60):
             s = [(a + b) % m for a, b in zip(v, w)]
-            assert form.contains(s)
+            assert form.contains(_sparse(s))
         for v in itertools.islice(itertools.product(range(m), repeat=k), 30):
             for s in members[:5]:
                 shifted = [(a + b) % m for a, b in zip(v, s)]
-                assert np.array_equal(form.reduce(list(v)), form.reduce(shifted))
+                assert form.reduce(_sparse(v)) == form.reduce(_sparse(shifted))
 
 
 def test_quaternion_delta_lattice_factors():
@@ -192,13 +200,14 @@ def test_invariant_factors_match_diagonalization_oracle():
 def test_modulus_one_degenerates():
     form = HowellForm(3, 1)
     form.add_row({0: 0, 1: 0, 2: 0})
-    assert form.contains([0, 0, 0])
+    assert form.contains({0: 0, 1: 0, 2: 0})
+    assert form.reduce({0: 5, 2: -1}) == {}
     assert form.invariant_factors() == []
 
 
 def test_row_width_checked():
-    """A sparse row may name only the columns 0 .. ncols - 1, and a dense
-    query vector must have ncols entries."""
+    """A row or a query vector may name only the columns 0 .. ncols - 1,
+    even with a zero value there."""
     for form in (HowellForm(3, 4), DenseHowellForm(3, 4)):
         for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
             with pytest.raises(ValueError):
@@ -206,9 +215,30 @@ def test_row_width_checked():
     form = HowellForm(3, 4, track=True)
     form.add_row({0: 1})
     for query in (form.reduce, form.contains, form.solve):
-        for vector in ([1, 2], [1, 2, 3, 0]):
-            with pytest.raises(ValueError, match="width"):
+        for vector in ({3: 1}, {-1: 2}, {0: 1, 7: 0}):
+            with pytest.raises(ValueError, match="out of range"):
                 query(vector)
+
+
+def test_query_values_taken_mod_m():
+    """reduce, contains and solve read query values modulo m, and their
+    results hold residues in 1 .. m - 1 only."""
+    rng = random.Random(87)
+    for m in (4, 12, 60):
+        for _ in range(30):
+            k = rng.randint(1, 5)
+            form = HowellForm(k, m, track=True)
+            for _ in range(rng.randint(1, 4)):
+                form.add_row({j: rng.randrange(m) for j in rng.sample(range(k), rng.randint(0, k))})
+            raw = {j: rng.randrange(-3 * m, 3 * m) for j in rng.sample(range(k), rng.randint(0, k))}
+            residues = {j: a % m for j, a in raw.items() if a % m}
+            reduced = form.reduce(raw)
+            assert reduced == form.reduce(residues)
+            assert all(0 < a < m for a in reduced.values())
+            assert form.contains(raw) == form.contains(residues) == (not reduced)
+            sol = form.solve(raw)
+            assert sol == form.solve(residues)
+            assert sol is None or all(0 < c < m for c in sol.values())
 
 
 def test_sparse_row_values_taken_mod_m():
@@ -263,25 +293,26 @@ def test_tracked_solve_many_rows(m):
         form.add_row(dict(enumerate(r)))
     for _ in range(20):
         v = (rng.integers(0, m, size=len(rows)) @ rows) % m
-        sol = form.solve(v)
-        assert sol is not None and sol.shape == (len(rows),)
-        assert np.array_equal((sol @ rows) % m, v)
+        sol = form.solve(_sparse(v.tolist()))
+        assert sol is not None and all(0 <= t < len(rows) for t in sol)
+        assert np.array_equal((dense_row(sol, len(rows)) @ rows) % m, v)
     for r in rows[:: 37]:
-        assert np.array_equal((form.solve(r) @ rows) % m, r % m)
+        sol = dense_row(form.solve(_sparse(r.tolist())), len(rows))
+        assert np.array_equal((sol @ rows) % m, r % m)
 
 
 def _assert_same_form(sparse, dense, probes, rows, m):
     assert np.array_equal(sparse.pivot_matrix(), dense.pivot_matrix())
     for v in probes:
-        assert np.array_equal(sparse.reduce(v), dense.reduce(v))
+        assert sparse.reduce(v) == dense.reduce(v)
         assert sparse.contains(v) == dense.contains(v)
         if sparse.track:
             a, b = sparse.solve(v), dense.solve(v)
-            assert (a is None) == (b is None)
+            assert a == b
             if a is not None:
-                assert np.array_equal(a, b) and a.shape == (len(rows),)
                 A = np.array(rows, dtype=np.int64).reshape(len(rows), sparse.ncols)
-                assert np.array_equal((a @ A) % m, np.asarray(v) % m)
+                assert np.array_equal((dense_row(a, len(rows)) @ A) % m,
+                                      dense_row(v, sparse.ncols) % m)
 
 
 def test_sparse_rows_match_dense_oracle():
@@ -311,8 +342,8 @@ def test_sparse_rows_match_dense_oracle():
         for r in rows:
             sparse.add_row(dict(enumerate(r)))
             dense.add_row(dict(enumerate(r)))
-        probes = [[rng.randrange(m) for _ in range(k)] for _ in range(4)]
-        probes += [[sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k)]
+        probes = [_sparse(rng.randrange(m) for _ in range(k)) for _ in range(4)]
+        probes += [_sparse(sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k))
                    for _ in range(3)]
         _assert_same_form(sparse, dense, probes, rows, m)
         assert sparse._quotient_order() == dense._quotient_order()

@@ -46,6 +46,21 @@ def test_integer_labels():
     assert jsonio.graph_from_text("1 " + "9" * 640).m == 1
 
 
+def test_only_canonical_digit_strings_are_integers():
+    """A digit string is an integer label only when it is that integer's
+    canonical spelling: "01" and "1" name two vertices, "-0" is not 0, and
+    non-ASCII digits stay strings."""
+    g = jsonio.graph_from_text("01 2\n1 3\n")
+    assert set(g.vertices) == {"01", 1, 2, 3} and g.m == 2
+    assert set(g.neighbors("01")) == {2} and set(g.neighbors(1)) == {3}
+    g = jsonio.graph_from_text("-0 0\n")
+    assert set(g.vertices) == {"-0", 0} and g.m == 1
+    g = jsonio.graph_from_text("\u0661 1\n-12 12\n")
+    assert set(g.vertices) == {"\u0661", 1, -12, 12}
+    g = jsonio.graph_from_text('{"vertices": ["007", 7, "-3"], "edges": [["007", "7"]]}')
+    assert set(g.vertices) == {"007", 7, -3} and g.m == 1
+
+
 @pytest.mark.parametrize("text", [
     '{"vertices": [1, true, 2.5], "edges": [[2.5, 1]]}',
     '{"vertices": [1, true], "edges": []}',
