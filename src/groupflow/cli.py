@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 = affirmative/success, 1 = negative verdict (non-planar,
-leaks, not extra-planar, ...), 2 = usage or parse error, 3 = internal
-invariant violation or any other unexpected exception (named on stderr
-with the subcommand, without a traceback).  Negative mathematical verdicts
-are results, not failures, so shell pipelines can branch on them.
+leaks, not extra-planar, ...), 2 = usage or parse error, or output that
+cannot be written (a closed pipe too), 3 = internal invariant violation or
+any other unexpected exception (named on stderr with the subcommand,
+without a traceback).  Negative mathematical verdicts are results, not
+failures, so shell pipelines can branch on them.
 
 The argument parser is built once, when the module is imported, and every
 ``run`` parses with it: help text, usage errors and parsed arguments all
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -73,7 +75,15 @@ def _write(args, out: str) -> None:
     if not out.endswith("\n"):
         out += "\n"
     if not getattr(args, "output", None):
-        sys.stdout.write(out)
+        try:
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        except OSError as exc:                      # a closed pipe, a full disk
+            # what is still buffered goes to devnull, so the exit flush is quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ParseError(f"cannot write standard output: {exc.strerror or exc}")
         return
     try:
         Path(args.output).write_text(out)

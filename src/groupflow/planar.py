@@ -25,13 +25,16 @@ pooled embedding places is run through the LR planarity test (Brandes,
 Every pooled embedding gets one full ``euler_planar_check`` when it joins
 the pool (the base one inside ``test_planarity``).  A spliced embedding is
 then checked exactly where the splice changed it: its two new rotations,
-at u and v, are validated against G + uv, and its face count is the pool
-entry's, less the faces through the darts whose successor changed, plus
-the new orbits through those darts, which include (u, v) and (v, u); each
-is walked by jumping along the entry's faces from one changed dart to the
-next.  That count must give V - E + F = 2k for G + uv, as in the full
-check.  Apart from a copy of the pooled rotation dict, a splice so costs
-what it changed, not the size of G.
+at u and v, are validated against G's neighbours plus the new one, and its
+face count is the pool entry's, less the faces through the darts whose
+successor changed (read off the corner: two at an endpoint with edges,
+one at an isolated one), plus the new orbits through those darts, which
+include (u, v) and (v, u); each is walked by jumping along the entry's
+faces from one changed dart to the next.  That count must give
+V - E + F = 2k for G + uv, as in the full check.  A splice so costs the
+degrees of u and v, one copy of the pooled rotation dict and one union of
+G's edge set with uv; G + uv's adjacency is built only if something reads
+it.
 
 A non-planar graph's witness comes from deleting edges, in sorted order,
 while the graph stays non-planar.  Each "still non-planar without e?"
@@ -101,7 +104,8 @@ def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
     no earlier orbit covers."""
     succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
     for v, order in R.rotation.items():
-        _add_successors(succ, v, order)
+        for a, b in zip(order, order[1:] + order[:1]):
+            succ[(a, v)] = (v, b)
     orbits = []
     for start in ((u, w) for u in R.graph.vertices for w in R.graph.neighbors(u)):
         if start in succ:
@@ -110,13 +114,6 @@ def _face_orbits(R: RotationSystem) -> list[list[tuple[Vertex, Vertex]]]:
                 orbit.append(cur)
             orbits.append(orbit)
     return orbits
-
-
-def _add_successors(succ: dict, v: Vertex, order: tuple[Vertex, ...]) -> None:
-    """Enter the successor (v, b) of every dart (a, v) into v, b following
-    a in v's rotation ``order``."""
-    for a, b in zip(order, order[1:] + order[:1]):
-        succ[(a, v)] = (v, b)
 
 
 def faces(R: RotationSystem) -> list[tuple[Vertex, ...]]:
@@ -367,25 +364,25 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     pool = [_PoolEntry(base)]
     embeddings: dict[tuple[Vertex, Vertex], RotationSystem] = {}
     for pair in pairs:
-        if G.has_edge(*pair):
+        # pairs run in vertex order, so each is in the edge_key order of G.edges
+        if pair in G.edges:
             embeddings[pair] = base
             continue
         u, v = pair
-        H = add_edge(G, u, v)
         if component[u] != component[v]:
             # any corner of each endpoint: after its first neighbour, if any;
             # an isolated endpoint joins V, and two components become one
             at = (next(iter(base.rotation[u]), None), next(iter(base.rotation[v]), None))
             isolated = (at[0] is None) + (at[1] is None)
-            embeddings[pair] = _splice(H, pool[0], pair, at, n + isolated, k - 1 + isolated)
+            embeddings[pair] = _splice(G, pool[0], pair, at, n + isolated, k - 1 + isolated)
             continue
         for entry in pool:
             at = _splice_corners(entry.corners[u], entry.corners[v])
             if at is not None:
-                embeddings[pair] = _splice(H, entry, pair, at, n, k)
+                embeddings[pair] = _splice(G, entry, pair, at, n, k)
                 break
         else:
-            result = test_planarity(H)
+            result = test_planarity(add_edge(G, u, v))
             if isinstance(result, MinorWitness):
                 return ExtraPlanarVerdict(False, pair=pair, witness=result)
             embeddings[pair] = result
@@ -429,70 +426,71 @@ def _splice_corners(at_u: dict[int, Vertex],
     return None
 
 
-def _splice(H: Graph, entry: _PoolEntry, pair: tuple[Vertex, Vertex],
+def _splice(G: Graph, entry: _PoolEntry, pair: tuple[Vertex, Vertex],
             at: tuple[Optional[Vertex], Optional[Vertex]], n: int, k: int) -> RotationSystem:
-    """The embedding R = ``entry.R`` of G with the edge uv = ``pair`` of H
-    added at the corners ``at`` (None for an endpoint without edges, whose
+    """The embedding R = ``entry.R`` of G with the edge uv = ``pair`` added
+    at the corners ``at`` (None for an endpoint without edges, whose
     rotation becomes the other endpoint alone), checked exactly where the
     splice changed it.
 
     Only the rotations at u and v are new: each must be a cyclic order of
-    its neighbours in H, and is canonicalised; every other rotation is R's,
-    already checked.  So only darts into u or v can change their successor,
-    and the faces of H's embedding are R's, less those through a changed
-    dart, plus the new orbits through one.  A new orbit runs along R's
-    faces from one changed dart to the next, so it is walked by jumping
-    between changed darts.  With ``n`` and ``k`` the vertices with an edge
-    and the components with an edge of H, the face count must satisfy
-    Euler's V - E + F = 2k (see ``euler_planar_check``): a splice inside a
-    component splits one face, and one across components merges the faces
-    at its two corners into one.
+    its neighbours in G plus the other endpoint, and is canonicalised; every
+    other rotation is R's, already checked.  Putting the other endpoint
+    after x in w's rotation changes the successors of two darts only: (x, w)
+    now leads to the new dart, and the new dart (other, w) takes x's old
+    successor (at an isolated w, its own reverse).  The faces of G + uv are
+    R's, less those through a changed dart, plus the new orbits through
+    one, each walked by jumping along R's faces between changed darts.
+    With ``n`` and ``k`` the vertices with an edge and the components with
+    an edge of G + uv, the face count must satisfy Euler's V - E + F = 2k
+    (see ``euler_planar_check``): a splice inside a component splits one
+    face, and one across components merges the faces at its two corners.
+    A splice so costs the degrees of u and v, one copy of R's rotation dict
+    and one edge-set union; the spliced graph's adjacency is built if read.
     """
     R = entry.R
     rotation = dict(R.rotation)
-    # the successors of the darts into u and v, in R and after the splice
-    before: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
-    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    succ: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}   # of the changed darts
+    cuts: dict[int, list[int]] = {}     # R's face -> positions of its changed darts
     for w, other, x in ((pair[0], pair[1], at[0]), (pair[1], pair[0], at[1])):
         order = R.rotation[w]
-        _add_successors(before, w, order)
         i = 0 if x is None else order.index(x) + 1
         order = order[:i] + (other,) + order[i:]
-        if len(order) != H.degree(w) or set(order) != set(H.neighbors(w)):
+        succ[(other, w)] = (w, order[(i + 1) % len(order)])
+        if x is not None:
+            succ[(x, w)] = (w, other)
+            f, j = entry.place[(x, w)]
+            cuts.setdefault(f, []).append(j)
+        expected = {other, *G.adjacency[w]}
+        if len(order) != len(expected) or set(order) != expected:
             raise InternalInvariantError(
                 f"extra_planar splice: rotation at {_clip(repr(w))} in G plus "
                 f"{_clip(repr(pair))} is not a cyclic order of its neighbours")
-        rotation[w] = _canonical_rotation(order)
-        _add_successors(succ, w, order)
-    changed = {d for d, s in succ.items() if s != before.get(d)}
-    cuts: dict[int, list[int]] = {}     # R's face -> positions of its changed darts
-    for d in changed & entry.place.keys():
-        f, i = entry.place[d]
-        cuts.setdefault(f, []).append(i)
+        # R's rotation at w starts at its least vertex, so the new one starts there or at other
+        rotation[w] = order if vkey(order[0]) < vkey(other) else order[i:] + order[:i]
     for positions in cuts.values():
         positions.sort()
 
-    def next_changed(d):
-        s = succ[d]
-        if s in changed:
-            return s
-        f, i = entry.place[s]
-        positions = cuts[f]
-        return entry.orbits[f][positions[bisect_left(positions, i) % len(positions)]]
-
     new_orbits = 0
-    unseen = set(changed)
+    unseen = set(succ)
     while unseen:
         start = d = unseen.pop()
         new_orbits += 1
-        while (d := next_changed(d)) != start:
+        while True:
+            d = succ[d]
+            if d not in succ:       # along R's face to its next changed dart
+                f, i = entry.place[d]
+                positions = cuts[f]
+                d = entry.orbits[f][positions[bisect_left(positions, i) % len(positions)]]
+            if d == start:
+                break
             unseen.remove(d)
     faces = len(entry.orbits) - len(cuts) + new_orbits
-    if n - H.m + faces != 2 * k:
+    if n - (G.m + 1) + faces != 2 * k:
         raise InternalInvariantError(
             f"extra_planar splice: embedding of G plus {_clip(repr(pair))} failed the Euler check")
     # built without __post_init__, which would re-validate every rotation
     spliced = object.__new__(RotationSystem)
-    object.__setattr__(spliced, "graph", H)
+    object.__setattr__(spliced, "graph", Graph(G.vertices, G.edges | {pair}))
     object.__setattr__(spliced, "rotation", rotation)
     return spliced

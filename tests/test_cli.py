@@ -19,7 +19,7 @@ import groupflow
 from groupflow import cli, groups, jsonio
 from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
-from groupflow.graphs import add_edge, graph_from, named_graph, verify_minor
+from groupflow.graphs import Graph, add_edge, graph_from, named_graph, verify_minor
 from groupflow.groups import group_from_cayley, standard_group
 from groupflow.planar import euler_planar_check, extra_planar
 from groupflow.planar import test_planarity as planarity_certificate
@@ -120,12 +120,12 @@ def test_extra_planar_negative_output_matches_lr_oracle(tmp_path, monkeypatch, f
 # -- fresh interpreters ------------------------------------------------------------
 
 
-def _fresh_python(args, hash_seed=0):
+def _fresh_python(args, hash_seed=0, stdout=subprocess.PIPE):
     """Run ``python args`` in a new interpreter on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(groupflow.__file__).parents[1]),
                PYTHONHASHSEED=str(hash_seed))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          check=False)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, check=False)
 
 
 def test_cli_import_leaves_networkx_out():
@@ -750,12 +750,24 @@ def test_help_lists_subcommands_in_order():
 # -- extra-planar JSON writer ------------------------------------------------------
 
 
+def _tree_plus_chords(rng: random.Random, n: int, chords: int, isolated: int) -> Graph:
+    """A random tree plus ``chords`` chords on n - ``isolated`` vertices,
+    relabelled at random among 1..n: the sparse shape of the extra-planar
+    benchmark, with isolated vertices besides."""
+    core = random_connected_planar_graph(rng, n - isolated, chords)
+    label = dict(zip(core.vertices, rng.sample(range(1, n + 1), n)))
+    return graph_from(range(1, n + 1), [(label[u], label[v]) for u, v in core.edges])
+
+
 def _writer_graphs():
     for n in range(0, 6):
         yield from all_labeled_graphs(n)
     rng = random.Random(67)
     for _ in range(60):
         yield random_graph(rng, rng.randint(6, 12), rng.uniform(0.05, 0.3))
+    for n in range(8, 17):
+        for chords in range(3):
+            yield _tree_plus_chords(rng, n, chords, isolated=(n + chords) % 3)
     yield graph_from(["a", "b", "c", "d"], [("a", "b"), ("b", "c")])
     yield graph_from([9, 10, 11, "x", "y"], [(9, 10), (10, "x"), (11, "y")])
     yield graph_from(list(range(1, 13)), [(9, 10), (10, 11), (1, 12)])
@@ -765,8 +777,9 @@ def _writer_graphs():
 def test_extra_planar_json_matches_payload_dumps(tmp_path):
     """Every positive verdict's JSON equals dumps of the payload dict: every
     graph on at most 5 vertices (and the empty graph), seeded sparse 6-12
-    vertex graphs, string and mixed labels ("10" sorts before "9" as a key)
-    and labels that JSON escapes."""
+    vertex graphs, seeded 8-16 vertex trees plus at most two chords, some
+    with isolated vertices, string and mixed labels ("10" sorts before "9"
+    as a key) and labels that JSON escapes."""
     positive = 0
     for i, G in enumerate(_writer_graphs()):
         path = tmp_path / "g.json"
@@ -877,6 +890,23 @@ def test_unwritable_output_is_usage_error(tmp_path, command, target):
     code, out, err = invoke([command, source, "-o", str(output)])
     assert (code, out) == (2, "") and err.startswith("error: cannot write "), err[:300]
     assert err.count("\n") == 1 and len(err.encode()) < 400, err[:300]
+
+
+@pytest.mark.parametrize("command", ["planar", "group-leakproof"])
+def test_closed_stdout_pipe_is_usage_error(tmp_path, command):
+    """A reader that has gone before the verdict is written (as with
+    ``| head -c 0``): exit 2 and one error line, with no traceback and no
+    message at shutdown."""
+    source = ("sym:4" if command == "group-leakproof"
+              else write_graph(tmp_path, "k4.json", named_graph("complete:4")))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _fresh_python(["-m", "groupflow.cli", command, source], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write standard output: Broken pipe\n"
 
 
 @pytest.mark.parametrize("argv", [["planar", "{path}"], ["check-flow", "{path}"]])

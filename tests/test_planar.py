@@ -477,9 +477,9 @@ def _splices_checked_by_full_oracle(monkeypatch) -> list:
     spliced = []
     original = planar._splice
 
-    def checked(H, entry, pair, at, n, k):
-        R = original(H, entry, pair, at, n, k)
-        assert R == splice_by_full_check(H, entry.R, pair, at), (H, pair, at)
+    def checked(G, entry, pair, at, n, k):
+        R = original(G, entry, pair, at, n, k)
+        assert R == splice_by_full_check(add_edge(G, *pair), entry.R, pair, at), (G, pair, at)
         spliced.append(pair)
         return R
     monkeypatch.setattr(planar, "_splice", checked)
@@ -496,8 +496,9 @@ def test_splices_match_full_check_oracle_up_to_6_vertices(monkeypatch):
 
 def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
     """Sparse graphs with isolated vertices and several components, so that
-    both splice kinds and isolated endpoints occur.  Every certificate is
-    also rebuilt and Euler-checked in full."""
+    both splice kinds and isolated endpoints occur.  A spliced graph's
+    adjacency is left unbuilt, and once built equals add_edge's.  Every
+    certificate is also rebuilt and Euler-checked in full."""
     spliced = _splices_checked_by_full_oracle(monkeypatch)
     rng = random.Random(67)
     isolated = several = 0
@@ -505,8 +506,13 @@ def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
         g = random_graph(rng, rng.randint(7, 12), rng.uniform(0.05, 0.3))
         isolated += any(g.degree(v) == 0 for v in g.vertices)
         several += len([c for c in components(g) if len(c) > 1]) > 1
+        start = len(spliced)
         verdict = extra_planar(g)
+        if verdict.extra_planar:
+            embeddings = [verdict.embeddings[pair] for pair in spliced[start:]]
+            assert not any("adjacency" in R.graph.__dict__ for R in embeddings), g
         for (u, v), R in (verdict.embeddings or {}).items():
+            assert R.graph.adjacency == add_edge(g, u, v).adjacency, (g, u, v)
             rebuilt = RotationSystem(R.graph, R.rotation)
             assert R.graph == add_edge(g, u, v)
             assert rebuilt.rotation == R.rotation and euler_planar_check(rebuilt), (g, u, v)
@@ -560,10 +566,22 @@ def test_extra_planar_cross_component_splice_failing_euler_check(monkeypatch, gr
 
 
 def test_extra_planar_splice_validates_the_new_rotations(monkeypatch):
-    # a graph without the new edge: the spliced rotation at 1 names 3 wrongly
-    monkeypatch.setattr(planar, "add_edge", lambda G, u, v: G)
+    """The path 2-1-4-3 has one face, so (1, 3) is spliced into its base
+    pool entry.  With that entry's rotation at 1 missing the neighbour that
+    its corner does not name, the spliced rotation at 1 is not a cyclic
+    order of 1's neighbours in G plus (1, 3)."""
+    class MissingNeighbour(planar._PoolEntry):
+        def __init__(self, R):
+            super().__init__(R)
+            rotation = dict(R.rotation)
+            rotation[1] = tuple(self.corners[1].values())
+            faulty = object.__new__(RotationSystem)     # skips __post_init__'s check
+            object.__setattr__(faulty, "graph", R.graph)
+            object.__setattr__(faulty, "rotation", rotation)
+            self.R = faulty
+    monkeypatch.setattr(planar, "_PoolEntry", MissingNeighbour)
     with pytest.raises(InternalInvariantError, match=r"splice: rotation at 1 in G plus \(1, 3\)"):
-        extra_planar(named_graph("path:4"))
+        extra_planar(graph_from([1, 2, 3, 4], [(1, 2), (1, 4), (3, 4)]))
 
 
 def test_extra_planar_checks_each_pooled_embedding_in_full(monkeypatch):
