@@ -1,10 +1,10 @@
 """Simple undirected graphs with connectivity tools and minor search.
 
 Vertices are opaque ordered tokens (ints or strings); canonical outputs
-sort by token.  Minor containment is decided exactly at desk scale by a
-branch-and-bound over connected branch sets, and every positive answer is
-packaged as a :class:`MinorWitness` that ``verify_minor`` can check
-independently.
+sort by token.  Minor containment is decided exactly, on hosts of at most
+``DEFAULT_HOST_BOUND`` vertices, by a branch-and-bound over connected
+branch sets held as vertex bitsets, and every positive answer is packaged
+as a :class:`MinorWitness` that ``verify_minor`` can check independently.
 """
 
 from __future__ import annotations
@@ -256,79 +256,121 @@ def _sets_adjacent(G: Graph, A: frozenset[Vertex], B: frozenset[Vertex]) -> bool
     return False
 
 
-def _connected_subsets(G: Graph, allowed: frozenset[Vertex], max_size: int):
-    """All connected subsets of `allowed`, each yielded once (min-seed growth)."""
-    order = sorted(allowed, key=vkey)
-    pos = {v: i for i, v in enumerate(order)}
+def _connected_masks(adj: list[int], nbrs: list[list[int]], allowed: int, max_size: int):
+    """Every connected subset S of the vertex bitset ``allowed`` with at most
+    ``max_size`` vertices, each once, as the bitset pair (S, N(S)), where
+    N(S) is the union of the neighbourhoods ``adj`` of S's vertices and
+    ``nbrs[v]`` lists v's neighbours in ascending bit order.
 
-    def grow(current: frozenset[Vertex], frontier: list[Vertex], banned: frozenset[Vertex]):
-        yield current
-        if len(current) == max_size:
-            return
-        local_banned = banned
-        for i, v in enumerate(frontier):
-            new_frontier = frontier[i + 1:] + [
-                w for w in G.neighbors(v)
-                if w in allowed and w not in current and w not in local_banned
-                and w not in frontier
-            ]
-            yield from grow(current | {v}, new_frontier, local_banned)
-            local_banned = local_banned | {v}
-
-    for seed in order:
-        later = frozenset(v for v in allowed if pos[v] > pos[seed])
-        frontier = [w for w in G.neighbors(seed) if w in later]
-        banned = frozenset(v for v in allowed if pos[v] < pos[seed])
-        yield from grow(frozenset([seed]), frontier, banned)
+    Min-seed growth: the subsets whose least vertex is s come right after
+    {s}, seeds ascending.  A subset grows by each of its frontier vertices
+    in turn, depth first; the child's frontier is the rest of the parent's,
+    then the new vertex's neighbours, ascending, that lie in ``avail``: the
+    allowed vertices that are not below the seed, not in the subset, not on
+    the frontier and not passed over earlier at this subset.  A child's
+    ``avail`` is its parent's less the new vertex's neighbours.  The growth
+    runs on an explicit stack of (S, N(S), frontier, avail, |S|) entries;
+    the entry on top is the next subset's parent, its frontier starting at
+    the vertex that subset adds.
+    """
+    rest = allowed
+    while rest:
+        seed = rest & -rest
+        rest ^= seed
+        s = seed.bit_length() - 1
+        yield seed, adj[s]
+        frontier = [w for w in nbrs[s] if rest >> w & 1]
+        stack = [(seed, adj[s], frontier, rest & ~adj[s], 1)] if frontier and max_size > 1 else []
+        while stack:
+            S, N, frontier, avail, size = stack.pop()
+            v = frontier[0]
+            tail = frontier[1:]
+            if tail:
+                stack.append((S, N, tail, avail, size))
+            S, N = S | 1 << v, N | adj[v]
+            yield S, N
+            if size + 1 < max_size:
+                grown = tail + [w for w in nbrs[v] if avail >> w & 1]
+                if grown:
+                    stack.append((S, N, grown, avail & ~adj[v], size + 1))
 
 
 def find_minor(G: Graph, M: Graph, host_bound: int = DEFAULT_HOST_BOUND) -> Optional[MinorWitness]:
     """Exact minor search: a witness if M is a minor of G, else None.
 
     Branch-and-bound over the model vertices in a fixed order; each is
-    assigned a connected branch set disjoint from the earlier ones, pruned
-    by adjacency to the already-assigned model neighbours.  A branch set
-    is also skipped when fewer free vertices outside it touch it than x
-    has model neighbours still to assign: each of those needs its own
-    disjoint branch set adjacent to it, so no such branch can succeed, and
-    the search finds the same first witness as without this cut.
-    Deterministic, so repeated runs return the same witness.
+    assigned a connected branch set disjoint from the earlier ones that
+    touches the branch sets of its already-assigned model neighbours.  Host
+    vertex ``G.vertices[i]`` is bit i, so bits follow ``vkey`` order; the
+    free vertices, each branch set and its neighbourhood are ints, and "S
+    touches T" is ``N(S) & T``.  Branch sets come from ``_connected_masks``,
+    one generator on an explicit stack, in min-seed order.
+
+    One cut skips branch sets that cannot succeed.  Once x's set is placed,
+    every assigned model vertex z, x included, needs at least as many free
+    neighbours of its branch set as z has model neighbours still to assign:
+    each of those needs its own disjoint branch set touching z's.  For x
+    this is the count of its own later neighbours; for an earlier z it
+    catches an x whose set takes what z's later neighbours need.  No branch
+    that could succeed is skipped, so the search finds the same first
+    witness as without the cut.  Deterministic, so repeated runs return the
+    same witness.
     """
     if G.n > host_bound:
         raise HostTooLarge(G.n, host_bound)
     if M.n > G.n or M.m > G.m:
         return None
     model_order = sorted(M.vertices, key=lambda x: (-M.degree(x), vkey(x)))
-    assigned: dict[Vertex, frozenset[Vertex]] = {}
+    level_of = {x: i for i, x in enumerate(model_order)}
+    index = {v: i for i, v in enumerate(G.vertices)}
+    nbrs = [[index[w] for w in G.neighbors(v)] for v in G.vertices]
+    adj = [sum(1 << w for w in ns) for ns in nbrs]
+    # per level: the levels of x's model neighbours assigned before it, and
+    # (level j, count) for each assigned model vertex, x included, that has
+    # count > 0 model neighbours still to assign after this level
+    plan = []
+    for level, x in enumerate(model_order):
+        placed = [level_of[y] for y in M.neighbors(x) if level_of[y] < level]
+        watch = []
+        for j in range(level + 1):
+            after = sum(level_of[y] > level for y in M.neighbors(model_order[j]))
+            if after:
+                watch.append((j, after))
+        plan.append((placed, watch))
+    sets = [0] * M.n        # branch set of the model vertex at each level
+    touch = [0] * M.n       # its neighbourhood
 
-    def backtrack(level: int, free: frozenset[Vertex]) -> bool:
-        if level == len(model_order):
+    def backtrack(level: int, free: int) -> bool:
+        if level == M.n:
             return True
-        x = model_order[level]
-        required = [y for y in M.neighbors(x) if y in assigned]
-        later = M.degree(x) - len(required)
-        remaining_models = len(model_order) - level - 1
-        budget = len(free) - remaining_models
+        placed, watch = plan[level]
+        budget = free.bit_count() - (M.n - level - 1)
         if budget < 1:
             return False
-        for bset in _connected_subsets(G, free, budget):
-            if later and len({w for u in bset for w in G.neighbors(u)
-                              if w in free and w not in bset}) < later:
-                continue
-            if all(_sets_adjacent(G, bset, assigned[y]) for y in required):
-                assigned[x] = bset
-                if backtrack(level + 1, free - bset):
-                    return True
-                del assigned[x]
+        for S, N in _connected_masks(adj, nbrs, free, budget):
+            rest = free ^ S
+            sets[level], touch[level] = S, N
+            for j in placed:
+                if not N & sets[j]:
+                    break
+            else:
+                for j, after in watch:
+                    if (touch[j] & rest).bit_count() < after:
+                        break
+                else:
+                    if backtrack(level + 1, rest):
+                        return True
         return False
 
-    if not backtrack(0, frozenset(G.vertices)):
+    if not backtrack(0, (1 << G.n) - 1):
         return None
+    assigned = {x: frozenset(v for i, v in enumerate(G.vertices) if S >> i & 1)
+                for x, S in zip(model_order, sets)}
     forest = []
     for bset in assigned.values():
         sub = induced_subgraph(G, bset)
         forest.extend(spanning_forest(sub).edges)
-    witness = MinorWitness(M, dict(assigned), frozenset(forest))
+    witness = MinorWitness(M, assigned, frozenset(forest))
     if not verify_minor(G, witness):
         raise InternalInvariantError("find_minor: the branch-set witness failed verify_minor")
     return witness

@@ -23,7 +23,8 @@ pooled embedding places is run through the LR planarity test (Brandes,
 "The Left-Right Planarity Test", 2009; see ``_lr``).
 
 Every pooled embedding gets one full ``euler_planar_check`` when it joins
-the pool (the base one inside ``test_planarity``).  A spliced embedding is
+the pool (the base one inside ``test_planarity``), and its pool entry takes
+the face walk of that check rather than walking again.  A spliced embedding is
 then checked exactly where the splice changed it: its two new rotations,
 at u and v, are validated against G's neighbours plus the new one, and its
 face count is the pool entry's, less the faces through the darts whose
@@ -137,7 +138,9 @@ def euler_planar_check(R: RotationSystem) -> bool:
     2001).  Summed over the k components that have an edge (an isolated
     vertex has no edge and no face), V - E + F reaches 2k exactly when every
     term is 2, so one face count over all components decides the check.
-    One traversal counts those k components and their vertices.
+    One traversal counts those k components and their vertices.  A passing
+    R keeps its face walk for ``_PoolEntry``, which takes it instead of
+    walking R again.
     """
     G = R.graph
     adj = G.adjacency
@@ -154,7 +157,11 @@ def euler_planar_check(R: RotationSystem) -> bool:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-    return len(seen) - G.m + len(_face_orbits(R)) == 2 * k
+    orbits = _face_orbits(R)
+    if len(seen) - G.m + len(orbits) != 2 * k:
+        return False
+    R.__dict__["_checked_orbits"] = orbits
+    return True
 
 
 # -- planarity dichotomy ---------------------------------------------------------
@@ -402,11 +409,16 @@ class _PoolEntry:
     """An Euler-checked embedding R of G with what a splice into it reads:
     its face orbits, each dart's place (face index, position on the face),
     and each vertex's first corner per face (face index -> the vertex the
-    face enters it from)."""
+    face enters it from).  The orbits are the walk of the full
+    ``euler_planar_check`` that R passed, taken off R, so an R that has
+    not passed one since it last joined the pool is refused."""
 
     def __init__(self, R: RotationSystem):
         self.R = R
-        self.orbits = _face_orbits(R)
+        orbits = R.__dict__.pop("_checked_orbits", None)
+        if orbits is None:
+            raise InternalInvariantError("extra_planar pool: embedding without a full Euler check")
+        self.orbits = orbits
         self.place: dict[tuple[Vertex, Vertex], tuple[int, int]] = {}
         self.corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in R.graph.vertices}
         for f, orbit in enumerate(self.orbits):

@@ -11,9 +11,10 @@ construction, the whole-system build and full Euler
 check of every spliced embedding is extra_planar's former splice, and the
 exhaustive associativity loop is the group constructor's former check, the
 per-edge LR deletion loop is the Kuratowski extraction's former
-construction, and the unpruned backtracking is find_minor's former
-search, the sorted-dart face walk and per-component Euler count are the
-planar module's former face routines, the neighbour scan is the former
+construction, and the unpruned backtracking over the recursive frozenset
+enumerator ``_connected_subsets`` is find_minor's former search, the
+sorted-dart face walk and per-component Euler count are the planar
+module's former face routines, the neighbour scan is the former
 tractability and excess check, the two-form solve is
 witness_flow_from_kernel's former solve, and the row-and-column
 diagonalisation with its divisor-chain merge is
@@ -67,7 +68,6 @@ from groupflow.flows import (
 from groupflow.graphs import (
     Graph,
     MinorWitness,
-    _connected_subsets,
     _sets_adjacent,
     add_edge,
     components,
@@ -625,9 +625,37 @@ def kuratowski_by_lr(G: Graph) -> MinorWitness:
     return _subdivision_witness(G, edges)
 
 
+def _connected_subsets(G: Graph, allowed: frozenset, max_size: int):
+    """All connected subsets of `allowed` with at most max_size vertices,
+    each yielded once (min-seed growth, one recursive generator per level)."""
+    order = sorted(allowed, key=vkey)
+    pos = {v: i for i, v in enumerate(order)}
+
+    def grow(current: frozenset, frontier: list, banned: frozenset):
+        yield current
+        if len(current) == max_size:
+            return
+        local_banned = banned
+        for i, v in enumerate(frontier):
+            new_frontier = frontier[i + 1:] + [
+                w for w in G.neighbors(v)
+                if w in allowed and w not in current and w not in local_banned
+                and w not in frontier
+            ]
+            yield from grow(current | {v}, new_frontier, local_banned)
+            local_banned = local_banned | {v}
+
+    for seed in order:
+        later = frozenset(v for v in allowed if pos[v] > pos[seed])
+        frontier = [w for w in G.neighbors(seed) if w in later]
+        banned = frozenset(v for v in allowed if pos[v] < pos[seed])
+        yield from grow(frozenset([seed]), frontier, banned)
+
+
 def find_minor_unpruned(G: Graph, M: Graph):
-    """find_minor's backtracking without the cut on the free neighbours of
-    a branch set: a witness if M is a minor of G, else None."""
+    """find_minor's backtracking on frozensets, with neither of its cuts on
+    the free neighbours of branch sets: a witness if M is a minor of G,
+    else None."""
     if M.n > G.n or M.m > G.m:
         return None
     model_order = sorted(M.vertices, key=lambda x: (-M.degree(x), vkey(x)))

@@ -221,19 +221,55 @@ def test_find_minor_vs_bruteforce_oracle(model_name):
     assert checked == 40
 
 
-@pytest.mark.parametrize("model_name", ["complete:5", "complete_bipartite:3,3",
-                                        "k5minus", "k33minus"])
-def test_find_minor_matches_unpruned_oracle(model_name):
-    """Skipping branch sets with too few free neighbours changes neither the
-    verdict nor the first witness found."""
-    model = named_graph(model_name)
-    rng = random.Random(61)
+def _wheel(n: int):
+    """The hub 0 joined to every vertex of the cycle 1..n (n + 1 vertices)."""
+    return graph_from(range(n + 1), [(0, i) for i in range(1, n + 1)]
+                      + [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _relabelled(rng: random.Random, g, label):
+    """g with its vertices sent to ``label(i)`` for a random permutation i of
+    0..n-1, so that label order and structure are unrelated."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    to = {v: label(i) for v, i in zip(g.vertices, perm)}
+    return graph_from(to.values(), [(to[u], to[v]) for u, v in g.edges])
+
+
+def _oracle_hosts(rng: random.Random) -> list:
+    """Every labeled graph on up to 5 vertices, random 6-8 vertex graphs,
+    string-labelled and mixed int/str-labelled ones, graphs with isolated
+    vertices and graphs with two components."""
     hosts = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
     hosts += [random_graph(rng, rng.randint(6, 8), rng.uniform(0.3, 0.9)) for _ in range(200)]
+    for label in (lambda i: f"v{i}", lambda i: i if i % 2 else f"w{i}"):
+        hosts += [_relabelled(rng, random_graph(rng, rng.randint(5, 7), rng.uniform(0.4, 0.9)),
+                              label) for _ in range(20)]
+    for _ in range(15):
+        g = random_graph(rng, rng.randint(5, 7), rng.uniform(0.5, 0.9))
+        hosts.append(graph_from(list(g.vertices) + [8, 9][:rng.randint(1, 2)], g.edges))
+        a = random_graph(rng, rng.randint(3, 5), rng.uniform(0.5, 1.0))
+        b = random_graph(rng, rng.randint(3, 4), rng.uniform(0.5, 1.0))
+        hosts.append(graph_from(list(a.vertices) + [10 + v for v in b.vertices],
+                                list(a.edges) + [(10 + u, 10 + v) for u, v in b.edges]))
+    return hosts
+
+
+@pytest.mark.parametrize("model_name", ["complete:5", "complete_bipartite:3,3", "k5minus",
+                                        "k33minus", "complete:4", "cycle:5", "path:3"])
+def test_find_minor_matches_unpruned_oracle(model_name):
+    """The bitset search with its cut returns the very witness (branch sets
+    and forest) that the frozenset search without it finds first, or None
+    with it; the wheels W5-W8 have no K3,3 minus an edge."""
+    model = named_graph(model_name)
+    hosts = _oracle_hosts(random.Random(61))
+    assert any(isinstance(v, str) for g in hosts for v in g.vertices)
+    if model_name == "k33minus":
+        hosts += [_wheel(n) for n in range(5, 9)]
     found = 0
     for g in hosts:
         w = find_minor(g, model)
-        assert w == find_minor_unpruned(g, model), (model_name, g)
+        assert w == find_minor_unpruned(g, model), (model_name, g.vertices, g.sorted_edges())
         found += w is not None
     assert 0 < found < len(hosts)
 

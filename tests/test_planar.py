@@ -604,3 +604,34 @@ def test_extra_planar_checks_each_pooled_embedding_in_full(monkeypatch):
     monkeypatch.setattr(planar, "euler_planar_check", base_passes_pooled_fail)
     with pytest.raises(InternalInvariantError, match=r"pool: .*\(3, 5\)"):
         extra_planar(g)
+
+
+def test_extra_planar_walks_each_checked_embedding_once(monkeypatch):
+    """Faces are walked only by the full Euler checks, once each: a pool
+    entry takes the walk of the check its embedding passed."""
+    walked, checked = [], []
+    walk, check = planar._face_orbits, planar.euler_planar_check
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R.graph) or walk(R))
+    monkeypatch.setattr(planar, "euler_planar_check", lambda R: checked.append(R.graph) or check(R))
+    rng = random.Random(71)
+    graphs = [graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)]),
+              graph_from(range(1, 10), [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)]),
+              named_graph("cycle:4"), named_graph("petersen")]
+    graphs += [random_graph(rng, rng.randint(7, 10), rng.uniform(0.15, 0.35)) for _ in range(6)]
+    misses = 0
+    for g in graphs:
+        walked.clear()
+        checked.clear()
+        extra_planar(g)
+        assert walked == checked, g
+        misses += len(checked) - checked.count(g)     # the LR-tested G + uv
+    assert misses >= 3
+
+
+def test_pool_entry_takes_the_walk_of_a_passed_euler_check_once():
+    R = embed(named_graph("cycle:4"))
+    assert len(planar._PoolEntry(R).orbits) == 2
+    unchecked = RotationSystem(R.graph, R.rotation)
+    for S in (R, unchecked):
+        with pytest.raises(InternalInvariantError, match="without a full Euler check"):
+            planar._PoolEntry(S)
