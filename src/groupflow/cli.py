@@ -39,11 +39,13 @@ from .groupleak import build_delta, is_binary_leakproof_group, is_leakproof_grou
 from .groups import DEFAULT_MAX_ORDER, standard_group
 from .planar import RotationSystem, euler_planar_check, extra_planar, faces, test_planarity
 
-_MODEL_NAMES = {
-    "k5": "complete:5",
-    "k33": "complete_bipartite:3,3",
-    "k5minus": "k5minus",
-    "k33minus": "k33minus",
+# each --model: its named graph, and whether that graph is planar (K5 and
+# K3,3 are not; either less one edge is)
+_MODELS = {
+    "k5": ("complete:5", False),
+    "k33": ("complete_bipartite:3,3", False),
+    "k5minus": ("k5minus", True),
+    "k33minus": ("k33minus", True),
 }
 
 
@@ -123,13 +125,13 @@ def _cmd_extra_planar(args) -> int:
 
 def _cmd_minor(args) -> int:
     G = _read_graph(args.graph)
-    model = named_graph(_MODEL_NAMES[args.model])
+    name, model_planar = _MODELS[args.model]
+    model = named_graph(name)
     bound = args.max_size or DEFAULT_HOST_BOUND
     if G.n > bound:
         raise HostTooLarge(G.n, bound)
     # a minor of a planar graph is planar, so a planar host has no non-planar
     # model; test_planarity returns only Euler-checked rotation systems
-    model_planar = isinstance(test_planarity(model), RotationSystem)
     if not model_planar and isinstance(test_planarity(G), RotationSystem):
         witness = None
     else:
@@ -268,7 +270,7 @@ _COMMANDS = (
     ("planar", "planarity with embedding or minor witness", (_GRAPH,), _cmd_planar),
     ("extra-planar", "is every single-edge addition planar?", (_GRAPH,), _cmd_extra_planar),
     ("minor", "search for a fixed minor",
-     (_GRAPH, (("--model",), {"choices": sorted(_MODEL_NAMES), "required": True})), _cmd_minor),
+     (_GRAPH, (("--model",), {"choices": sorted(_MODELS), "required": True})), _cmd_minor),
     ("faces", "boundary walks of a rotation system",
      (_GRAPH, (("rotation",), {})), _cmd_faces),
     ("check-flow", "validate a flow and classify its leak",

@@ -9,7 +9,7 @@ representative (Howell, "Spans in the module (Z_m)^s", 1986; Storjohann &
 Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
 Saturation also makes the quotient's order the product of the pivot values
 times m per pivot-free column.  Membership, solving for coefficients over
-the original rows, and the quotient's invariant factors, read from the
+the original rows, and the invariant factors of a quotient, read from the
 orders of its reductions modulo each prime power of m, all use this one
 form.
 
@@ -24,14 +24,17 @@ per relation row or per query.  The form is canonical whatever order its
 rows come in, but the work is not.  The group-leak decision feeds its rows
 sorted by the later of the two subgroup blocks they join (pair order,
 see ``groupleak``): every pivot row then lies within the blocks glued so
-far, and a new row meets no pivot beyond them.
+far, and a new row meets no pivot beyond them.  Its coordinates are
+scaled so that the glued group needs no order rows: a column then holds
+no pivot until a chain row puts one there, and a new row cascades only
+through the pivots the gluing has made.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -206,15 +209,19 @@ class HowellForm:
         vec, combo = self._walk(v, {})
         return None if vec else combo
 
+    def pivot_rows(self) -> list[dict[int, int]]:
+        """Copies of the pivot rows as {column: value}, in pivot-column
+        order; they span the same lattice as the rows added."""
+        return [dict(self._rows[self._pivot_at[j]]) for j in sorted(self._pivot_at)]
+
     def pivot_matrix(self) -> np.ndarray:
-        cols = sorted(self._pivot_at)
-        out = np.zeros((len(cols), self.ncols), dtype=np.int64)
-        for i, j in enumerate(cols):
-            row = self._rows[self._pivot_at[j]]
+        rows = self.pivot_rows()
+        out = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        for i, row in enumerate(rows):
             out[i, list(row)] = list(row.values())
         return out
 
-    def _quotient_order(self) -> int:
+    def quotient_order(self) -> int:
         """|(Z/m)^ncols / rowspace|: the form is saturated, so the span has
         prod(m / d) elements over the pivot values d."""
         order = self.m ** (self.ncols - len(self._pivot_at))
@@ -223,29 +230,56 @@ class HowellForm:
         return order
 
     def invariant_factors(self) -> list[int]:
-        """Invariant factors d_1 | d_2 | ... of Q = (Z/m)^ncols / rowspace,
-        with trivial factors dropped.
+        """Invariant factors of (Z/m)^ncols / rowspace, trivial ones dropped."""
+        return invariant_factors([self.m] * self.ncols, self.pivot_rows(), self.quotient_order())
 
-        For each prime power p^j dividing m, Q / p^jQ is (Z/p^j)^ncols
-        modulo the pivot rows, of order p^s_j with s_j = sum(min(e_i, j))
-        over the cyclic factors Z/p^e_i of Q's p-part.  So s_j - s_(j-1)
-        factors have e_i >= j, and multiplying that many of the last
-        entries by p, level after level, builds the sorted divisor chain.
-        """
-        factors = [1] * self.ncols
-        rows = [self._rows[self._pivot_at[j]] for j in sorted(self._pivot_at)]
-        for p, k in _prime_powers(self.m):
-            prev = 0
-            for j in range(1, k + 1):
-                level = HowellForm(self.ncols, p ** j)
-                for r in rows:
-                    level.add_row(r)
-                # the order is p^s exactly, and a float log misses s by far less than 1/2
-                s = round(math.log(level._quotient_order(), p))
-                for i in range(self.ncols - s + prev, self.ncols):
-                    factors[i] *= p
-                prev = s
-        return [f for f in factors if f > 1]
+
+def invariant_factors(orders: Sequence[int], rows: Sequence[Mapping[int, int]],
+                      order: int) -> list[int]:
+    """Invariant factors d_1 | d_2 | ... of Q = (Z/o_0 + ... + Z/o_(n-1)) /
+    span(rows) for the column orders o_c, with trivial factors dropped;
+    ``order`` is |Q|.
+
+    For each prime power p^j dividing the orders' lcm, Q / p^jQ has order
+    p^s_j with s_j = sum(min(e_i, j)) over the cyclic factors Z/p^e_i of
+    Q's p-part.  So s_j - s_(j-1) factors have e_i >= j, and multiplying
+    that many of the last entries by p, level after level, builds the
+    sorted divisor chain.  At the top level p^k, with p^k exactly dividing
+    the lcm, Q / p^kQ is Q's whole p-part, so s_k is the exponent of p in
+    |Q|.  Each lower level takes a form; see ``_level_exponent``.
+    """
+    n = len(orders)
+    factors = [1] * n
+    top = dict(_prime_powers(order))
+    for p, k in _prime_powers(math.lcm(*orders)):
+        live = {c: t for t, c in enumerate(c for c, o in enumerate(orders) if o % p == 0)}
+        restricted = [{live[c]: a for c, a in r.items() if c in live} for r in rows] if k > 1 else []
+        prev = 0
+        for j in range(1, k + 1):
+            s = top.get(p, 0) if j == k else _level_exponent(p, j, orders, live, restricted)
+            for i in range(n - s + prev, n):
+                factors[i] *= p
+            prev = s
+    return [f for f in factors if f > 1]
+
+
+def _level_exponent(p: int, j: int, orders: Sequence[int], live: dict[int, int],
+                    rows: list[dict[int, int]]) -> int:
+    """s with |Q / p^jQ| = p^s.  Q / p^jQ is (Z/p^j)^n modulo the rows and
+    the order rows gcd(o_c, p^j) e_c.  A column whose order p does not
+    divide is killed by its unit order row, so the level keeps only the
+    ``live`` columns, renumbered, that p divides (``rows`` are restricted
+    to them), and absorbs their order rows before the rows: the other way
+    round, each order row meets every pivot row that reaches its column."""
+    q = p ** j
+    level = HowellForm(len(live), q)
+    for c, t in live.items():
+        if orders[c] % q:
+            level.add_row({t: math.gcd(orders[c], q)})
+    for r in rows:
+        level.add_row(r)
+    # the order is p^s exactly, and a float log misses s by far less than 1/2
+    return round(math.log(level.quotient_order(), p))
 
 
 def _prime_powers(m: int) -> list[tuple[int, int]]:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
-group-leak decision's former construction, the element-major chain tags
+group-leak decision's former construction, the unscaled presentation with
+its order rows is build_delta's former presentation of the glued group,
+the element-major chain tags
 are the order in which build_delta absorbed its chain rows before it took
 them pair by pair, the per-pair planarity loop is extra_planar's former
 construction, the whole-system build and full Euler
@@ -40,6 +42,7 @@ were library functions that only these oracles and the tests called.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -77,12 +80,14 @@ from groupflow.graphs import (
     spanning_forest,
     vkey,
 )
+from groupflow.groupleak import DeltaPresentation
 from groupflow.groups import (
     FiniteGroup,
     Subgroup,
     _right_closure,
     abelian_basis,
     designated_central_involution,
+    discrete_log,
 )
 from groupflow.howell import HowellForm, _egcd, _unit_scale
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
@@ -525,13 +530,62 @@ def dense_row(row: dict, ncols: int) -> np.ndarray:
     return out
 
 
+def column_orders(D) -> list:
+    """The order d_c of each coordinate column of D: its basis generator's."""
+    return [D.bases[i].orders[k] for i, k in D.generator_index]
+
+
+def psi(D, row: dict) -> dict:
+    """The scaled image of an unscaled vector: entry c times m / d_c, mod m."""
+    m, orders = D.modulus, column_orders(D)
+    return {c: a * (m // orders[c]) % m for c, a in row.items() if a * (m // orders[c]) % m}
+
+
+class UnscaledDelta(DeltaPresentation):
+    """The glued group in build_delta's former, unscaled coordinates.
+    ``embed`` gives the discrete logs themselves; ``relation_rows`` gives the
+    order row {c: d_c mod m} of each column (tag None; empty when d_c is
+    m) before the chain rows; ``canonical`` is the Howell form of all of
+    them, and the invariant factors are its own."""
+
+    def embed(self, gamma: int, subgroup_index=None) -> dict:
+        i = self.containing_index(gamma) if subgroup_index is None else subgroup_index
+        offset = self.offsets[i]
+        return {offset + t: a for t, a in enumerate(discrete_log(self.bases[i], gamma)) if a}
+
+    def relation_rows(self):
+        m = self.modulus
+        for col, d in enumerate(column_orders(self)):
+            yield ({col: d % m} if d % m else {}), None
+        for tag in self.pair_rows:
+            (i, j), g = tag
+            row = self.embed(g, i)
+            row.update((col, m - a) for col, a in self.embed(g, j).items())
+            yield row, tag
+
+    def invariant_factors(self) -> list:
+        return self.canonical.invariant_factors()
+
+
+def unscaled_delta(D) -> UnscaledDelta:
+    """D's glued group presented as build_delta presented it before it
+    scaled its coordinates: the same subgroups, bases and chain tags, and a
+    Howell form of the order rows and the unscaled chain rows."""
+    fields = {f.name: getattr(D, f.name) for f in dataclasses.fields(D)}
+    U = UnscaledDelta(**{**fields, "canonical": HowellForm(D.ncols, D.modulus)})
+    for row, _tag in U.relation_rows():
+        U.canonical.add_row(row)
+    return U
+
+
 def pairwise_relation_rows(D) -> list:
-    """Relation rows of D's glued group built pair by pair: the order rows,
-    then dlog_i(g) - dlog_j(g) for each basis generator g of every
-    nontrivial intersection of two maximal abelian subgroups i < j.
-    Returns sparse (row, tag) pairs tagged like
-    ``DeltaPresentation.relation_rows``."""
-    rows = list(itertools.islice(D.relation_rows(), D.ncols))
+    """Relation rows of D's glued group built pair by pair, in D's own
+    coordinates: D's order rows (an UnscaledDelta has them, build_delta's
+    scaled presentation has none), then embed(g, i) - embed(g, j) for each
+    basis generator g of every nontrivial intersection of two maximal
+    abelian subgroups i < j.  Returns sparse (row, tag) pairs tagged like
+    ``D.relation_rows``."""
+    rows = [(row, tag) for row, tag in D.relation_rows() if tag is None]
     for i, j in itertools.combinations(range(len(D.subgroups)), 2):
         inter = Subgroup(D.group, tuple(set(D.subgroups[i].members) & set(D.subgroups[j].members)))
         if inter.order <= 1:
@@ -769,7 +823,9 @@ def witness_values_two_forms(D, gamma: int) -> dict:
     """The values of witness_flow_from_kernel(D, gamma), solved with two
     forms: an untracked one grows subgroup by subgroup (gamma's own first,
     then by decreasing overlap with it) until it contains gamma's vector,
-    and a tracked one replays the same rows to solve for it."""
+    and a tracked one replays the same rows to solve for it.  Order rows
+    (an UnscaledDelta's, which come first) join with their column's
+    subgroup."""
     G = D.group
     target = D.embed(gamma)
     igamma = D.containing_index(gamma)
@@ -1001,17 +1057,14 @@ class DenseHowellForm(HowellForm):
             return np.zeros((0, self.ncols), dtype=np.int64)
         return np.stack([self._rows[self._pivot_at[j]] for j in cols])
 
-    def _quotient_order(self) -> int:
+    def quotient_order(self) -> int:
         order = self.m ** (self.ncols - len(self._pivot_at))
         for j, idx in self._pivot_at.items():
             order *= int(self._rows[idx][j])
         return order
 
-    def invariant_factors(self) -> list:
-        sparse = HowellForm(self.ncols, self.m)
-        for r in self.pivot_matrix():
-            sparse.add_row(dict(enumerate(r.tolist())))
-        return sparse.invariant_factors()
+    def pivot_rows(self) -> list:
+        return [_sparse(self._rows[self._pivot_at[j]]) for j in sorted(self._pivot_at)]
 
 
 def _sparse(x: np.ndarray) -> dict:

@@ -21,7 +21,7 @@ from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import Graph, add_edge, graph_from, named_graph, verify_minor
 from groupflow.groups import group_from_cayley, standard_group
-from groupflow.planar import euler_planar_check, extra_planar
+from groupflow.planar import RotationSystem, euler_planar_check, extra_planar
 from groupflow.planar import test_planarity as planarity_certificate
 
 from helpers import (
@@ -188,6 +188,13 @@ def test_minor_planar_host_output_matches_full_search(tmp_path, monkeypatch, mod
     with monkeypatch.context() as patched:
         patched.setattr(cli, "test_planarity", lambda _G: None)   # always search
         assert [invoke(argv) for argv in runs] == shortcut
+
+
+def test_minor_model_planarity_table_matches_lr_test():
+    """The fixed planarity of each --model is what the LR test finds."""
+    assert sorted(cli._MODELS) == ["k33", "k33minus", "k5", "k5minus"]
+    for name, planar in cli._MODELS.values():
+        assert isinstance(planarity_certificate(named_graph(name)), RotationSystem) == planar, name
 
 
 def test_minor_host_bound_checked_before_planarity(tmp_path, monkeypatch):

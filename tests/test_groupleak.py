@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 
 import pytest
 
@@ -31,8 +32,11 @@ from helpers import (
     DenseHowellForm,
     chain_tags_element_major,
     closure,
+    column_orders,
     dense_row,
     pairwise_relation_rows,
+    psi,
+    unscaled_delta,
     witness_values_two_forms,
 )
 
@@ -83,32 +87,29 @@ def test_sym3_phi_injective_by_exhaustion():
 
 
 def test_relation_rows_recompute_mod_m():
-    """The order rows, then one chain row per tag, each equal modulo m to
-    its integer recomputation from the bases; an order row whose order is
-    m is the empty row."""
-    G = es_group(2)
-    D = build_delta(G)
-    m = D.modulus
-    rows = list(D.relation_rows())
-    assert [tag for _row, tag in rows] == [None] * D.ncols + list(D.pair_rows)
-    assert any(not row for row, _tag in rows[:D.ncols])
-    for row, _tag in rows:
-        assert all(0 < a < m for a in row.values())
-    for col, (row, _tag) in enumerate(rows[:D.ncols]):
-        i, k = D.generator_index[col]
-        expected = [0] * D.ncols
-        expected[col] = D.bases[i].orders[k]
-        assert [int(x) for x in dense_row(row, D.ncols)] == [a % m for a in expected]
-    for row, (pair, g) in rows[D.ncols:]:
-        i, j = pair
-        di = discrete_log(D.bases[i], g)
-        dj = discrete_log(D.bases[j], g)
-        expected = [0] * D.ncols
-        for t, a in enumerate(di):
-            expected[D.offsets[i] + t] += a
-        for t, a in enumerate(dj):
-            expected[D.offsets[j] + t] -= a
-        assert [int(x) for x in dense_row(row, D.ncols)] == [a % m for a in expected]
+    """One chain row per tag, each equal modulo m to its integer
+    recomputation from the bases scaled by m / d_c at column c; every
+    relation row, every embedded element and every pivot row lies in the
+    image of psi: entry c is a multiple of m / d_c."""
+    for spec in ("es:2", "sym:4"):
+        D = build_delta(standard_group(spec))
+        m = D.modulus
+        orders = column_orders(D)
+        assert any(m // d > 1 for d in orders), spec      # the scaling is not the identity
+        rows = list(D.relation_rows())
+        assert [tag for _row, tag in rows] == list(D.pair_rows)
+        for row, _tag in rows:
+            assert all(0 < a < m for a in row.values())
+        for row, (pair, g) in rows:
+            expected = [0] * D.ncols
+            for side, sign in zip(pair, (1, -1)):
+                for t, a in enumerate(discrete_log(D.bases[side], g)):
+                    col = D.offsets[side] + t
+                    expected[col] += sign * a * (m // orders[col])
+            assert [int(x) for x in dense_row(row, D.ncols)] == [a % m for a in expected]
+        embedded = [D.embed(h, i) for i, H in enumerate(D.subgroups) for h in H.members]
+        for vector in [row for row, _tag in rows] + embedded + D.canonical.pivot_rows():
+            assert all(a % (m // orders[c]) == 0 for c, a in vector.items())
 
 
 def test_pair_rows_identify_same_element():
@@ -156,21 +157,28 @@ PAIRWISE_ORACLE_SPECS = [
 
 @pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS)
 def test_chain_rows_match_pairwise_oracle(spec):
-    """Chain rows span the lattice of the pair-by-pair gluing: same phi for
-    every element, same invariant factors, same verdict and witness."""
+    """Chain rows span the lattice of the pair-by-pair gluing: the scaled
+    pairwise rows give the same canonical reduction of every element as
+    ``D.canonical``, the unscaled ones with their order rows the same
+    invariant factors, and the verdict and witness agree."""
     G = standard_group(spec)
     D = build_delta(G)
     oracle = HowellForm(D.ncols, D.modulus)
     for row, _tag in pairwise_relation_rows(D):
         oracle.add_row(row)
-    # inclusion one way plus quotients of equal order: the lattices are equal
+    # inclusion both ways: the lattices are equal
     for row, _tag in D.relation_rows():
         assert oracle.contains(row)
-    assert D.invariant_factors() == oracle.invariant_factors()
+    for row in oracle.pivot_rows():
+        assert D.canonical.contains(row)
+    unscaled = HowellForm(D.ncols, D.modulus)
+    for row, _tag in pairwise_relation_rows(unscaled_delta(D)):
+        unscaled.add_row(row)
+    assert D.invariant_factors() == unscaled.invariant_factors()
     kernel = None
     for g in G.elements():
         image = oracle.reduce(D.embed(g))
-        assert dict(phi(D, g)) == image
+        assert dict(phi(D, g)) == image == D.canonical.reduce(D.embed(g))
         if kernel is None and g != G.identity and not image:
             kernel = g
     verdict = is_leakproof_group(G, delta=D)
@@ -209,6 +217,41 @@ def test_pair_major_rows_match_element_major_oracle(spec):
     if not leak.leakproof:
         assert (witness_flow_from_kernel(D, leak.witness)[1].values
                 == witness_flow_from_kernel(E, leak.witness)[1].values)
+
+
+def _assert_matches_unscaled_oracle(spec):
+    """build_delta's scaled presentation against its former unscaled one,
+    with order rows: the same kernel and phi-fibres, invariant factors,
+    leak witness, binary collision and witness-flow values."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    U = unscaled_delta(D)
+    fibres, oracle_fibres = {}, {}
+    for g in G.elements():
+        fibres.setdefault(phi(D, g), []).append(g)
+        oracle_fibres.setdefault(phi(U, g), []).append(g)
+    assert fibres[()] == oracle_fibres[()]
+    assert sorted(fibres.values()) == sorted(oracle_fibres.values())
+    assert D.invariant_factors() == U.invariant_factors()
+    leak = is_leakproof_group(G, delta=D)
+    assert leak.witness == is_leakproof_group(G, delta=U).witness
+    assert (is_binary_leakproof_group(G, delta=D).collision
+            == is_binary_leakproof_group(G, delta=U).collision)
+    if not leak.leakproof:
+        assert (witness_flow_from_kernel(D, leak.witness)[1].values
+                == witness_values_two_forms(U, leak.witness))
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS + ["es:3"])
+def test_scaled_delta_matches_unscaled_oracle(spec):
+    _assert_matches_unscaled_oracle(spec)
+
+
+@pytest.mark.skipif(os.environ.get("GROUPFLOW_SKIP_SLOW") == "1",
+                    reason="GROUPFLOW_SKIP_SLOW=1 skips alt:7 and es:4")
+@pytest.mark.parametrize("spec", ["alt:7", "es:4"])
+def test_scaled_delta_matches_unscaled_oracle_slow(spec):
+    _assert_matches_unscaled_oracle(spec)
 
 
 # -- phi -------------------------------------------------------------------------
@@ -265,11 +308,16 @@ def test_phi_choice_independent_for_every_element():
 
 
 def test_lattice_contains_modulus_times_units():
-    """Order rows make arithmetic mod m lossless: m*e_j is in the span."""
+    """psi loses nothing and needs no order rows: a_c * m / d_c is nonzero
+    mod m for every 0 < a_c < d_c, and m * e_j, zero mod m, is in the
+    span.  The unscaled oracle needs its order rows to hold d_c * e_c."""
     for spec in ("quaternion", "sym:3", "es:2"):
         D = build_delta(standard_group(spec))
-        for j in range(D.ncols):
+        U = unscaled_delta(D)
+        for j, d in enumerate(column_orders(D)):
             assert D.canonical.contains({j: D.modulus})
+            assert all(psi(D, {j: a}) == {j: a * (D.modulus // d)} for a in range(1, d))
+            assert U.canonical.contains({j: d})
 
 
 def test_phi_z_is_zero_in_es2():

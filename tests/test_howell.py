@@ -17,7 +17,7 @@ import helpers
 from groupflow import cli, groupleak
 from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_from_kernel
 from groupflow.groups import standard_group
-from groupflow.howell import HowellForm
+from groupflow.howell import HowellForm, invariant_factors
 from helpers import (
     DenseHowellForm,
     _divisor_chain,
@@ -29,6 +29,11 @@ from helpers import (
 def _sparse(v) -> dict:
     """A dense vector as {column: value}, zeros kept: the form drops them."""
     return dict(enumerate(v))
+
+
+def _sparse_nonzero(v) -> dict:
+    """A dense vector as {column: value} without its zeros."""
+    return {j: int(a) for j, a in enumerate(v) if a}
 
 
 def test_identity_matrix_spans_everything():
@@ -78,7 +83,7 @@ def test_membership_matches_exhaustive_span():
                            for i in range(k)))
         for v in itertools.product(range(m), repeat=k):
             assert form.contains(_sparse(v)) == (v in span)
-        assert form._quotient_order() * len(span) == m ** k
+        assert form.quotient_order() * len(span) == m ** k
 
 
 def test_solve_reproduces_vector():
@@ -190,11 +195,29 @@ def test_invariant_factors_match_diagonalization_oracle():
     assert len(seen) > 100
     for spec in DELTA_SPECS:
         D = build_delta(standard_group(spec))
+        U = helpers.unscaled_delta(D)
         factors = D.invariant_factors()
-        assert factors == invariant_factors_by_diagonalization(D.canonical), spec
+        assert factors == invariant_factors_by_diagonalization(U.canonical), spec
         if D.ncols <= 12:
-            rows = [dense_row(row, D.ncols) for row, _tag in D.relation_rows()]
+            rows = [dense_row(row, D.ncols) for row, _tag in U.relation_rows()]
             assert factors == _snf_factors(rows, D.modulus, D.ncols), spec
+
+
+def test_invariant_factors_of_column_orders_match_snf():
+    """Factors of Q = (Z/o_0 + ... + Z/o_(k-1)) / span(rows), given |Q|,
+    equal sympy's Smith form of the rows together with the order rows
+    o_c e_c, on random column orders and rows."""
+    rng = random.Random(361)
+    for _ in range(200):
+        k = rng.randint(1, 6)
+        orders = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 36)) for _ in range(k)]
+        rows = [[rng.randrange(o) * (rng.random() < 0.6) for o in orders]
+                for _ in range(rng.randint(0, k + 1))]
+        order_rows = [[o if i == c else 0 for i in range(k)] for c, o in enumerate(orders)]
+        m = math.lcm(*orders)
+        expected = _snf_factors(rows + order_rows, m, k)
+        order = math.prod(expected)         # |Q|, from the Smith form
+        assert invariant_factors(orders, [dict(enumerate(r)) for r in rows], order) == expected
 
 
 def test_modulus_one_degenerates():
@@ -303,6 +326,12 @@ def test_tracked_solve_many_rows(m):
 
 def _assert_same_form(sparse, dense, probes, rows, m):
     assert np.array_equal(sparse.pivot_matrix(), dense.pivot_matrix())
+    pivot_rows = sparse.pivot_rows()
+    assert pivot_rows == dense.pivot_rows()
+    assert [_sparse_nonzero(r) for r in sparse.pivot_matrix()] == pivot_rows
+    for r in pivot_rows:            # copies: changing one leaves the form as it was
+        r.clear()
+    assert sparse.pivot_rows() == dense.pivot_rows()
     for v in probes:
         assert sparse.reduce(v) == dense.reduce(v)
         assert sparse.contains(v) == dense.contains(v)
@@ -346,7 +375,7 @@ def test_sparse_rows_match_dense_oracle():
         probes += [_sparse(sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k))
                    for _ in range(3)]
         _assert_same_form(sparse, dense, probes, rows, m)
-        assert sparse._quotient_order() == dense._quotient_order()
+        assert sparse.quotient_order() == dense.quotient_order()
     assert egcd_steps > 20
     for spec in DELTA_SPECS:
         D = build_delta(standard_group(spec))
