@@ -39,10 +39,11 @@ from .graphs import (
     edge_key,
     graph_from,
     named_graph,
+    remove_edge,
     vkey,
 )
 from .groups import FiniteGroup, conjugacy_class_id, es_group
-from .planar import RotationSystem, _face_orbits, euler_planar_check, test_planarity
+from .planar import RotationSystem, _edge_spans, _euler_holds, _face_orbits, test_planarity
 
 
 class GroupFlow:
@@ -250,7 +251,6 @@ def example_flow_k5() -> tuple[Graph, GroupFlow]:
 def example_flow_k33_minus() -> tuple[Graph, GroupFlow]:
     """The K3,3 example with the edge {3,6} removed: a binary leak at 3 and 6."""
     graph, flow = example_flow_k33()
-    from .graphs import remove_edge
     host = remove_edge(graph, 3, 6)
     values = {p: g for p, g in flow.values.items() if set(p) != {3, 6}}
     return host, GroupFlow(host, flow.group, values)
@@ -312,16 +312,18 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
 
     In a planar embedding an edge is a bridge exactly when one face walk
     passes it in both directions (Mohar & Thomassen, Graphs on Surfaces,
-    2001), so the walk that starts at (v,w) also decides BridgeEdge.
+    2001), so the walk that starts at (v,w) also decides BridgeEdge.  R's
+    faces are walked once, for its Euler check and for that walk alike.
     """
     v, w = edge
     if R.graph != f.graph:
         raise InvalidFlow("rotation system is for a different graph")
-    if not euler_planar_check(R):
+    orbits = _face_orbits(R)
+    if not _euler_holds(len(orbits), R.graph.m, *_edge_spans(components(R.graph))):
         raise NotPlanarEmbedding("rotation system fails the Euler criterion")
     if not f.graph.has_edge(v, w):
         raise EdgeMissing(edge)
-    walk_darts = next(set(orbit) for orbit in _face_orbits(R) if (v, w) in orbit)
+    walk_darts = next(set(orbit) for orbit in orbits if (v, w) in orbit)
     if (w, v) in walk_darts:
         raise BridgeEdge(edge)
     group = f.group

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -260,14 +260,9 @@ class Subgroup:
     def __contains__(self, g: int) -> bool:
         return g in self._member_set
 
-    @property
+    @cached_property
     def _member_set(self) -> frozenset[int]:
-        key = "_member_set_cache"
-        cached = self.__dict__.get(key)
-        if cached is None:
-            cached = frozenset(self.members)
-            self.__dict__[key] = cached
-        return cached
+        return frozenset(self.members)
 
     @property
     def is_abelian(self) -> bool:

@@ -9,33 +9,35 @@ count over all components decides the per-component check.
 ``test_planarity`` always returns one of two independently checkable
 certificates: such a rotation system, or a K5/K3,3 minor witness.
 
-``extra_planar`` embeds G once and keeps a pool of embeddings of G: the
-base one, then every LR embedding of some G + xy with xy taken out again.
-A non-adjacent pair u, v in one component whose endpoints both have a
-corner on one face of a pooled embedding gets G + uv's embedding by
-splicing the new edge into that face: v goes into u's rotation right
-after the dart that enters u along the face, and u into v's rotation
-likewise, which adds one edge and one face.  A pair whose endpoints lie in
-different components is spliced at any corner of each (an isolated
-endpoint gets the rotation of the other alone); the two faces merge into
-one, so V - E + F stays 2 on the joined component.  Only a pair that no
-pooled embedding places is run through the LR planarity test (Brandes,
-"The Left-Right Planarity Test", 2009; see ``_lr``).
+``extra_planar`` keeps a pool of embeddings of G: the base one, LR's
+embedding of G, then, for each pair that no pooled embedding places, the
+LR embedding of G + uv with uv taken out again.  Every embedding it gives a
+non-adjacent pair u, v is a splice into a pool entry.  A pair in one
+component whose endpoints both have a corner on one face of a pooled
+embedding gets its new edge spliced into that face: v goes into u's
+rotation right after the dart that enters u along the face, and u into v's
+rotation likewise, which adds one edge and one face.  A pair whose
+endpoints lie in different components is spliced at any corner of each (an
+isolated endpoint gets the rotation of the other alone); the two faces
+merge into one, so V - E + F stays 2 on the joined component.  Only a pair
+that no pooled embedding places is run through the LR planarity test
+(Brandes, "The Left-Right Planarity Test", 2009; see ``_lr``): its edge is
+taken out of LR's rotation of G + uv, which joins the pool, and is spliced
+back in at the two corners it held, which gives LR's rotation again.
 
-Every pooled embedding gets one full ``euler_planar_check`` when it joins
-the pool (the base one inside ``test_planarity``), and its pool entry takes
-the face walk of that check rather than walking again.  A spliced embedding is
-then checked exactly where the splice changed it: its two new rotations,
-at u and v, are validated against G's neighbours plus the new one, and its
-face count is the pool entry's, less the faces through the darts whose
-successor changed (read off the corner: two at an endpoint with edges,
-one at an isolated one), plus the new orbits through those darts, which
-include (u, v) and (v, u); each is walked by jumping along the entry's
-faces from one changed dart to the next.  That count must give
-V - E + F = 2k for G + uv, as in the full check.  A splice so costs the
-degrees of u and v, one copy of the pooled rotation dict and one union of
-G's edge set with uv; G + uv's adjacency is built only if something reads
-it.
+Each pool entry walks its embedding's faces once, when it is made, and
+checks V - E + F = 2k for G; that is the only full face count
+``extra_planar`` makes.  A spliced embedding is then checked exactly where
+the splice changed it: its two new rotations, at u and v, are validated
+against G's neighbours plus the new one, and its face count is the pool
+entry's, less the faces through the darts whose successor changed (read
+off the corner: two at an endpoint with edges, one at an isolated one),
+plus the new orbits through those darts, which include (u, v) and (v, u);
+each is walked by jumping along the entry's faces from one changed dart to
+the next.  That count must give V - E + F = 2k for G + uv, as in the full
+check.  A splice so costs the degrees of u and v, one copy of the pooled
+rotation dict and one union of G's edge set with uv; G + uv's adjacency is
+built only if something reads it.
 
 A non-planar graph's witness comes from deleting edges, in sorted order,
 while the graph stays non-planar.  Each "still non-planar without e?"
@@ -137,41 +139,27 @@ def euler_planar_check(R: RotationSystem) -> bool:
     V_C - E_C + F_C = 2 - 2g <= 2 (Mohar & Thomassen, "Graphs on Surfaces",
     2001).  Summed over the k components that have an edge (an isolated
     vertex has no edge and no face), V - E + F reaches 2k exactly when every
-    term is 2, so one face count over all components decides the check.
-    One traversal counts those k components and their vertices.  A passing
-    R keeps its face walk for ``_PoolEntry``, which takes it instead of
-    walking R again.
+    term is 2, so one face count over all components decides the check
+    (``_euler_holds``).  R is only read.
     """
-    G = R.graph
-    adj = G.adjacency
-    seen: set[Vertex] = set()
-    k = 0
-    for start in G.vertices:
-        if start in seen or not adj[start]:
-            continue
-        k += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    orbits = _face_orbits(R)
-    if len(seen) - G.m + len(orbits) != 2 * k:
-        return False
-    R.__dict__["_checked_orbits"] = orbits
-    return True
+    return _euler_holds(len(_face_orbits(R)), R.graph.m, *_edge_spans(components(R.graph)))
+
+
+def _edge_spans(comps: list[tuple[Vertex, ...]]) -> tuple[int, int]:
+    """V and k of the Euler check, from a graph's ``components``: how many
+    vertices have an edge, and how many components have one."""
+    sizes = [len(members) for members in comps if len(members) > 1]
+    return sum(sizes), len(sizes)
+
+
+def _euler_holds(faces: int, m: int, n: int, k: int) -> bool:
+    """V - E + F = 2k for ``faces`` faces, ``m`` edges, and the ``n``
+    vertices of the ``k`` components that have an edge (see
+    ``euler_planar_check``)."""
+    return n - m + faces == 2 * k
 
 
 # -- planarity dichotomy ---------------------------------------------------------
-
-
-def _embedding(G: Graph) -> Optional[RotationSystem]:
-    """G's LR embedding, walked over ``G.adjacency`` in vertex order, so one
-    graph always gets one rotation system; None when G is not planar."""
-    rotation = lr_planarity(G.adjacency, embed=True)
-    return None if rotation is None else RotationSystem(G, rotation)
 
 
 def _reduce(adj: dict[Vertex, set[Vertex]]) -> dict[Vertex, set[Vertex]]:
@@ -309,12 +297,13 @@ PlanarityResult = Union[RotationSystem, MinorWitness]
 def test_planarity(G: Graph) -> PlanarityResult:
     """Certified dichotomy: an Euler-checked rotation system, or a verified
     K5/K3,3 minor witness.  Exactly one of the two is returned."""
-    R = _embedding(G)
-    if R is not None:
-        if not euler_planar_check(R):
-            raise InternalInvariantError("embedding failed the Euler check")
-        return R
-    return _kuratowski_witness(G)
+    rotation = lr_planarity(G.adjacency, embed=True)
+    if rotation is None:
+        return _kuratowski_witness(G)
+    R = RotationSystem(G, rotation)
+    if not euler_planar_check(R):
+        raise InternalInvariantError("embedding failed the Euler check")
+    return R
 
 
 # -- extra-planarity --------------------------------------------------------------
@@ -344,31 +333,30 @@ def _vertex_pairs(G: Graph) -> list[tuple[Vertex, Vertex]]:
 def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     """Check that G plus any single edge is planar.
 
-    G is embedded once.  Pairs that are already adjacent reuse that
-    embedding.  A pair in two components is spliced into the base embedding
-    at any corner of each endpoint.  A non-adjacent pair in one component
-    is spliced into the first pooled embedding that has a corner of each
-    endpoint on a common face (its lowest-indexed such face, see
-    ``_face_orbits``).  A pair that no pooled embedding places is tested
-    afresh; its embedding, with the pair's edge taken out, is Euler-checked
-    in full and joins the pool.  Each spliced rotation system has its two
-    new rotations validated and its faces counted exactly from its pool
-    entry's (see ``_splice``).  No failing pair is ever spliced, so the
-    first failing pair (in canonical order) and its witness are those of
-    the per-pair test.
+    G is embedded once, by the LR test.  Pairs that are already adjacent
+    reuse that embedding.  A pair in two components is spliced into the
+    base embedding at any corner of each endpoint.  A non-adjacent pair in
+    one component is spliced into the first pooled embedding that has a
+    corner of each endpoint on a common face (its lowest-indexed such face,
+    see ``_face_orbits``).  A pair that no pooled embedding places is
+    tested afresh: its LR embedding, with the pair's edge taken out, joins
+    the pool, and the pair is spliced into it at the corners the edge held.
+    Each pool entry checks its embedding in full, and each spliced rotation
+    system has its two new rotations validated and its faces counted
+    exactly from its pool entry's (see ``_splice``).  No failing pair is
+    ever spliced, so the first failing pair (in canonical order) and its
+    witness are those of the per-pair test.
     """
     pairs = _vertex_pairs(G)
-    base = test_planarity(G)
-    if isinstance(base, MinorWitness):
-        pair = pairs[0]
+    rotation = lr_planarity(G.adjacency, embed=True)
+    if rotation is None:
         # the witness lives inside G, hence also inside G plus the extra edge
-        return ExtraPlanarVerdict(False, pair=pair, witness=base)
+        return ExtraPlanarVerdict(False, pair=pairs[0], witness=_kuratowski_witness(G))
     comps = components(G)
     component = {v: i for i, members in enumerate(comps) for v in members}
-    # vertices with an edge, and components with an edge: V and k of G's Euler check
-    n = sum(len(members) for members in comps if len(members) > 1)
-    k = sum(len(members) > 1 for members in comps)
-    pool = [_PoolEntry(base)]
+    n, k = _edge_spans(comps)
+    pool = [_PoolEntry(RotationSystem(G, rotation), n, k)]
+    base = pool[0].R
     embeddings: dict[tuple[Vertex, Vertex], RotationSystem] = {}
     for pair in pairs:
         # pairs run in vertex order, so each is in the edge_key order of G.edges
@@ -386,39 +374,44 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
         for entry in pool:
             at = _splice_corners(entry.corners[u], entry.corners[v])
             if at is not None:
-                embeddings[pair] = _splice(G, entry, pair, at, n, k)
                 break
         else:
-            result = test_planarity(add_edge(G, u, v))
-            if isinstance(result, MinorWitness):
-                return ExtraPlanarVerdict(False, pair=pair, witness=result)
-            embeddings[pair] = result
-            rotation = dict(result.rotation)
-            rotation[u] = tuple(w for w in rotation[u] if w != v)
-            rotation[v] = tuple(w for w in rotation[v] if w != u)
-            pooled = RotationSystem(G, rotation)
-            if not euler_planar_check(pooled):
-                raise InternalInvariantError(
-                    f"extra_planar pool: embedding of G plus {_clip(repr(pair))} without "
-                    "that edge failed the Euler check")
-            pool.append(_PoolEntry(pooled))
+            H = add_edge(G, u, v)
+            rotation = lr_planarity(H.adjacency, embed=True)
+            if rotation is None:
+                return ExtraPlanarVerdict(False, pair=pair, witness=_kuratowski_witness(H))
+            # take uv out, noting the neighbour before the other endpoint at
+            # each end: u and v both have an edge in G, so each has one
+            corners = []
+            for w, other in ((u, v), (v, u)):
+                order = rotation[w]
+                i = order.index(other)
+                corners.append(order[i - 1])
+                rotation[w] = order[:i] + order[i + 1:]
+            at = tuple(corners)
+            entry = _PoolEntry(RotationSystem(G, rotation), n, k, pair)
+            pool.append(entry)
+        embeddings[pair] = _splice(G, entry, pair, at, n, k)
     return ExtraPlanarVerdict(True, embeddings=embeddings)
 
 
 class _PoolEntry:
-    """An Euler-checked embedding R of G with what a splice into it reads:
-    its face orbits, each dart's place (face index, position on the face),
-    and each vertex's first corner per face (face index -> the vertex the
-    face enters it from).  The orbits are the walk of the full
-    ``euler_planar_check`` that R passed, taken off R, so an R that has
-    not passed one since it last joined the pool is refused."""
+    """An embedding R of G with what a splice into it reads: its face
+    orbits, each dart's place (face index, position on the face), and each
+    vertex's first corner per face (face index -> the vertex the face enters
+    it from).  The orbits are walked once, here, and R is refused unless
+    they give V - E + F = 2k for G's ``n`` vertices with an edge and ``k``
+    components with an edge: R's full Euler check.  The error names the
+    ``pair`` whose LR embedding R was cut from, if any."""
 
-    def __init__(self, R: RotationSystem):
+    def __init__(self, R: RotationSystem, n: int, k: int,
+                 pair: Optional[tuple[Vertex, Vertex]] = None):
         self.R = R
-        orbits = R.__dict__.pop("_checked_orbits", None)
-        if orbits is None:
-            raise InternalInvariantError("extra_planar pool: embedding without a full Euler check")
-        self.orbits = orbits
+        self.orbits = _face_orbits(R)
+        if not _euler_holds(len(self.orbits), R.graph.m, n, k):
+            cut = "" if pair is None else f" plus {_clip(repr(pair))} without that edge"
+            raise InternalInvariantError(
+                f"extra_planar pool: embedding of G{cut} failed the Euler check")
         self.place: dict[tuple[Vertex, Vertex], tuple[int, int]] = {}
         self.corners: dict[Vertex, dict[int, Vertex]] = {v: {} for v in R.graph.vertices}
         for f, orbit in enumerate(self.orbits):
@@ -498,7 +491,7 @@ def _splice(G: Graph, entry: _PoolEntry, pair: tuple[Vertex, Vertex],
                 break
             unseen.remove(d)
     faces = len(entry.orbits) - len(cuts) + new_orbits
-    if n - (G.m + 1) + faces != 2 * k:
+    if not _euler_holds(faces, G.m + 1, n, k):
         raise InternalInvariantError(
             f"extra_planar splice: embedding of G plus {_clip(repr(pair))} failed the Euler check")
     # built without __post_init__, which would re-validate every rotation

@@ -1,6 +1,7 @@
 """No dead code in src/groupflow: every module-level function or class is
 referenced somewhere in the package, exported, or read by the benchmark,
-and every name a module imports is read in that module."""
+every name a module imports is read in that module, and every import is at
+module level."""
 
 from __future__ import annotations
 
@@ -90,6 +91,21 @@ def unused_imports(src: Path = SRC) -> list[str]:
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def function_imports(src: Path = SRC) -> list[str]:
+    """"module.function" for each import statement inside a function body."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(f"{path.stem}.{node.name}" for inner in ast.walk(node)
+                             if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_no_imports_inside_functions():
+    assert function_imports() == []
 
 
 def test_perfbench_names_are_found():

@@ -698,6 +698,15 @@ def test_abelian_basis_roundtrip(spec, members_of):
         assert rebuilt == g
 
 
+def test_subgroup_member_set_is_cached_without_changing_equality():
+    G = standard_group("sym:3")
+    H, K = Subgroup(G, (3, 0)), Subgroup(G, (0, 3))
+    assert 3 in H and 1 not in H
+    assert H._member_set is H._member_set == frozenset({0, 3})
+    assert H == K and hash(H) == hash(K) and len({H, K}) == 1
+    assert H != Subgroup(G, (0,))
+
+
 BENCHMARK_GROUPS = [
     "es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
     "product:quaternion,quaternion", "es:3", "dihedral:6", "product:sym:3,sym:3", "sym:4",

@@ -10,10 +10,12 @@ import networkx as nx
 import pytest
 
 from groupflow import jsonio, planar
+from groupflow._lr import lr_planarity
 from groupflow.errors import InternalInvariantError, NotPlanarEmbedding, ParseError
 from groupflow.graphs import (
     add_edge,
     components,
+    edge_key,
     find_minor,
     graph_from,
     named_graph,
@@ -429,9 +431,15 @@ def test_extra_planar_matches_lr_oracle_sampled_6_to_10_vertices():
 
 
 def _count_planarity_tests(monkeypatch) -> list:
+    """The adjacency of each graph that the LR test embeds, in call order."""
     calls = []
-    original = planar.test_planarity
-    monkeypatch.setattr(planar, "test_planarity", lambda G: calls.append(G) or original(G))
+    original = planar.lr_planarity
+
+    def counted(adj, embed=False):
+        if embed:
+            calls.append(adj)
+        return original(adj, embed)
+    monkeypatch.setattr(planar, "lr_planarity", counted)
     return calls
 
 
@@ -446,7 +454,7 @@ def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
     comp = {v: i for i, c in enumerate(components(g)) for v in c}
     apart = [(u, v) for u, v in verdict.embeddings if comp[u] != comp[v]]
     assert len(apart) == 27
-    assert calls == [g]
+    assert calls == [g.adjacency]
     for u, v in apart:
         R = verdict.embeddings[(u, v)]
         assert R.graph == add_edge(g, u, v) and euler_planar_check(R)
@@ -464,7 +472,7 @@ def test_extra_planar_pool_places_pair_the_base_embedding_does_not(monkeypatch):
     calls = _count_planarity_tests(monkeypatch)
     verdict = extra_planar(g)
     assert verdict.extra_planar
-    assert calls == [g, add_edge(g, 3, 5), add_edge(g, 4, 6)]
+    assert calls == [g.adjacency, add_edge(g, 3, 5).adjacency, add_edge(g, 4, 6).adjacency]
     _assert_matches_lr_oracle(g)
 
 
@@ -520,9 +528,10 @@ def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
 
 
 def _one_face_too_many(monkeypatch):
+    """Each pool entry passes its own Euler check, then counts one face more."""
     class Miscounted(planar._PoolEntry):
-        def __init__(self, R):
-            super().__init__(R)
+        def __init__(self, *args):
+            super().__init__(*args)
             self.orbits.append([])
     monkeypatch.setattr(planar, "_PoolEntry", Miscounted)
 
@@ -571,8 +580,8 @@ def test_extra_planar_splice_validates_the_new_rotations(monkeypatch):
     its corner does not name, the spliced rotation at 1 is not a cyclic
     order of 1's neighbours in G plus (1, 3)."""
     class MissingNeighbour(planar._PoolEntry):
-        def __init__(self, R):
-            super().__init__(R)
+        def __init__(self, R, *args):
+            super().__init__(R, *args)
             rotation = dict(R.rotation)
             rotation[1] = tuple(self.corners[1].values())
             faulty = object.__new__(RotationSystem)     # skips __post_init__'s check
@@ -584,35 +593,56 @@ def test_extra_planar_splice_validates_the_new_rotations(monkeypatch):
         extra_planar(graph_from([1, 2, 3, 4], [(1, 2), (1, 4), (3, 4)]))
 
 
-def test_extra_planar_checks_each_pooled_embedding_in_full(monkeypatch):
-    """Each embedding that joins the pool gets a full Euler check; the base
-    one gets it from test_planarity."""
-    g = graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)])
-    checked = []
-    original = planar.euler_planar_check
-    monkeypatch.setattr(planar, "euler_planar_check", lambda R: checked.append(R.graph) or original(R))
-    assert extra_planar(g).extra_planar
-    # the base, then per LR-tested pair its embedding and its pooled one
-    assert checked == [g, add_edge(g, 3, 5), g, add_edge(g, 4, 6), g]
-    embeddings_of_g = []
+def _pool_entries(monkeypatch) -> list:
+    """Every pool entry extra_planar makes, in order."""
+    entries = []
 
-    def base_passes_pooled_fail(R):
-        if R.graph != g:
-            return original(R)
-        embeddings_of_g.append(R)
-        return len(embeddings_of_g) == 1 and original(R)
-    monkeypatch.setattr(planar, "euler_planar_check", base_passes_pooled_fail)
-    with pytest.raises(InternalInvariantError, match=r"pool: .*\(3, 5\)"):
+    class Recorded(planar._PoolEntry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            entries.append(self)
+    monkeypatch.setattr(planar, "_PoolEntry", Recorded)
+    return entries
+
+
+def test_extra_planar_checks_each_pooled_embedding_in_full(monkeypatch):
+    """Each embedding that joins the pool is Euler-checked in full by its
+    pool entry, and one that fails names the pool and the pair whose LR
+    embedding it was cut from."""
+    g = graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)])
+    entries = _pool_entries(monkeypatch)
+    walked = []
+    walk = planar._face_orbits
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    assert extra_planar(g).extra_planar
+    # the base, then one per LR-tested pair: (3, 5) and (4, 6)
+    assert [entry.R.graph for entry in entries] == [g, g, g]
+    assert [id(R) for R in walked] == [id(entry.R) for entry in entries]
+    for entry in entries:
+        assert euler_planar_check(entry.R)
+        assert len(entry.orbits) == len(faces(entry.R))
+
+    lr = planar.lr_planarity
+
+    def flipped_at_1_for_3_5(adj, embed=False):
+        rotation = lr(adj, embed)
+        if embed and 5 in adj[3]:
+            rotation[1] = rotation[1][::-1]     # 1 is no endpoint of (3, 5)
+        return rotation
+    monkeypatch.setattr(planar, "lr_planarity", flipped_at_1_for_3_5)
+    with pytest.raises(InternalInvariantError,
+                       match=r"pool: embedding of G plus \(3, 5\) without that edge failed"):
         extra_planar(g)
 
 
 def test_extra_planar_walks_each_checked_embedding_once(monkeypatch):
-    """Faces are walked only by the full Euler checks, once each: a pool
-    entry takes the walk of the check its embedding passed."""
-    walked, checked = [], []
-    walk, check = planar._face_orbits, planar.euler_planar_check
-    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R.graph) or walk(R))
-    monkeypatch.setattr(planar, "euler_planar_check", lambda R: checked.append(R.graph) or check(R))
+    """Faces are walked only by the pool entries, once each, and no full
+    Euler check runs."""
+    entries = _pool_entries(monkeypatch)
+    walked = []
+    walk = planar._face_orbits
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    monkeypatch.setattr(planar, "euler_planar_check", None)
     rng = random.Random(71)
     graphs = [graph_from(range(1, 7), [(1, 2), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5)]),
               graph_from(range(1, 10), [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)]),
@@ -621,17 +651,60 @@ def test_extra_planar_walks_each_checked_embedding_once(monkeypatch):
     misses = 0
     for g in graphs:
         walked.clear()
-        checked.clear()
+        entries.clear()
         extra_planar(g)
-        assert walked == checked, g
-        misses += len(checked) - checked.count(g)     # the LR-tested G + uv
+        assert [id(R) for R in walked] == [id(entry.R) for entry in entries], g
+        misses += max(len(entries) - 1, 0)      # the LR-tested pairs
     assert misses >= 3
 
 
-def test_pool_entry_takes_the_walk_of_a_passed_euler_check_once():
+def test_pool_entry_checks_its_own_faces(monkeypatch):
+    """A pool entry walks its embedding once and refuses one whose face
+    count misses V - E + F = 2k; the error names the pair it came from."""
     R = embed(named_graph("cycle:4"))
-    assert len(planar._PoolEntry(R).orbits) == 2
-    unchecked = RotationSystem(R.graph, R.rotation)
-    for S in (R, unchecked):
-        with pytest.raises(InternalInvariantError, match="without a full Euler check"):
-            planar._PoolEntry(S)
+    walked = []
+    walk = planar._face_orbits
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    assert len(planar._PoolEntry(R, 4, 1).orbits) == 2 and walked == [R]
+    k4 = named_graph("complete:4")
+    torus = RotationSystem(k4, {v: tuple(u for u in k4.vertices if u != v) for v in k4.vertices})
+    for S, k in ((torus, 1), (R, 2)):
+        with pytest.raises(InternalInvariantError,
+                           match=r"^extra_planar pool: embedding of G failed the Euler check$"):
+            planar._PoolEntry(S, 4, k)
+    with pytest.raises(InternalInvariantError, match=r"G plus \(1, 3\) without that edge failed"):
+        planar._PoolEntry(R, 4, 2, (1, 3))
+
+
+def _lr_tested_pairs_match_lr(monkeypatch, graphs) -> int:
+    """On each extra-planar graph G, every pair uv whose G + uv extra_planar
+    sends to the LR test gets exactly the rotation system
+    RotationSystem(H, lr_planarity(H.adjacency, embed=True)) of H = G + uv.
+    Returns how many such pairs the graphs had."""
+    calls = _count_planarity_tests(monkeypatch)
+    tested = 0
+    for g in graphs:
+        calls.clear()
+        verdict = extra_planar(g)
+        if not verdict.extra_planar:
+            continue
+        assert calls[0] == g.adjacency
+        for adj in calls[1:]:
+            pair = next(edge_key(u, v) for u in adj for v in adj[u] if not g.has_edge(u, v))
+            H = add_edge(g, *pair)
+            assert adj == H.adjacency
+            expected = RotationSystem(H, lr_planarity(H.adjacency, embed=True))
+            assert verdict.embeddings[pair] == expected, (g, pair)
+        tested += len(calls) - 1
+    return tested
+
+
+def test_lr_tested_pairs_keep_lr_rotation_up_to_6_vertices(monkeypatch):
+    graphs = (g for n in range(1, 7) for g in all_labeled_graphs(n))
+    assert _lr_tested_pairs_match_lr(monkeypatch, graphs) > 10_000
+
+
+def test_lr_tested_pairs_keep_lr_rotation_sampled_7_to_12_vertices(monkeypatch):
+    rng = random.Random(67)
+    graphs = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.05, 0.3)) for _ in range(120)]
+    assert _lr_tested_pairs_match_lr(monkeypatch, graphs) > 50
