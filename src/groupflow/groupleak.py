@@ -36,7 +36,9 @@ witnesses do not depend on it.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -75,9 +77,9 @@ class DeltaPresentation:
     ((i, j), g): psi(dlog_i(g) - dlog_j(g)) for subgroups i < j consecutive
     among those containing g, sorted by (j, i) and then by g, the order in
     which ``canonical`` absorbs them.  The rows are not stored;
-    ``relation_rows`` rebuilds them, and ``canonical`` is the Howell form of
-    their span modulo ``modulus``.  There are no order rows: psi maps them
-    to zero.
+    ``relation_row`` builds one from its tag, and ``canonical`` is the
+    Howell form of their span modulo ``modulus``.  There are no order
+    rows: psi maps them to zero.
     """
 
     group: FiniteGroup
@@ -109,15 +111,19 @@ class DeltaPresentation:
         return {offset + t: a * (m // d)
                 for t, (a, d) in enumerate(zip(discrete_log(basis, gamma), basis.orders)) if a}
 
-    def relation_rows(self) -> Iterator[tuple[dict[int, int], tuple[tuple[int, int], int]]]:
-        """Every relation row, sparse as {column: value mod m}, with its tag:
-        embed(g, i) - embed(g, j) for each pair_rows tag ((i, j), g)."""
+    def relation_row(self, tag: tuple[tuple[int, int], int]) -> dict[int, int]:
+        """The relation row of a pair_rows tag ((i, j), g), sparse as
+        {column: value mod m}: embed(g, i) - embed(g, j)."""
+        (i, j), g = tag
         m = self.modulus
+        row = self.embed(g, i)          # blocks i and j are disjoint
+        row.update((col, m - a) for col, a in self.embed(g, j).items())
+        return row
+
+    def relation_rows(self) -> Iterator[tuple[dict[int, int], tuple[tuple[int, int], int]]]:
+        """Every relation row with its tag, in pair_rows order."""
         for tag in self.pair_rows:
-            (i, j), g = tag
-            row = self.embed(g, i)      # blocks i and j are disjoint
-            row.update((col, m - a) for col, a in self.embed(g, j).items())
-            yield row, tag
+            yield self.relation_row(tag), tag
 
     def invariant_factors(self) -> list[int]:
         """Delta's invariant factors.  Each pivot row of ``canonical``,
@@ -275,23 +281,34 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
 def _greedy_solve(D: DeltaPresentation, gamma: int, target: dict[int, int]):
     """Coefficients {row: c} of the target over the relation rows of the
     smallest prefix family of subgroups (gamma's first, then by decreasing
-    overlap with it) that expresses it, and the rows' tags."""
+    overlap with it) that expresses it, and the rows' tags.  A row is built
+    when absorbed, labelled by its place; ``left``, congruent to the target
+    modulo the rows so far, is reduced after each step that adds rows, and
+    once it is zero the target's labels give the coefficients."""
     igamma = D.containing_index(gamma)
-    Hg = D.subgroups[igamma]
+    Hg = D.subgroups[igamma]._member_set
     rest = [i for i in range(len(D.subgroups)) if i != igamma]
-    rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg._member_set), i))
-    rows_of: dict[tuple[int, int], list] = {}
-    for row, tag in D.relation_rows():
-        rows_of.setdefault(tag[0], []).append((row, tag))
-    tracked = HowellForm(D.ncols, D.modulus, track=True)
+    rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg), i))
+    rank = {i: r for r, i in enumerate([igamma] + rest)}
+    steps: list[list[tuple[int, list]]] = [[] for _ in rank]
+    for (i, j), run in itertools.groupby(D.pair_rows, key=operator.itemgetter(0)):
+        a, b = sorted((rank[i], rank[j]))
+        steps[b].append((a, list(run)))
+    n = D.ncols
+    form = HowellForm(n, D.modulus, labels=len(D.pair_rows))
     tags: list[tuple[tuple[int, int], int]] = []
-    chosen: list[int] = []
-    for i in [igamma] + rest:
-        for j in chosen:
-            for row, tag in rows_of.get((min(i, j), max(i, j)), []):
-                tracked.add_row(row)
+    left = target
+    for step in steps:
+        if not step:
+            continue
+        step.sort(key=operator.itemgetter(0))
+        for _rank, run in step:
+            for tag in run:
+                row = D.relation_row(tag)
+                row[n + len(tags)] = 1
+                form.add_row(row)
                 tags.append(tag)
-        chosen.append(i)
-        if tracked.contains(target):
-            return tracked.solve(target), tags
+        left = {j: a for j, a in form.reduce(left).items() if j < n}
+        if not left:
+            return form.solve(target), tags
     raise InternalInvariantError("full family does not express a certified member")

@@ -8,10 +8,10 @@ so that reduction against the pivots yields a canonical coset
 representative (Howell, "Spans in the module (Z_m)^s", 1986; Storjohann &
 Mulders, "Fast algorithms for linear algebra modulo N", ESA 1998).
 Saturation also makes the quotient's order the product of the pivot values
-times m per pivot-free column.  Membership, solving for coefficients over
-the original rows, and the invariant factors of a quotient, read from the
-orders of its reductions modulo each prime power of m, all use this one
-form.
+times m per pivot-free column.  Membership, solving over the rows added
+(through label columns, see ``HowellForm``), and the invariant factors of
+a quotient, read from the orders of its reductions modulo each prime power
+of m, all use this one form and its one elimination path.
 
 Rows are stored sparse, as dicts {column: value} of Python ints without
 zeros.  The relation rows of a glued group have a handful of nonzeros
@@ -70,34 +70,35 @@ class HowellForm:
     Rows are added incrementally.  Each pivot row is stored sparse, as a
     dict {column: value} of Python ints with the zeros dropped, so a step
     of the elimination touches only the nonzero entries of the two rows it
-    combines; the leading column of a row is its least key.  With
-    ``track=True`` every pivot carries its expression as a combination of
-    the original input rows, stored the same way as {input row: value},
-    enabling ``solve``.  Rows and query vectors go in as {column: value},
-    their values read modulo m; results come out the same way, without
-    zeros.
+    combines; the leading column of a row is its least key.  Rows and query
+    vectors go in as {column: value}, their values read modulo m; results
+    come out the same way, without zeros.
+
+    Columns ``ncols .. ncols + labels - 1`` are labels: they ride along in
+    every step but never hold a pivot.  A row added with a 1 in label
+    column ``ncols + k`` records that it is input row k, and reducing an
+    unlabelled vector leaves in its labels minus the combination of input
+    rows it took away.
     """
 
-    def __init__(self, ncols: int, modulus: int, track: bool = False):
+    def __init__(self, ncols: int, modulus: int, *, labels: int = 0):
         if modulus < 1:
             raise ValueError("modulus must be >= 1")
         self.ncols = ncols
+        self.labels = labels
         self.m = modulus
-        self.track = track
-        self.n_input = 0
         self._pivot_at: dict[int, int] = {}       # column -> index into _rows
         self._rows: list[dict[int, int]] = []
-        self._coeffs: list[Optional[dict[int, int]]] = []
 
     # -- construction ---------------------------------------------------------
 
     def _vector(self, row: Mapping[int, int]) -> dict[int, int]:
         """row as {column: value mod m} with the zeros dropped; a ValueError
-        for a column outside range(ncols)."""
-        m = self.m
+        for a column outside the coordinates and labels."""
+        m, width = self.m, self.ncols + self.labels
         vec = {}
         for j, a in row.items():
-            if not 0 <= j < self.ncols:
+            if not 0 <= j < width:
                 raise ValueError(f"column {j} out of range")
             a = int(a) % m
             if a:
@@ -108,41 +109,34 @@ class HowellForm:
         """Absorb a row {column: value}; values are taken modulo m, so zeros
         and negative values may appear."""
         vec = self._vector(row)
-        coeff = {self.n_input: 1} if self.track else None
-        self.n_input += 1
-        if self.m == 1:
-            return
-        self._absorb(vec, coeff)
+        if self.m > 1:
+            self._absorb(vec)
 
-    def _absorb(self, vec: dict[int, int], coeff: Optional[dict[int, int]]) -> None:
-        m = self.m
-        queue = [(vec, coeff)]
+    def _absorb(self, vec: dict[int, int]) -> None:
+        # stops at the first label column: a row without coordinates is dropped
+        m, n = self.m, self.ncols
+        queue = [vec]
         while queue:
-            v, c = queue.pop()
+            v = queue.pop()
             while v:
                 j = min(v)
+                if j >= n:
+                    break
                 pivot_idx = self._pivot_at.get(j)
                 if pivot_idx is None:
                     u, g = _unit_scale(v[j], m)
                     v = _scale(v, u, m)
-                    if c is not None:
-                        c = _scale(c, u, m)
                     self._pivot_at[j] = len(self._rows)
                     self._rows.append(v)
-                    self._coeffs.append(c)
                     ann = _scale(v, m // g, m)
                     if ann:
-                        queue.append((ann, None if c is None else _scale(c, m // g, m)))
+                        queue.append(ann)
                     break
                 r = self._rows[pivot_idx]
-                cr = self._coeffs[pivot_idx]
                 p = r[j]
                 a = v[j]
                 if a % p == 0:
-                    q = a // p
-                    _add_multiple(v, -q, r, m)
-                    if c is not None:
-                        _add_multiple(c, -q, cr, m)
+                    _add_multiple(v, -(a // p), r, m)
                 else:
                     g, s, t = _egcd(p, a)
                     new = _scale(r, s, m)
@@ -150,31 +144,21 @@ class HowellForm:
                     old = dict(r)
                     _add_multiple(old, -(p // g), new, m)
                     _add_multiple(v, -(a // g), new, m)
-                    new_c = old_c = None
-                    if c is not None:
-                        new_c = _scale(cr, s, m)
-                        _add_multiple(new_c, t, c, m)
-                        old_c = dict(cr)
-                        _add_multiple(old_c, -(p // g), new_c, m)
-                        _add_multiple(c, -(a // g), new_c, m)
                     self._rows[pivot_idx] = new
-                    self._coeffs[pivot_idx] = new_c
                     if old:
-                        queue.append((old, old_c))
+                        queue.append(old)
                     ann = _scale(new, m // g, m)
                     if ann:
-                        queue.append((ann, None if new_c is None else _scale(new_c, m // g, m)))
+                        queue.append(ann)
 
     # -- queries ---------------------------------------------------------------
 
-    def _walk(self, v: Mapping[int, int], combo: Optional[dict[int, int]]
-              ) -> tuple[dict[int, int], Optional[dict[int, int]]]:
-        """Reduce v against the pivots in column order, visiting only the
-        columns where the reduced vector is nonzero: a pivot row is zero
-        left of its pivot, so a step adds nonzeros only to the right of the
-        column it clears.  When combo is given, each multiple of a pivot
-        row taken from v is added to it as input-row coefficients, so that
-        v = result + sum(combo_i * row_i) mod m."""
+    def reduce(self, v: Mapping[int, int]) -> dict[int, int]:
+        """Canonical representative of v modulo the row space, as
+        {column: value}; its coordinates are empty exactly when v is in the
+        span.  The pivots are visited in column order, only where the
+        reduced vector is nonzero: a pivot row is zero left of its pivot, so
+        a step adds nonzeros only to the right of the column it clears."""
         vec = self._vector(v)
         heap = sorted(vec)              # a sorted list is a heap
         while heap:
@@ -189,25 +173,24 @@ class HowellForm:
                     if k not in vec:
                         heapq.heappush(heap, k)
                 _add_multiple(vec, -q, r, self.m)
-                if combo is not None:
-                    _add_multiple(combo, q, self._coeffs[idx], self.m)
-        return vec, combo
-
-    def reduce(self, v: Mapping[int, int]) -> dict[int, int]:
-        """Canonical representative of v modulo the row space, as
-        {column: value}; empty exactly when v is in the span."""
-        return self._walk(v, None)[0]
+        return vec
 
     def contains(self, v: Mapping[int, int]) -> bool:
-        return not self._walk(v, None)[0]
+        return all(j >= self.ncols for j in self.reduce(v))
 
     def solve(self, v: Mapping[int, int]) -> Optional[dict[int, int]]:
-        """Coefficients {input row: c} with sum(c * row) = v mod m, or None
-        when v is outside the span.  Needs track=True."""
-        if not self.track:
-            raise ValueError("solve needs a coefficient-tracking form")
-        vec, combo = self._walk(v, {})
-        return None if vec else combo
+        """Coefficients {input row k: c} with sum(c * row_k) = v mod m over
+        the labelled rows, or None when the unlabelled v is outside the
+        span: the label part of v's reduction, negated."""
+        if not self.labels:
+            raise ValueError("solve needs a form with label columns")
+        n, m = self.ncols, self.m
+        combo = {}
+        for j, a in self.reduce(v).items():
+            if j < n:
+                return None
+            combo[j - n] = m - a
+        return combo
 
     def pivot_rows(self) -> list[dict[int, int]]:
         """Copies of the pivot rows as {column: value}, in pivot-column
@@ -216,7 +199,7 @@ class HowellForm:
 
     def pivot_matrix(self) -> np.ndarray:
         rows = self.pivot_rows()
-        out = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        out = np.zeros((len(rows), self.ncols + self.labels), dtype=np.int64)
         for i, row in enumerate(rows):
             out[i, list(row)] = list(row.values())
         return out
@@ -228,10 +211,6 @@ class HowellForm:
         for j, idx in self._pivot_at.items():
             order *= self._rows[idx][j]
         return order
-
-    def invariant_factors(self) -> list[int]:
-        """Invariant factors of (Z/m)^ncols / rowspace, trivial ones dropped."""
-        return invariant_factors([self.m] * self.ncols, self.pivot_rows(), self.quotient_order())
 
 
 def invariant_factors(orders: Sequence[int], rows: Sequence[Mapping[int, int]],

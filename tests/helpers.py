@@ -22,7 +22,8 @@ witness_flow_from_kernel's former solve, and the row-and-column
 diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
 elimination is HowellForm's former row storage (it takes and returns
-sparse vectors, converting them through dense_row), the edge-by-edge
+sparse vectors, converting them through dense_row) and its coefficient
+tracking is HowellForm's former solve, the edge-by-edge
 uncontraction chain is synthesize_leaking_flow's former construction, the
 single-root leaf-first loop is solve_tree_flow's former solve, networkx's
 check_planarity is the planar module's former LR test, the recursive
@@ -89,7 +90,7 @@ from groupflow.groups import (
     designated_central_involution,
     discrete_log,
 )
-from groupflow.howell import HowellForm, _egcd, _unit_scale
+from groupflow.howell import HowellForm, _egcd, _unit_scale, invariant_factors
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
     ExtraPlanarVerdict,
@@ -557,14 +558,10 @@ class UnscaledDelta(DeltaPresentation):
         m = self.modulus
         for col, d in enumerate(column_orders(self)):
             yield ({col: d % m} if d % m else {}), None
-        for tag in self.pair_rows:
-            (i, j), g = tag
-            row = self.embed(g, i)
-            row.update((col, m - a) for col, a in self.embed(g, j).items())
-            yield row, tag
+        yield from super().relation_rows()
 
     def invariant_factors(self) -> list:
-        return self.canonical.invariant_factors()
+        return form_invariant_factors(self.canonical)
 
 
 def unscaled_delta(D) -> UnscaledDelta:
@@ -823,9 +820,9 @@ def witness_values_two_forms(D, gamma: int) -> dict:
     """The values of witness_flow_from_kernel(D, gamma), solved with two
     forms: an untracked one grows subgroup by subgroup (gamma's own first,
     then by decreasing overlap with it) until it contains gamma's vector,
-    and a tracked one replays the same rows to solve for it.  Order rows
-    (an UnscaledDelta's, which come first) join with their column's
-    subgroup."""
+    and a dense coefficient-tracking one replays the same rows to solve for
+    it, without label columns.  Order rows (an UnscaledDelta's, which come
+    first) join with their column's subgroup."""
     G = D.group
     target = D.embed(gamma)
     igamma = D.containing_index(gamma)
@@ -851,10 +848,10 @@ def witness_values_two_forms(D, gamma: int) -> dict:
         chosen.append(i)
         if untracked.contains(target):
             break
-    tracked = HowellForm(D.ncols, D.modulus, track=True)
+    tracked = DenseHowellForm(D.ncols, D.modulus, track=True)
     for row, _tag in registry:
         tracked.add_row(row)
-    coeffs = dense_row(tracked.solve(target), len(registry))
+    coeffs = dense_row(tracked.tracked_solve(target), len(registry))
     acc = {}
     for c, (_row, tag) in zip(coeffs, registry):
         if tag is None or c % D.modulus == 0:
@@ -937,32 +934,49 @@ def _divisor_chain(factors: list[int]) -> list[int]:
     return factors
 
 
+def form_invariant_factors(form: HowellForm) -> list:
+    """Invariant factors of (Z/m)^ncols / rowspace, trivial ones dropped,
+    by the library's prime-power orders; label columns are cut off."""
+    rows = [{c: a for c, a in r.items() if c < form.ncols} for r in form.pivot_rows()]
+    return invariant_factors([form.m] * form.ncols, rows, form.quotient_order())
+
+
 def invariant_factors_by_diagonalization(form: HowellForm) -> list:
-    """form.invariant_factors() by diagonalising its pivot matrix and
+    """form_invariant_factors(form) by diagonalising its pivot matrix and
     merging the diagonal into a divisor chain."""
     if form.m == 1:
         return []
-    diags = _diagonalize_mod(form.pivot_matrix() % form.m, form.m)
+    diags = _diagonalize_mod(form.pivot_matrix()[:, : form.ncols] % form.m, form.m)
     factors = [form.m] * (form.ncols - len(diags))
     factors += [math.gcd(d, form.m) for d in diags]
     return _divisor_chain([f for f in factors if f > 1])
 
 
 class DenseHowellForm(HowellForm):
-    """HowellForm with dense numpy rows and coefficient vectors: every
+    """HowellForm with dense numpy rows of width ncols + labels: every
     elimination step is a full-width array operation, and the walk visits
-    every pivot column in order.  Same algorithm, so the same pivot rows and
-    coefficients; the invariant factors are read from its pivot matrix by
-    the library's own code.  Vectors go in and come out sparse, as the
-    library's do, and are converted only there.  A stored coefficient
-    vector keeps the length n_input had when it was stored; _pad extends
-    it."""
+    every pivot column in order.  Same algorithm and label contract, so the
+    same pivot rows and reductions, label parts included; ``contains``,
+    ``solve`` and the invariant factors are read from them by the
+    library's own code.  Vectors go in and come out sparse, as the
+    library's do, and are converted only there.  With track=True every
+    pivot also carries a separate coefficient vector over the input rows,
+    the form's former way to solve, kept in ``tracked_solve`` as the oracle
+    of the label columns.  A stored coefficient vector keeps the length
+    n_input had when it was stored; _pad extends it."""
+
+    def __init__(self, ncols: int, modulus: int, *, labels: int = 0, track: bool = False):
+        super().__init__(ncols, modulus, labels=labels)
+        self.track = track
+        self.n_input = 0
+        self._coeffs = []
 
     def _dense(self, v) -> np.ndarray:
         """The dense residue vector of a sparse {column: value}."""
-        if v and (min(v) < 0 or max(v) >= self.ncols):
+        width = self.ncols + self.labels
+        if v and (min(v) < 0 or max(v) >= width):
             raise ValueError("column out of range")
-        return dense_row(v, self.ncols) % self.m
+        return dense_row(v, width) % self.m
 
     def add_row(self, row) -> None:
         vec = self._dense(row)
@@ -976,10 +990,11 @@ class DenseHowellForm(HowellForm):
         self._absorb(vec, coeff)
 
     def _absorb(self, vec, coeff) -> None:
+        n = self.ncols
         queue = [(vec, coeff)]
         while queue:
             v, c = queue.pop()
-            nz = np.nonzero(v)[0]
+            nz = np.nonzero(v[:n])[0]
             while nz.size:
                 j = int(nz[0])
                 pivot_idx = self._pivot_at.get(j)
@@ -1024,7 +1039,7 @@ class DenseHowellForm(HowellForm):
                     ann = (new * (self.m // g)) % self.m
                     if ann.any():
                         queue.append((ann, None if new_c is None else (new_c * (self.m // g)) % self.m))
-                nz = np.nonzero(v)[0]
+                nz = np.nonzero(v[:n])[0]
 
     def _walk(self, v, combo):
         vec = self._dense(v)
@@ -1042,19 +1057,18 @@ class DenseHowellForm(HowellForm):
     def reduce(self, v) -> dict:
         return _sparse(self._walk(v, None)[0])
 
-    def contains(self, v) -> bool:
-        return not self._walk(v, None)[0].any()
-
-    def solve(self, v):
+    def tracked_solve(self, v):
+        """{input row: c} with sum(c * row) = v mod m, or None when v is
+        outside the span, from the tracked coefficients alone."""
         if not self.track:
-            raise ValueError("solve needs a coefficient-tracking form")
+            raise ValueError("tracked_solve needs a coefficient-tracking form")
         vec, combo = self._walk(v, np.zeros(self.n_input, dtype=np.int64))
-        return None if vec.any() else _sparse(combo)
+        return None if vec[: self.ncols].any() else _sparse(combo)
 
     def pivot_matrix(self) -> np.ndarray:
         cols = sorted(self._pivot_at)
         if not cols:
-            return np.zeros((0, self.ncols), dtype=np.int64)
+            return np.zeros((0, self.ncols + self.labels), dtype=np.int64)
         return np.stack([self._rows[self._pivot_at[j]] for j in cols])
 
     def quotient_order(self) -> int:

@@ -1,7 +1,8 @@
 """No dead code in src/groupflow: every module-level function or class is
 referenced somewhere in the package, exported, or read by the benchmark,
 every name a module imports is read in that module, and every import is at
-module level."""
+module level.  And no source file uses grammar newer than the oldest
+Python the project supports."""
 
 from __future__ import annotations
 
@@ -106,6 +107,25 @@ def function_imports(src: Path = SRC) -> list[str]:
 
 def test_no_imports_inside_functions():
     assert function_imports() == []
+
+
+def newer_syntax(roots=("src", "tests", "perfbench"), version=(3, 10)) -> list[str]:
+    """"path:line: message" for each .py file under the roots that the
+    grammar of Python ``version`` rejects, such as ``except*`` for 3.10."""
+    found = []
+    for root in roots:
+        for path in sorted((ROOT / root).rglob("*.py")):
+            try:
+                ast.parse(path.read_text(), filename=str(path), feature_version=version)
+            except SyntaxError as err:
+                found.append(f"{path.relative_to(ROOT)}:{err.lineno}: {err.msg}")
+    return found
+
+
+def test_sources_parse_as_python_310():
+    """pyproject.toml allows Python 3.10, so every file the package, its
+    tests and its benchmark hold must parse with 3.10's grammar."""
+    assert newer_syntax() == []
 
 
 def test_perfbench_names_are_found():

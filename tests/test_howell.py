@@ -1,4 +1,5 @@
-"""Modular lattice engine: membership, solve, canonical reduction, factors."""
+"""Modular lattice engine: membership, label columns and solve, canonical
+reduction, factors."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from helpers import (
     DenseHowellForm,
     _divisor_chain,
     dense_row,
+    form_invariant_factors,
     invariant_factors_by_diagonalization,
 )
 
@@ -36,10 +38,17 @@ def _sparse_nonzero(v) -> dict:
     return {j: int(a) for j, a in enumerate(v) if a}
 
 
+def _labelled(k: int, m: int, rows, form_class=HowellForm, **options):
+    """A form over k coordinates with one label column per row, holding the
+    rows, row t with a 1 in label column k + t."""
+    form = form_class(k, m, labels=len(rows), **options)
+    for t, r in enumerate(rows):
+        form.add_row({**dict(enumerate(r)), k + t: 1})
+    return form
+
+
 def test_identity_matrix_spans_everything():
-    form = HowellForm(2, 6, track=True)
-    for r in [[1, 0], [0, 1]]:
-        form.add_row(_sparse(r))
+    form = _labelled(2, 6, [[1, 0], [0, 1]])
     for v in itertools.product(range(6), repeat=2):
         assert form.contains(_sparse(v))
         sol = form.solve(_sparse(v))
@@ -47,9 +56,7 @@ def test_identity_matrix_spans_everything():
 
 
 def test_zero_matrix_spans_nothing():
-    form = HowellForm(2, 4, track=True)
-    for r in [[0, 0], [0, 0]]:
-        form.add_row(_sparse(r))
+    form = _labelled(2, 4, [[0, 0], [0, 0]])
     assert form.contains({})
     assert form.contains({0: 0, 1: 0})
     assert not form.contains({0: 1})
@@ -58,13 +65,12 @@ def test_zero_matrix_spans_nothing():
 
 
 def test_two_by_two_example():
-    form = HowellForm(2, 4, track=True)
-    for r in [[2, 0], [0, 2]]:
-        form.add_row(_sparse(r))
+    form = _labelled(2, 4, [[2, 0], [0, 2]])
     assert not form.contains({0: 1})
     assert form.contains({0: 2, 1: 2})
     assert form.solve({0: 2, 1: 2}) == {0: 1, 1: 1}
-    assert form.reduce({0: 3, 1: 2}) == {0: 1}
+    # reducing took away row 0 + row 1: minus that is left in the labels
+    assert form.reduce({0: 3, 1: 2}) == {0: 1, 2: 3, 3: 3}
 
 
 def test_membership_matches_exhaustive_span():
@@ -74,9 +80,7 @@ def test_membership_matches_exhaustive_span():
         k = rng.randint(1, 3)
         nrows = rng.randint(0, 4)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
-        form = HowellForm(k, m, track=True)
-        for r in rows:
-            form.add_row(dict(enumerate(r)))
+        form = _labelled(k, m, rows)
         span = set()
         for coeffs in itertools.product(range(m), repeat=nrows):
             span.add(tuple(sum(c * r[i] for c, r in zip(coeffs, rows)) % m
@@ -93,9 +97,7 @@ def test_solve_reproduces_vector():
         k = rng.randint(1, 4)
         nrows = rng.randint(1, 5)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(nrows)]
-        form = HowellForm(k, m, track=True)
-        for r in rows:
-            form.add_row(dict(enumerate(r)))
+        form = _labelled(k, m, rows)
         coeffs = [rng.randrange(m) for _ in range(nrows)]
         v = [sum(c * r[i] for c, r in zip(coeffs, rows)) % m for i in range(k)]
         sol = form.solve(_sparse(v))
@@ -106,15 +108,17 @@ def test_solve_reproduces_vector():
 
 def test_reduce_is_constant_on_cosets():
     """Members of the same coset share a canonical representative; the
-    representative map is linear on the span (v, w in span => v+w in span)."""
+    representative map is linear on the span (v, w in span => v+w in span).
+    A labelled form's representatives have the same coordinates."""
     rng = random.Random(7)
     for _ in range(40):
         m = rng.choice([4, 6, 8])
         k = rng.randint(1, 3)
         rows = [[rng.randrange(m) for _ in range(k)] for _ in range(rng.randint(1, 3))]
-        form = HowellForm(k, m, track=True)
+        form = HowellForm(k, m)
         for r in rows:
             form.add_row(dict(enumerate(r)))
+        labelled = _labelled(k, m, rows)
         members = [v for v in itertools.product(range(m), repeat=k)
                    if form.contains(_sparse(v))]
         for v, w in itertools.islice(itertools.product(members, repeat=2), 60):
@@ -124,18 +128,18 @@ def test_reduce_is_constant_on_cosets():
             for s in members[:5]:
                 shifted = [(a + b) % m for a, b in zip(v, s)]
                 assert form.reduce(_sparse(v)) == form.reduce(_sparse(shifted))
+            assert form.reduce(_sparse(v)) == {
+                j: a for j, a in labelled.reduce(_sparse(v)).items() if j < k}
 
 
 def test_quaternion_delta_lattice_factors():
     """Relation lattice of the three C4 subgroups glued along the centre."""
     rows = [(4, 0, 0), (0, 4, 0), (0, 0, 4), (2, -2, 0), (2, 0, -2)]
-    form = HowellForm(3, 4, track=True)
-    for r in rows:
-        form.add_row(dict(enumerate(r)))
+    form = _labelled(3, 4, rows)
     snf = smith_normal_form(Matrix([list(r) for r in rows]))
     expected = _divisor_chain([int(snf[i, i]) for i in range(3) if int(snf[i, i]) > 1])
     assert expected == [2, 2, 4]          # confirm the oracle first
-    assert form.invariant_factors() == [2, 2, 4]
+    assert form_invariant_factors(form) == [2, 2, 4]
 
 
 def test_invariant_factors_vs_sympy_snf():
@@ -150,7 +154,7 @@ def test_invariant_factors_vs_sympy_snf():
             form.add_row(dict(enumerate(r)))
         snf = smith_normal_form(Matrix(full))
         expected = _divisor_chain([int(snf[i, i]) for i in range(k) if int(snf[i, i]) > 1])
-        assert form.invariant_factors() == expected
+        assert form_invariant_factors(form) == expected
 
 
 def _snf_factors(rows, m, k):
@@ -186,10 +190,13 @@ def test_invariant_factors_match_diagonalization_oracle():
         # rows of multiples of d, so the p^j levels with j >= 2 carry factors
         rows += [[d * rng.randrange(m) % m for _ in range(k)]
                  for d in (2, 3, 4, 8, 9) if m % d == 0 and rng.random() < 0.5]
-        form = HowellForm(k, m, track=t % 2 == 0)
-        for r in rows:
-            form.add_row(dict(enumerate(r)))
-        factors = form.invariant_factors()
+        if t % 2:
+            form = HowellForm(k, m)
+            for r in rows:
+                form.add_row(dict(enumerate(r)))
+        else:
+            form = _labelled(k, m, rows)
+        factors = form_invariant_factors(form)
         assert factors == invariant_factors_by_diagonalization(form) == _snf_factors(rows, m, k)
         seen.add(tuple(factors))
     assert len(seen) > 100
@@ -225,7 +232,7 @@ def test_modulus_one_degenerates():
     form.add_row({0: 0, 1: 0, 2: 0})
     assert form.contains({0: 0, 1: 0, 2: 0})
     assert form.reduce({0: 5, 2: -1}) == {}
-    assert form.invariant_factors() == []
+    assert form_invariant_factors(form) == []
 
 
 def test_row_width_checked():
@@ -235,12 +242,68 @@ def test_row_width_checked():
         for row in ({3: 1}, {-1: 1}, {0: 1, 5: 2}):
             with pytest.raises(ValueError):
                 form.add_row(row)
-    form = HowellForm(3, 4, track=True)
+    form = HowellForm(3, 4)
     form.add_row({0: 1})
-    for query in (form.reduce, form.contains, form.solve):
+    for query in (form.reduce, form.contains):
         for vector in ({3: 1}, {-1: 2}, {0: 1, 7: 0}):
             with pytest.raises(ValueError, match="out of range"):
                 query(vector)
+
+
+def test_label_width_checked():
+    """With labels, a row or a query vector may name the columns 0 ..
+    ncols + labels - 1 and no others, even with a zero value there."""
+    for form in (HowellForm(3, 4, labels=2), DenseHowellForm(3, 4, labels=2)):
+        form.add_row({0: 1, 3: 1, 4: 3})
+        for row in ({5: 1}, {-1: 1}, {0: 1, 7: 0}):
+            with pytest.raises(ValueError):
+                form.add_row(row)
+        for query in (form.reduce, form.contains, form.solve):
+            for vector in ({5: 1}, {-1: 2}, {0: 1, 6: 0}):
+                with pytest.raises(ValueError, match="out of range"):
+                    query(vector)
+
+
+def test_labels_keyword_only():
+    """labels is keyword-only: a positional third argument fails rather
+    than becoming one label column."""
+    for form_class in (HowellForm, DenseHowellForm):
+        with pytest.raises(TypeError):
+            form_class(3, 4, True)
+        with pytest.raises(TypeError):
+            form_class(3, 4, 1)
+
+
+def test_solve_needs_labels():
+    form = HowellForm(2, 4)
+    form.add_row({0: 2})
+    with pytest.raises(ValueError, match="label"):
+        form.solve({0: 2})
+
+
+def test_labels_leave_coordinates_as_they_are():
+    """Label columns never hold a pivot and never steer the elimination:
+    a labelled form's pivot rows, cut to the coordinate columns, are the
+    unlabelled form's pivot rows, and its quotient order is the same; each
+    pivot row's labels combine the input rows into its coordinates."""
+    rng = random.Random(1986)
+    moduli = (2, 4, 8, 9, 12, 36, 60, 72, 360)
+    for t in range(300):
+        m = moduli[t % len(moduli)]
+        k = rng.randint(1, 6)
+        rows = [[rng.randrange(m) * (rng.random() < 0.6) for _ in range(k)]
+                for _ in range(rng.randint(0, k + 3))]
+        plain = HowellForm(k, m)
+        for r in rows:
+            plain.add_row(dict(enumerate(r)))
+        labelled = _labelled(k, m, rows)
+        pivot_rows = labelled.pivot_rows()
+        assert [{j: a for j, a in r.items() if j < k} for r in pivot_rows] == plain.pivot_rows()
+        assert labelled.quotient_order() == plain.quotient_order()
+        A = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        for r in pivot_rows:
+            combo = dense_row({j - k: a for j, a in r.items() if j >= k}, len(rows))
+            assert np.array_equal((combo @ A) % m, dense_row(r, k + len(rows))[:k])
 
 
 def test_query_values_taken_mod_m():
@@ -250,15 +313,17 @@ def test_query_values_taken_mod_m():
     for m in (4, 12, 60):
         for _ in range(30):
             k = rng.randint(1, 5)
-            form = HowellForm(k, m, track=True)
-            for _ in range(rng.randint(1, 4)):
-                form.add_row({j: rng.randrange(m) for j in rng.sample(range(k), rng.randint(0, k))})
+            rows = [{j: rng.randrange(m) for j in rng.sample(range(k), rng.randint(0, k))}
+                    for _ in range(rng.randint(1, 4))]
+            form = HowellForm(k, m, labels=len(rows))
+            for t, row in enumerate(rows):
+                form.add_row({**row, k + t: 1})
             raw = {j: rng.randrange(-3 * m, 3 * m) for j in rng.sample(range(k), rng.randint(0, k))}
             residues = {j: a % m for j, a in raw.items() if a % m}
             reduced = form.reduce(raw)
             assert reduced == form.reduce(residues)
             assert all(0 < a < m for a in reduced.values())
-            assert form.contains(raw) == form.contains(residues) == (not reduced)
+            assert form.contains(raw) == form.contains(residues) == all(j >= k for j in reduced)
             sol = form.solve(raw)
             assert sol == form.solve(residues)
             assert sol is None or all(0 < c < m for c in sol.values())
@@ -306,14 +371,12 @@ def test_pivot_choice_matches_argwhere_oracle(m, monkeypatch):
 
 @pytest.mark.parametrize("m", [12, 60])
 def test_tracked_solve_many_rows(m):
-    """Coefficients stored early are shorter than later ones; solve must
-    still combine the input rows back into v."""
+    """Over 300 labelled rows, most of them dependent, solve still combines
+    the input rows back into v."""
     rng = np.random.default_rng(m + 1)
     rows = rng.integers(0, m, size=(300, 10))
     rows[rng.random(rows.shape) < 0.5] = 0
-    form = HowellForm(10, m, track=True)
-    for r in rows:
-        form.add_row(dict(enumerate(r)))
+    form = _labelled(10, m, rows)
     for _ in range(20):
         v = (rng.integers(0, m, size=len(rows)) @ rows) % m
         sol = form.solve(_sparse(v.tolist()))
@@ -325,6 +388,9 @@ def test_tracked_solve_many_rows(m):
 
 
 def _assert_same_form(sparse, dense, probes, rows, m):
+    """The same pivot rows and reductions, label parts included; on a
+    labelled pair, the label split equals the dense form's tracked
+    coefficients and combines the rows back into the probe."""
     assert np.array_equal(sparse.pivot_matrix(), dense.pivot_matrix())
     pivot_rows = sparse.pivot_rows()
     assert pivot_rows == dense.pivot_rows()
@@ -335,9 +401,9 @@ def _assert_same_form(sparse, dense, probes, rows, m):
     for v in probes:
         assert sparse.reduce(v) == dense.reduce(v)
         assert sparse.contains(v) == dense.contains(v)
-        if sparse.track:
-            a, b = sparse.solve(v), dense.solve(v)
-            assert a == b
+        if sparse.labels:
+            a = sparse.solve(v)
+            assert a == dense.solve(v) == dense.tracked_solve(v)
             if a is not None:
                 A = np.array(rows, dtype=np.int64).reshape(len(rows), sparse.ncols)
                 assert np.array_equal((dense_row(a, len(rows)) @ A) % m,
@@ -346,7 +412,7 @@ def _assert_same_form(sparse, dense, probes, rows, m):
 
 def test_sparse_rows_match_dense_oracle():
     """The sparse rows give the dense elimination's pivot rows, reductions
-    and tracked solutions, on random row sets (zero rows and pairs of rows
+    and solutions, on random row sets (zero rows and pairs of rows
     whose leading entries do not divide each other, so the egcd branch
     runs) and on the glued groups."""
     rng = random.Random(1998)
@@ -366,11 +432,14 @@ def test_sparse_rows_match_dense_oracle():
             for d in (a, b):
                 rows.append([0] * col + [d] + [rng.randrange(m) for _ in range(k - col - 1)])
             egcd_steps += a % b != 0 and b % a != 0
-        track = t % 2 == 0
-        sparse, dense = HowellForm(k, m, track), DenseHowellForm(k, m, track)
-        for r in rows:
-            sparse.add_row(dict(enumerate(r)))
-            dense.add_row(dict(enumerate(r)))
+        if t % 2:
+            sparse, dense = HowellForm(k, m), DenseHowellForm(k, m)
+            for r in rows:
+                sparse.add_row(dict(enumerate(r)))
+                dense.add_row(dict(enumerate(r)))
+        else:
+            sparse = _labelled(k, m, rows)
+            dense = _labelled(k, m, rows, DenseHowellForm, track=True)
         probes = [_sparse(rng.randrange(m) for _ in range(k)) for _ in range(4)]
         probes += [_sparse(sum(rng.randrange(m) * r[i] for r in rows) % m for i in range(k))
                    for _ in range(3)]
@@ -381,23 +450,34 @@ def test_sparse_rows_match_dense_oracle():
         D = build_delta(standard_group(spec))
         rows = [row for row, _tag in D.relation_rows()]
         dense_rows = [dense_row(row, D.ncols) for row in rows]
-        # tracking leaves the pivot rows as they are, so one tracked pair checks all three
-        sparse = HowellForm(D.ncols, D.modulus, track=True)
-        dense = DenseHowellForm(D.ncols, D.modulus, track=True)
-        for r in rows:
-            sparse.add_row(r)
-            dense.add_row(r)
-        assert np.array_equal(sparse.pivot_matrix(), D.canonical.pivot_matrix())
+        # labels leave the coordinates as they are, so one labelled pair checks all three
+        sparse = HowellForm(D.ncols, D.modulus, labels=len(rows))
+        dense = DenseHowellForm(D.ncols, D.modulus, labels=len(rows), track=True)
+        for t, r in enumerate(rows):
+            sparse.add_row({**r, D.ncols + t: 1})
+            dense.add_row({**r, D.ncols + t: 1})
+        assert np.array_equal(sparse.pivot_matrix()[:, : D.ncols], D.canonical.pivot_matrix())
         probes = [D.embed(g) for g in itertools.islice(D.group.elements(), 40)]
         _assert_same_form(sparse, dense, probes, dense_rows, D.modulus)
 
 
 @pytest.mark.parametrize("spec", DELTA_SPECS)
 def test_group_outputs_match_dense_oracle(spec, monkeypatch):
-    """The group-leakproof and group-binary-leakproof CLI bytes and the
-    witness flow's values are the same when groupleak uses the dense form.
-    Each side builds its glued group once for its four CLI runs."""
-    def outputs():
+    """The group-leakproof and group-binary-leakproof CLI bytes, the
+    witness flow's values and every reduction groupleak makes, label parts
+    included, are the same when groupleak uses the dense form.  Each side
+    builds its glued group once for its four CLI runs."""
+    def recording(form_class, log):
+        class Recording(form_class):
+            def reduce(self, v):
+                out = super().reduce(v)
+                log.append(out)
+                return out
+        return Recording
+
+    def outputs(form_class):
+        log = []
+        monkeypatch.setattr(groupleak, "HowellForm", recording(form_class, log))
         delta = build_delta(standard_group(spec))
         runs = []
         with monkeypatch.context() as patched:
@@ -412,9 +492,7 @@ def test_group_outputs_match_dense_oracle(spec, monkeypatch):
         if not verdict.leakproof:
             _graph, flow = witness_flow_from_kernel(delta, verdict.witness)
             runs.append(sorted(flow.values.items()))
-        return runs
+        return runs, log
 
-    expected = outputs()
-    with monkeypatch.context() as patched:
-        patched.setattr(groupleak, "HowellForm", DenseHowellForm)
-        assert outputs() == expected
+    expected = outputs(HowellForm)
+    assert outputs(DenseHowellForm) == expected
