@@ -43,7 +43,7 @@ from .graphs import (
     vkey,
 )
 from .groups import FiniteGroup, conjugacy_class_id, es_group
-from .planar import RotationSystem, _edge_spans, _euler_holds, _face_orbits, test_planarity
+from .planar import RotationSystem, euler_planar_check, test_planarity
 
 
 class GroupFlow:
@@ -312,18 +312,17 @@ def conjugate_along_walk(f: GroupFlow, R: RotationSystem,
 
     In a planar embedding an edge is a bridge exactly when one face walk
     passes it in both directions (Mohar & Thomassen, Graphs on Surfaces,
-    2001), so the walk that starts at (v,w) also decides BridgeEdge.  R's
-    faces are walked once, for its Euler check and for that walk alike.
+    2001), so the walk that starts at (v,w) also decides BridgeEdge.  That
+    walk and R's Euler check read the face orbits R walks once and keeps.
     """
     v, w = edge
     if R.graph != f.graph:
         raise InvalidFlow("rotation system is for a different graph")
-    orbits = _face_orbits(R)
-    if not _euler_holds(len(orbits), R.graph.m, *_edge_spans(components(R.graph))):
+    if not euler_planar_check(R):
         raise NotPlanarEmbedding("rotation system fails the Euler criterion")
     if not f.graph.has_edge(v, w):
         raise EdgeMissing(edge)
-    walk_darts = next(set(orbit) for orbit in orbits if (v, w) in orbit)
+    walk_darts = next(set(orbit) for orbit in R.orbits if (v, w) in orbit)
     if (w, v) in walk_darts:
         raise BridgeEdge(edge)
     group = f.group

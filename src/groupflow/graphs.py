@@ -9,7 +9,6 @@ as a :class:`MinorWitness` that ``verify_minor`` can check independently.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -82,19 +81,7 @@ def graph_from(vertices: Iterable[Vertex], edges: Iterable[tuple[Vertex, Vertex]
 
 
 def add_edge(G: Graph, u: Vertex, v: Vertex) -> Graph:
-    """G plus the edge uv.  When G's adjacency is already built, the new
-    graph's is G's with v inserted into u's sorted neighbours and u into v's."""
-    e = edge_key(u, v)
-    H = Graph(G.vertices, G.edges | {e})
-    adj = G.__dict__.get("adjacency")
-    if adj is not None and e not in G.edges:
-        adj = dict(adj)
-        for x, y in ((u, v), (v, u)):
-            neighbours = list(adj[x])
-            bisect.insort(neighbours, y, key=vkey)
-            adj[x] = tuple(neighbours)
-        H.__dict__["adjacency"] = adj
-    return H
+    return Graph(G.vertices, G.edges | {edge_key(u, v)})
 
 
 def remove_edge(G: Graph, u: Vertex, v: Vertex) -> Graph:

@@ -15,10 +15,12 @@ order rows exactly when its psi-image lies in the span of the scaled chain
 rows.  The Howell form therefore holds the scaled chain rows alone, with
 no order rows, and every vector it takes is scaled: entry c is a multiple
 of m / d_c.  An element maps to the canonical form of its scaled
-coordinate vector.  Every vector here is sparse, {column: value} without
-zeros, the one format ``embed`` builds and the Howell form takes and
-returns, and phi is the sorted tuple of the canonical form's nonzero
-(column, value) pairs.  The group is leak-proof exactly when no
+coordinate vector, read from its discrete log in its home, the first
+subgroup that contains it, which ``build_delta`` records.  Every vector is
+sparse, {column: value} without zeros, the one format ``embed`` builds and
+the Howell form takes and returns, and phi is the sorted tuple of the
+canonical form's nonzero (column, value) pairs.  The group is leak-proof
+exactly when no
 nonidentity element maps to zero, and binary leak-proof exactly when the
 map is injective.  Any kernel element is turned back into an explicit
 leaking flow on a graph over the subgroups, with one edge per subgroup
@@ -42,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import InternalInvariantError, NotInKernel, TooLarge
+from .errors import InternalInvariantError, NotInKernel, TooLarge, _clip
 from .flows import GroupFlow, LeakVerdict, detect_leak
 from .graphs import Graph, graph_from
 from .groups import (
@@ -73,40 +75,35 @@ class DeltaPresentation:
     """Presentation of the glued abelian group Delta.
 
     Global coordinates are the concatenated subgroup bases, scaled by psi
-    (see the module docstring).  ``pair_rows`` tags each chain row
-    ((i, j), g): psi(dlog_i(g) - dlog_j(g)) for subgroups i < j consecutive
-    among those containing g, sorted by (j, i) and then by g, the order in
-    which ``canonical`` absorbs them.  The rows are not stored;
-    ``relation_row`` builds one from its tag, and ``canonical`` is the
-    Howell form of their span modulo ``modulus``.  There are no order
-    rows: psi maps them to zero.
+    (see the module docstring); column c has order ``orders[c]``, and
+    ``home[g]`` is the first subgroup containing element g.  ``pair_rows``
+    tags each chain row ((i, j), g): psi(dlog_i(g) - dlog_j(g)) for
+    subgroups i < j consecutive among those containing g, sorted by (j, i)
+    and then by g, the order in which ``canonical`` absorbs them.  The rows
+    are not stored; ``relation_row`` builds one from its tag, and
+    ``canonical`` is the Howell form of their span modulo ``modulus``.
+    There are no order rows: psi maps them to zero.
     """
 
     group: FiniteGroup
     subgroups: tuple[Subgroup, ...]
     bases: tuple[AbelianBasis, ...]
     offsets: tuple[int, ...]
-    generator_index: tuple[tuple[int, int], ...]
+    home: tuple[int, ...]
+    orders: tuple[int, ...]
     modulus: int
     canonical: HowellForm
     pair_rows: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), generator element)
 
     @property
     def ncols(self) -> int:
-        return len(self.generator_index)
-
-    def containing_index(self, gamma: int) -> int:
-        """Index of the first maximal abelian subgroup containing gamma."""
-        for i, H in enumerate(self.subgroups):
-            if gamma in H:
-                return i
-        raise InternalInvariantError("element outside every maximal abelian subgroup")
+        return len(self.orders)
 
     def embed(self, gamma: int, subgroup_index: Optional[int] = None) -> dict[int, int]:
         """gamma's scaled coordinate vector {column: a_c * m / d_c}, read from
         its discrete log a in one subgroup (by default the first that
         contains it); every value lies in 1 .. m - 1."""
-        i = self.containing_index(gamma) if subgroup_index is None else subgroup_index
+        i = self.home[gamma] if subgroup_index is None else subgroup_index
         offset, m, basis = self.offsets[i], self.modulus, self.bases[i]
         return {offset + t: a * (m // d)
                 for t, (a, d) in enumerate(zip(discrete_log(basis, gamma), basis.orders)) if a}
@@ -131,23 +128,19 @@ class DeltaPresentation:
         where these rows and the order rows span Delta's relations.  Delta
         is im psi, of order prod(d_c), modulo the span of the scaled rows,
         of order m^n / canonical.quotient_order()."""
-        m = self.modulus
-        orders = [self.bases[i].orders[k] for i, k in self.generator_index]
+        m, orders = self.modulus, self.orders
         rows = [{c: a // (m // orders[c]) for c, a in q.items()}
                 for q in self.canonical.pivot_rows()]
         order = math.prod(orders) * self.canonical.quotient_order() // m ** self.ncols
         return invariant_factors(orders, rows, order)
 
 
-def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...]) -> list[tuple[tuple[int, int], int]]:
+def _chain_tags(G: FiniteGroup, containing: list[list[int]]) -> list[tuple[tuple[int, int], int]]:
     """Tags ((i_k, i_{k+1}), g) for the least-index generator g of each
-    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g;
-    stably sorted by pair (j, i), the larger index first, so that the
-    Howell form absorbs them pair by pair (see the module docstring)."""
-    containing: list[list[int]] = [[] for _ in G.elements()]
-    for i, H in enumerate(subgroups):
-        for h in H.members:
-            containing[h].append(i)
+    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g
+    (``containing[g]``); stably sorted by pair (j, i), the larger index
+    first, so that the Howell form absorbs them pair by pair (see the module
+    docstring)."""
     seen = {frozenset([G.identity])}
     tags = []
     for g in G.elements():
@@ -164,28 +157,39 @@ def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...]) -> list[tuple[t
     return tags
 
 
+def _group_label(G: FiniteGroup) -> str:
+    """How an internal-invariant error names G: its spec, or "a table group"."""
+    return "a table group" if G.spec is None else _clip(G.spec)
+
+
 def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPresentation:
     """Assemble the glued-abelian-group presentation for G."""
     if G.order > max_order:
         raise TooLarge(G.order, max_order)
     subgroups = maximal_abelian_subgroups(G)
+    containing: list[list[int]] = [[] for _ in G.elements()]
+    for i, H in enumerate(subgroups):
+        for h in H.members:
+            containing[h].append(i)
+    for g, chain in enumerate(containing):
+        if not chain:
+            raise InternalInvariantError(
+                f"build_delta: element {_clip(G.name(g))} of {_group_label(G)} lies in no "
+                "maximal abelian subgroup")
     bases = tuple(abelian_basis(H) for H in subgroups)
-    offsets = [0]
-    generator_index: list[tuple[int, int]] = []
-    for i, basis in enumerate(bases):
-        generator_index.extend((i, k) for k in range(len(basis.gens)))
-        offsets.append(offsets[-1] + len(basis.gens))
-    all_orders = [d for basis in bases for d in basis.orders]
-    modulus = math.lcm(*all_orders) if all_orders else 1
+    offsets = tuple(itertools.accumulate((len(basis.gens) for basis in bases), initial=0))
+    orders = tuple(d for basis in bases for d in basis.orders)
+    modulus = math.lcm(*orders) if orders else 1
     D = DeltaPresentation(
         group=G,
         subgroups=subgroups,
         bases=bases,
-        offsets=tuple(offsets),
-        generator_index=tuple(generator_index),
+        offsets=offsets,
+        home=tuple(chain[0] for chain in containing),
+        orders=orders,
         modulus=modulus,
         canonical=HowellForm(offsets[-1], modulus),
-        pair_rows=tuple(_chain_tags(G, subgroups)),
+        pair_rows=tuple(_chain_tags(G, containing)),
     )
     for row, _tag in D.relation_rows():
         D.canonical.add_row(row)
@@ -272,9 +276,11 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
     graph = graph_from(range(1, len(D.subgroups) + 1), values)
     flow = GroupFlow(graph, G, values)
     verdict = detect_leak(flow)
-    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != D.containing_index(gamma) + 1
+    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != D.home[gamma] + 1
             or verdict.value != gamma):
-        raise InternalInvariantError("kernel witness flow failed re-certification")
+        raise InternalInvariantError(
+            f"witness_flow_from_kernel: the flow for {_clip(G.name(gamma))} in "
+            f"{_group_label(G)} failed re-certification")
     return graph, flow
 
 
@@ -285,7 +291,7 @@ def _greedy_solve(D: DeltaPresentation, gamma: int, target: dict[int, int]):
     when absorbed, labelled by its place; ``left``, congruent to the target
     modulo the rows so far, is reduced after each step that adds rows, and
     once it is zero the target's labels give the coefficients."""
-    igamma = D.containing_index(gamma)
+    igamma = D.home[gamma]
     Hg = D.subgroups[igamma]._member_set
     rest = [i for i in range(len(D.subgroups)) if i != igamma]
     rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg), i))
@@ -311,4 +317,7 @@ def _greedy_solve(D: DeltaPresentation, gamma: int, target: dict[int, int]):
         left = {j: a for j, a in form.reduce(left).items() if j < n}
         if not left:
             return form.solve(target), tags
-    raise InternalInvariantError("full family does not express a certified member")
+    G = D.group
+    raise InternalInvariantError(
+        f"witness_flow_from_kernel: the relation rows of {_group_label(G)} do not express "
+        f"{_clip(G.name(gamma))}, a kernel member")

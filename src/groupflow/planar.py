@@ -3,9 +3,10 @@
 An embedding is a rotation system (cyclic neighbour order per vertex)
 accepted exactly when every connected component satisfies Euler's formula
 V - E + F = 2, faces being the orbits of the next-edge successor map, which
-``_face_orbits`` alone walks in full.  On a connected graph every rotation system
-gives V - E + F = 2 - 2g <= 2 for the genus g of its surface, so one face
-count over all components decides the per-component check.
+``_face_orbits`` alone walks in full, once per rotation system, for
+``RotationSystem.orbits``.  On a connected graph every rotation system gives
+V - E + F = 2 - 2g <= 2 for the genus g of its surface, so one face count
+over all components decides the per-component check.
 ``test_planarity`` always returns one of two independently checkable
 certificates: such a rotation system, or a K5/K3,3 minor witness.
 
@@ -54,8 +55,10 @@ depend on the reduction.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from ._lr import lr_planarity
@@ -76,7 +79,8 @@ from .graphs import (
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """A cyclic ordering of the neighbours of every vertex."""
+    """A cyclic ordering of the neighbours of every vertex; never changed
+    after construction, so ``orbits`` walks its faces once and keeps them."""
 
     graph: Graph
     rotation: dict[Vertex, tuple[Vertex, ...]]
@@ -91,6 +95,11 @@ class RotationSystem:
                                  "its neighbours")
             rot[v] = _canonical_rotation(order)
         object.__setattr__(self, "rotation", rot)
+
+    @cached_property
+    def orbits(self) -> list[list[tuple[Vertex, Vertex]]]:
+        """Every face orbit once, as ``_face_orbits`` walks them."""
+        return _face_orbits(self)
 
 
 def _canonical_rotation(order: tuple[Vertex, ...]) -> tuple[Vertex, ...]:
@@ -128,7 +137,7 @@ def faces(R: RotationSystem) -> list[tuple[Vertex, ...]]:
     Every directed edge occurs in exactly one walk, so the walk lengths n
     add up to 2|E|.
     """
-    return [tuple(d[0] for d in orbit) + (orbit[0][0],) for orbit in _face_orbits(R)]
+    return [tuple(d[0] for d in orbit) + (orbit[0][0],) for orbit in R.orbits]
 
 
 def euler_planar_check(R: RotationSystem) -> bool:
@@ -140,9 +149,9 @@ def euler_planar_check(R: RotationSystem) -> bool:
     2001).  Summed over the k components that have an edge (an isolated
     vertex has no edge and no face), V - E + F reaches 2k exactly when every
     term is 2, so one face count over all components decides the check
-    (``_euler_holds``).  R is only read.
+    (``_euler_holds``).  It reads ``R.orbits``, so R is walked only once.
     """
-    return _euler_holds(len(_face_orbits(R)), R.graph.m, *_edge_spans(components(R.graph)))
+    return _euler_holds(len(R.orbits), R.graph.m, *_edge_spans(components(R.graph)))
 
 
 def _edge_spans(comps: list[tuple[Vertex, ...]]) -> tuple[int, int]:
@@ -321,15 +330,6 @@ class ExtraPlanarVerdict:
     witness: Optional[MinorWitness] = None
 
 
-def _vertex_pairs(G: Graph) -> list[tuple[Vertex, Vertex]]:
-    vs = G.vertices
-    return [
-        (vs[i], vs[j])
-        for i in range(len(vs))
-        for j in range(i + 1, len(vs))
-    ]
-
-
 def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     """Check that G plus any single edge is planar.
 
@@ -347,7 +347,7 @@ def extra_planar(G: Graph) -> ExtraPlanarVerdict:
     ever spliced, so the first failing pair (in canonical order) and its
     witness are those of the per-pair test.
     """
-    pairs = _vertex_pairs(G)
+    pairs = list(itertools.combinations(G.vertices, 2))
     rotation = lr_planarity(G.adjacency, embed=True)
     if rotation is None:
         # the witness lives inside G, hence also inside G plus the extra edge
@@ -399,15 +399,15 @@ class _PoolEntry:
     """An embedding R of G with what a splice into it reads: its face
     orbits, each dart's place (face index, position on the face), and each
     vertex's first corner per face (face index -> the vertex the face enters
-    it from).  The orbits are walked once, here, and R is refused unless
-    they give V - E + F = 2k for G's ``n`` vertices with an edge and ``k``
-    components with an edge: R's full Euler check.  The error names the
-    ``pair`` whose LR embedding R was cut from, if any."""
+    it from).  The orbits are R's own (a fresh R walks them here), and R
+    is refused unless they give V - E + F = 2k for G's ``n`` vertices with
+    an edge and ``k`` components with an edge: R's full Euler check.  The
+    error names the ``pair`` whose LR embedding R was cut from, if any."""
 
     def __init__(self, R: RotationSystem, n: int, k: int,
                  pair: Optional[tuple[Vertex, Vertex]] = None):
         self.R = R
-        self.orbits = _face_orbits(R)
+        self.orbits = R.orbits
         if not _euler_holds(len(self.orbits), R.graph.m, n, k):
             cut = "" if pair is None else f" plus {_clip(repr(pair))} without that edge"
             raise InternalInvariantError(

@@ -43,6 +43,7 @@ were library functions that only these oracles and the tests called.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -533,7 +534,7 @@ def dense_row(row: dict, ncols: int) -> np.ndarray:
 
 def column_orders(D) -> list:
     """The order d_c of each coordinate column of D: its basis generator's."""
-    return [D.bases[i].orders[k] for i, k in D.generator_index]
+    return [d for basis in D.bases for d in basis.orders]
 
 
 def psi(D, row: dict) -> dict:
@@ -550,7 +551,7 @@ class UnscaledDelta(DeltaPresentation):
     them, and the invariant factors are its own."""
 
     def embed(self, gamma: int, subgroup_index=None) -> dict:
-        i = self.containing_index(gamma) if subgroup_index is None else subgroup_index
+        i = self.home[gamma] if subgroup_index is None else subgroup_index
         offset = self.offsets[i]
         return {offset + t: a for t, a in enumerate(discrete_log(self.bases[i], gamma)) if a}
 
@@ -825,14 +826,14 @@ def witness_values_two_forms(D, gamma: int) -> dict:
     first) join with their column's subgroup."""
     G = D.group
     target = D.embed(gamma)
-    igamma = D.containing_index(gamma)
+    igamma = D.home[gamma]
     overlap = D.subgroups[igamma]._member_set
     rest = sorted((i for i in range(len(D.subgroups)) if i != igamma),
                   key=lambda i: (-len(D.subgroups[i]._member_set & overlap), i))
     order_rows, chain_rows = {}, {}
     for col, (row, tag) in enumerate(D.relation_rows()):
         if tag is None:
-            order_rows.setdefault(D.generator_index[col][0], []).append((row, None))
+            order_rows.setdefault(bisect.bisect_right(D.offsets, col) - 1, []).append((row, None))
         else:
             chain_rows.setdefault(tag[0], []).append((row, tag))
     untracked = HowellForm(D.ncols, D.modulus)

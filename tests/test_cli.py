@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import groupflow
-from groupflow import cli, groups, jsonio
+from groupflow import cli, groups, jsonio, planar
 from groupflow.cli import run
 from groupflow.flows import detect_leak, example_flow_k33
 from groupflow.graphs import Graph, add_edge, graph_from, named_graph, verify_minor
@@ -220,6 +220,20 @@ def test_faces_roundtrip(tmp_path):
     assert len(payload["faces"]) == 4
     total = sum(len(f) - 1 for f in payload["faces"])
     assert total == 2 * g.m
+
+
+def test_faces_walks_once(tmp_path, monkeypatch):
+    """faces lists the walks and Euler-checks the rotation from one walk."""
+    g = named_graph("complete:4")
+    gpath = write_graph(tmp_path, "k4.json", g)
+    rpath = tmp_path / "rot.json"
+    rpath.write_text(invoke(["planar", gpath])[1])
+    walked = []
+    walk = planar._face_orbits
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    code, out, _ = invoke(["faces", gpath, str(rpath)])
+    assert code == 0 and json.loads(out)["euler_planar"] is True
+    assert len(walked) == 1
 
 
 # -- check-flow ------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from groupflow import flows, planar
+from groupflow import planar
 from groupflow.errors import (
     BridgeEdge,
     EdgeMissing,
@@ -611,24 +611,27 @@ def test_conjugate_random_flows_preserve_round_classes():
 
 
 def test_conjugate_walks_faces_once(monkeypatch):
-    """One face walk of R gives both its Euler check and the walk from
-    (v, w), also when R fails the check."""
+    """One face walk of a freshly built R gives both its Euler check and the
+    walk from (v, w), also when R fails the check; a second call on R walks
+    nothing more."""
     tri = named_graph("cycle:3")
-    R = embed(tri)
+    rotation = embed(tri).rotation
     k5 = named_graph("complete:5")
-    torus = RotationSystem(k5, {v: tuple(u for u in k5.vertices if u != v) for v in k5.vertices})
     c4 = standard_group("cyclic:4")
     walked = []
     walk = planar._face_orbits
-    for module in (planar, flows):
-        monkeypatch.setattr(module, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    R = RotationSystem(tri, rotation)
+    torus = RotationSystem(k5, {v: tuple(u for u in k5.vertices if u != v) for v in k5.vertices})
     f = GroupFlow.skew(tri, c4, {(1, 2): c4.index_of("g")})
     assert conjugate_along_walk(f, R, (1, 2)).value(1, 2) == c4.identity
-    assert walked == [R]
+    assert [id(S) for S in walked] == [id(R)]
+    assert conjugate_along_walk(f, R, (2, 3)).value(2, 3) == c4.identity
+    assert [id(S) for S in walked] == [id(R)]
     walked.clear()
     with pytest.raises(NotPlanarEmbedding):
         conjugate_along_walk(GroupFlow.skew(k5, c4, {}), torus, (1, 2))
-    assert walked == [torus]
+    assert [id(S) for S in walked] == [id(torus)]
 
 
 def _conjugate_every_edge(rng, G, groups) -> tuple[int, int]:

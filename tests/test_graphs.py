@@ -38,9 +38,9 @@ from helpers import (
 
 
 def test_add_edge_adjacency_matches_rebuilt_graph():
-    """add_edge inserts into the cached neighbour tuples; the result equals
-    the adjacency graph_from builds from scratch, for int, str and mixed
-    labels, isolated endpoints and edges already present."""
+    """add_edge's graph has the adjacency graph_from builds from scratch,
+    also when G's adjacency was built first, for int, str and mixed labels,
+    isolated endpoints and edges already present."""
     rng = random.Random(17)
     labelings = (lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else str(9 - i))
     isolated = present = 0
@@ -48,7 +48,7 @@ def test_add_edge_adjacency_matches_rebuilt_graph():
         vs = [labelings[trial % 3](i) for i in range(rng.randint(2, 10))]
         edges = [e for e in itertools.combinations(vs, 2) if rng.random() < 0.3]
         G = graph_from(vs, edges)
-        G.adjacency                     # built, so add_edge extends it
+        G.adjacency                     # built first, as extra_planar builds it
         for u, v in itertools.combinations(vs, 2):
             H = add_edge(G, u, v)
             assert list(H.adjacency.items()) == list(graph_from(vs, [*edges, (u, v)]).adjacency.items())

@@ -6,10 +6,12 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 
 import pytest
 
-from groupflow.errors import NotInKernel
+from groupflow import groupleak
+from groupflow.errors import InternalInvariantError, NotInKernel
 from groupflow.flows import GroupFlow, LeakVerdict, detect_leak, is_tractable
 from groupflow.graphs import edge_key
 from groupflow.groupleak import (
@@ -21,9 +23,11 @@ from groupflow.groupleak import (
     witness_flow_from_kernel,
 )
 from groupflow.groups import (
+    Subgroup,
     designated_central_involution,
     discrete_log,
     es_group,
+    group_from_cayley,
     maximal_abelian_subgroups,
     standard_group,
 )
@@ -86,6 +90,50 @@ def test_sym3_phi_injective_by_exhaustion():
             assert (diff in span) == (phi(D, g) == phi(D, other))
         images[g] = vec
     assert is_binary_leakproof_group(G, delta=D).injective
+
+
+def test_home_and_orders_index_the_blocks():
+    """home[g] is the first maximal abelian subgroup that contains g, and
+    orders[c] the order of column c's basis generator."""
+    for spec in ("quaternion", "es:2", "sym:4"):
+        G = standard_group(spec)
+        D = build_delta(G)
+        assert D.home == tuple(next(i for i, H in enumerate(D.subgroups) if g in H)
+                               for g in G.elements())
+        assert list(D.orders) == column_orders(D) and D.ncols == len(D.orders)
+
+
+def test_embed_and_phi_scans_search_no_subgroup(monkeypatch):
+    """Once alt:6's Delta is built, embedding every element and both phi
+    scans read each element's home and test no subgroup membership."""
+    G = standard_group("alt:6")
+    D = build_delta(G)
+    calls = []
+    contains = Subgroup.__contains__
+    monkeypatch.setattr(Subgroup, "__contains__", lambda H, g: calls.append(g) or contains(H, g))
+    for g in G.elements():
+        assert bool(D.embed(g)) == (g != G.identity)
+    assert is_leakproof_group(G, delta=D).leakproof
+    assert is_binary_leakproof_group(G, delta=D).injective
+    assert calls == []
+    assert G.identity in D.subgroups[0] and calls == [G.identity]
+
+
+@pytest.mark.parametrize("spec", ["sym:3", None])
+def test_build_delta_names_an_element_outside_every_subgroup(monkeypatch, spec):
+    """An element that no maximal abelian subgroup holds stops build_delta,
+    which names its stage, the element and the group; a group given by its
+    table alone has no spec."""
+    S3 = standard_group("sym:3")
+    G = group_from_cayley(S3.table, S3.names, spec=spec)
+    kept = maximal_abelian_subgroups(G)[:-1]
+    monkeypatch.setattr(groupleak, "maximal_abelian_subgroups", lambda _G: kept)
+    lost = min(set(G.elements()) - {g for H in kept for g in H.members})
+    label = spec or "a table group"
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^build_delta: element {re.escape(G.name(lost))} of {label} "
+                             r"lies in no maximal abelian subgroup$"):
+        build_delta(G)
 
 
 def test_relation_rows_recompute_mod_m():
@@ -430,6 +478,31 @@ def test_witness_flow_matches_two_form_oracle(spec):
     assert not v.leakproof
     _graph, flow = witness_flow_from_kernel(D, v.witness)
     assert flow.values == witness_values_two_forms(D, v.witness)
+
+
+def test_witness_names_a_flow_that_fails_recertification(monkeypatch):
+    G = es_group(2)
+    D = build_delta(G)
+    monkeypatch.setattr(groupleak, "detect_leak",
+                        lambda flow: LeakVerdict(LeakVerdict.CONSERVING))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^witness_flow_from_kernel: the flow for z in es:2 "
+                             r"failed re-certification$"):
+        witness_flow_from_kernel(D, G.index_of("z"))
+
+
+def test_witness_names_a_member_the_rows_do_not_express(monkeypatch):
+    """An element outside the kernel that gets past the kernel test is
+    expressed by no family of relation rows; the error names the stage, the
+    group and the element."""
+    G = standard_group("sym:4")
+    D = build_delta(G)
+    gamma = next(g for g in G.elements() if phi(D, g))
+    monkeypatch.setattr(HowellForm, "contains", lambda form, row: True)
+    with pytest.raises(InternalInvariantError,
+                       match=rf"^witness_flow_from_kernel: the relation rows of sym:4 do not "
+                             rf"express {re.escape(G.name(gamma))}, a kernel member$"):
+        witness_flow_from_kernel(D, gamma)
 
 
 def test_witness_builds_only_the_rows_it_absorbs(monkeypatch):

@@ -134,6 +134,25 @@ def test_disconnected_euler_per_component():
     assert euler_planar_check(embed(g))
 
 
+def test_orbits_are_walked_once_and_leave_equality_alone(monkeypatch):
+    """R.orbits is _face_orbits(R), walked on the first read only, however
+    often faces and euler_planar_check read it; two rotation systems with
+    the same rotation compare equal whether or not one has walked its
+    faces."""
+    g = graph_from(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    rotation = embed(g).rotation
+    walked = []
+    walk = planar._face_orbits
+    monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
+    R, S = RotationSystem(g, rotation), RotationSystem(g, rotation)
+    assert R == S and walked == []
+    assert faces(R) == faces(R) and len(faces(R)) == 4
+    assert euler_planar_check(R) and euler_planar_check(R)
+    assert [id(T) for T in walked] == [id(R)]
+    assert R.orbits == walk(S) and "orbits" not in vars(S)
+    assert R == S and S == R
+
+
 def test_face_orbits_and_euler_match_former_routines():
     """_face_orbits equals the sorted-dart next_neighbor walk orbit for
     orbit, and euler_planar_check the per-component count, on seeded random
@@ -659,13 +678,16 @@ def test_extra_planar_walks_each_checked_embedding_once(monkeypatch):
 
 
 def test_pool_entry_checks_its_own_faces(monkeypatch):
-    """A pool entry walks its embedding once and refuses one whose face
-    count misses V - E + F = 2k; the error names the pair it came from."""
-    R = embed(named_graph("cycle:4"))
+    """A pool entry walks a freshly built embedding once and refuses one
+    whose face count misses V - E + F = 2k; the error names the pair it
+    came from."""
+    c4 = named_graph("cycle:4")
+    rotation = embed(c4).rotation
     walked = []
     walk = planar._face_orbits
     monkeypatch.setattr(planar, "_face_orbits", lambda R: walked.append(R) or walk(R))
-    assert len(planar._PoolEntry(R, 4, 1).orbits) == 2 and walked == [R]
+    R = RotationSystem(c4, rotation)
+    assert len(planar._PoolEntry(R, 4, 1).orbits) == 2 and [id(S) for S in walked] == [id(R)]
     k4 = named_graph("complete:4")
     torus = RotationSystem(k4, {v: tuple(u for u in k4.vertices if u != v) for v in k4.vertices})
     for S, k in ((torus, 1), (R, 2)):
@@ -674,6 +696,7 @@ def test_pool_entry_checks_its_own_faces(monkeypatch):
             planar._PoolEntry(S, 4, k)
     with pytest.raises(InternalInvariantError, match=r"G plus \(1, 3\) without that edge failed"):
         planar._PoolEntry(R, 4, 2, (1, 3))
+    assert [id(S) for S in walked] == [id(R), id(torus)]
 
 
 def _lr_tested_pairs_match_lr(monkeypatch, graphs) -> int:
