@@ -42,7 +42,8 @@ from .howell import _prime_powers
 
 DEFAULT_MAX_ORDER = 5040
 MAX_TABLE_BYTES = 1 << 30       # the largest array a group builder may allocate
-_ASSOCIATIVITY_BLOCK_BYTES = 1 << 20    # the rows Light's test and the inverse search take at a time
+# the rows Light's test, the inverse search and the commuting graph take at a time
+_ASSOCIATIVITY_BLOCK_BYTES = 1 << 20
 
 
 def _square_table(table) -> np.ndarray:
@@ -266,11 +267,26 @@ class Subgroup:
 
     @property
     def is_abelian(self) -> bool:
-        if self.order == self.parent.order:
-            return self.parent.is_abelian
-        m = np.array(self.members)
-        T = self.parent.table[np.ix_(m, m)]
-        return bool(np.array_equal(T, T.T))
+        return _abelian_table(self) is not None
+
+
+def _abelian_table(H: Subgroup) -> Optional[np.ndarray]:
+    """H's own multiplication table, or None when H is not abelian.  Member
+    H.members[i] is label i, and entry [i, j] is the label of their
+    product.  For all of G it is G's table, read with G's cached
+    commutativity flag; otherwise one gather T[np.ix_(M, M)], checked for
+    symmetry and relabelled (a product outside H gets the label |H|, out of
+    range)."""
+    G = H.parent
+    if H.order == G.order:
+        return G.table if G.is_abelian else None
+    members = np.array(H.members)
+    table = G.table[np.ix_(members, members)]
+    if not np.array_equal(table, table.T):
+        return None
+    label = np.full(G.order, H.order, dtype=G.table.dtype)
+    label[members] = np.arange(H.order)
+    return label[table]
 
 
 def _right_closure(T: np.ndarray, reached: np.ndarray, gens: list[int]) -> None:
@@ -317,29 +333,19 @@ def _power_all(T: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         x = T[x, x]
 
 
-def _orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.ndarray:
-    """Order of each member modulo a subgroup K given as a mask: the least
-    k >= 1 with h^k in K, by one table lookup per power of each member whose
-    order is still unknown."""
-    f = np.zeros(members.size, dtype=np.int64)
-    todo = np.arange(members.size)
-    cur, k = members, 1
-    while todo.size:
-        hit = in_K[cur]
-        f[todo[hit]] = k
-        todo, cur = todo[~hit], cur[~hit]
-        cur, k = T[cur, members[todo]], k + 1
-    return f
-
-
 def _commuting_bitsets(G: FiniteGroup) -> list[int]:
+    """Each element a's neighbours in the commuting graph as an int bitset,
+    bit b set when ab = ba and b != a: one np.packbits of T == T.T, a block
+    of _ASSOCIATIVITY_BLOCK_BYTES of rows at a time."""
     T = G.table
+    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
     masks = []
-    for a in range(G.order):
-        row = T[a, :] == T[:, a]
-        row[a] = False
-        bits = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        masks.append(bits)
+    for start in range(0, G.order, rows):
+        block = T[start:start + rows] == T[:, start:start + rows].T
+        own = np.arange(len(block))
+        block[own, start + own] = False
+        packed = np.packbits(block, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return masks
 
 
@@ -361,7 +367,14 @@ def _maximal_cliques(neigh: list[int], n: int) -> list[int]:
                 out.append(r)
                 stack.pop()
                 continue
-            pivot = max(_bits(p | x), key=lambda u: (p & neigh[u]).bit_count())
+            # the first vertex of P | X with the most neighbours in P
+            pivot, most, rest = 0, -1, p | x
+            while rest:
+                bit = rest & -rest
+                u = bit.bit_length() - 1
+                if (count := (p & neigh[u]).bit_count()) > most:
+                    pivot, most = u, count
+                rest ^= bit
             candidates = p & ~neigh[pivot]
         if candidates == 0:
             stack.pop()
@@ -451,44 +464,70 @@ def abelian_basis(H: Subgroup) -> AbelianBasis:
     orders found satisfy e_(j+1) | e_j; the basis is returned reversed.
     This holds for any finite abelian group, so there is no split by
     primes.  The checks raise InternalInvariantError, naming what failed.
+
+    The loop runs on H's own table (``_abelian_table``, which also decides
+    that H is abelian), read one entry at a time through a memoryview: its
+    work follows |H|, not |G|, and its memory is that int32 table.
     """
-    if not H.is_abelian:
+    table = _abelian_table(H)
+    if table is None:
         raise NotAbelian(f"subgroup of order {H.order} is not abelian")
     G = H.parent
-    T = G.table
-    members = np.array(H.members)
-    # K in enumeration order: row r is prod g_j^(a_j) for the digits a_j of r
+    T = memoryview(table)
+    n, e = H.order, H.members.index(G.identity)
+    element_orders = G.element_orders()[list(H.members)]
+    # K in enumeration order: entry r is prod g_j^(a_j) for the digits a_j of r
     # in the mixed radix (e_i, ..., e_1), the newest generator's digit first
-    elems = np.array([G.identity])
-    pos = np.full(G.order, -1)                   # element -> row, -1 outside K
-    pos[G.identity] = 0
+    elems = [e]
+    pos = [-1] * n                               # label -> place in elems, -1 outside K
+    pos[e] = 0
     gens: list[int] = []
     orders: list[int] = []
-    f = G.element_orders()[members]              # orders in H/K while K = 1
-    while elems.size < members.size:
-        i = int(np.argmax(f))
-        x, fx = int(members[i]), int(f[i])
-        a = [int(aj) for aj in np.unravel_index(pos[G.power(x, fx)], orders[::-1])]
+    while len(elems) < n:
+        if not gens:                             # K = 1: orders in H/K are G's
+            x = int(np.argmax(element_orders))
+            fx = int(element_orders[x])
+        else:                                    # orders in H/K are at most e_i
+            fx = 1
+            for h in range(n):
+                k, cur = 1, h
+                while pos[cur] < 0:
+                    k += 1
+                    cur = T[cur, h]
+                if k > fx:
+                    x, fx = h, k
+                    if k == orders[-1]:
+                        break
+        y = x
+        for _ in range(fx - 1):
+            y = T[y, x]
+        r, a = pos[y], []                        # a_1, ..., a_(i-1): oldest digit first
+        for d in orders:
+            r, aj = divmod(r, d)
+            a.append(aj)
         if any(aj % fx for aj in a):
             raise InternalInvariantError(
-                f"abelian basis: x^{fx} has exponents {a} not divisible by {fx}")
-        for g, aj in zip(gens[::-1], a):
-            x = G.mul(x, G.power(g, -(aj // fx)))
+                f"abelian basis: x^{fx} has exponents {a[::-1]} not divisible by {fx}")
+        place = 1                                # the place value of g_j's digit
+        for d, aj in zip(orders, a):
+            x = T[x, elems[-(aj // fx) % d * place]]
+            place *= d
         # K + <x> enumerated as x^t k, t-major: t is the new leading digit
-        powers = np.array([G.power(x, t) for t in range(fx)])
-        elems = T[powers[:, None], elems[None, :]].ravel()
-        rows = np.arange(elems.size)
-        pos[elems] = rows
-        if (pos[elems] != rows).any():
-            raise InternalInvariantError("basis enumeration is not injective")
+        block = elems
+        for _ in range(fx - 1):
+            block = [T[x, k] for k in block]
+            for k in block:
+                if pos[k] >= 0:
+                    raise InternalInvariantError("basis enumeration is not injective")
+                pos[k] = len(elems)
+                elems.append(k)
         gens.append(x)
         orders.append(fx)
-        f = _orders_modulo(T, members, pos >= 0)
-    if elems.size != members.size or (pos[members] < 0).any():
+    if len(elems) != n or min(pos) < 0:
         raise InternalInvariantError("basis does not enumerate the subgroup")
-    digits = np.indices(orders[::-1]).reshape(len(orders), elems.size)
-    dlog = dict(zip(elems.tolist(), map(tuple, digits.T.tolist())))
-    return AbelianBasis(H, tuple(gens[::-1]), tuple(orders[::-1]), dlog)
+    members = H.members
+    dlog = dict(zip((members[k] for k in elems), itertools.product(*map(range, orders[::-1]))))
+    return AbelianBasis(H, tuple(members[x] for x in gens[::-1]), tuple(orders[::-1]), dlog)
 
 
 def discrete_log(B: AbelianBasis, g: int) -> tuple[int, ...]:

@@ -97,9 +97,10 @@ class RotationSystem:
         object.__setattr__(self, "rotation", rot)
 
     @cached_property
-    def orbits(self) -> list[list[tuple[Vertex, Vertex]]]:
-        """Every face orbit once, as ``_face_orbits`` walks them."""
-        return _face_orbits(self)
+    def orbits(self) -> tuple[tuple[tuple[Vertex, Vertex], ...], ...]:
+        """Every face orbit once, as ``_face_orbits`` walks them; tuples, so
+        that no reader can change the faces R counts later."""
+        return tuple(map(tuple, _face_orbits(self)))
 
 
 def _canonical_rotation(order: tuple[Vertex, ...]) -> tuple[Vertex, ...]:

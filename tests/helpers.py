@@ -6,10 +6,13 @@ oracle deletes edges and recounts components, and the abelian-subgroup
 oracle walks the subgroup lattice.  The pairwise relation rows are the
 group-leak decision's former construction, the unscaled presentation with
 its order rows is build_delta's former presentation of the glued group,
-the element-major chain tags
-are the order in which build_delta absorbed its chain rows before it took
-them pair by pair, the per-pair planarity loop is extra_planar's former
-construction, the whole-system build and full Euler
+the unpruned chain tags are build_delta's former tag set, with a chain for
+every cyclic subgroup that two maximal abelian subgroups share, the
+element-major chain tags are the order in which build_delta absorbed its
+chain rows before it took them pair by pair, the numpy greedy loop on G's
+whole table with orders_modulo is abelian_basis' former construction, the
+per-pair planarity loop is extra_planar's former construction, the
+whole-system build and full Euler
 check of every spliced embedding is extra_planar's former splice, and the
 exhaustive associativity loop is the group constructor's former check, the
 per-edge LR deletion loop is the Kuratowski extraction's former
@@ -58,6 +61,7 @@ from groupflow.errors import (
     GraphIsPlanar,
     GroupFlowError,
     InternalInvariantError,
+    NotAbelian,
     NotPlanarEmbedding,
     NotSubgraph,
     NotTractable,
@@ -84,6 +88,7 @@ from groupflow.graphs import (
 )
 from groupflow.groupleak import DeltaPresentation
 from groupflow.groups import (
+    AbelianBasis,
     FiniteGroup,
     Subgroup,
     _right_closure,
@@ -567,10 +572,12 @@ class UnscaledDelta(DeltaPresentation):
 
 def unscaled_delta(D) -> UnscaledDelta:
     """D's glued group presented as build_delta presented it before it
-    scaled its coordinates: the same subgroups, bases and chain tags, and a
-    Howell form of the order rows and the unscaled chain rows."""
+    scaled its coordinates and pruned its chains: the same subgroups and
+    bases, the unpruned chain tags, and a Howell form of the order rows and
+    the unscaled chain rows."""
     fields = {f.name: getattr(D, f.name) for f in dataclasses.fields(D)}
-    U = UnscaledDelta(**{**fields, "canonical": HowellForm(D.ncols, D.modulus)})
+    U = UnscaledDelta(**{**fields, "canonical": HowellForm(D.ncols, D.modulus),
+                         "pair_rows": tuple(unpruned_chain_tags(D.group, D.subgroups))})
     for row, _tag in U.relation_rows():
         U.canonical.add_row(row)
     return U
@@ -594,9 +601,11 @@ def pairwise_relation_rows(D) -> list:
     return rows
 
 
-def chain_tags_element_major(G: FiniteGroup, subgroups) -> list:
-    """The chain tags ((i_k, i_{k+1}), g) of ``groupleak._chain_tags`` in
-    element order: all of one generator's chain before the next one's."""
+def unpruned_chain_tags(G: FiniteGroup, subgroups) -> list:
+    """The chain tags ((i_k, i_{k+1}), g) of the least-index generator g of
+    every cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain
+    g, sorted by pair (j, i): ``groupleak._chain_tags`` before it skipped
+    the chains the lattice already has."""
     containing = [[] for _ in G.elements()]
     for i, H in enumerate(subgroups):
         for h in H.members:
@@ -613,7 +622,68 @@ def chain_tags_element_major(G: FiniteGroup, subgroups) -> list:
         seen.add(cyclic)
         chain = containing[g]
         tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
+    tags.sort(key=lambda tag: (tag[0][1], tag[0][0]))
     return tags
+
+
+def chain_tags_element_major(D) -> list:
+    """D's chain tags in element order, each generator's whole chain before
+    the next generator's: the order in which build_delta absorbed them
+    before it took them pair by pair."""
+    return sorted(D.pair_rows, key=lambda tag: (tag[1], tag[0]))
+
+
+def orders_modulo(T: np.ndarray, members: np.ndarray, in_K: np.ndarray) -> np.ndarray:
+    """Order of each member modulo a subgroup K given as a mask: the least
+    k >= 1 with h^k in K, by one table lookup per power of each member whose
+    order is still unknown."""
+    f = np.zeros(members.size, dtype=np.int64)
+    todo = np.arange(members.size)
+    cur, k = members, 1
+    while todo.size:
+        hit = in_K[cur]
+        f[todo[hit]] = k
+        todo, cur = todo[~hit], cur[~hit]
+        cur, k = T[cur, members[todo]], k + 1
+    return f
+
+
+def abelian_basis_by_numpy(H: Subgroup) -> AbelianBasis:
+    """abelian_basis' former loop: the same greedy rule and checks, run on
+    G's whole table with numpy arrays indexed by G's elements."""
+    if not H.is_abelian:
+        raise NotAbelian(f"subgroup of order {H.order} is not abelian")
+    G = H.parent
+    T = G.table
+    members = np.array(H.members)
+    elems = np.array([G.identity])
+    pos = np.full(G.order, -1)
+    pos[G.identity] = 0
+    gens, orders = [], []
+    f = G.element_orders()[members]
+    while elems.size < members.size:
+        i = int(np.argmax(f))
+        x, fx = int(members[i]), int(f[i])
+        a = [int(aj) for aj in np.unravel_index(pos[G.power(x, fx)], orders[::-1])]
+        if any(aj % fx for aj in a):
+            raise InternalInvariantError(
+                f"abelian basis: x^{fx} has exponents {a} not divisible by {fx}")
+        for g, aj in zip(gens[::-1], a):
+            x = G.mul(x, G.power(g, -(aj // fx)))
+        powers = np.array([G.power(x, t) for t in range(fx)])
+        elems = T[powers[:, None], elems[None, :]].ravel()
+        rows = np.arange(elems.size)
+        pos[elems] = rows
+        if (pos[elems] != rows).any():
+            raise InternalInvariantError("basis enumeration is not injective")
+        gens.append(x)
+        orders.append(fx)
+        f = orders_modulo(T, members, pos >= 0)
+    if elems.size != members.size or (pos[members] < 0).any():
+        raise InternalInvariantError("basis does not enumerate the subgroup")
+    digits = np.indices(orders[::-1]).reshape(len(orders), elems.size)
+    dlog = dict(zip(elems.tolist(), map(tuple, digits.T.tolist())))
+    return AbelianBasis(H, tuple(gens[::-1]), tuple(orders[::-1]), dlog)
 
 
 def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:

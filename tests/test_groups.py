@@ -38,6 +38,7 @@ from groupflow.groups import (
 )
 
 from helpers import (
+    abelian_basis_by_numpy,
     associative_by_exhaustion,
     central_product_by_cosets,
     centralizer,
@@ -49,6 +50,7 @@ from helpers import (
     light_mismatch_by_full_arrays,
     maximal_abelian_oracle,
     maximal_cliques_by_recursion,
+    orders_modulo,
     perm_names_by_cycle_walk,
     perm_table_by_searchsorted,
     quaternion_by_dictionary,
@@ -621,6 +623,17 @@ def test_maximal_abelian_vs_clique_oracle(spec):
     assert got == cliques
 
 
+@pytest.mark.parametrize("block_bytes", [1, 100, 1 << 20])
+def test_commuting_bitsets_in_blocks_match_each_pair(monkeypatch, block_bytes):
+    """Bit b of a's bitset is set exactly when ab = ba and b != a, however
+    many rows each packed block holds (one, a few, all)."""
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+    for spec in ("sym:4", "es:2", "dihedral:5", "product:cyclic:2,cyclic:3"):
+        G = standard_group(spec)
+        assert groups._commuting_bitsets(G) == [
+            sum(1 << b for b in G.elements() if b != a and G.commutes(a, b)) for a in G.elements()]
+
+
 def _cliques_match_recursive_oracle(G):
     neigh = groups._commuting_bitsets(G)
     cliques = groups._maximal_cliques(neigh, G.order)
@@ -724,10 +737,13 @@ def _relabelled(G, seed):
     return group_from_cayley(table, [G.names[inv[a]] for a in range(G.order)])
 
 
-@pytest.mark.parametrize("spec,seed", [(spec, None) for spec in BENCHMARK_GROUPS + [
+BASIS_SPECS = [(spec, None) for spec in BENCHMARK_GROUPS + [
     "cyclic:12", "product:cyclic:6,cyclic:10", "product:cyclic:4,product:cyclic:2,cyclic:8",
 ]] + [(spec, seed) for spec in ("product:cyclic:2,cyclic:4", "product:cyclic:4,cyclic:8",
-                                "product:cyclic:6,product:cyclic:2,cyclic:12") for seed in (1, 2, 3)])
+                                "product:cyclic:6,product:cyclic:2,cyclic:12") for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("spec,seed", BASIS_SPECS)
 def test_abelian_basis_matches_order_count_oracle(spec, seed):
     """On every maximal abelian subgroup H: the orders form a divisor chain
     with product |H|; each generator has its order, so the basis map is a
@@ -751,6 +767,18 @@ def test_abelian_basis_matches_order_count_oracle(spec, seed):
             if H.order % k == 0:
                 solutions = sum(G.power(h, k) == G.identity for h in H.members)
                 assert solutions == math.prod(math.gcd(k, d) for d in basis.orders), (H.members, k)
+
+
+@pytest.mark.parametrize("spec,seed", BASIS_SPECS + [("alt:7", None)])
+def test_abelian_basis_matches_numpy_oracle(spec, seed):
+    """The basis found on H's own table is the former loop's on G's whole
+    table: the same generators, orders and discrete logs on every maximal
+    abelian subgroup."""
+    G = standard_group(spec) if seed is None else _relabelled(standard_group(spec), seed)
+    for H in maximal_abelian_subgroups(G):
+        basis, oracle = abelian_basis(H), abelian_basis_by_numpy(H)
+        assert (basis.gens, basis.orders) == (oracle.gens, oracle.orders), H.members
+        assert basis.dlog == oracle.dlog
 
 
 def test_discrete_log_identity_and_unit():
@@ -844,7 +872,7 @@ def test_element_orders_match_power_oracle(spec):
     K = closure(G, [rng.randrange(G.order)])
     in_K = np.zeros(G.order, dtype=bool)
     in_K[list(K.members)] = True
-    assert (groups._orders_modulo(G.table, members, in_K).tolist()
+    assert (orders_modulo(G.table, members, in_K).tolist()
             == _orders_by_powers(G, members, in_K))
 
 
@@ -855,7 +883,7 @@ def test_element_orders_match_power_oracle(spec):
                                   "centprod:quaternion,dihedral:4", "cayley"])
 def test_element_orders_match_orders_modulo(spec, tmp_path):
     """The orders from the p-parts of |G| equal the least k with x^k = 1,
-    found one power at a time by _orders_modulo, on every family, on
+    found one power at a time by orders_modulo, on every family, on
     products and on a relabelled table read from a file."""
     if spec == "cayley":
         H = _relabelled(standard_group("product:sym:3,cyclic:4"), 5)
@@ -866,7 +894,7 @@ def test_element_orders_match_orders_modulo(spec, tmp_path):
     G = standard_group(spec)
     every = np.arange(G.order)
     assert (G.element_orders().tolist()
-            == groups._orders_modulo(G.table, every, every == G.identity).tolist())
+            == orders_modulo(G.table, every, every == G.identity).tolist())
 
 
 @pytest.mark.parametrize("spec", ["sym:4", "es:2", "product:cyclic:4,cyclic:6", "quaternion"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -135,10 +136,10 @@ def test_disconnected_euler_per_component():
 
 
 def test_orbits_are_walked_once_and_leave_equality_alone(monkeypatch):
-    """R.orbits is _face_orbits(R), walked on the first read only, however
-    often faces and euler_planar_check read it; two rotation systems with
-    the same rotation compare equal whether or not one has walked its
-    faces."""
+    """R.orbits is _face_orbits(R) as tuples, walked on the first read
+    only, however often faces and euler_planar_check read it; two rotation
+    systems with the same rotation compare equal whether or not one has
+    walked its faces."""
     g = graph_from(range(1, 7), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     rotation = embed(g).rotation
     walked = []
@@ -149,8 +150,22 @@ def test_orbits_are_walked_once_and_leave_equality_alone(monkeypatch):
     assert faces(R) == faces(R) and len(faces(R)) == 4
     assert euler_planar_check(R) and euler_planar_check(R)
     assert [id(T) for T in walked] == [id(R)]
-    assert R.orbits == walk(S) and "orbits" not in vars(S)
+    assert R.orbits == tuple(map(tuple, walk(S))) and "orbits" not in vars(S)
     assert R == S and S == R
+
+
+def test_orbits_cannot_be_changed_by_a_reader():
+    """R.orbits is a tuple of tuples: appending a face, changing a dart or
+    rebinding the attribute raises, and R's face count stays."""
+    g = graph_from(range(1, 4), [(1, 2), (2, 3), (1, 3)])
+    R = embed(g)
+    with pytest.raises(AttributeError):
+        R.orbits.append(())
+    with pytest.raises(TypeError):
+        R.orbits[0][0] = (3, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        R.orbits = ()
+    assert len(R.orbits) == len(faces(R)) == 2 and euler_planar_check(R)
 
 
 def test_face_orbits_and_euler_match_former_routines():
@@ -551,7 +566,7 @@ def _one_face_too_many(monkeypatch):
     class Miscounted(planar._PoolEntry):
         def __init__(self, *args):
             super().__init__(*args)
-            self.orbits.append([])
+            self.orbits = self.orbits + ((),)
     monkeypatch.setattr(planar, "_PoolEntry", Miscounted)
 
 
