@@ -80,9 +80,16 @@ class FiniteGroup:
     on a generating set).  Element orders and commutativity are computed
     then too, so instances are immutable after construction and safe to
     share.
+
+    ``generators`` is a hint for Light's test: element indices that a
+    builder knows to generate the group, tried before the greedy choice
+    (see ``_generating_set``).  It is never trusted: any element it leaves
+    unreached is still added as a generator, so a wrong or empty hint can
+    change only the cost of the check, never whether a table passes.
     """
 
-    def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None):
+    def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None,
+                 *, generators: Sequence[int] = ()):
         table = _square_table(table)
         n = table.shape[0]
         if len(names) != n:
@@ -100,7 +107,7 @@ class FiniteGroup:
         self.spec = spec
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        gens = self._check_associativity()
+        gens = self._check_associativity(generators)
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders = _element_orders(table, self.identity)
         # G is abelian exactly when the generators Light's test used commute
@@ -133,18 +140,18 @@ class FiniteGroup:
         inv.setflags(write=False)
         return inv
 
-    def _check_associativity(self) -> list[int]:
+    def _check_associativity(self, hint: Sequence[int] = ()) -> list[int]:
         """Light's test: (a g) b = a (g b) for all a, b and each generator g.
 
         The g that pass contain the identity and are closed under products,
         so when they generate the table the whole table is associative.
         Rows are compared a block of _ASSOCIATIVITY_BLOCK_BYTES at a time, so
         the test holds two such blocks, not two copies of the table.
-        Returns the generators.
+        Returns the generators, those of ``_generating_set(hint)``.
         """
         T = self.table
         rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
-        gens = self._generating_set()
+        gens = self._generating_set(hint)
         for g in gens:
             for start in range(0, self.order, rows):
                 block = T[start:start + rows]
@@ -155,12 +162,26 @@ class FiniteGroup:
                     raise NotAssociative(self.names[start + a], self.names[g], self.names[b])
         return gens
 
-    def _generating_set(self) -> list[int]:
-        """Greedy generators: each is the least element not yet reached from
-        the identity by right products of the ones before it."""
+    def _generating_set(self, hint: Sequence[int] = ()) -> list[int]:
+        """Generators that reach every element from the identity by right
+        products: first each element of hint that the ones before it have
+        not reached, then greedily the least element not yet reached.  The
+        hint is not trusted to generate anything, since the greedy rule
+        completes the set whatever it holds.  An entry that is not an element
+        index (a bool, a float, a negative or too large int) raises
+        ValueError."""
+        for h in hint:
+            if (isinstance(h, bool) or not isinstance(h, (int, np.integer))
+                    or not 0 <= h < self.order):
+                raise ValueError(f"generator hint {h!r} is not an element index "
+                                 f"below {self.order}")
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
         gens: list[int] = []
+        for h in hint:
+            if not reached[h]:
+                gens.append(int(h))
+                _right_closure(self.table, reached, gens)
         while not reached.all():
             gens.append(int(np.argmin(reached)))
             _right_closure(self.table, reached, gens)
@@ -623,7 +644,32 @@ def _cycle_name_and_parity(perm: tuple[int, ...]) -> tuple[str, int]:
     return "".join(parts) or "1", parity
 
 
+def _perm_generators(n: int, even_only: bool) -> list[tuple[int, ...]]:
+    """Two permutations of 0..n-1 that generate sym:n, or alt:n when
+    even_only: (1 2) and (1 2 ... n); or (1 2 3) with (1 2 ... n) for odd n
+    and (2 3 ... n) for even n (Coxeter & Moser); an empty list for the
+    trivial groups sym:1, alt:1 and alt:2."""
+    if n < (3 if even_only else 2):
+        return []
+    short = (1, 2, 0) if even_only else (1, 0)               # (1 2 3) or (1 2)
+    first = 1 if even_only and n % 2 == 0 else 0
+    return [short + tuple(range(len(short), n)),
+            (*range(first), *range(first + 1, n), first)]    # (first+1 first+2 ... n)
+
+
 def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
+    """sym:n, or alt:n when even_only, on the permutations of 0..n-1 in
+    lexicographic order, so the identity is element 0 and (p_a o p_b)(x) =
+    p_a[p_b[x]] is entry [a, b].
+
+    The table is filled by a walk over the Cayley graph of two generators g
+    (``_perm_generators``): the lexicographic base-n keys ascend, so one
+    np.searchsorted over them finds L_g[x], the index of g o p_x, for every
+    x at once.  Row 0 is the identity's, and each row a the walk reaches
+    gives the row of g o p_a as L_g[row a], level by level, a block of
+    _ASSOCIATIVITY_BLOCK_BYTES of rows at a time, so the table is the only
+    array of order ** 2 entries.  The same generators are FiniteGroup's
+    hint for Light's test."""
     perms, names = [], []
     for p in itertools.permutations(range(n)):
         name, parity = _cycle_name_and_parity(p)
@@ -633,14 +679,32 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
         names.append(name)
     P = np.array(perms, dtype=np.int64)
     powers = np.array([n ** (n - 1 - k) for k in range(n)], dtype=np.int64)
+    keys = P @ powers
     m = len(perms)
-    # index of each permutation by its base-n key (n ** n entries)
-    index = np.zeros(n ** n, dtype=np.int32)
-    index[P @ powers] = np.arange(m, dtype=np.int32)
-    table = np.zeros((m, m), dtype=np.int32)
-    for a in range(m):
-        table[a] = index[P[a][P] @ powers]   # (p_a o p_b)(x) = p_a[p_b[x]]
-    return FiniteGroup(table, names, spec=spec)
+    left = [np.searchsorted(keys, np.asarray(g)[P] @ powers).astype(np.int32)   # g o p_x
+            for g in _perm_generators(n, even_only)]
+    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * m))
+    table = np.empty((m, m), dtype=np.int32)
+    table[0] = np.arange(m)
+    reached = np.zeros(m, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int32)
+    while frontier.size:
+        level = []
+        for L in left:
+            child = L[frontier]
+            new = ~reached[child]
+            parent, child = frontier[new], child[new]
+            reached[child] = True
+            for start in range(0, child.size, rows):
+                block = slice(start, start + rows)
+                table[child[block]] = L[table[parent[block]]]
+            level.append(child)
+        frontier = np.concatenate([frontier[:0], *level])
+    if not reached.all():
+        raise InternalInvariantError(f"table build: the generators of {_clip(spec)} reach "
+                                     f"{int(reached.sum())} of its {m} permutations")
+    return FiniteGroup(table, names, spec=spec, generators=[int(L[0]) for L in left])
 
 
 def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str]) -> FiniteGroup:
@@ -797,11 +861,9 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
         n, order = _family_order(head, rest, max_order)
-        if head in ("sym", "alt"):
-            # the table, or the index of all n ** n words, whichever is larger
-            _check_size(order, 4 * max(order * order, n ** n), max_order)
-            return _perm_group(n, head == "alt", spec)
         _check_size(order, 4 * order * order, max_order)
+        if head in ("sym", "alt"):
+            return _perm_group(n, head == "alt", spec)
         return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
     if head == "quaternion":
         if rest:

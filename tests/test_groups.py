@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import os
 import random
 import re
 import time
@@ -17,6 +18,7 @@ import pytest
 from groupflow.errors import (
     CentreMismatch,
     DuplicateName,
+    InternalInvariantError,
     NoInverse,
     NotAbelian,
     NotAssociative,
@@ -87,21 +89,33 @@ _BUILTIN_SPECS_UP_TO_720 = (
 
 @pytest.mark.parametrize("spec", _BUILTIN_SPECS_UP_TO_720)
 def test_builtin_tables_pass_light_and_exhaustive_checks(spec):
+    """Also with a hint of only the identity, with duplicates, or of an
+    element x that generates a proper subgroup: the generating set still
+    reaches every element, and it starts with x once."""
     G = standard_group(spec)
     assert G.order <= 720
     G._check_associativity()
     assert associative_by_exhaustion(G.table)
     assert G.is_abelian == bool(np.array_equal(G.table, G.table.T))
-    gens = G._generating_set()
-    reached, frontier = {G.identity}, [G.identity]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.mul(x, g)
-            if y not in reached:
-                reached.add(y)
-                frontier.append(y)
-    assert reached == set(G.elements())
+    e, orders = G.identity, G.element_orders()
+    x = min(G.elements(), key=lambda g: (orders[g] == 1, orders[g]))   # least order above 1
+    assert closure(G, [x]).order < G.order or G.order in (1, 2, 97)
+    greedy = G._generating_set()
+    for hint in ((), (e,), (x, e, x, x), (x,)):
+        gens = G._generating_set(hint)
+        if x in hint and x != e:
+            assert gens[0] == x and gens.count(x) == 1
+        else:
+            assert gens == greedy
+        reached, frontier = {G.identity}, [G.identity]
+        while frontier:
+            a = frontier.pop()
+            for g in gens:
+                b = G.mul(a, g)
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+        assert reached == set(G.elements())
 
 
 def test_light_check_raises_exactly_on_non_associative_perturbations():
@@ -111,6 +125,7 @@ def test_light_check_raises_exactly_on_non_associative_perturbations():
     bases = [standard_group(s) for s in (
         "cyclic:4", "product:cyclic:2,cyclic:2", "dihedral:3", "quaternion", "alt:4",
         "dihedral:10", "es:2", "sym:4", "product:cyclic:3,alt:4", "alt:5", "cyclic:60")]
+    hint_rng = random.Random(2)
     raised = kept = 0
     for _ in range(300):
         G = rng.choice(bases)
@@ -125,16 +140,27 @@ def test_light_check_raises_exactly_on_non_associative_perturbations():
                                if e not in (a, b, T[a, b])])
             T[a, b] = rng.choice([c for c in range(n) if c not in (e, T[a, b])])
         names = [f"g{i}" for i in range(n)]
+        hint = [hint_rng.randrange(n) for _ in range(hint_rng.choice((1, 2, 3)))]
+        builds = (lambda: group_from_cayley(T, names),
+                  lambda: groups.FiniteGroup(T, names, generators=hint))
         if associative_by_exhaustion(T):
-            assert group_from_cayley(T, names).identity == e
+            assert all(build().identity == e for build in builds)
             kept += 1
             continue
-        with pytest.raises(NotAssociative) as info:
-            group_from_cayley(T, names)
-        a, g, b = (names.index(x) for x in info.value.triple)
-        assert T[T[a, g], b] != T[a, T[g, b]]
+        for build in builds:
+            with pytest.raises(NotAssociative) as info:
+                build()
+            a, g, b = (names.index(x) for x in info.value.triple)
+            assert T[T[a, g], b] != T[a, T[g, b]]
         raised += 1
     assert raised >= 100 and kept >= 30
+
+
+@pytest.mark.parametrize("hint", [[6], [-1], [True], [np.bool_(False)], [1.0], [1, 2, 99]])
+def test_generator_hint_must_be_element_indices(hint):
+    G = standard_group("sym:3")
+    with pytest.raises(ValueError):
+        groups.FiniteGroup(G.table, G.names, generators=hint)
 
 
 def test_light_check_in_blocks_reports_the_full_array_triple(monkeypatch):
@@ -474,6 +500,59 @@ def test_direct_product_table_is_its_only_order_squared_array(monkeypatch):
     assert np.array_equal(table, direct_product_by_int64(A, B, None).table)
 
 
+@pytest.mark.parametrize("n, even_only", [(6, False), (7, True)])
+def test_perm_table_is_its_only_order_squared_array(monkeypatch, n, even_only):
+    """The walk gathers rows a block at a time: the builder's peak traced
+    memory stays within the table plus 3 MiB.  alt:7 has levels larger than
+    a block, so there the blocks are what keeps it within the bound."""
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None, **kwargs: table)
+    tracemalloc.start()
+    try:
+        table = groups._perm_group(n, even_only, "perm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32
+    assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
+    assert np.array_equal(table, perm_table_by_searchsorted(n, even_only))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000])
+def test_perm_table_in_blocks_matches_oracle(monkeypatch, block_bytes):
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+    for n, even_only in ((5, False), (6, True)):
+        G = groups._perm_group(n, even_only, "perm")
+        assert np.array_equal(G.table, perm_table_by_searchsorted(n, even_only))
+
+
+@pytest.mark.parametrize("spec", [f"sym:{n}" for n in range(2, 7)]
+                         + [f"alt:{n}" for n in range(3, 8)])
+def test_light_check_runs_on_the_perm_builders_generators(monkeypatch, spec):
+    """sym:n is checked on (1 2) and (1 2 ... n); alt:n on (1 2 3) and
+    (1 2 ... n) or, for even n, (2 3 ... n)."""
+    head, n = spec.split(":")
+    n = int(n)
+    checked = []
+    check = groups.FiniteGroup._check_associativity
+
+    def recording_check(self, hint=()):
+        checked.append(check(self, hint))
+        return checked[-1]
+
+    monkeypatch.setattr(groups.FiniteGroup, "_check_associativity", recording_check)
+    G = groups._build_group(spec, groups.DEFAULT_MAX_ORDER)
+    cycles = (["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"] if head == "sym" else
+              ["(1 2 3)", "(" + " ".join(map(str, range(1 + (n % 2 == 0), n + 1))) + ")"])
+    assert [G.name(g) for g in checked[-1]] == list(dict.fromkeys(cycles))
+
+
+def test_perm_builder_names_a_walk_that_misses_elements(monkeypatch):
+    monkeypatch.setattr(groups, "_perm_generators", lambda n, even_only: [(1, 0, 2, 3)])
+    message = "table build: the generators of sym:4 reach 2 of its 24 permutations"
+    with pytest.raises(InternalInvariantError, match=message):
+        groups._build_group("sym:4", groups.DEFAULT_MAX_ORDER)
+
+
 def _oracle_group(spec: str):
     """The table and names of spec from the builders' former constructions."""
     head, _, rest = spec.partition(":")
@@ -500,11 +579,22 @@ def _oracle_group(spec: str):
 @pytest.mark.parametrize("spec", [f"dihedral:{n}" for n in range(1, 81)] + ["quaternion"]
                          + list(_CENTPROD_SPECS) + [f"{h}:{n}" for h in ("sym", "alt")
                                                     for n in range(1, 7)]
-                         + [f"es:{n}" for n in (1, 2, 3)] + list(_PRODUCT_SPECS))
+                         + ["alt:7"] + [f"es:{n}" for n in (1, 2, 3)] + list(_PRODUCT_SPECS))
 def test_builders_match_their_former_constructions(spec):
     G = standard_group(spec)
     table, names = _oracle_group(spec)
     assert G.table.dtype == np.int32
+    assert np.array_equal(G.table, table)
+    assert list(G.names) == names
+
+
+@pytest.mark.skipif(os.environ.get("GROUPFLOW_SKIP_SLOW") == "1",
+                    reason="GROUPFLOW_SKIP_SLOW=1 skips sym:7")
+def test_builders_match_their_former_constructions_slow():
+    """sym:7, the largest permutation group within DEFAULT_MAX_ORDER, built
+    without the spec cache so its 97 MiB table is not kept."""
+    G = groups._build_group("sym:7", groups.DEFAULT_MAX_ORDER)
+    table, names = _oracle_group("sym:7")
     assert np.array_equal(G.table, table)
     assert list(G.names) == names
 
