@@ -197,39 +197,24 @@ def _cmd_leak_witness(args) -> int:
     return 0
 
 
-def _cmd_group_leakproof(args) -> int:
+def _cmd_group(args) -> int:
     bound = args.max_size or DEFAULT_MAX_ORDER
     G = standard_group(args.group, max_order=bound)
     delta = build_delta(G, max_order=bound)
-    verdict = is_leakproof_group(G, delta=delta)
-    payload = {
-        "group": args.group,
-        "leakproof": verdict.leakproof,
-        "delta_invariant_factors": delta.invariant_factors(),
-    }
-    if not verdict.leakproof:
-        payload["witness"] = G.name(verdict.witness)
-    text = f"{args.group}: " + ("leak-proof" if verdict.leakproof
-                                else f"leaks at {G.name(verdict.witness)}")
-    _emit(args, payload, text)
-    return 0 if verdict.leakproof else 1
-
-
-def _cmd_group_binary_leakproof(args) -> int:
-    bound = args.max_size or DEFAULT_MAX_ORDER
-    G = standard_group(args.group, max_order=bound)
-    delta = build_delta(G, max_order=bound)
-    verdict = is_binary_leakproof_group(G, delta=delta)
-    payload = {
-        "group": args.group,
-        "binary_leakproof": verdict.injective,
-        "delta_invariant_factors": delta.invariant_factors(),
-    }
-    if not verdict.injective:
-        payload["collision"] = [G.name(x) for x in verdict.collision]
-    text = f"{args.group}: " + ("binary leak-proof" if verdict.injective else "not binary leak-proof")
-    _emit(args, payload, text)
-    return 0 if verdict.injective else 1
+    if args.command == "group-leakproof":
+        verdict = is_leakproof_group(G, delta=delta)
+        holds, key = verdict.leakproof, "leakproof"
+        found = {} if holds else {"witness": G.name(verdict.witness)}
+        text = "leak-proof" if holds else f"leaks at {G.name(verdict.witness)}"
+    else:
+        verdict = is_binary_leakproof_group(G, delta=delta)
+        holds, key = verdict.injective, "binary_leakproof"
+        found = {} if holds else {"collision": [G.name(x) for x in verdict.collision]}
+        text = "binary leak-proof" if holds else "not binary leak-proof"
+    payload = {"group": args.group, key: holds,
+               "delta_invariant_factors": delta.invariant_factors(), **found}
+    _emit(args, payload, f"{args.group}: {text}")
+    return 0 if holds else 1
 
 
 def _cmd_examples(args) -> int:
@@ -280,10 +265,8 @@ _COMMANDS = (
      _cmd_check_flow),
     ("leak-witness", "synthesize a leaking flow on a non-planar graph", (_GRAPH,),
      _cmd_leak_witness),
-    ("group-leakproof", "decide leak-proofness of a finite group", (_GROUP,),
-     _cmd_group_leakproof),
-    ("group-binary-leakproof", "decide binary leak-proofness", (_GROUP,),
-     _cmd_group_binary_leakproof),
+    ("group-leakproof", "decide leak-proofness of a finite group", (_GROUP,), _cmd_group),
+    ("group-binary-leakproof", "decide binary leak-proofness", (_GROUP,), _cmd_group),
     ("examples", "emit one of the bundled example flows",
      ((("which",), {"choices": ("k33", "k5", "k33minus")}),), _cmd_examples),
 )

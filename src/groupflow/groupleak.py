@@ -263,40 +263,37 @@ def phi(D: DeltaPresentation, gamma: int) -> tuple[tuple[int, int], ...]:
 class LeakproofVerdict:
     leakproof: bool
     witness: Optional[int] = None          # some gamma != 1 with phi(gamma) = 0
-    delta: Optional[DeltaPresentation] = None
 
 
 @dataclass(frozen=True)
 class InjectivityVerdict:
     injective: bool
     collision: Optional[tuple[int, int]] = None
-    delta: Optional[DeltaPresentation] = None
 
 
-def is_leakproof_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER,
-                       delta: Optional[DeltaPresentation] = None) -> LeakproofVerdict:
+def is_leakproof_group(G: FiniteGroup, delta: Optional[DeltaPresentation] = None) -> LeakproofVerdict:
     """LeakProof when phi has trivial kernel fiber; else the first
     nonidentity element mapping to zero."""
-    D = delta or build_delta(G, max_order)
+    D = delta or build_delta(G)
     for gamma in G.elements():
         if gamma == G.identity:
             continue
         if not phi(D, gamma):
-            return LeakproofVerdict(False, witness=gamma, delta=D)
-    return LeakproofVerdict(True, delta=D)
+            return LeakproofVerdict(False, witness=gamma)
+    return LeakproofVerdict(True)
 
 
-def is_binary_leakproof_group(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER,
+def is_binary_leakproof_group(G: FiniteGroup,
                               delta: Optional[DeltaPresentation] = None) -> InjectivityVerdict:
     """Injective phi (all normal forms pairwise distinct) or a colliding pair."""
-    D = delta or build_delta(G, max_order)
+    D = delta or build_delta(G)
     seen: dict[tuple[tuple[int, int], ...], int] = {}
     for gamma in G.elements():
         key = phi(D, gamma)
         if key in seen:
-            return InjectivityVerdict(False, collision=(seen[key], gamma), delta=D)
+            return InjectivityVerdict(False, collision=(seen[key], gamma))
         seen[key] = gamma
-    return InjectivityVerdict(True, delta=D)
+    return InjectivityVerdict(True)
 
 
 def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",

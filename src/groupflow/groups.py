@@ -20,7 +20,6 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -66,7 +65,9 @@ def _square_table(table) -> np.ndarray:
              else set(map(type, itertools.chain.from_iterable(table))))
     if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
         raise ParseError("table entries must be integers")
-    if arr.min() < 0 or arr.max() >= n:
+    # an int64 or uint64 array is checked as given: its cast to int32 wraps
+    checked = table if isinstance(table, np.ndarray) and table.itemsize > 4 else arr
+    if checked.min() < 0 or checked.max() >= n:
         raise ParseError("table entries out of range")
     return arr
 
@@ -729,19 +730,27 @@ def designated_central_involution(G: FiniteGroup) -> Optional[int]:
 
 
 def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
+    """A x B modulo (za, zb), the factors' central involutions: the least
+    member of each coset {x, x (za, zb)}, in A x B's order and with its
+    names, (a, b) being a * |B| + b.  Products are gathered from A's and B's
+    tables a block of _ASSOCIATIVITY_BLOCK_BYTES of rows at a time."""
     za = designated_central_involution(A)
     zb = designated_central_involution(B)
     if za is None or zb is None:
         raise CentreMismatch("central product needs a unique central involution in each factor")
-    prod = _direct_product(A, B, spec=None)
-    # each coset {x, x (za, zb)} is represented by its least member
-    x = np.arange(prod.order, dtype=np.int32)
-    rep = np.minimum(x, prod.table[:, za * B.order + zb])
-    is_rep = rep == x
-    reps = x[is_rep]
-    pos = np.cumsum(is_rep, dtype=np.int32) - 1          # representative -> its index
-    table = pos[rep[prod.table[np.ix_(reps, reps)]]]
-    names = [prod.names[r] for r in reps.tolist()]
+    nb = B.order
+    x = np.arange(A.order * nb, dtype=np.int32)
+    rep = np.minimum(x, (A.table[:, za, None] * nb + B.table[:, zb]).ravel())
+    coset = (np.cumsum(rep == x, dtype=np.int32) - 1)[rep]      # x -> its coset's index
+    ra, rb = np.divmod(x[rep == x], nb)
+    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * ra.size))
+    table = np.empty((ra.size, ra.size), dtype=np.int32)
+    for start in range(0, ra.size, rows):
+        prod = A.table[np.ix_(ra[start:start + rows], ra)]
+        prod *= nb
+        prod += B.table[np.ix_(rb[start:start + rows], rb)]
+        table[start:start + rows] = coset[prod]
+    names = [f"({A.names[a]},{B.names[b]})" for a, b in zip(ra.tolist(), rb.tolist())]
     return FiniteGroup(table, names, spec=spec)
 
 
@@ -753,34 +762,49 @@ def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
 
 
 def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
+    """A cayley: file: the order n, a line of n names, then n rows of n
+    entries, with blank lines anywhere.  The order meets _check_size before
+    any other line is read; np.loadtxt reads the rows into the int32 table a
+    block of _ASSOCIATIVITY_BLOCK_BYTES at a time, so no entry becomes a Python int."""
     if not path:
         raise ParseError("cayley:<path> needs a file path")
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            lines = (ln for ln in f if not ln.isspace())
+            order_line = next(lines, "").strip()
+            if not order_line:
+                raise ParseError(f"empty cayley file {_clip(path)}")
+            if not order_line.isdecimal():
+                raise ParseError("cayley file: first line must be the order")
+            # an order of at most 18 digits is named in full when it is refused
+            n = int(order_line) if len(order_line) <= 18 else _bounded_int(order_line, max_order)
+            _check_size(n, max_order)
+            names_line = next(lines, None)
+            if names_line is None:
+                raise ParseError("cayley file: truncated")
+            names = names_line.split()
+            if len(names) != n:
+                raise ParseError(f"cayley file: expected {n} names, got {len(names)}")
+            table = np.empty((n, n), dtype=np.int32)
+            rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * n))
+            for start in range(0, n, rows):
+                block = list(itertools.islice(lines, min(rows, n - start)))
+                if len(block) < min(rows, n - start):
+                    raise ParseError("cayley file: truncated")
+                try:        # reshape refuses rows of a wrong width, which ndmin=2 passes
+                    table[start:start + rows] = np.loadtxt(
+                        block, dtype=np.int32, comments=None, ndmin=2).reshape(len(block), n)
+                except ValueError:
+                    tokens = [ln.split() for ln in block]
+                    if any(len(row) != n for row in tokens):
+                        raise ParseError("cayley file: row width mismatch") from None
+                    if all(re.fullmatch(r"[+-]?[0-9]+", t) for row in tokens for t in row):
+                        raise ParseError("table entries out of range") from None   # beyond int32
+                    raise ParseError("cayley file: table entries must be integers") from None
     except (OSError, UnicodeDecodeError) as exc:   # an OSError's text repeats the path
         reason = getattr(exc, "strerror", None) or exc
         raise ParseError(f"cannot read cayley file {_clip(path)}: {reason}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"empty cayley file {_clip(path)}")
-    order_line = lines[0].strip()
-    if not order_line.isdecimal():
-        raise ParseError("cayley file: first line must be the order")
-    # an order of at most 18 digits is named in full when it is refused
-    n = int(order_line) if len(order_line) <= 18 else _bounded_int(order_line, max_order)
-    _check_size(n, 4 * n * n, max_order)
-    if len(lines) < 2 + n:
-        raise ParseError("cayley file: truncated")
-    names = lines[1].split()
-    if len(names) != n:
-        raise ParseError(f"cayley file: expected {n} names, got {len(names)}")
-    try:
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[2:2 + n]]
-    except ValueError:
-        raise ParseError("cayley file: table entries must be integers") from None
-    if any(len(row) != n for row in rows):
-        raise ParseError("cayley file: row width mismatch")
-    return group_from_cayley(rows, names, spec=f"cayley:{path}")
+    return group_from_cayley(table, names, spec=f"cayley:{path}")
 
 
 _SPEC_TOKEN = re.compile(r"(product:|centprod:)|(?:cyclic|dihedral|sym|alt|es):\d+"
@@ -847,12 +871,12 @@ def _bounded_int(digits: str, max_order: int) -> int:
     return int(digits or "0")
 
 
-def _check_size(order: int, nbytes: int, max_order: int) -> None:
+def _check_size(order: int, max_order: int) -> None:
     """TooLarge, before anything is allocated, when order is above max_order
-    or the largest array its builder makes takes more than MAX_TABLE_BYTES."""
+    or its int32 table, every builder's largest array, is above MAX_TABLE_BYTES."""
     if order > max_order:
         raise TooLarge(order, max_order)
-    if nbytes > MAX_TABLE_BYTES:
+    if (nbytes := 4 * order * order) > MAX_TABLE_BYTES:
         raise TooLarge(order, max_order, f"order {order} needs a {nbytes}-byte array, above "
                                          f"the table-memory bound of {MAX_TABLE_BYTES} bytes")
 
@@ -861,7 +885,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
         n, order = _family_order(head, rest, max_order)
-        _check_size(order, 4 * order * order, max_order)
+        _check_size(order, max_order)
         if head in ("sym", "alt"):
             return _perm_group(n, head == "alt", spec)
         return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
@@ -875,13 +899,8 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
             raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
         A = standard_group(rest[:end], max_order)
         B = standard_group(rest[end + 1:], max_order)
-        order = A.order * B.order
-        # both build the direct product's int32 table
-        if head == "product":
-            _check_size(order, 4 * order * order, max_order)
-            return _direct_product(A, B, spec)
-        _check_size(order // 2, 4 * order * order, max_order)
-        return _central_product(A, B, spec)
+        _check_size(A.order * B.order // (1 if head == "product" else 2), max_order)
+        return (_direct_product if head == "product" else _central_product)(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)
     raise ParseError(f"unknown group spec {_clip(spec)!r}")

@@ -230,8 +230,7 @@ def flow_from_json(data: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupFlow:
         if (not isinstance(spec, dict) or not isinstance(spec.get("table"), list)
                 or not isinstance(spec.get("names"), list)):
             raise ParseError("flow JSON 'group_table' needs 'table' and 'names' lists")
-        n = len(spec["names"])
-        _check_size(n, 4 * n * n, max_order)
+        _check_size(len(spec["names"]), max_order)
         group = group_from_cayley(spec["table"], [str(nm) for nm in spec["names"]])
     else:
         raise ParseError("flow JSON needs 'group' or 'group_table'")

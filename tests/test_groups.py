@@ -240,8 +240,12 @@ def test_non_integer_table_entries_are_refused(table):
 
 
 def test_table_entry_beyond_int32_is_out_of_range():
-    with pytest.raises(ParseError, match="table entries out of range"):
-        group_from_cayley([[0, 10**12], [1, 0]], ["a", "b"])
+    """Also in an int64 or uint64 array, whose cast to int32 would wrap
+    these entries to 1 and 0, the table of cyclic:2."""
+    for table in ([[0, 10**12], [1, 0]], np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64),
+                  np.array([[2**33, 1], [1, 0]], dtype=np.uint64)):
+        with pytest.raises(ParseError, match="table entries out of range"):
+            group_from_cayley(table, ["a", "b"])
 
 
 def test_duplicate_names():
@@ -515,6 +519,93 @@ def test_perm_table_is_its_only_order_squared_array(monkeypatch, n, even_only):
     assert table.dtype == np.int32
     assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
     assert np.array_equal(table, perm_table_by_searchsorted(n, even_only))
+
+
+def test_central_product_table_is_its_only_order_squared_array(monkeypatch):
+    """No direct product is built: the representatives' products are
+    gathered from the factors' tables a block at a time, so the builder's
+    peak traced memory stays within the table plus 3 MiB."""
+    A, B = standard_group("dihedral:4"), standard_group("cyclic:360")
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None: table)
+    tracemalloc.start()
+    try:
+        table = groups._central_product(A, B, "centprod")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32 and table.shape == (1440, 1440)
+    assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
+
+
+def test_cayley_table_is_its_only_order_squared_array(monkeypatch, tmp_path):
+    """The rows go into the int32 table a block at a time, with no list of
+    lines and no Python int per entry: the reader's peak traced memory,
+    with the table's own validation, stays within the table plus 3 MiB."""
+    G = standard_group("dihedral:360")
+    path = tmp_path / "d360.txt"
+    with open(path, "w") as f:
+        f.write(f"{G.order}\n{' '.join(G.names)}\n")
+        np.savetxt(f, G.table, fmt="%d")
+    monkeypatch.setattr(groups, "FiniteGroup",
+                        lambda table, names, spec=None: groups._square_table(table))
+    tracemalloc.start()
+    try:
+        table = groups._parse_cayley_file(str(path), groups.DEFAULT_MAX_ORDER)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32
+    assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
+    assert np.array_equal(table, G.table)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, groups._ASSOCIATIVITY_BLOCK_BYTES])
+def test_cayley_file_in_blocks_names_each_defect(tmp_path, monkeypatch, block_bytes):
+    """Read one row, four rows or the whole table at a time, a file with
+    blank lines anywhere reads back to its table, and a defect in any row
+    raises the message that names it: 1_000 and a non-ASCII digit are not
+    integers, and 10^12 and 10^30 are out of range."""
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+    G = standard_group("dihedral:3")
+    rows = [" ".join(map(str, row)) for row in G.table.tolist()]
+    path = tmp_path / "d3.txt"
+
+    def read(lines):
+        path.write_text("\n".join(lines) + "\n")
+        return standard_group(f"cayley:{path}")
+
+    head = ["6", " ".join(G.names)]
+    G2 = read(["", head[0], " ", head[1], *rows[:4], "\t", *rows[4:], ""])
+    assert np.array_equal(G2.table, G.table) and G2.names == G.names
+    for k in (0, 3, 4, 5):
+        with pytest.raises(ParseError, match="^cayley file: truncated$"):
+            read(head + rows[:k])
+    width, integers = "cayley file: row width mismatch", "cayley file: table entries must be integers"
+    last_entry = {"": width, "0 0": width,
+                  **dict.fromkeys(("x", "1.5", "0x1", "1_000", "\u0661"), integers),
+                  **dict.fromkeys(("6", "-1", str(10 ** 12), str(10 ** 30)),
+                                  "table entries out of range")}
+    for entry, message in last_entry.items():
+        for i in (0, 3, 5):
+            bad = rows[:i] + [rows[i].rsplit(" ", 1)[0] + " " + entry] + rows[i + 1:]
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                read(head + bad)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000])
+def test_central_product_in_blocks_matches_oracle(monkeypatch, block_bytes):
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", block_bytes)
+    for a, b in (("quaternion", "dihedral:4"), ("dihedral:6", "cyclic:2"), ("es:1", "es:2")):
+        A, B = standard_group(a), standard_group(b)
+        G, O = groups._central_product(A, B, "c"), central_product_by_cosets(A, B, "c")
+        assert np.array_equal(G.table, O.table) and G.names == O.names
+
+
+def test_central_product_is_held_to_its_own_table_bytes(monkeypatch):
+    """Order 10,000 needs a 400 MB table, so a large bound admits it, though
+    its direct product's table would take 1.6 GB."""
+    monkeypatch.setattr(groups, "_central_product", lambda A, B, spec: (A.order, B.order))
+    assert groups._build_group("centprod:dihedral:100,dihedral:50", 10 ** 6) == (200, 100)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000])

@@ -528,14 +528,6 @@ def _splices_checked_by_full_oracle(monkeypatch) -> list:
     return spliced
 
 
-def test_splices_match_full_check_oracle_up_to_6_vertices(monkeypatch):
-    spliced = _splices_checked_by_full_oracle(monkeypatch)
-    for n in range(1, 7):
-        for g in all_labeled_graphs(n):
-            extra_planar(g)
-    assert len(spliced) > 100_000
-
-
 def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
     """Sparse graphs with isolated vertices and several components, so that
     both splice kinds and isolated endpoints occur.  A spliced graph's
@@ -737,9 +729,14 @@ def _lr_tested_pairs_match_lr(monkeypatch, graphs) -> int:
     return tested
 
 
-def test_lr_tested_pairs_keep_lr_rotation_up_to_6_vertices(monkeypatch):
+def test_splices_and_lr_tested_pairs_match_oracles_up_to_6_vertices(monkeypatch):
+    """One sweep of every graph with at most 6 vertices, with both checks
+    installed: each splice against ``splice_by_full_check``, and each
+    LR-tested pair against LR's own rotation system."""
+    spliced = _splices_checked_by_full_oracle(monkeypatch)
     graphs = (g for n in range(1, 7) for g in all_labeled_graphs(n))
     assert _lr_tested_pairs_match_lr(monkeypatch, graphs) > 10_000
+    assert len(spliced) > 100_000
 
 
 def test_lr_tested_pairs_keep_lr_rotation_sampled_7_to_12_vertices(monkeypatch):
