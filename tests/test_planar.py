@@ -729,14 +729,28 @@ def _lr_tested_pairs_match_lr(monkeypatch, graphs) -> int:
     return tested
 
 
-def test_splices_and_lr_tested_pairs_match_oracles_up_to_6_vertices(monkeypatch):
+@pytest.fixture(scope="module")
+def sweep_up_to_6_vertices():
     """One sweep of every graph with at most 6 vertices, with both checks
     installed: each splice against ``splice_by_full_check``, and each
-    LR-tested pair against LR's own rotation system."""
-    spliced = _splices_checked_by_full_oracle(monkeypatch)
-    graphs = (g for n in range(1, 7) for g in all_labeled_graphs(n))
-    assert _lr_tested_pairs_match_lr(monkeypatch, graphs) > 10_000
-    assert len(spliced) > 100_000
+    LR-tested pair against LR's own rotation system.  Returns the number of
+    splices and of LR-tested pairs; a failed check fails both tests that
+    read the sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        spliced = _splices_checked_by_full_oracle(mp)
+        graphs = (g for n in range(1, 7) for g in all_labeled_graphs(n))
+        tested = _lr_tested_pairs_match_lr(mp, graphs)
+    return len(spliced), tested
+
+
+def test_splices_match_full_check_oracle_up_to_6_vertices(sweep_up_to_6_vertices):
+    spliced, _ = sweep_up_to_6_vertices
+    assert spliced > 100_000
+
+
+def test_lr_tested_pairs_keep_lr_rotation_up_to_6_vertices(sweep_up_to_6_vertices):
+    _, tested = sweep_up_to_6_vertices
+    assert tested > 10_000
 
 
 def test_lr_tested_pairs_keep_lr_rotation_sampled_7_to_12_vertices(monkeypatch):
