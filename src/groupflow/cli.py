@@ -197,24 +197,33 @@ def _cmd_leak_witness(args) -> int:
     return 0
 
 
-def _cmd_group(args) -> int:
+def _cmd_group(args, key: str, decide) -> int:
+    """Build args.group and its Δ under the --max-size bound and emit whether
+    the group has the property key; decide(G, delta) gives that, the
+    witness fields when it has not, and the text verdict."""
     bound = args.max_size or DEFAULT_MAX_ORDER
     G = standard_group(args.group, max_order=bound)
     delta = build_delta(G, max_order=bound)
-    if args.command == "group-leakproof":
-        verdict = is_leakproof_group(G, delta=delta)
-        holds, key = verdict.leakproof, "leakproof"
-        found = {} if holds else {"witness": G.name(verdict.witness)}
-        text = "leak-proof" if holds else f"leaks at {G.name(verdict.witness)}"
-    else:
-        verdict = is_binary_leakproof_group(G, delta=delta)
-        holds, key = verdict.injective, "binary_leakproof"
-        found = {} if holds else {"collision": [G.name(x) for x in verdict.collision]}
-        text = "binary leak-proof" if holds else "not binary leak-proof"
+    holds, found, text = decide(G, delta)
     payload = {"group": args.group, key: holds,
                "delta_invariant_factors": delta.invariant_factors(), **found}
     _emit(args, payload, f"{args.group}: {text}")
     return 0 if holds else 1
+
+
+def _leakproof_verdict(G, delta) -> tuple[bool, dict, str]:
+    verdict = is_leakproof_group(G, delta=delta)
+    if verdict.leakproof:
+        return True, {}, "leak-proof"
+    witness = G.name(verdict.witness)
+    return False, {"witness": witness}, f"leaks at {witness}"
+
+
+def _binary_leakproof_verdict(G, delta) -> tuple[bool, dict, str]:
+    verdict = is_binary_leakproof_group(G, delta=delta)
+    if verdict.injective:
+        return True, {}, "binary leak-proof"
+    return False, {"collision": [G.name(x) for x in verdict.collision]}, "not binary leak-proof"
 
 
 def _cmd_examples(args) -> int:
@@ -265,8 +274,10 @@ _COMMANDS = (
      _cmd_check_flow),
     ("leak-witness", "synthesize a leaking flow on a non-planar graph", (_GRAPH,),
      _cmd_leak_witness),
-    ("group-leakproof", "decide leak-proofness of a finite group", (_GROUP,), _cmd_group),
-    ("group-binary-leakproof", "decide binary leak-proofness", (_GROUP,), _cmd_group),
+    ("group-leakproof", "decide leak-proofness of a finite group", (_GROUP,),
+     lambda args: _cmd_group(args, "leakproof", _leakproof_verdict)),
+    ("group-binary-leakproof", "decide binary leak-proofness", (_GROUP,),
+     lambda args: _cmd_group(args, "binary_leakproof", _binary_leakproof_verdict)),
     ("examples", "emit one of the bundled example flows",
      ((("which",), {"choices": ("k33", "k5", "k33minus")}),), _cmd_examples),
 )

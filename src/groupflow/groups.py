@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -65,8 +66,9 @@ def _square_table(table) -> np.ndarray:
              else set(map(type, itertools.chain.from_iterable(table))))
     if not all(issubclass(t, (int, np.integer)) and t is not bool for t in types):
         raise ParseError("table entries must be integers")
-    # an int64 or uint64 array is checked as given: its cast to int32 wraps
-    checked = table if isinstance(table, np.ndarray) and table.itemsize > 4 else arr
+    # int64 or uint64 entries, in an array or a list, wrap in the cast to int32
+    wide = any(issubclass(t, np.integer) and np.dtype(t).itemsize > 4 for t in types)
+    checked = np.asarray(table) if wide else arr
     if checked.min() < 0 or checked.max() >= n:
         raise ParseError("table entries out of range")
     return arr
@@ -718,8 +720,12 @@ def _direct_product(A: FiniteGroup, B: FiniteGroup, spec: Optional[str]) -> Fini
     table *= nb
     table += B.table[None, :, None, :]
     table = table.reshape(na * nb, na * nb)
-    names = [f"({A.names[a]},{B.names[b]})" for a in range(na) for b in range(nb)]
-    return FiniteGroup(table, names, spec=spec)
+    return FiniteGroup(table, _product_names(A, B), spec=spec)
+
+
+def _product_names(A: FiniteGroup, B: FiniteGroup) -> list[str]:
+    """The names of A x B's elements, (a, b) at index a * |B| + b."""
+    return [f"({a},{b})" for a in A.names for b in B.names]
 
 
 def designated_central_involution(G: FiniteGroup) -> Optional[int]:
@@ -742,7 +748,8 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     x = np.arange(A.order * nb, dtype=np.int32)
     rep = np.minimum(x, (A.table[:, za, None] * nb + B.table[:, zb]).ravel())
     coset = (np.cumsum(rep == x, dtype=np.int32) - 1)[rep]      # x -> its coset's index
-    ra, rb = np.divmod(x[rep == x], nb)
+    reps = x[rep == x]
+    ra, rb = np.divmod(reps, nb)
     rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * ra.size))
     table = np.empty((ra.size, ra.size), dtype=np.int32)
     for start in range(0, ra.size, rows):
@@ -750,8 +757,8 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
         prod *= nb
         prod += B.table[np.ix_(rb[start:start + rows], rb)]
         table[start:start + rows] = coset[prod]
-    names = [f"({A.names[a]},{B.names[b]})" for a, b in zip(ra.tolist(), rb.tolist())]
-    return FiniteGroup(table, names, spec=spec)
+    names = _product_names(A, B)
+    return FiniteGroup(table, [names[r] for r in reps.tolist()], spec=spec)
 
 
 def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
@@ -791,10 +798,14 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
                 block = list(itertools.islice(lines, min(rows, n - start)))
                 if len(block) < min(rows, n - start):
                     raise ParseError("cayley file: truncated")
-                try:        # reshape refuses rows of a wrong width, which ndmin=2 passes
-                    table[start:start + rows] = np.loadtxt(
-                        block, dtype=np.int32, comments=None, ndmin=2).reshape(len(block), n)
-                except ValueError:
+                # reshape refuses rows of a wrong width, which ndmin=2 passes; numpy
+                # 1.23 to 1.26 only warn when they read a float into an int column
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", DeprecationWarning)
+                        table[start:start + rows] = np.loadtxt(
+                            block, dtype=np.int32, comments=None, ndmin=2).reshape(len(block), n)
+                except (ValueError, DeprecationWarning):
                     tokens = [ln.split() for ln in block]
                     if any(len(row) != n for row in tokens):
                         raise ParseError("cayley file: row width mismatch") from None
@@ -876,7 +887,8 @@ def _check_size(order: int, max_order: int) -> None:
     or its int32 table, every builder's largest array, is above MAX_TABLE_BYTES."""
     if order > max_order:
         raise TooLarge(order, max_order)
-    if (nbytes := 4 * order * order) > MAX_TABLE_BYTES:
+    nbytes = 4 * order * order
+    if nbytes > MAX_TABLE_BYTES:
         raise TooLarge(order, max_order, f"order {order} needs a {nbytes}-byte array, above "
                                          f"the table-memory bound of {MAX_TABLE_BYTES} bytes")
 
@@ -899,8 +911,11 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
             raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
         A = standard_group(rest[:end], max_order)
         B = standard_group(rest[end + 1:], max_order)
-        _check_size(A.order * B.order // (1 if head == "product" else 2), max_order)
-        return (_direct_product if head == "product" else _central_product)(A, B, spec)
+        if head == "product":
+            _check_size(A.order * B.order, max_order)
+            return _direct_product(A, B, spec)
+        _check_size(A.order * B.order // 2, max_order)
+        return _central_product(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)
     raise ParseError(f"unknown group spec {_clip(spec)!r}")

@@ -10,6 +10,7 @@ import random
 import re
 import time
 import tracemalloc
+import warnings
 
 import networkx as nx
 import numpy as np
@@ -240,10 +241,13 @@ def test_non_integer_table_entries_are_refused(table):
 
 
 def test_table_entry_beyond_int32_is_out_of_range():
-    """Also in an int64 or uint64 array, whose cast to int32 would wrap
-    these entries to 1 and 0, the table of cyclic:2."""
-    for table in ([[0, 10**12], [1, 0]], np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64),
-                  np.array([[2**33, 1], [1, 0]], dtype=np.uint64)):
+    """Also in an int64 or uint64 array, a list of its rows or a list of
+    lists of its entries, whose cast to int32 would wrap these entries to 1
+    and 0, the table of cyclic:2."""
+    wide = (np.array([[0, 2**32 + 1], [1, 0]], dtype=np.int64),
+            np.array([[2**33, 1], [1, 0]], dtype=np.uint64))
+    for table in ([[0, 10**12], [1, 0]], *wide, *(list(t) for t in wide),
+                  *([list(row) for row in t] for t in wide)):
         with pytest.raises(ParseError, match="table entries out of range"):
             group_from_cayley(table, ["a", "b"])
 
@@ -590,6 +594,28 @@ def test_cayley_file_in_blocks_names_each_defect(tmp_path, monkeypatch, block_by
             bad = rows[:i] + [rows[i].rsplit(" ", 1)[0] + " " + entry] + rows[i + 1:]
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 read(head + bad)
+
+
+def test_cayley_file_refuses_float_entries_that_loadtxt_only_warns_on(tmp_path, monkeypatch):
+    """numpy 1.23 to 1.26 read 1.0, 1e0 or 1.5 into an integer column through
+    a float, with only a DeprecationWarning; a loadtxt that does the same
+    stands in for them here, and each entry is still not an integer."""
+    real_loadtxt = np.loadtxt
+
+    def loadtxt_with_float_fallback(lines, dtype, **kwargs):
+        rows = [ln.split() for ln in lines]
+        if not all(re.fullmatch(r"[+-]?[0-9]+", t) for row in rows for t in row):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            lines = [" ".join(str(int(float(t))) for t in row) for row in rows]
+        return real_loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_float_fallback)
+    path = tmp_path / "c2.txt"
+    for entry in ("1.0", "1e0", "1.5"):
+        path.write_text(f"2\na b\n0 1\n{entry} 0\n")
+        with pytest.raises(ParseError, match="^cayley file: table entries must be integers$"):
+            groups._parse_cayley_file(str(path), groups.DEFAULT_MAX_ORDER)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000])
