@@ -82,8 +82,10 @@ class GroupFlow:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupFlow):
             return NotImplemented
-        return (self.graph == other.graph and self.group is other.group
-                and self.values == other.values)
+        # groups are equal by names and table; equal names give tables of one shape
+        return (self.graph == other.graph and self.values == other.values
+                and self.group.names == other.group.names
+                and bool((self.group.table == other.group.table).all()))
 
     def __repr__(self) -> str:
         return f"GroupFlow(n={self.graph.n}, support={len(self.values)}, group={self.group.spec})"

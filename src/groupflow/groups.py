@@ -20,7 +20,7 @@ import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,8 +42,15 @@ from .howell import _prime_powers
 
 DEFAULT_MAX_ORDER = 5040
 MAX_TABLE_BYTES = 1 << 30       # the largest array a group builder may allocate
-# the rows Light's test, the inverse search and the commuting graph take at a time
+# the bytes of int32 rows each pass over a table takes at a time (_row_blocks)
 _ASSOCIATIVITY_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n: int, width: int):
+    """Slices covering range(n) in order, each as many int32 rows of width
+    entries as fit in _ASSOCIATIVITY_BLOCK_BYTES, and at least one row."""
+    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * width))
+    return (slice(start, min(start + rows, n)) for start in range(0, n, rows))
 
 
 def _square_table(table) -> np.ndarray:
@@ -97,16 +104,16 @@ class FiniteGroup:
         n = table.shape[0]
         if len(names) != n:
             raise ParseError("need exactly one name per element")
-        if len(set(names)) != n:
+        self.names = tuple(str(nm) for nm in names)
+        if len(set(self.names)) != n:
             seen = set()
-            for nm in names:
+            for nm in self.names:
                 if nm in seen:
                     raise DuplicateName(nm)
                 seen.add(nm)
         self.order = n
         self.table = table
         self.table.setflags(write=False)
-        self.names = tuple(str(nm) for nm in names)
         self.spec = spec
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
@@ -131,14 +138,12 @@ class FiniteGroup:
         """Two-sided inverses, a block of rows at a time; NoInverse names
         the first element that has none."""
         T, e = self.table, self.identity
-        rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
         inv = np.empty(self.order, dtype=np.int32)
-        for start in range(0, self.order, rows):
-            block = slice(start, start + rows)
+        for block in _row_blocks(self.order, self.order):
             two_sided = (T[block] == e) & (T[:, block] == e).T
             missing = ~two_sided.any(axis=1)
             if missing.any():
-                raise NoInverse(self.names[start + int(np.argmax(missing))])
+                raise NoInverse(self.names[block.start + int(np.argmax(missing))])
             inv[block] = np.argmax(two_sided, axis=1)
         inv.setflags(write=False)
         return inv
@@ -148,21 +153,21 @@ class FiniteGroup:
 
         The g that pass contain the identity and are closed under products,
         so when they generate the table the whole table is associative.
-        Rows are compared a block of _ASSOCIATIVITY_BLOCK_BYTES at a time, so
-        the test holds two such blocks, not two copies of the table.
+        Rows are compared a block (``_row_blocks``) at a time, so the test
+        holds two such blocks, not two copies of the table.
         Returns the generators, those of ``_generating_set(hint)``.
         """
         T = self.table
-        rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
         gens = self._generating_set(hint)
         for g in gens:
-            for start in range(0, self.order, rows):
-                block = T[start:start + rows]
+            for rows in _row_blocks(self.order, self.order):
+                block = T[rows]
                 lhs = T[block[:, g], :]          # (a g) b for the block's rows a
                 rhs = block[:, T[g, :]]          # a (g b)
                 if not np.array_equal(lhs, rhs):
                     a, b = np.argwhere(lhs != rhs)[0]
-                    raise NotAssociative(self.names[start + a], self.names[g], self.names[b])
+                    raise NotAssociative(self.names[rows.start + a], self.names[g],
+                                         self.names[b])
         return gens
 
     def _generating_set(self, hint: Sequence[int] = ()) -> list[int]:
@@ -232,28 +237,27 @@ class FiniteGroup:
             raise ParseError(f"unknown element name {_clip(name)!r}") from None
 
     def parse_word(self, word: str) -> int:
-        """Parse products written as names joined by '*'; '1' is the identity.
-        A whole word that is an element name is that element, so names that
-        contain '*' themselves, such as "(x1*x2,1)", read back."""
+        """Parse products written as names joined by '*'; '1' is the identity
+        unless an element is named '1'.  A whole word that is an element name
+        is that element, so names that contain '*' themselves, such as
+        "(x1*x2,1)", read back."""
         word = word.strip()
-        if word == "1":
-            return self.identity
         if word in self._name_index:
             return self._name_index[word]
         result = self.identity
         for token in word.split("*"):
             token = token.strip()
-            if token == "1":
-                continue
-            result = self.mul(result, self.index_of(token))
+            if token != "1" or token in self._name_index:
+                result = self.mul(result, self.index_of(token))
         return result
 
     def element_orders(self) -> np.ndarray:
         return self._orders
 
     def center(self) -> tuple[int, ...]:
-        mask = np.all(self.table == self.table.T, axis=1)
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+        everything = (1 << self.order) - 1
+        return tuple(a for a, bits in enumerate(_commuting_bitsets(self))
+                     if bits | 1 << a == everything)
 
     def __repr__(self) -> str:
         label = self.spec or "group"
@@ -360,14 +364,13 @@ def _power_all(T: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 def _commuting_bitsets(G: FiniteGroup) -> list[int]:
     """Each element a's neighbours in the commuting graph as an int bitset,
     bit b set when ab = ba and b != a: one np.packbits of T == T.T, a block
-    of _ASSOCIATIVITY_BLOCK_BYTES of rows at a time."""
+    of rows (``_row_blocks``) at a time."""
     T = G.table
-    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // T[0].nbytes)
     masks = []
-    for start in range(0, G.order, rows):
-        block = T[start:start + rows] == T[:, start:start + rows].T
+    for rows in _row_blocks(G.order, G.order):
+        block = T[rows] == T[:, rows].T
         own = np.arange(len(block))
-        block[own, start + own] = False
+        block[own, rows.start + own] = False
         packed = np.packbits(block, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return masks
@@ -466,7 +469,6 @@ class AbelianBasis:
     table and checks that it is a bijection onto H.
     """
 
-    subgroup: Subgroup
     gens: tuple[int, ...]
     orders: tuple[int, ...]
     dlog: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
@@ -551,7 +553,7 @@ def abelian_basis(H: Subgroup) -> AbelianBasis:
         raise InternalInvariantError("basis does not enumerate the subgroup")
     members = H.members
     dlog = dict(zip((members[k] for k in elems), itertools.product(*map(range, orders[::-1]))))
-    return AbelianBasis(H, tuple(members[x] for x in gens[::-1]), tuple(orders[::-1]), dlog)
+    return AbelianBasis(tuple(members[x] for x in gens[::-1]), tuple(orders[::-1]), dlog)
 
 
 def discrete_log(B: AbelianBasis, g: int) -> tuple[int, ...]:
@@ -576,17 +578,20 @@ def es_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
     (e1,u1,v1)(e2,u2,v2) = (e1+e2+<v1,u2>, u1+u2, v1+v2) over GF(2)."""
     if n < 1:
         raise ParseError("es:n needs n >= 1")
-    return _standard_group_cached(f"es:{n}", max_order)
+    return standard_group(f"es:{n}", max_order)
 
 
 def _es_group_impl(n: int) -> FiniteGroup:
     """Element idx has the bits eps + 2u + 2^(n+1) v, so a product XORs the
-    indices and adds <v1, u2> to eps."""
+    indices and adds <v1, u2> to eps.  The table is filled a block of rows
+    (``_row_blocks``) at a time."""
     idx = np.arange(1 << (2 * n + 1), dtype=np.int32)
     u, v = (idx >> 1) & ((1 << n) - 1), idx >> (n + 1)
     parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)], dtype=np.int32)
-    table = parity[v[:, None] & u]
-    table ^= idx[:, None] ^ idx
+    table = np.empty((idx.size, idx.size), dtype=np.int32)
+    for rows in _row_blocks(idx.size, idx.size):
+        table[rows] = parity[v[rows, None] & u]
+        table[rows] ^= idx[rows, None] ^ idx
     return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=f"es:{n}")
 
 
@@ -669,10 +674,9 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
     (``_perm_generators``): the lexicographic base-n keys ascend, so one
     np.searchsorted over them finds L_g[x], the index of g o p_x, for every
     x at once.  Row 0 is the identity's, and each row a the walk reaches
-    gives the row of g o p_a as L_g[row a], level by level, a block of
-    _ASSOCIATIVITY_BLOCK_BYTES of rows at a time, so the table is the only
-    array of order ** 2 entries.  The same generators are FiniteGroup's
-    hint for Light's test."""
+    gives the row of g o p_a as L_g[row a], level by level, a block of rows
+    (``_row_blocks``) at a time, so the table is the only array of order ** 2
+    entries.  The same generators are FiniteGroup's hint for Light's test."""
     perms, names = [], []
     for p in itertools.permutations(range(n)):
         name, parity = _cycle_name_and_parity(p)
@@ -686,7 +690,6 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
     m = len(perms)
     left = [np.searchsorted(keys, np.asarray(g)[P] @ powers).astype(np.int32)   # g o p_x
             for g in _perm_generators(n, even_only)]
-    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * m))
     table = np.empty((m, m), dtype=np.int32)
     table[0] = np.arange(m)
     reached = np.zeros(m, dtype=bool)
@@ -699,8 +702,7 @@ def _perm_group(n: int, even_only: bool, spec: str) -> FiniteGroup:
             new = ~reached[child]
             parent, child = frontier[new], child[new]
             reached[child] = True
-            for start in range(0, child.size, rows):
-                block = slice(start, start + rows)
+            for block in _row_blocks(child.size, m):
                 table[child[block]] = L[table[parent[block]]]
             level.append(child)
         frontier = np.concatenate([frontier[:0], *level])
@@ -739,7 +741,7 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     """A x B modulo (za, zb), the factors' central involutions: the least
     member of each coset {x, x (za, zb)}, in A x B's order and with its
     names, (a, b) being a * |B| + b.  Products are gathered from A's and B's
-    tables a block of _ASSOCIATIVITY_BLOCK_BYTES of rows at a time."""
+    tables a block of rows (``_row_blocks``) at a time."""
     za = designated_central_involution(A)
     zb = designated_central_involution(B)
     if za is None or zb is None:
@@ -750,13 +752,12 @@ def _central_product(A: FiniteGroup, B: FiniteGroup, spec: str) -> FiniteGroup:
     coset = (np.cumsum(rep == x, dtype=np.int32) - 1)[rep]      # x -> its coset's index
     reps = x[rep == x]
     ra, rb = np.divmod(reps, nb)
-    rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * ra.size))
     table = np.empty((ra.size, ra.size), dtype=np.int32)
-    for start in range(0, ra.size, rows):
-        prod = A.table[np.ix_(ra[start:start + rows], ra)]
+    for rows in _row_blocks(ra.size, ra.size):
+        prod = A.table[np.ix_(ra[rows], ra)]
         prod *= nb
-        prod += B.table[np.ix_(rb[start:start + rows], rb)]
-        table[start:start + rows] = coset[prod]
+        prod += B.table[np.ix_(rb[rows], rb)]
+        table[rows] = coset[prod]
     names = _product_names(A, B)
     return FiniteGroup(table, [names[r] for r in reps.tolist()], spec=spec)
 
@@ -772,7 +773,7 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
     """A cayley: file: the order n, a line of n names, then n rows of n
     entries, with blank lines anywhere.  The order meets _check_size before
     any other line is read; np.loadtxt reads the rows into the int32 table a
-    block of _ASSOCIATIVITY_BLOCK_BYTES at a time, so no entry becomes a Python int."""
+    block (``_row_blocks``) at a time, so no entry becomes a Python int."""
     if not path:
         raise ParseError("cayley:<path> needs a file path")
     try:
@@ -793,17 +794,16 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
             if len(names) != n:
                 raise ParseError(f"cayley file: expected {n} names, got {len(names)}")
             table = np.empty((n, n), dtype=np.int32)
-            rows = max(1, _ASSOCIATIVITY_BLOCK_BYTES // (4 * n))
-            for start in range(0, n, rows):
-                block = list(itertools.islice(lines, min(rows, n - start)))
-                if len(block) < min(rows, n - start):
+            for rows in _row_blocks(n, n):
+                block = list(itertools.islice(lines, rows.stop - rows.start))
+                if len(block) < rows.stop - rows.start:
                     raise ParseError("cayley file: truncated")
                 # reshape refuses rows of a wrong width, which ndmin=2 passes; numpy
                 # 1.23 to 1.26 only warn when they read a float into an int column
                 try:
                     with warnings.catch_warnings():
                         warnings.simplefilter("error", DeprecationWarning)
-                        table[start:start + rows] = np.loadtxt(
+                        table[rows] = np.loadtxt(
                             block, dtype=np.int32, comments=None, ndmin=2).reshape(len(block), n)
                 except (ValueError, DeprecationWarning):
                     tokens = [ln.split() for ln in block]
@@ -902,7 +902,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
             return _perm_group(n, head == "alt", spec)
         return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
     if head == "quaternion":
-        if rest:
+        if spec != head:
             raise ParseError("quaternion takes no arguments")
         return _quaternion()
     if head in ("product", "centprod"):
@@ -910,7 +910,7 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
         if end is None or rest[end:end + 1] != ",":
             raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
         A = standard_group(rest[:end], max_order)
-        B = standard_group(rest[end + 1:], max_order)
+        B = A if rest[end + 1:] == rest[:end] else standard_group(rest[end + 1:], max_order)
         if head == "product":
             _check_size(A.order * B.order, max_order)
             return _direct_product(A, B, spec)
@@ -922,7 +922,6 @@ def _build_group(spec: str, max_order: int) -> FiniteGroup:
 
 
 _MAX_PRODUCTS = 64
-_standard_group_cached = lru_cache(maxsize=128)(_build_group)
 
 
 def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
@@ -937,7 +936,4 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
     if spec.count("product:") > _MAX_PRODUCTS:
         # each nested product is a few Python frames deep when built
         raise ParseError(f"group spec has more than {_MAX_PRODUCTS} product: or centprod: terms")
-    if "cayley:" in spec:
-        # a file may change between calls, also inside product: or centprod:
-        return _build_group(spec, max_order)
-    return _standard_group_cached(spec, max_order)
+    return _build_group(spec, max_order)

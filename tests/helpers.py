@@ -683,7 +683,7 @@ def abelian_basis_by_numpy(H: Subgroup) -> AbelianBasis:
         raise InternalInvariantError("basis does not enumerate the subgroup")
     digits = np.indices(orders[::-1]).reshape(len(orders), elems.size)
     dlog = dict(zip(elems.tolist(), map(tuple, digits.T.tolist())))
-    return AbelianBasis(H, tuple(gens[::-1]), tuple(orders[::-1]), dlog)
+    return AbelianBasis(tuple(gens[::-1]), tuple(orders[::-1]), dlog)
 
 
 def extra_planar_by_lr(G: Graph) -> ExtraPlanarVerdict:

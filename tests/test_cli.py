@@ -263,6 +263,23 @@ def test_check_flow_conserving(tmp_path):
     assert json.loads(out)["kind"] == "ConservingEverywhere"
 
 
+def test_check_flow_reads_an_element_named_1_as_that_element(tmp_path):
+    """In a cayley: group of Z/4 named 0 1 2 3, the word 1 is the generator,
+    not the identity: the path 1-2-3 carrying it leaks at both ends."""
+    (tmp_path / "z4.txt").write_text(
+        "4\n0 1 2 3\n" + "".join(" ".join(str((a + b) % 4) for b in range(4)) + "\n"
+                                for a in range(4)))
+    fpath = tmp_path / "f.json"
+    fpath.write_text(jsonio.dumps({
+        "group": f"cayley:{tmp_path / 'z4.txt'}",
+        "graph": jsonio.graph_to_json(named_graph("path:3")),
+        "values": [["1", "2", "1"], ["2", "3", "1"]],
+    }))
+    code, out, _ = invoke(["check-flow", str(fpath)])
+    assert code == 1
+    assert json.loads(out) == {"kind": "MultipleNonConserving", "vertices": ["1", "3"]}
+
+
 def test_check_flow_binary(tmp_path):
     code, out, _ = invoke(["examples", "k33minus"])
     fpath = tmp_path / "fm.json"

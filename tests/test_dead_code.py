@@ -1,8 +1,8 @@
 """No dead code in src/groupflow: every module-level function or class is
 referenced somewhere in the package, exported, or read by the benchmark,
 every name a module imports is read in that module, and every import is at
-module level.  And no source file uses grammar newer than the oldest
-Python the project supports."""
+module level.  No module keeps a functools cache.  And no source file uses
+grammar newer than the oldest Python the project supports."""
 
 from __future__ import annotations
 
@@ -107,6 +107,23 @@ def function_imports(src: Path = SRC) -> list[str]:
 
 def test_no_imports_inside_functions():
     assert function_imports() == []
+
+
+def module_caches(src: Path = SRC) -> list[str]:
+    """"module.name" for each functools cache (lru_cache, cache) bound at
+    module level: such a cache keeps what it returns alive for as long as
+    the process runs, so a dropped group table would stay allocated."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(
+            "groupflow" if path.stem == "__init__" else f"groupflow.{path.stem}")
+        found.extend(f"{path.stem}.{name}" for name, value in vars(module).items()
+                     if callable(getattr(value, "cache_clear", None)))
+    return found
+
+
+def test_no_module_level_caches():
+    assert module_caches() == []
 
 
 def newer_syntax(roots=("src", "tests", "perfbench"), version=(3, 10)) -> list[str]:

@@ -253,8 +253,9 @@ def test_table_entry_beyond_int32_is_out_of_range():
 
 
 def test_duplicate_names():
-    with pytest.raises(DuplicateName):
-        group_from_cayley([[0, 1], [1, 0]], ["x", "x"])
+    for names in (["x", "x"], [1, "1"]):          # names are compared as strings
+        with pytest.raises(DuplicateName):
+            group_from_cayley([[0, 1], [1, 0]], names)
 
 
 def test_quaternion_table_roundtrip():
@@ -404,7 +405,8 @@ def test_too_many_products_is_parse_error():
 
 
 def test_parse_errors():
-    for bad in ("", "nonsense", "cyclic:x", "sym:", "quaternion:3"):
+    for bad in ("", "nonsense", "cyclic:x", "sym:", "quaternion:3", "quaternion:",
+                "product:quaternion:,cyclic:2"):
         with pytest.raises(ParseError):
             standard_group(bad)
 
@@ -563,6 +565,57 @@ def test_cayley_table_is_its_only_order_squared_array(monkeypatch, tmp_path):
     assert np.array_equal(table, G.table)
 
 
+def test_es_table_is_its_only_order_squared_array(monkeypatch):
+    """es:5's table is filled a block of rows at a time: the builder's peak
+    traced memory stays within the 16 MiB table plus 3 MiB, and the table
+    is the one a single block gives."""
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None: table)
+    tracemalloc.start()
+    try:
+        table = groups._es_group_impl(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int32 and table.shape == (2048, 2048)
+    assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
+    monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", table.nbytes)
+    assert np.array_equal(table, groups._es_group_impl(5))
+
+
+def test_center_reads_the_commuting_bitsets():
+    """center() allocates no order ** 2 array: on cyclic:4900, whose table
+    takes 92 MiB, its peak traced memory stays within 4 MiB.  It is the set
+    of elements that commute with every element."""
+    for spec in ("sym:4", "quaternion", "es:2", "dihedral:6", "product:sym:3,cyclic:2"):
+        G = standard_group(spec)
+        assert G.center() == tuple(a for a in G.elements()
+                                   if all(G.commutes(a, b) for b in G.elements()))
+    G = standard_group("cyclic:4900")
+    tracemalloc.start()
+    try:
+        center = G.center()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert center == tuple(range(4900))
+    assert peak <= 4 * 2 ** 20
+
+
+def test_dropped_groups_are_not_retained():
+    """standard_group keeps no built group: ten dihedral groups of order
+    about 1,000, each dropped once built, leave less than one table
+    allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(500, 510):
+            standard_group(f"dihedral:{n}")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 1000 * 1000
+
+
 @pytest.mark.parametrize("block_bytes", [1, 100, groups._ASSOCIATIVITY_BLOCK_BYTES])
 def test_cayley_file_in_blocks_names_each_defect(tmp_path, monkeypatch, block_bytes):
     """Read one row, four rows or the whole table at a time, a file with
@@ -708,9 +761,8 @@ def test_builders_match_their_former_constructions(spec):
 @pytest.mark.skipif(os.environ.get("GROUPFLOW_SKIP_SLOW") == "1",
                     reason="GROUPFLOW_SKIP_SLOW=1 skips sym:7")
 def test_builders_match_their_former_constructions_slow():
-    """sym:7, the largest permutation group within DEFAULT_MAX_ORDER, built
-    without the spec cache so its 97 MiB table is not kept."""
-    G = groups._build_group("sym:7", groups.DEFAULT_MAX_ORDER)
+    """sym:7, the largest permutation group within DEFAULT_MAX_ORDER."""
+    G = standard_group("sym:7")
     table, names = _oracle_group("sym:7")
     assert np.array_equal(G.table, table)
     assert list(G.names) == names
@@ -1106,7 +1158,7 @@ def test_element_orders_match_orders_modulo(spec, tmp_path):
 
 @pytest.mark.parametrize("spec", ["sym:4", "es:2", "product:cyclic:4,cyclic:6", "quaternion"])
 def test_group_unchanged_by_the_group_leak_decision(spec):
-    """A built group is shared by every caller of standard_group, so no
+    """A built group may be shared by every caller that holds it, so no
     query may write into it: its attributes are the same objects before and
     after the orders, the commutativity flag, the maximal abelian
     subgroups and the glued group are read."""

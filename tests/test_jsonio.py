@@ -148,16 +148,21 @@ def test_product_group_witness_flow_roundtrip():
 
 
 def test_flow_inline_table():
+    """The flow read back equals the one written, also when an element that
+    is not the identity is named 1."""
     from groupflow.flows import GroupFlow
     from groupflow.groups import group_from_cayley
 
-    group = group_from_cayley([[0, 1], [1, 0]], ["1", "t"])
-    g = named_graph("path:2")
-    f = GroupFlow.skew(g, group, {(1, 2): 1})
-    data = jsonio.flow_to_json(f)
-    assert "group_table" in data
-    back = jsonio.flow_from_json(data)
-    assert back.value(1, 2) == back.group.index_of("t")
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    for table, names in (([[0, 1], [1, 0]], ["1", "t"]), (z4, ["0", "1", "2", "3"])):
+        group = group_from_cayley(table, names)
+        g = named_graph("path:2")
+        f = GroupFlow.skew(g, group, {(1, 2): 1})
+        data = jsonio.flow_to_json(f)
+        assert "group_table" in data
+        back = jsonio.flow_from_json(data)
+        assert back.value(1, 2) == back.group.index_of(names[1])
+        assert back == f
 
 
 def test_random_graph_roundtrips():
