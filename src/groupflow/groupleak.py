@@ -1,76 +1,72 @@
 """Deciding leak-proofness of a finite group.
 
-The abelian group Delta built here glues the maximal abelian subgroups of
-G: one block of coordinates per subgroup basis, column c of order d_c, and
-chain rows identifying the discrete logs of each cyclic subgroup's
-generator g in the subgroups i_1 < i_2 < ... that contain it, as
-dlog_{i_k}(g) - dlog_{i_{k+1}}(g).  They span the lattice of gluing every
-pair along its intersection: the chain telescopes, and h = g^k gives k
-times g's row.  So Delta is the sum of the Z/d_c modulo the chain rows.
+Delta is the abelian group on the symbols [g], g in G, with [gh] = [g] + [h]
+whenever gh = hg, and phi(gamma) = [gamma].  G is leak-proof exactly when no
+gamma != 1 has phi(gamma) = 0, and binary leak-proof exactly when phi is
+injective; a kernel element is turned back into an explicit leaking flow.
 
-A chain the lattice already has is left out.  Taking the cyclic
-subgroups in order of their least-index generator, g's chain is skipped
-when g is generated by elements h_t of I_g, the intersection of the
-subgroups that contain g, each outside <g> and generating an earlier
-cyclic subgroup.  For i and j containing g, g = prod h_t^(a_t) gives
-dlog_i(g) - dlog_j(g) = sum a_t (dlog_i(h_t) - dlog_j(h_t)), and each
-term telescopes along h_t's own chain, which passes through i and j (or
-lies in the lattice by the same argument, if h_t's chain was skipped).
-So the lattice, Delta, phi and its fibres do not change; es:3 needs 1,016
-chain rows instead of 1,506 (see ``_chain_tags``).
+Theorem.  Let Delta_p be the same construction on the p-elements of G alone,
+for a prime p.  Then Delta is the direct sum of the Delta_p, and [g] is the
+sum of [g_p] over the p-parts g_p of g.  Proof: each g_p is a power of g,
+and commuting g, h have (gh)_p = g_p h_p with g_p and h_p commuting, so
+pi_p: [g] -> [g_p] is well defined from Delta onto Delta_p.  The map iota_p
+sending [x] in Delta_p to [x] in Delta has pi_p iota_p = id, so it is
+injective, and its image is p-torsion, as p^a [x] = [x^(p^a)] = 0.  The
+images span Delta, since [g] = sum_p [g_p]: they are its primary parts.
 
-Every vector lives in (Z/m)^n, m the lcm of the d_c, in scaled
-coordinates: psi(e_c) = (m / d_c) e_c.  The kernel of psi is spanned by
-the order rows d_c e_c, so a vector lies in the chain rows' span plus the
-order rows exactly when its psi-image lies in the span of the scaled chain
-rows.  The Howell form therefore holds the scaled chain rows alone, with
-no order rows, and every vector it takes is scaled: entry c is a multiple
-of m / d_c.  An element maps to the canonical form of its scaled
-coordinate vector, read from its discrete log in its home, the first
-subgroup that contains it, which ``build_delta`` records.  Every vector is
-sparse, {column: value} without zeros, the one format ``embed`` builds and
-the Howell form takes and returns, and phi is the sorted tuple of the
-canonical form's nonzero (column, value) pairs.  The group is leak-proof
-exactly when no nonidentity element maps to zero, and binary leak-proof
-exactly when the map is injective.  Any kernel element is turned back
-into an explicit leaking flow on a graph over the subgroups, with one
-edge per subgroup pair the flow uses.
+Presentation.  A p-element x != 1 is g^k for the least-index generator g of
+<x> and a k prime to d = ord(g), and [x] = k[g], as the powers of g commute.
+So there is one column per cyclic p-subgroup, for every prime p.
+Coordinates live in (Z/m)^n, m the exponent of G, scaled as psi(e_c) =
+(m / d_c) e_c, so column c has order d_c with no order row (d_c [g] =
+[g^d_c] = 0): x has the coordinate k m / d, and an element's vector is the
+sum of its p-parts'.  With R(x, y) = [xy] - [x] - [y] for commuting
+p-elements, Z_p the central p-elements and C(g) the centralizer of g, the
+Howell form ``canonical`` holds three kinds of rows:
 
-The chain rows reach the Howell form sorted by pair (j, i), the larger
-index first: the form glues one subgroup at a time to those before it,
-with all rows of a pair together, and a row of pair (i, j) meets only
-pivot rows over the blocks up to j.  Absorbing them element by element,
-each generator's chain at a time, takes two to three times the
-elimination passes.  The lattice is the same in any order, and reduction
-against a saturated Howell form is canonical, so phi, the verdicts and the
-witnesses do not depend on it.
+- a power row R(g, g^(p-1)) = [g^p] - p[g] for each column with d > p;
+- R(s, x) for s in a generating set of Z_p and every p-element x;
+- R(g, y) for one column generator g per coset gZ_p outside Z_p, and one y
+  per coset yZ_p in C(g) that does not meet <g>.
+
+They span every R(x, y), so Delta_p is its columns modulo them:
+
+(a) R(g, y) for every column generator g and p-element y in C(g) give every
+R(x, y): with x = g^k, R(g, g^(j-1) y) reads [g^j y] = [g] + [g^(j-1) y], so
+by induction [g^k y] = k[g] + [y] = [x] + [y].  For g^(j-1) y in <g> that
+row is [g^j] = [g] + [g^(j-1)], which the coordinates give when g^j and
+g^(j-1) generate <g>, and the power rows, [g^(p^a)] = p^a [g], when one
+does not.  So the y in <g> need no row.
+
+(b) Given the central rows, R(gz, y) <=> R(g, y) <=> R(g, yz) for z in Z_p.
+R(s, x) for all x gives R(z, x) for every z in Z_p, by induction on z as a
+word in the generating set: [s z' x] = [s] + [z' x] = [s] + [z'] + [x] and
+[s z'] = [s] + [z'].  Then [gz] = [g] + [z] and [gzy] = [gy] + [z], so
+R(gz, y) and R(g, yz) both read [gy] + [z] = [g] + [y] + [z], which is
+R(g, y).  So one g per coset gZ_p and one y per coset yZ_p suffice, a coset
+meeting <g> needs no row by (a), and a central g needs no row of its own.
+
+A row that is a unit multiple of an earlier one is dropped, and the rows go
+in with the highest last column first, which keeps the pivot rows short
+(es:4's take a sixth of the time they take in ascending order).  Reduction
+against the saturated form is canonical in any order.  Vectors are sparse
+{column: value} dicts without zeros, and phi is the sorted tuple of the
+canonical form's nonzero (column, value) pairs.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import InternalInvariantError, NotInKernel, TooLarge, _clip
 from .flows import GroupFlow, LeakVerdict, detect_leak
 from .graphs import Graph, graph_from
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    AbelianBasis,
-    FiniteGroup,
-    Subgroup,
-    _bits,
-    abelian_basis,
-    discrete_log,
-    maximal_abelian_subgroups,
-)
-from .howell import HowellForm, invariant_factors
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _power_all, _right_closure
+from .howell import HowellForm, _prime_powers, _unit_scale, invariant_factors
 
 __all__ = [
     "DeltaPresentation",
@@ -86,56 +82,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DeltaPresentation:
-    """Presentation of the glued abelian group Delta.
+    """Presentation of Delta (see the module docstring).
 
-    Global coordinates are the concatenated subgroup bases, scaled by psi
-    (see the module docstring); column c has order ``orders[c]``, and
-    ``home[g]`` is the first subgroup containing element g.  ``pair_rows``
-    tags each chain row ((i, j), g): psi(dlog_i(g) - dlog_j(g)) for
-    subgroups i < j consecutive among those containing g, for each g whose
-    chain the lattice needs (see ``_chain_tags``), sorted by (j, i)
-    and then by g, the order in which ``canonical`` absorbs them.  The rows
-    are not stored; ``relation_row`` builds one from its tag, and
-    ``canonical`` is the Howell form of their span modulo ``modulus``.
-    There are no order rows: psi maps them to zero.
+    Column c stands for the cyclic p-subgroup <generators[c]>, of order
+    ``orders[c]``, and ``coordinates[g]`` is element g's scaled vector as
+    (column, value) pairs.
+    ``pair_rows`` tags each relation row by its pair (x, y), for R(x, y),
+    in the order in which ``canonical`` absorbed them.  The rows are not
+    stored; ``relation_row`` builds one from its tag, and ``canonical`` is
+    the Howell form of their span modulo ``modulus``.
     """
 
     group: FiniteGroup
-    subgroups: tuple[Subgroup, ...]
-    bases: tuple[AbelianBasis, ...]
-    offsets: tuple[int, ...]
-    home: tuple[int, ...]
+    generators: tuple[int, ...]
     orders: tuple[int, ...]
+    coordinates: tuple[tuple[tuple[int, int], ...], ...]
     modulus: int
     canonical: HowellForm
-    pair_rows: tuple[tuple[tuple[int, int], int], ...]  # ((i, j), generator element)
+    pair_rows: tuple[tuple[int, int], ...]
 
     @property
     def ncols(self) -> int:
         return len(self.orders)
 
-    def embed(self, gamma: int, subgroup_index: Optional[int] = None) -> dict[int, int]:
-        """gamma's scaled coordinate vector {column: a_c * m / d_c}, read from
-        its discrete log a in one subgroup (by default the first that
-        contains it); every value lies in 1 .. m - 1."""
-        i = self.home[gamma] if subgroup_index is None else subgroup_index
-        offset, m, basis = self.offsets[i], self.modulus, self.bases[i]
-        return {offset + t: a * (m // d)
-                for t, (a, d) in enumerate(zip(discrete_log(basis, gamma), basis.orders)) if a}
+    def embed(self, gamma: int) -> dict[int, int]:
+        """gamma's scaled coordinate vector {column: k * m / d_c}, one entry
+        per p-part of gamma other than 1; every value lies in 1 .. m - 1."""
+        return dict(self.coordinates[gamma])
 
-    def relation_row(self, tag: tuple[tuple[int, int], int]) -> dict[int, int]:
-        """The relation row of a pair_rows tag ((i, j), g), sparse as
-        {column: value mod m}: embed(g, i) - embed(g, j)."""
-        (i, j), g = tag
-        m = self.modulus
-        row = self.embed(g, i)          # blocks i and j are disjoint
-        row.update((col, m - a) for col, a in self.embed(g, j).items())
-        return row
-
-    def relation_rows(self) -> Iterator[tuple[dict[int, int], tuple[tuple[int, int], int]]]:
-        """Every relation row with its tag, in pair_rows order."""
-        for tag in self.pair_rows:
-            yield self.relation_row(tag), tag
+    def relation_row(self, tag: tuple[int, int]) -> dict[int, int]:
+        """R(x, y) for the tag (x, y), sparse as {column: value mod m}:
+        embed(xy) - embed(x) - embed(y)."""
+        x, y = tag
+        row = self.embed(self.group.mul(x, y))
+        for c, a in self.coordinates[x] + self.coordinates[y]:
+            row[c] = row.get(c, 0) - a
+        return {c: a % self.modulus for c, a in row.items() if a % self.modulus}
 
     def invariant_factors(self) -> list[int]:
         """Delta's invariant factors.  Each pivot row of ``canonical``,
@@ -150,112 +132,130 @@ class DeltaPresentation:
         return invariant_factors(orders, rows, order)
 
 
-def _chain_tags(G: FiniteGroup, subgroups: tuple[Subgroup, ...],
-                containing: list[list[int]]) -> list[tuple[tuple[int, int], int]]:
-    """Tags ((i_k, i_{k+1}), g) for the least-index generator g of each
-    cyclic subgroup, over the subgroups i_1 < i_2 < ... that contain g
-    (``containing[g]``), less the chains the lattice already has; stably
-    sorted by pair (j, i), the larger index first, so that the Howell form
-    absorbs them pair by pair (see the module docstring).
-
-    The cyclic subgroups are taken in order of their least-index generator.
-    g's chain is skipped when g lies in the subgroup generated by the
-    elements h of I_g, the intersection of the subgroups containing g, that
-    lie outside <g> and generate an earlier cyclic subgroup.  That is
-    sound: the rows so far give dlog_i(h) - dlog_j(h) for every such h and
-    all i, j that contain it (h = h'^k for the least-index generator h' of
-    <h>, whose chain telescopes; by induction, a skipped h' has it too).
-    Each h lies in every subgroup that contains g, and dlog_i is a
-    homomorphism on subgroup i, so g = prod h_t^(a_t) gives
-    dlog_i(g) - dlog_j(g) = sum a_t (dlog_i(h_t) - dlog_j(h_t)) in scaled
-    coordinates.  The lattice, and with it Delta, phi and its kernel, do
-    not change."""
-    member_bits = [sum(1 << h for h in H.members) for H in subgroups]
-    seen = {1 << G.identity}            # the cyclic subgroups taken so far, as bitsets
-    taken = 0                           # their generators, <g>'s included (~cyclic drops them)
-    tags = []
-    for g, chain in enumerate(containing):
-        if len(chain) < 2:              # no chain, and g lies in no I_h with a chain
+def _cyclic_columns(G: FiniteGroup, m: int) -> tuple[list[int], list[int], list[int]]:
+    """column[x] and value[x] = k m / d for each p-element x = g^k != 1, g
+    the generator of column[x] and d its order (-1 and 0 for the other
+    elements), and the column generators: the least-index generator of each
+    cyclic p-subgroup, in index order."""
+    orders = G.element_orders().tolist()
+    prime = {d: pp[0][0] for d in set(orders) if len(pp := _prime_powers(d)) == 1}
+    column, value, generators = [-1] * G.order, [0] * G.order, []
+    for x, d in enumerate(orders):
+        if column[x] >= 0 or d not in prime:
             continue
-        powers = [g]
-        while powers[-1] != G.identity:
-            powers.append(G.mul(powers[-1], g))
-        cyclic = sum(1 << x for x in powers)
-        if cyclic in seen:
+        y = x
+        for k in range(1, d):
+            if k % prime[d]:
+                column[y], value[y] = len(generators), k * (m // d)
+            y = G.mul(y, x)
+        generators.append(x)
+    return column, value, generators
+
+
+def _relation_pairs(G: FiniteGroup, column: np.ndarray, generators: list[int],
+                    orders: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+    """The pairs (x, y) of the three kinds of rows in the module docstring,
+    as (x, array of its ys)."""
+    T, e = G.table, G.identity
+    primes = [_prime_powers(d)[0][0] for d in orders]
+    pairs = [(g, np.array([G.power(g, p - 1)]))
+             for g, p, d in zip(generators, primes, orders) if d > p]
+    for p in sorted(set(primes)):
+        cols = [c for c, q in enumerate(primes) if q == p]
+        members = np.flatnonzero(np.isin(column, cols))
+        central = [generators[c] for c in cols
+                   if np.array_equal(T[generators[c]], T[:, generators[c]])]
+        in_centre = np.zeros(G.order, dtype=bool)
+        in_centre[e] = True
+        spanning: list[int] = []
+        for s in central:
+            if not in_centre[s]:
+                spanning.append(s)
+                _right_closure(T, in_centre, spanning)
+        pairs += [(s, members) for s in spanning]
+        if len(central) == len(cols):
             continue
-        seen.add(cyclic)
-        taken |= sum(1 << x for k, x in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
-        inside = functools.reduce(operator.and_, (member_bits[i] for i in chain))
-        if _generated(G.table, G.identity, inside & taken & ~cyclic, g):
-            continue
-        tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
-    tags.sort(key=lambda tag: (tag[0][1], tag[0][0]))
-    return tags
+        coset = np.arange(G.order)              # the least member of each coset of Z_p
+        for z in np.flatnonzero(in_centre):
+            np.minimum(coset, T[:, z], out=coset)
+        done = set()
+        for c in cols:
+            g = generators[c]
+            if in_centre[g] or coset[g] in done:
+                continue
+            done.add(coset[g])
+            meets = np.zeros(G.order, dtype=bool)     # the cosets that meet <g>
+            y = g
+            while not meets[coset[y]]:
+                meets[coset[y]] = True
+                y = T[y, g]
+            ys = members[T[g, members] == T[members, g]]
+            reps, first = np.unique(coset[ys], return_index=True)
+            pairs.append((g, ys[first[~meets[reps]]]))
+    return pairs
 
 
-def _generated(T: np.ndarray, identity: int, gens: int, g: int) -> bool:
-    """Whether g lies in the subgroup generated by the elements of the
-    bitset ``gens``, which commute: the subgroup grows by one coset of
-    itself at a time, h^t times it, for each generator h not yet in it."""
-    reached = np.zeros(len(T), dtype=bool)
-    reached[identity] = True
-    members = np.array([identity])          # the identity first, so coset[0] is h^t
-    for h in _bits(gens):
-        if reached[h]:
-            continue
-        cosets = [T[h, members]]
-        while not reached[cosets[-1][0]]:
-            reached[cosets[-1]] = True
-            cosets.append(T[h, cosets[-1]])
-        if reached[g]:
-            return True
-        members = np.concatenate([members] + cosets[:-1])
-    return False
-
-
-def _group_label(G: FiniteGroup) -> str:
-    """How an internal-invariant error names G: its spec, or "a table group"."""
-    return "a table group" if G.spec is None else _clip(G.spec)
+def _sorted_rows(G: FiniteGroup, m: int, column: np.ndarray, value: np.ndarray,
+                 pairs: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """The rows R(x, y) of the pairs, as columns and values (-1 and 0 pad a
+    row to three entries), without zero rows, and sorted with the highest
+    last column first; with their xs and ys.  Of rows that are unit
+    multiples of each other, only the first pair's is kept."""
+    xs = np.repeat(np.array([x for x, _ys in pairs], dtype=np.int32),
+                   [len(ys) for _x, ys in pairs])
+    ys = np.concatenate([np.zeros(0, np.int32)] + [ys for _x, ys in pairs]).astype(np.int32)
+    xy = G.table[xs, ys]
+    cols = np.stack([column[xy], column[xs], column[ys]], axis=1)
+    vals = np.stack([value[xy], -value[xs], -value[ys]], axis=1)
+    # entries in one column add up in the first of them; the rest, and zeros, become (-1, 0)
+    same = cols[:, :, None] == cols[:, None, :]
+    merged = (same * vals[:, None, :]).sum(axis=2, dtype=np.int32) % m
+    vals = np.where(np.tril(same, -1).any(axis=2), 0, merged)
+    order = np.argsort(np.where(vals == 0, -1, cols), axis=1)
+    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+    cols[vals == 0] = -1
+    live = cols[:, 2] >= 0
+    cols, vals, xs, ys = cols[live], vals[live], xs[live], ys[live]
+    lead = vals[np.arange(len(vals)), np.argmax(cols >= 0, axis=1)]
+    units = {a: _unit_scale(a, m)[0] for a in np.unique(lead).tolist()}
+    scaled = vals * np.array([units[a] for a in lead.tolist()], dtype=np.int64)[:, None] % m
+    _, first = np.unique(np.concatenate([-cols[:, ::-1], scaled], axis=1), axis=0,
+                         return_index=True)
+    return cols[first], vals[first], xs[first], ys[first]
 
 
 def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPresentation:
-    """Assemble the glued-abelian-group presentation for G."""
+    """Assemble the presentation of Delta on the cyclic p-subgroups of G."""
     if G.order > max_order:
         raise TooLarge(G.order, max_order)
-    subgroups = maximal_abelian_subgroups(G)
-    containing: list[list[int]] = [[] for _ in G.elements()]
-    for i, H in enumerate(subgroups):
-        for h in H.members:
-            containing[h].append(i)
-    for g, chain in enumerate(containing):
-        if not chain:
-            raise InternalInvariantError(
-                f"build_delta: element {_clip(G.name(g))} of {_group_label(G)} lies in no "
-                "maximal abelian subgroup")
-    bases = tuple(abelian_basis(H) for H in subgroups)
-    offsets = tuple(itertools.accumulate((len(basis.gens) for basis in bases), initial=0))
-    orders = tuple(d for basis in bases for d in basis.orders)
-    modulus = math.lcm(*orders) if orders else 1
-    D = DeltaPresentation(
+    m = int(np.lcm.reduce(G.element_orders()))
+    column, value, generators = _cyclic_columns(G, m)
+    orders = tuple(int(G.element_orders()[g]) for g in generators)
+    # gamma ** u is gamma's p-part for u = 1 mod q and u = 0 mod m / q
+    parts = np.array([_power_all(G.table, np.arange(G.order), m // q * pow(m // q, -1, q))
+                      for q in (p ** a for p, a in _prime_powers(m))]).reshape(-1, G.order)
+    coordinates = tuple(tuple((column[x], value[x]) for x in xs if column[x] >= 0)
+                        for xs in parts.T.tolist())
+    column, value = np.array(column, dtype=np.int32), np.array(value, dtype=np.int32)
+    pairs = _relation_pairs(G, column, generators, orders)
+    cols, vals, xs, ys = _sorted_rows(G, m, column, value, pairs)
+    canonical = HowellForm(len(generators), m)
+    for row_cols, row_vals in zip(cols.tolist(), vals.tolist()):
+        canonical.add_row({c: a for c, a in zip(row_cols, row_vals) if a})
+    return DeltaPresentation(
         group=G,
-        subgroups=subgroups,
-        bases=bases,
-        offsets=offsets,
-        home=tuple(chain[0] for chain in containing),
+        generators=tuple(generators),
         orders=orders,
-        modulus=modulus,
-        canonical=HowellForm(offsets[-1], modulus),
-        pair_rows=tuple(_chain_tags(G, subgroups, containing)),
+        coordinates=coordinates,
+        modulus=m,
+        canonical=canonical,
+        pair_rows=tuple(zip(xs.tolist(), ys.tolist())),
     )
-    for row, _tag in D.relation_rows():
-        D.canonical.add_row(row)
-    return D
 
 
 def phi(D: DeltaPresentation, gamma: int) -> tuple[tuple[int, int], ...]:
     """gamma's image: the sorted nonzero (column, value) pairs of the
-    canonical form of its coordinates, () exactly when gamma maps to zero;
-    independent of which containing subgroup supplies the discrete log."""
+    canonical form of its coordinates, () exactly when gamma maps to zero."""
     return tuple(sorted(D.canonical.reduce(D.embed(gamma)).items()))
 
 
@@ -275,38 +275,43 @@ def is_leakproof_group(G: FiniteGroup, delta: Optional[DeltaPresentation] = None
     """LeakProof when phi has trivial kernel fiber; else the first
     nonidentity element mapping to zero."""
     D = delta or build_delta(G)
-    for gamma in G.elements():
-        if gamma == G.identity:
-            continue
-        if not phi(D, gamma):
-            return LeakproofVerdict(False, witness=gamma)
-    return LeakproofVerdict(True)
+    witness = next((g for g in G.elements() if g != G.identity and not phi(D, g)), None)
+    return LeakproofVerdict(witness is None, witness)
 
 
 def is_binary_leakproof_group(G: FiniteGroup,
                               delta: Optional[DeltaPresentation] = None) -> InjectivityVerdict:
     """Injective phi (all normal forms pairwise distinct) or a colliding pair."""
     D = delta or build_delta(G)
-    seen: dict[tuple[tuple[int, int], ...], int] = {}
+    first: dict[tuple[tuple[int, int], ...], int] = {}
     for gamma in G.elements():
-        key = phi(D, gamma)
-        if key in seen:
-            return InjectivityVerdict(False, collision=(seen[key], gamma))
-        seen[key] = gamma
+        if (seen := first.setdefault(phi(D, gamma), gamma)) != gamma:
+            return InjectivityVerdict(False, collision=(seen, gamma))
     return InjectivityVerdict(True)
+
+
+def _group_label(G: FiniteGroup) -> str:
+    """How an internal-invariant error names G: its spec, or "a table group"."""
+    return "a table group" if G.spec is None else _clip(G.spec)
 
 
 def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
                              gamma: int) -> tuple[Graph, GroupFlow]:
-    """Turn a kernel element into a leaking flow on a graph over the
-    maximal abelian subgroups: vertex i + 1 stands for subgroup i, with one
-    edge per subgroup pair that carries a value.
+    """Turn a kernel element into a leaking flow on a bipartite graph:
+    vertex c + 1 stands for column c, vertex ncols + 1 + k for relation
+    row k, and the flow leaks gamma at vertex 0.
 
-    A solution of the relation system expressing gamma's vector is folded,
-    pair by pair, into one group element per subgroup pair; the resulting
-    flow has excess gamma at gamma's subgroup and identity elsewhere, which
-    detect_leak re-certifies before returning.  Any graph carrying a
-    leaking flow certifies the group, so no other edge is needed.
+    The rows of the shortest prefix of pair_rows that expresses gamma's
+    vector are absorbed into a form with row k labelled k; ``left``,
+    congruent to the vector modulo the rows so far, is reduced after each
+    row, and once it is zero the vector's labels give sum_k c_k R(x_k, y_k)
+    = embed(gamma).  Row k's vertex sends (x_k y_k)^(c_k), x_k^(-c_k) and
+    y_k^(-c_k) to the vertices of their columns.  Its own values lie in the
+    abelian <x_k, y_k> and multiply to 1, and a column vertex receives
+    powers of its generator only, which sum to gamma's coordinate there:
+    gamma's p-part in its own column, and 1 elsewhere.  Each column of
+    gamma sends that p-part on to vertex 0, whose excess is gamma.
+    detect_leak re-certifies the flow before it is returned.
     """
     D = source if isinstance(source, DeltaPresentation) else build_delta(source)
     G = D.group
@@ -315,62 +320,38 @@ def witness_flow_from_kernel(source: "FiniteGroup | DeltaPresentation",
     target = D.embed(gamma)
     if not D.canonical.contains(target):
         raise NotInKernel("phi(gamma) is nonzero")
-    coeffs, tags = _greedy_solve(D, gamma, target)
-    acc: dict[tuple[int, int], int] = {}
-    for k in sorted(coeffs):
-        pair, g = tags[k]
-        acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, coeffs[k]))
+    n, m = D.ncols, D.modulus
+    form, left = HowellForm(n, m, labels=len(D.pair_rows)), target
+    for k, tag in enumerate(D.pair_rows):
+        form.add_row({**D.relation_row(tag), n + k: 1})
+        left = {c: a for c, a in form.reduce(left).items() if c < n}
+        if not left:
+            break
+    else:
+        raise InternalInvariantError(
+            f"witness_flow_from_kernel: the relation rows of {_group_label(G)} do not express "
+            f"{_clip(G.name(gamma))}, a kernel member")
     values: dict[tuple[int, int], int] = {}
-    for (i, j), a in acc.items():
+
+    def send(u: int, v: int, a: int) -> None:
         if a != G.identity:
-            # coordinate block i receives +a, block j receives -a
-            values[(j + 1, i + 1)] = a
-            values[(i + 1, j + 1)] = G.inv(a)
-    graph = graph_from(range(1, len(D.subgroups) + 1), values)
+            values[(u, v)], values[(v, u)] = a, G.inv(a)
+
+    for c, a in target.items():
+        send(c + 1, 0, G.power(D.generators[c], a // (m // D.orders[c])))
+    for k, coeff in form.solve(target).items():
+        x, y = D.pair_rows[k]
+        sent: dict[int, int] = {}
+        for h, e in ((G.mul(x, y), coeff), (x, -coeff), (y, -coeff)):
+            for c, _a in D.coordinates[h]:      # h's column; the identity has none
+                sent[c] = G.mul(sent.get(c, G.identity), G.power(h, e))
+        for c, a in sent.items():
+            send(n + 1 + k, c + 1, a)
+    graph = graph_from({v for pair in values for v in pair}, values)
     flow = GroupFlow(graph, G, values)
     verdict = detect_leak(flow)
-    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != D.home[gamma] + 1
-            or verdict.value != gamma):
+    if verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != 0 or verdict.value != gamma:
         raise InternalInvariantError(
             f"witness_flow_from_kernel: the flow for {_clip(G.name(gamma))} in "
             f"{_group_label(G)} failed re-certification")
     return graph, flow
-
-
-def _greedy_solve(D: DeltaPresentation, gamma: int, target: dict[int, int]):
-    """Coefficients {row: c} of the target over the relation rows of the
-    smallest prefix family of subgroups (gamma's first, then by decreasing
-    overlap with it) that expresses it, and the rows' tags.  A row is built
-    when absorbed, labelled by its place; ``left``, congruent to the target
-    modulo the rows so far, is reduced after each step that adds rows, and
-    once it is zero the target's labels give the coefficients."""
-    igamma = D.home[gamma]
-    Hg = D.subgroups[igamma]._member_set
-    rest = [i for i in range(len(D.subgroups)) if i != igamma]
-    rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg), i))
-    rank = {i: r for r, i in enumerate([igamma] + rest)}
-    steps: list[list[tuple[int, list]]] = [[] for _ in rank]
-    for (i, j), run in itertools.groupby(D.pair_rows, key=operator.itemgetter(0)):
-        a, b = sorted((rank[i], rank[j]))
-        steps[b].append((a, list(run)))
-    n = D.ncols
-    form = HowellForm(n, D.modulus, labels=len(D.pair_rows))
-    tags: list[tuple[tuple[int, int], int]] = []
-    left = target
-    for step in steps:
-        if not step:
-            continue
-        step.sort(key=operator.itemgetter(0))
-        for _rank, run in step:
-            for tag in run:
-                row = D.relation_row(tag)
-                row[n + len(tags)] = 1
-                form.add_row(row)
-                tags.append(tag)
-        left = {j: a for j, a in form.reduce(left).items() if j < n}
-        if not left:
-            return form.solve(target), tags
-    G = D.group
-    raise InternalInvariantError(
-        f"witness_flow_from_kernel: the relation rows of {_group_label(G)} do not express "
-        f"{_clip(G.name(gamma))}, a kernel member")

@@ -4,14 +4,12 @@ Elements are indices 0..order-1.  The module provides validated table
 construction, a spec mini-language for the standard families (cyclic,
 dihedral, quaternion, symmetric, alternating, the 2-group family ``es:n``
 used by the flow examples, direct and central products, and tables read
-from files), plus the abelian-structure utilities the leak machinery
-needs: maximal abelian subgroups, invariant-factor bases with discrete
-logarithms, and conjugacy class identifiers.
+from files), conjugacy class identifiers, maximal abelian subgroups, and
+invariant-factor bases of abelian subgroups with discrete logarithms.
 
-Element orders, and orders modulo a subgroup, come from vectorised table
-lookups over many elements at once.  An abelian subgroup's basis is found
-by one greedy loop over the subgroup itself, with no quotient groups and
-no split by primes: see ``abelian_basis``.
+Element orders come from vectorised table lookups over many elements at
+once, and an abelian subgroup's basis from one greedy loop over the
+subgroup itself (``abelian_basis``).
 """
 
 from __future__ import annotations
@@ -769,11 +767,13 @@ def group_from_cayley(table, names, spec: Optional[str] = None) -> FiniteGroup:
     return FiniteGroup(table, names, spec=spec)
 
 
-def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
+def _parse_cayley_file(path: str, max_order: int,
+                       order_only: bool = False) -> FiniteGroup | int:
     """A cayley: file: the order n, a line of n names, then n rows of n
     entries, with blank lines anywhere.  The order meets _check_size before
-    any other line is read; np.loadtxt reads the rows into the int32 table a
-    block (``_row_blocks``) at a time, so no entry becomes a Python int."""
+    any other line is read, and with order_only it is all that is read and
+    returned; np.loadtxt reads the rows into the int32 table a block
+    (``_row_blocks``) at a time, so no entry becomes a Python int."""
     if not path:
         raise ParseError("cayley:<path> needs a file path")
     try:
@@ -787,6 +787,8 @@ def _parse_cayley_file(path: str, max_order: int) -> FiniteGroup:
             # an order of at most 18 digits is named in full when it is refused
             n = int(order_line) if len(order_line) <= 18 else _bounded_int(order_line, max_order)
             _check_size(n, max_order)
+            if order_only:
+                return n
             names_line = next(lines, None)
             if names_line is None:
                 raise ParseError("cayley file: truncated")
@@ -893,32 +895,54 @@ def _check_size(order: int, max_order: int) -> None:
                                          f"the table-memory bound of {MAX_TABLE_BYTES} bytes")
 
 
-def _build_group(spec: str, max_order: int) -> FiniteGroup:
+def _factor_specs(rest: str) -> tuple[str, str]:
+    """The two factor specs of product:rest or centprod:rest."""
+    end = _spec_end(rest, 0)
+    if end is None or rest[end:end + 1] != ",":
+        raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
+    if end + 1 == len(rest):
+        raise ParseError("empty group spec")
+    return rest[:end], rest[end + 1:]
+
+
+def _spec_order(spec: str, max_order: int) -> int:
+    """The order of the group a spec names, read from its text and a
+    cayley: file's first line, and checked by _check_size, as is every
+    factor's, before anything is built."""
     head, _, rest = spec.partition(":")
     if head in ("cyclic", "dihedral", "sym", "alt", "es"):
-        n, order = _family_order(head, rest, max_order)
-        _check_size(order, max_order)
-        if head in ("sym", "alt"):
-            return _perm_group(n, head == "alt", spec)
-        return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
-    if head == "quaternion":
-        if spec != head:
-            raise ParseError("quaternion takes no arguments")
-        return _quaternion()
+        order = _family_order(head, rest, max_order)[1]
+    elif head in ("product", "centprod"):
+        a, b = _factor_specs(rest)
+        order = _spec_order(a, max_order) * _spec_order(b, max_order)
+        order //= 2 if head == "centprod" else 1
+    elif head == "cayley":
+        order = _parse_cayley_file(rest, max_order, order_only=True)
+    elif spec == "quaternion":
+        order = 8
+    else:
+        raise ParseError("quaternion takes no arguments" if head == "quaternion"
+                         else f"unknown group spec {_clip(spec)!r}")
+    _check_size(order, max_order)
+    return order
+
+
+def _build_group(spec: str, max_order: int) -> FiniteGroup:
+    """The group of a spec whose order _spec_order has checked."""
+    head, _, rest = spec.partition(":")
     if head in ("product", "centprod"):
-        end = _spec_end(rest, 0)
-        if end is None or rest[end:end + 1] != ",":
-            raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
-        A = standard_group(rest[:end], max_order)
-        B = A if rest[end + 1:] == rest[:end] else standard_group(rest[end + 1:], max_order)
-        if head == "product":
-            _check_size(A.order * B.order, max_order)
-            return _direct_product(A, B, spec)
-        _check_size(A.order * B.order // 2, max_order)
-        return _central_product(A, B, spec)
+        a, b = _factor_specs(rest)
+        A = _build_group(a, max_order)
+        B = A if b == a else _build_group(b, max_order)
+        return (_direct_product if head == "product" else _central_product)(A, B, spec)
     if head == "cayley":
         return _parse_cayley_file(rest, max_order)
-    raise ParseError(f"unknown group spec {_clip(spec)!r}")
+    if head == "quaternion":
+        return _quaternion()
+    n = _family_order(head, rest, max_order)[0]
+    if head in ("sym", "alt"):
+        return _perm_group(n, head == "alt", spec)
+    return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
 
 
 _MAX_PRODUCTS = 64
@@ -936,4 +960,5 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
     if spec.count("product:") > _MAX_PRODUCTS:
         # each nested product is a few Python frames deep when built
         raise ParseError(f"group spec has more than {_MAX_PRODUCTS} product: or centprod: terms")
+    _spec_order(spec, max_order)
     return _build_group(spec, max_order)

@@ -14,20 +14,13 @@ a quotient, read from the orders of its reductions modulo each prime power
 of m, all use this one form and its one elimination path.
 
 Rows are stored sparse, as dicts {column: value} of Python ints without
-zeros.  The relation rows of a glued group have a handful of nonzeros
-among hundreds of columns, and so do the pivot rows, so an elimination
-step costs the nonzeros of the two rows it combines rather than the width
-of the matrix.  Every vector goes in and comes out in that one format:
-rows and queries are {column: value} dicts, ``reduce`` returns one and
-``solve`` returns {input row: coefficient}, so no dense vector is built
-per relation row or per query.  The form is canonical whatever order its
-rows come in, but the work is not.  The group-leak decision feeds its rows
-sorted by the later of the two subgroup blocks they join (pair order,
-see ``groupleak``): every pivot row then lies within the blocks glued so
-far, and a new row meets no pivot beyond them.  Its coordinates are
-scaled so that the glued group needs no order rows: a column then holds
-no pivot until a chain row puts one there, and a new row cascades only
-through the pivots the gluing has made.
+zeros.  The group-leak decision's relation rows have at most three
+nonzeros among hundreds of columns, and its pivot rows stay short, so an
+elimination step costs the nonzeros of the two rows it combines rather
+than the width of the matrix.  Every vector goes in and comes out in that
+one format: rows and queries are {column: value} dicts, ``reduce`` returns
+one and ``solve`` returns {input row: coefficient}, so no dense vector is
+built per relation row or per query.
 """
 
 from __future__ import annotations

@@ -3,12 +3,17 @@
 Everything here deliberately avoids the library's own search code paths:
 the minor oracle enumerates connected-set families directly, the bridge
 oracle deletes edges and recounts components, and the abelian-subgroup
-oracle walks the subgroup lattice.  The pairwise relation rows are the
-group-leak decision's former construction, the unscaled presentation with
-its order rows is build_delta's former presentation of the glued group,
-the unpruned chain tags are build_delta's former tag set, with a chain for
+oracle walks the subgroup lattice.  The chain presentation (chain_delta,
+with its tags and chain_witness_flow's greedy solve) is build_delta's and
+witness_flow_from_kernel's former construction on the maximal abelian
+subgroups; the commuting-pair presentation on all of G, with one modulus,
+checks the theorem behind build_delta, and every_pair_form its central
+reduction.  The pairwise relation rows are the chain presentation's former
+construction, the unscaled presentation with
+its order rows is the chain presentation's former, unscaled form,
+the unpruned chain tags are its former tag set, with a chain for
 every cyclic subgroup that two maximal abelian subgroups share, the
-element-major chain tags are the order in which build_delta absorbed its
+element-major chain tags are the order in which it absorbed its
 chain rows before it took them pair by pair, the numpy greedy loop on G's
 whole table with orders_modulo is abelian_basis' former construction, the
 per-pair planarity loop is extra_planar's former construction, the
@@ -21,7 +26,7 @@ enumerator ``_connected_subsets`` is find_minor's former search, the
 sorted-dart face walk and per-component Euler count are the planar
 module's former face routines, the neighbour scan is the former
 tractability and excess check, the two-form solve is
-witness_flow_from_kernel's former solve, and the row-and-column
+chain_witness_flow's former solve, and the row-and-column
 diagonalisation with its divisor-chain merge is
 HowellForm.invariant_factors' former elimination, the dense-row
 elimination is HowellForm's former row storage (it takes and returns
@@ -48,8 +53,10 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -62,14 +69,18 @@ from groupflow.errors import (
     GroupFlowError,
     InternalInvariantError,
     NotAbelian,
+    NotInKernel,
     NotPlanarEmbedding,
     NotSubgraph,
     NotTractable,
     ParseError,
+    _clip,
 )
 from groupflow.flows import (
     GroupFlow,
+    LeakVerdict,
     _excesses,
+    detect_leak,
     example_flow_k5,
     example_flow_k33,
     is_tractable,
@@ -86,17 +97,18 @@ from groupflow.graphs import (
     spanning_forest,
     vkey,
 )
-from groupflow.groupleak import DeltaPresentation
 from groupflow.groups import (
     AbelianBasis,
     FiniteGroup,
     Subgroup,
+    _bits,
     _right_closure,
     abelian_basis,
     designated_central_involution,
     discrete_log,
+    maximal_abelian_subgroups,
 )
-from groupflow.howell import HowellForm, _egcd, _unit_scale, invariant_factors
+from groupflow.howell import HowellForm, _egcd, _prime_powers, _unit_scale, invariant_factors
 from groupflow.jsonio import dumps, rotation_to_json, vertex_str
 from groupflow.planar import (
     ExtraPlanarVerdict,
@@ -537,6 +549,267 @@ def dense_row(row: dict, ncols: int) -> np.ndarray:
     return out
 
 
+def _group_label(G: FiniteGroup) -> str:
+    return "a table group" if G.spec is None else _clip(G.spec)
+
+
+@dataclass(frozen=True)
+class ChainDelta:
+    """build_delta's former presentation of Delta, glued from the maximal
+    abelian subgroups of G: one block of coordinates per subgroup basis,
+    column c of order d_c, and chain rows identifying the discrete logs of
+    each cyclic subgroup's least-index generator g in the subgroups
+    i_1 < i_2 < ... that contain it, as dlog_(i_k)(g) - dlog_(i_(k+1))(g).
+    Coordinates are scaled by psi(e_c) = (m / d_c) e_c, so there are no
+    order rows.  ``home[g]`` is the first subgroup containing g, and
+    ``pair_rows`` tags each chain row ((i, j), g), sorted by (j, i) and then
+    by g, the order in which ``canonical`` absorbs them."""
+
+    group: FiniteGroup
+    subgroups: tuple
+    bases: tuple
+    offsets: tuple
+    home: tuple
+    orders: tuple
+    modulus: int
+    canonical: HowellForm
+    pair_rows: tuple
+
+    @property
+    def ncols(self) -> int:
+        return len(self.orders)
+
+    def embed(self, gamma: int, subgroup_index=None) -> dict:
+        """gamma's scaled coordinate vector {column: a_c * m / d_c}, read from
+        its discrete log a in one subgroup (by default the first that
+        contains it)."""
+        i = self.home[gamma] if subgroup_index is None else subgroup_index
+        offset, m, basis = self.offsets[i], self.modulus, self.bases[i]
+        return {offset + t: a * (m // d)
+                for t, (a, d) in enumerate(zip(discrete_log(basis, gamma), basis.orders)) if a}
+
+    def relation_row(self, tag) -> dict:
+        """embed(g, i) - embed(g, j) for the tag ((i, j), g)."""
+        (i, j), g = tag
+        m = self.modulus
+        row = self.embed(g, i)          # blocks i and j are disjoint
+        row.update((col, m - a) for col, a in self.embed(g, j).items())
+        return row
+
+    def relation_rows(self):
+        for tag in self.pair_rows:
+            yield self.relation_row(tag), tag
+
+    def invariant_factors(self) -> list:
+        m, orders = self.modulus, self.orders
+        rows = [{c: a // (m // orders[c]) for c, a in q.items()}
+                for q in self.canonical.pivot_rows()]
+        order = math.prod(orders) * self.canonical.quotient_order() // m ** self.ncols
+        return invariant_factors(orders, rows, order)
+
+
+def chain_tags(G: FiniteGroup, subgroups, containing) -> list:
+    """Tags ((i_k, i_(k+1)), g) for the least-index generator g of each
+    cyclic subgroup over the subgroups that contain g (``containing[g]``),
+    less the chains the lattice already has, stably sorted by pair (j, i).
+    g's chain is skipped when g lies in the subgroup generated by the
+    elements h of I_g, the intersection of the subgroups containing g, that
+    lie outside <g> and generate an earlier cyclic subgroup."""
+    member_bits = [sum(1 << h for h in H.members) for H in subgroups]
+    seen = {1 << G.identity}            # the cyclic subgroups taken so far, as bitsets
+    taken = 0                           # their generators, <g>'s included (~cyclic drops them)
+    tags = []
+    for g, chain in enumerate(containing):
+        if len(chain) < 2:              # no chain, and g lies in no I_h with a chain
+            continue
+        powers = [g]
+        while powers[-1] != G.identity:
+            powers.append(G.mul(powers[-1], g))
+        cyclic = sum(1 << x for x in powers)
+        if cyclic in seen:
+            continue
+        seen.add(cyclic)
+        taken |= sum(1 << x for k, x in enumerate(powers, 1) if math.gcd(k, len(powers)) == 1)
+        inside = functools.reduce(operator.and_, (member_bits[i] for i in chain))
+        if _generated(G.table, G.identity, inside & taken & ~cyclic, g):
+            continue
+        tags.extend(((a, b), g) for a, b in zip(chain, chain[1:]))
+    tags.sort(key=lambda tag: (tag[0][1], tag[0][0]))
+    return tags
+
+
+def _generated(T: np.ndarray, identity: int, gens: int, g: int) -> bool:
+    """Whether g lies in the subgroup generated by the elements of the
+    bitset ``gens``, which commute: the subgroup grows by one coset of
+    itself at a time, h^t times it, for each generator h not yet in it."""
+    reached = np.zeros(len(T), dtype=bool)
+    reached[identity] = True
+    members = np.array([identity])          # the identity first, so coset[0] is h^t
+    for h in _bits(gens):
+        if reached[h]:
+            continue
+        cosets = [T[h, members]]
+        while not reached[cosets[-1][0]]:
+            reached[cosets[-1]] = True
+            cosets.append(T[h, cosets[-1]])
+        if reached[g]:
+            return True
+        members = np.concatenate([members] + cosets[:-1])
+    return False
+
+
+def chain_delta(G: FiniteGroup) -> ChainDelta:
+    """build_delta's former construction: the chain presentation of Delta."""
+    subgroups = maximal_abelian_subgroups(G)
+    containing = [[] for _ in G.elements()]
+    for i, H in enumerate(subgroups):
+        for h in H.members:
+            containing[h].append(i)
+    for g, chain in enumerate(containing):
+        if not chain:
+            raise InternalInvariantError(
+                f"build_delta: element {_clip(G.name(g))} of {_group_label(G)} lies in no "
+                "maximal abelian subgroup")
+    bases = tuple(abelian_basis(H) for H in subgroups)
+    offsets = tuple(itertools.accumulate((len(basis.gens) for basis in bases), initial=0))
+    orders = tuple(d for basis in bases for d in basis.orders)
+    modulus = math.lcm(*orders) if orders else 1
+    D = ChainDelta(
+        group=G,
+        subgroups=subgroups,
+        bases=bases,
+        offsets=offsets,
+        home=tuple(chain[0] for chain in containing),
+        orders=orders,
+        modulus=modulus,
+        canonical=HowellForm(offsets[-1], modulus),
+        pair_rows=tuple(chain_tags(G, subgroups, containing)),
+    )
+    for row, _tag in D.relation_rows():
+        D.canonical.add_row(row)
+    return D
+
+
+def chain_witness_flow(D: ChainDelta, gamma: int):
+    """witness_flow_from_kernel's former flow: on a graph over the maximal
+    abelian subgroups, vertex i + 1 for subgroup i, with one edge per
+    subgroup pair that carries a value.  A solution of the chain rows
+    expressing gamma's vector (``_greedy_solve``) is folded, pair by pair,
+    into one group element per subgroup pair; the flow leaks gamma at
+    gamma's home subgroup, which detect_leak re-certifies."""
+    G = D.group
+    if gamma == G.identity:
+        raise NotInKernel("the identity is not a leak witness")
+    target = D.embed(gamma)
+    if not D.canonical.contains(target):
+        raise NotInKernel("phi(gamma) is nonzero")
+    coeffs, tags = _greedy_solve(D, gamma, target)
+    acc = {}
+    for k in sorted(coeffs):
+        pair, g = tags[k]
+        acc[pair] = G.mul(acc.get(pair, G.identity), G.power(g, coeffs[k]))
+    values = {}
+    for (i, j), a in acc.items():
+        if a != G.identity:
+            # coordinate block i receives +a, block j receives -a
+            values[(j + 1, i + 1)] = a
+            values[(i + 1, j + 1)] = G.inv(a)
+    graph = graph_from(range(1, len(D.subgroups) + 1), values)
+    flow = GroupFlow(graph, G, values)
+    verdict = detect_leak(flow)
+    if (verdict.kind != LeakVerdict.LEAKS_AT or verdict.vertex != D.home[gamma] + 1
+            or verdict.value != gamma):
+        raise InternalInvariantError(
+            f"witness_flow_from_kernel: the flow for {_clip(G.name(gamma))} in "
+            f"{_group_label(G)} failed re-certification")
+    return graph, flow
+
+
+def _greedy_solve(D: ChainDelta, gamma: int, target: dict):
+    """Coefficients {row: c} of the target over the chain rows of the
+    smallest prefix family of subgroups (gamma's first, then by decreasing
+    overlap with it) that expresses it, and the rows' tags.  A row is built
+    when absorbed, labelled by its place; ``left``, congruent to the target
+    modulo the rows so far, is reduced after each step that adds rows, and
+    once it is zero the target's labels give the coefficients."""
+    igamma = D.home[gamma]
+    Hg = D.subgroups[igamma]._member_set
+    rest = [i for i in range(len(D.subgroups)) if i != igamma]
+    rest.sort(key=lambda i: (-len(D.subgroups[i]._member_set & Hg), i))
+    rank = {i: r for r, i in enumerate([igamma] + rest)}
+    steps = [[] for _ in rank]
+    for (i, j), run in itertools.groupby(D.pair_rows, key=operator.itemgetter(0)):
+        a, b = sorted((rank[i], rank[j]))
+        steps[b].append((a, list(run)))
+    n = D.ncols
+    form = HowellForm(n, D.modulus, labels=len(D.pair_rows))
+    tags = []
+    left = target
+    for step in steps:
+        if not step:
+            continue
+        step.sort(key=operator.itemgetter(0))
+        for _rank, run in step:
+            for tag in run:
+                row = D.relation_row(tag)
+                row[n + len(tags)] = 1
+                form.add_row(row)
+                tags.append(tag)
+        left = {j: a for j, a in form.reduce(left).items() if j < n}
+        if not left:
+            return form.solve(target), tags
+    G = D.group
+    raise InternalInvariantError(
+        f"witness_flow_from_kernel: the relation rows of {_group_label(G)} do not express "
+        f"{_clip(G.name(gamma))}, a kernel member")
+
+
+def phi_fibres(G: FiniteGroup, image) -> list:
+    """The fibres of image, a map from G's elements to hashable values, as
+    sorted lists of elements, sorted."""
+    fibres = {}
+    for g in G.elements():
+        fibres.setdefault(image(g), []).append(g)
+    return sorted(fibres.values())
+
+
+def commuting_pair_fibres(G: FiniteGroup) -> list:
+    """The phi-fibres of Delta presented on all of G at once, with one
+    modulus: one column e_g per element, modulo the exponent m of G, and the
+    row e_(gh) - e_g - e_h for every commuting pair g <= h.  Delta has
+    exponent dividing m, since m[g] = [g^m] = [1] = 0, so these rows over
+    Z/m present it, and g maps to the reduction of e_g.  No p-parts, cyclic
+    columns or reductions of the rows are used."""
+    m = int(np.lcm.reduce(G.element_orders()))
+    form = HowellForm(G.order, m)
+    for g, h in itertools.combinations_with_replacement(G.elements(), 2):
+        if G.commutes(g, h):
+            row = {}
+            for x, a in ((G.mul(g, h), 1), (g, -1), (h, -1)):
+                row[x] = row.get(x, 0) + a
+            form.add_row(row)
+    return phi_fibres(G, lambda g: tuple(sorted(form.reduce({g: 1}).items())))
+
+
+def every_pair_form(D) -> HowellForm:
+    """The Howell form of D's power rows and of R(g, y) for every column
+    generator g and every p-element y in C(g) outside <g>, p the prime of
+    g's order: build_delta's rows without the central reduction."""
+    G = D.group
+    orders = G.element_orders()
+    form = HowellForm(D.ncols, D.modulus)
+    for g, d in zip(D.generators, D.orders):
+        (p, _k), = _prime_powers(d)
+        cyclic = {G.power(g, k) for k in range(d)}
+        if d > p:
+            form.add_row(D.relation_row((g, G.power(g, p - 1))))
+        for y in G.elements():
+            if (y not in cyclic and G.commutes(g, y)
+                    and [q for q, _ in _prime_powers(int(orders[y]))] == [p]):
+                form.add_row(D.relation_row((g, y)))
+    return form
+
+
 def column_orders(D) -> list:
     """The order d_c of each coordinate column of D: its basis generator's."""
     return [d for basis in D.bases for d in basis.orders]
@@ -548,8 +821,8 @@ def psi(D, row: dict) -> dict:
     return {c: a * (m // orders[c]) % m for c, a in row.items() if a * (m // orders[c]) % m}
 
 
-class UnscaledDelta(DeltaPresentation):
-    """The glued group in build_delta's former, unscaled coordinates.
+class UnscaledDelta(ChainDelta):
+    """The chain presentation in its former, unscaled coordinates.
     ``embed`` gives the discrete logs themselves; ``relation_rows`` gives the
     order row {c: d_c mod m} of each column (tag None; empty when d_c is
     m) before the chain rows; ``canonical`` is the Howell form of all of
@@ -571,7 +844,7 @@ class UnscaledDelta(DeltaPresentation):
 
 
 def unscaled_delta(D) -> UnscaledDelta:
-    """D's glued group presented as build_delta presented it before it
+    """D's glued group presented as the chain presentation was before it
     scaled its coordinates and pruned its chains: the same subgroups and
     bases, the unpruned chain tags, and a Howell form of the order rows and
     the unscaled chain rows."""
@@ -585,8 +858,8 @@ def unscaled_delta(D) -> UnscaledDelta:
 
 def pairwise_relation_rows(D) -> list:
     """Relation rows of D's glued group built pair by pair, in D's own
-    coordinates: D's order rows (an UnscaledDelta has them, build_delta's
-    scaled presentation has none), then embed(g, i) - embed(g, j) for each
+    coordinates: D's order rows (an UnscaledDelta has them, a ChainDelta
+    has none), then embed(g, i) - embed(g, j) for each
     basis generator g of every nontrivial intersection of two maximal
     abelian subgroups i < j.  Returns sparse (row, tag) pairs tagged like
     ``D.relation_rows``."""
@@ -628,8 +901,8 @@ def unpruned_chain_tags(G: FiniteGroup, subgroups) -> list:
 
 def chain_tags_element_major(D) -> list:
     """D's chain tags in element order, each generator's whole chain before
-    the next generator's: the order in which build_delta absorbed them
-    before it took them pair by pair."""
+    the next generator's: the order in which the chain presentation
+    absorbed them before it took them pair by pair."""
     return sorted(D.pair_rows, key=lambda tag: (tag[1], tag[0]))
 
 

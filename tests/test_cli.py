@@ -975,6 +975,14 @@ def test_inline_group_table_obeys_max_size(tmp_path):
     assert invoke(["check-flow", str(path)])[0] == 0
 
 
+def test_product_above_the_bound_is_refused_before_its_factors():
+    """product:sym:7,cyclic:2 exits 2 with the product's order, read from
+    the spec before sym:7 is built."""
+    code, out, err = invoke(["group-leakproof", "product:sym:7,cyclic:2"])
+    assert (code, out) == (2, "")
+    assert "order 10080 exceeds the configured bound 5040" in err
+
+
 def test_rotation_naming_a_vertex_the_graph_lacks_is_usage_error(tmp_path):
     gpath = write_graph(tmp_path, "path.json", graph_from([1, 2, 3], [(1, 2), (2, 3)]))
     rpath = tmp_path / "rot.json"

@@ -1,4 +1,5 @@
-"""Group-leak decisions: the glued abelian group, phi, verdicts, witnesses."""
+"""Group-leak decisions: Delta on the cyclic p-subgroups, the chain presentation
+it replaced (kept as the oracle), phi, verdicts, witnesses."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import re
 
 import pytest
 
-from groupflow import groupleak
+from groupflow import groupleak, groups
 from groupflow.errors import InternalInvariantError, NotInKernel
 from groupflow.flows import GroupFlow, LeakVerdict, detect_leak, is_tractable
 from groupflow.graphs import edge_key, graph_from
@@ -31,11 +32,18 @@ from groupflow.groups import (
     maximal_abelian_subgroups,
     standard_group,
 )
-from groupflow.howell import HowellForm
+from groupflow.howell import HowellForm, _prime_powers
 
+import helpers
 from helpers import (
+    ChainDelta,
     DenseHowellForm,
+    chain_delta,
     chain_tags_element_major,
+    chain_witness_flow,
+    commuting_pair_fibres,
+    every_pair_form,
+    phi_fibres,
     closure,
     column_orders,
     dense_row,
@@ -48,16 +56,18 @@ from helpers import (
 )
 
 
-# -- build_delta ----------------------------------------------------------------
+# -- Delta, and the chain presentation kept as its oracle ---------------------------
 
 
 def test_abelian_delta_is_the_group_itself():
     G = standard_group("product:cyclic:2,cyclic:4")
-    D = build_delta(G)
+    D = chain_delta(G)
     assert len(D.subgroups) == 1
     assert D.invariant_factors() == [2, 4]
     v = is_leakproof_group(G, delta=D)
     assert v.leakproof
+    assert build_delta(G).invariant_factors() == [2, 4]
+    assert is_leakproof_group(G).leakproof
 
 
 def test_quaternion_delta_factors():
@@ -73,7 +83,7 @@ def test_sym3_phi_injective_by_exhaustion():
     G = standard_group("sym:3")
     D = build_delta(G)
     m, k = D.modulus, D.ncols
-    rows = [tuple(int(x) % m for x in dense_row(row, k)) for row, _tag in D.relation_rows()]
+    rows = [tuple(int(x) % m for x in dense_row(D.relation_row(tag), k)) for tag in D.pair_rows]
     span = {tuple([0] * k)}
     frontier = [tuple([0] * k)]
     while frontier:
@@ -98,7 +108,7 @@ def test_home_and_orders_index_the_blocks():
     orders[c] the order of column c's basis generator."""
     for spec in ("quaternion", "es:2", "sym:4"):
         G = standard_group(spec)
-        D = build_delta(G)
+        D = chain_delta(G)
         assert D.home == tuple(next(i for i, H in enumerate(D.subgroups) if g in H)
                                for g in G.elements())
         assert list(D.orders) == column_orders(D) and D.ncols == len(D.orders)
@@ -108,7 +118,7 @@ def test_embed_and_phi_scans_search_no_subgroup(monkeypatch):
     """Once alt:6's Delta is built, embedding every element and both phi
     scans read each element's home and test no subgroup membership."""
     G = standard_group("alt:6")
-    D = build_delta(G)
+    D = chain_delta(G)
     calls = []
     contains = Subgroup.__contains__
     monkeypatch.setattr(Subgroup, "__contains__", lambda H, g: calls.append(g) or contains(H, g))
@@ -122,19 +132,19 @@ def test_embed_and_phi_scans_search_no_subgroup(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["sym:3", None])
 def test_build_delta_names_an_element_outside_every_subgroup(monkeypatch, spec):
-    """An element that no maximal abelian subgroup holds stops build_delta,
+    """An element that no maximal abelian subgroup holds stops chain_delta,
     which names its stage, the element and the group; a group given by its
     table alone has no spec."""
     S3 = standard_group("sym:3")
     G = group_from_cayley(S3.table, S3.names, spec=spec)
     kept = maximal_abelian_subgroups(G)[:-1]
-    monkeypatch.setattr(groupleak, "maximal_abelian_subgroups", lambda _G: kept)
+    monkeypatch.setattr(helpers, "maximal_abelian_subgroups", lambda _G: kept)
     lost = min(set(G.elements()) - {g for H in kept for g in H.members})
     label = spec or "a table group"
     with pytest.raises(InternalInvariantError,
                        match=rf"^build_delta: element {re.escape(G.name(lost))} of {label} "
                              r"lies in no maximal abelian subgroup$"):
-        build_delta(G)
+        chain_delta(G)
 
 
 def test_relation_rows_recompute_mod_m():
@@ -143,7 +153,7 @@ def test_relation_rows_recompute_mod_m():
     relation row, every embedded element and every pivot row lies in the
     image of psi: entry c is a multiple of m / d_c."""
     for spec in ("es:2", "sym:4"):
-        D = build_delta(standard_group(spec))
+        D = chain_delta(standard_group(spec))
         m = D.modulus
         orders = column_orders(D)
         assert any(m // d > 1 for d in orders), spec      # the scaling is not the identity
@@ -167,7 +177,7 @@ def test_pair_rows_identify_same_element():
     """Re-multiplying each logged generator inside the group reproduces it
     on both sides of the relation."""
     G = standard_group("quaternion")
-    D = build_delta(G)
+    D = chain_delta(G)
     assert D.pair_rows
     for pair, g in D.pair_rows:
         for side in pair:
@@ -188,7 +198,7 @@ def test_pair_rows_chain_each_cyclic_subgroup_once(spec):
     lie outside <g> and whose own cyclic subgroup's least generator comes
     before g."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     pairs_of = {}
     for pair, g in D.pair_rows:
         pairs_of.setdefault(g, []).append(pair)
@@ -226,7 +236,7 @@ def test_chain_rows_match_pairwise_oracle(spec):
     ``D.canonical``, the unscaled ones with their order rows the same
     invariant factors, and the verdict and witness agree."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     oracle = HowellForm(D.ncols, D.modulus)
     for row, _tag in pairwise_relation_rows(D):
         oracle.add_row(row)
@@ -253,7 +263,7 @@ def test_chain_rows_match_pairwise_oracle(spec):
 def _element_major_delta(D):
     """D with its own chain rows absorbed in element order, each
     generator's whole chain before the next generator's: the tag order
-    build_delta used before it absorbed the rows pair by pair."""
+    the chain presentation used before it absorbed the rows pair by pair."""
     tags = chain_tags_element_major(D)
     assert sorted(tags) == sorted(D.pair_rows)
     E = dataclasses.replace(D, pair_rows=tuple(tags), canonical=HowellForm(D.ncols, D.modulus))
@@ -269,7 +279,7 @@ def test_pair_major_rows_match_element_major_oracle(spec):
     element, invariant factors, leak witness, binary collision and
     witness-flow values."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     E = _element_major_delta(D)
     for g in G.elements():
         assert D.canonical.reduce(D.embed(g)) == E.canonical.reduce(E.embed(g))
@@ -279,13 +289,13 @@ def test_pair_major_rows_match_element_major_oracle(spec):
     assert (is_binary_leakproof_group(G, delta=D).collision
             == is_binary_leakproof_group(G, delta=E).collision)
     if not leak.leakproof:
-        assert (witness_flow_from_kernel(D, leak.witness)[1].values
-                == witness_flow_from_kernel(E, leak.witness)[1].values)
+        assert (chain_witness_flow(D, leak.witness)[1].values
+                == chain_witness_flow(E, leak.witness)[1].values)
 
 
 def _unpruned_delta(D):
     """D with a chain for every cyclic subgroup that two maximal abelian
-    subgroups share: the tags build_delta took before it skipped the chains
+    subgroups share: the tags chain_delta took before it skipped the chains
     the lattice already has."""
     tags = unpruned_chain_tags(D.group, D.subgroups)
     assert set(D.pair_rows) <= set(tags)
@@ -302,12 +312,12 @@ def test_pruned_chains_span_the_unpruned_lattice(spec):
     form contains the other's pivot rows, and the two give the same
     invariant factors, phi (so the same kernel and fibres), leak witness
     and binary collision.  The witness flow built on either set of rows
-    leaks the witness (witness_flow_from_kernel re-certifies it).  In the
+    leaks the witness (chain_witness_flow re-certifies it).  In the
     two products, a rule that took every element of an earlier cyclic
     subgroup, not only its generators, would skip a chain the lattice
     lacks."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     U = _unpruned_delta(D)
     assert all(U.canonical.contains(row) for row in D.canonical.pivot_rows())
     assert all(D.canonical.contains(row) for row in U.canonical.pivot_rows())
@@ -319,19 +329,19 @@ def test_pruned_chains_span_the_unpruned_lattice(spec):
             == is_binary_leakproof_group(G, delta=U).collision)
     if not leak.leakproof:
         for X in (D, U):
-            verdict = detect_leak(witness_flow_from_kernel(X, leak.witness)[1])
+            verdict = detect_leak(chain_witness_flow(X, leak.witness)[1])
             assert (verdict.kind, verdict.value) == (LeakVerdict.LEAKS_AT, leak.witness)
 
 
 def _assert_matches_unscaled_oracle(spec):
-    """build_delta's scaled presentation against its former unscaled one,
+    """The chain presentation, scaled, against its former unscaled one,
     with order rows and the unpruned chain rows: the same kernel and
     phi-fibres, invariant factors, leak witness and binary collision.  The
     witness flow has the values of the unscaled two-form solve over D's
     own rows, and the two-form solve over the unpruned rows leaks the
     witness too."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     U = unscaled_delta(D)
     fibres, oracle_fibres = {}, {}
     for g in G.elements():
@@ -346,7 +356,7 @@ def _assert_matches_unscaled_oracle(spec):
             == is_binary_leakproof_group(G, delta=U).collision)
     if not leak.leakproof:
         pruned = dataclasses.replace(U, pair_rows=D.pair_rows)     # its canonical is unread
-        assert (witness_flow_from_kernel(D, leak.witness)[1].values
+        assert (chain_witness_flow(D, leak.witness)[1].values
                 == witness_values_two_forms(pruned, leak.witness))
         values = witness_values_two_forms(U, leak.witness)
         verdict = detect_leak(GroupFlow(graph_from(range(1, len(U.subgroups) + 1), values),
@@ -367,6 +377,114 @@ def test_scaled_delta_matches_unscaled_oracle_slow(spec):
     _assert_matches_unscaled_oracle(spec)
 
 
+# -- Delta on the cyclic p-subgroups against its oracles ------------------------------
+
+
+def _assert_matches_chain_oracle(spec):
+    """build_delta against the chain presentation it replaced: the same
+    phi-fibres, invariant factors, first kernel element and first
+    collision."""
+    G = standard_group(spec)
+    D, C = build_delta(G), chain_delta(G)
+    assert phi_fibres(G, lambda g: phi(D, g)) == phi_fibres(G, lambda g: phi(C, g))
+    assert D.invariant_factors() == C.invariant_factors()
+    assert is_leakproof_group(G, delta=D) == is_leakproof_group(G, delta=C)
+    assert is_binary_leakproof_group(G, delta=D) == is_binary_leakproof_group(G, delta=C)
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS + ["alt:7", "sym:7"])
+def test_delta_matches_chain_oracle(spec):
+    _assert_matches_chain_oracle(spec)
+
+
+@pytest.mark.skipif(os.environ.get("GROUPFLOW_SKIP_SLOW") == "1",
+                    reason="GROUPFLOW_SKIP_SLOW=1 skips es:4")
+def test_delta_matches_chain_oracle_slow():
+    _assert_matches_chain_oracle("es:4")
+
+
+@pytest.mark.skipif(os.environ.get("GROUPFLOW_SKIP_SLOW") == "1",
+                    reason="GROUPFLOW_SKIP_SLOW=1 skips es:5")
+def test_es5_leaks_exactly_at_z_slow():
+    """es:5, of order 2,048, within the default bound: phi's kernel is
+    exactly {1, z}, the first collision is (1, z), and Delta's invariant
+    factors are eleven 2s."""
+    G = standard_group("es:5")
+    D = build_delta(G)
+    assert [G.name(g) for g in G.elements() if not phi(D, g)] == ["1", "z"]
+    assert [G.name(g) for g in is_binary_leakproof_group(G, delta=D).collision] == ["1", "z"]
+    assert D.invariant_factors() == [2] * 11
+
+
+@pytest.mark.parametrize("spec", [
+    "quaternion", "sym:3", "dihedral:6", "cyclic:12", "alt:4", "sym:4", "es:2",
+    "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2", "product:alt:4,cyclic:6"])
+def test_commuting_pair_presentation_gives_the_same_fibres(spec):
+    """The theorem: Delta presented on every element and every commuting
+    pair of G, with one modulus, has the fibres of the sum of the p-parts
+    on the cyclic p-subgroups."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    assert commuting_pair_fibres(G) == phi_fibres(G, lambda g: phi(D, g))
+
+
+@pytest.mark.parametrize("spec", PAIRWISE_ORACLE_SPECS + ["es:3"])
+def test_central_reduction_keeps_the_fibres(spec):
+    """R(g, y) for every column generator g and every p-element y in C(g),
+    with no central rows and no choice of cosets, spans what build_delta's
+    rows span: each form contains the other's pivot rows, and the fibres
+    agree."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    every = every_pair_form(D)
+    assert all(every.contains(row) for row in D.canonical.pivot_rows())
+    assert all(D.canonical.contains(row) for row in every.pivot_rows())
+    assert (phi_fibres(G, lambda g: tuple(sorted(every.reduce(D.embed(g)).items())))
+            == phi_fibres(G, lambda g: phi(D, g)))
+
+
+def test_build_delta_searches_no_subgroup(monkeypatch):
+    """Delta needs no maximal abelian subgroup, basis or discrete log."""
+    def refuse(*_args):
+        raise AssertionError("called")
+
+    for name in ("maximal_abelian_subgroups", "abelian_basis", "discrete_log"):
+        assert not hasattr(groupleak, name)
+        monkeypatch.setattr(groups, name, refuse)
+    G = standard_group("sym:4")
+    D = build_delta(G)
+    assert is_leakproof_group(G, delta=D).leakproof
+    assert D.invariant_factors() == [2, 2, 6, 6, 12, 12]
+
+
+def test_columns_are_the_cyclic_p_subgroups():
+    """One column per cyclic p-subgroup, held by its least-index generator,
+    with that generator's order; each p-element x = g^k has the single
+    coordinate k * m / ord(g), and every element's vector is the sum of its
+    p-parts'."""
+    for spec in ("sym:4", "dihedral:6", "product:alt:4,cyclic:6"):
+        G = standard_group(spec)
+        D = build_delta(G)
+        orders = G.element_orders()
+        cyclic = {}
+        for x in G.elements():
+            if len({p for p, _ in _prime_powers(int(orders[x]))}) == 1:
+                cyclic.setdefault(frozenset(G.power(x, k) for k in range(orders[x])), []).append(x)
+        assert sorted(D.generators) == sorted(min(gens) for gens in cyclic.values())
+        assert list(D.orders) == [int(orders[g]) for g in D.generators]
+        assert D.modulus == math.lcm(*orders.tolist())
+        for c, g in enumerate(D.generators):
+            for k in range(1, D.orders[c]):
+                if math.gcd(k, D.orders[c]) == 1:
+                    assert D.embed(G.power(g, k)) == {c: k * D.modulus // D.orders[c]}
+        for x in G.elements():
+            n, vector = int(orders[x]), {}
+            for p, a in _prime_powers(n):           # x's p-part is x^u
+                q = p ** a
+                vector.update(D.embed(G.power(x, n // q * pow(n // q, -1, q))))
+            assert D.embed(x) == vector
+
+
 # -- phi -------------------------------------------------------------------------
 
 
@@ -381,7 +499,7 @@ def test_phi_empty_exactly_on_kernel(spec):
     of the pairwise gluing, tested by the dense elimination; any other
     image is its sorted nonzero (column, residue) pairs."""
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     oracle = DenseHowellForm(D.ncols, D.modulus)
     for row, _tag in pairwise_relation_rows(D):
         oracle.add_row(row)
@@ -397,7 +515,7 @@ def test_phi_empty_exactly_on_kernel(spec):
 
 def test_phi_independent_of_containing_subgroup():
     G = es_group(2)
-    D = build_delta(G)
+    D = chain_delta(G)
     z = G.index_of("z")
     canon = D.canonical
     forms = set()
@@ -410,7 +528,7 @@ def test_phi_independent_of_containing_subgroup():
 
 def test_phi_choice_independent_for_every_element():
     G = standard_group("sym:4")
-    D = build_delta(G)
+    D = chain_delta(G)
     for g in G.elements():
         forms = {
             tuple(sorted(D.canonical.reduce(D.embed(g, subgroup_index=i)).items()))
@@ -425,7 +543,7 @@ def test_lattice_contains_modulus_times_units():
     mod m for every 0 < a_c < d_c, and m * e_j, zero mod m, is in the
     span.  The unscaled oracle needs its order rows to hold d_c * e_c."""
     for spec in ("quaternion", "sym:3", "es:2"):
-        D = build_delta(standard_group(spec))
+        D = chain_delta(standard_group(spec))
         U = unscaled_delta(D)
         for j, d in enumerate(column_orders(D)):
             assert D.canonical.contains({j: D.modulus})
@@ -443,7 +561,7 @@ def test_phi_additive_on_commuting_pairs():
     G = standard_group("sym:4")
     D = build_delta(G)
     count = 0
-    for H in D.subgroups:
+    for H in maximal_abelian_subgroups(G):
         for a, b in itertools.islice(itertools.product(H.members, repeat=2), 40):
             lhs = phi(D, G.mul(a, b))
             total = dense_row(dict(phi(D, a)), D.ncols) + dense_row(dict(phi(D, b)), D.ncols)
@@ -522,10 +640,10 @@ def test_witness_nonkernel_rejected():
 @pytest.mark.parametrize("spec", ["es:2", "es:3", "centprod:quaternion,dihedral:4"])
 def test_witness_closes_the_loop(spec):
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     v = is_leakproof_group(G, delta=D)
     assert not v.leakproof
-    graph, flow = witness_flow_from_kernel(D, v.witness)
+    graph, flow = chain_witness_flow(D, v.witness)
     assert graph.n == len(D.subgroups)
     verdict = detect_leak(flow)
     assert verdict.kind == LeakVerdict.LEAKS_AT
@@ -536,10 +654,10 @@ def test_witness_closes_the_loop(spec):
                                   "product:es:2,cyclic:2", "sym:6"])
 def test_witness_flow_matches_two_form_oracle(spec):
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     v = is_leakproof_group(G, delta=D)
     assert not v.leakproof
-    _graph, flow = witness_flow_from_kernel(D, v.witness)
+    _graph, flow = chain_witness_flow(D, v.witness)
     assert flow.values == witness_values_two_forms(D, v.witness)
 
 
@@ -572,17 +690,17 @@ def test_witness_builds_only_the_rows_it_absorbs(monkeypatch):
     """On es:3 the witness builds the 86 relation rows of the subgroups it
     glues, not all 1,016 of the glued group."""
     G = standard_group("es:3")
-    D = build_delta(G)
+    D = chain_delta(G)
     v = is_leakproof_group(G, delta=D)
     built = []
-    relation_row = DeltaPresentation.relation_row
+    relation_row = ChainDelta.relation_row
 
     def counted(self, tag):
         built.append(tag)
         return relation_row(self, tag)
 
-    monkeypatch.setattr(DeltaPresentation, "relation_row", counted)
-    witness_flow_from_kernel(D, v.witness)
+    monkeypatch.setattr(ChainDelta, "relation_row", counted)
+    chain_witness_flow(D, v.witness)
     assert len(D.pair_rows) == 1016
     assert len(built) == len(set(built)) == 86
 
@@ -591,9 +709,9 @@ def test_witness_builds_only_the_rows_it_absorbs(monkeypatch):
                                   "product:es:2,cyclic:2", "sym:6"])
 def test_witness_graph_is_the_flow_support(spec):
     G = standard_group(spec)
-    D = build_delta(G)
+    D = chain_delta(G)
     v = is_leakproof_group(G, delta=D)
-    graph, flow = witness_flow_from_kernel(D, v.witness)
+    graph, flow = chain_witness_flow(D, v.witness)
     assert graph.n == len(D.subgroups)
     assert graph.vertices == tuple(range(1, len(D.subgroups) + 1))
     assert graph.edges == {edge_key(u, w) for u, w in flow.support_pairs()}
@@ -602,14 +720,39 @@ def test_witness_graph_is_the_flow_support(spec):
 
 def test_witness_values_live_in_the_column_subgroup():
     G = es_group(2)
-    D = build_delta(G)
+    D = chain_delta(G)
     v = is_leakproof_group(G, delta=D)
-    graph, flow = witness_flow_from_kernel(D, v.witness)
+    graph, flow = chain_witness_flow(D, v.witness)
     ok, _ = is_tractable(flow)
     assert ok
     for (u, w), g in flow.values.items():
         target = D.subgroups[w - 1]       # vertex labels are 1-based subgroup ids
         assert g in target
+
+
+@pytest.mark.parametrize("spec, size", [("es:2", 1), ("es:3", 1), ("sym:6", 45),
+                                        ("product:es:2,cyclic:2", 1)])
+def test_witness_for_every_kernel_element(spec, size):
+    """Every kernel element, not only the first, gets a flow that leaks it
+    at vertex 0.  The graph is the flow's support and bipartite: each edge
+    joins a column vertex c + 1 to a row vertex or to vertex 0, every value
+    a column vertex receives lies in its cyclic subgroup, and the flow is
+    tractable."""
+    G = standard_group(spec)
+    D = build_delta(G)
+    kernel = [g for g in G.elements() if g != G.identity and not phi(D, g)]
+    assert len(kernel) == size
+    for gamma in kernel:
+        graph, flow = witness_flow_from_kernel(D, gamma)
+        verdict = detect_leak(flow)
+        assert (verdict.kind, verdict.vertex, verdict.value) == (LeakVerdict.LEAKS_AT, 0, gamma)
+        assert graph.edges == {edge_key(u, w) for u, w in flow.support_pairs()}
+        assert is_tractable(flow)[0]
+        for (u, w), g in flow.values.items():
+            assert (1 <= u <= D.ncols) != (1 <= w <= D.ncols)
+            if 1 <= w <= D.ncols:
+                generator = D.generators[w - 1]
+                assert g in {G.power(generator, k) for k in range(D.orders[w - 1])}
 
 
 # -- bounded direct search on small groups ------------------------------------------------

@@ -451,6 +451,28 @@ def test_orders_decided_without_building_them():
         standard_group("es:5", max_order=2047)
 
 
+@pytest.mark.parametrize("spec, order", [
+    ("product:sym:7,cyclic:2", 10080), ("product:sym:7,sym:7", 25401600),
+    ("centprod:cyclic:4,product:sym:7,cyclic:2", 10080), ("product:cayley:c4.txt,sym:7", 20160)])
+def test_product_order_bounded_before_its_factors(tmp_path, monkeypatch, spec, order):
+    """A product's order is read from its spec, a cayley: factor's from the
+    file's first line, so a product above the bound is refused, with the
+    message that names its order (a nested product's, when that is above
+    the bound), before any factor's table is built: the peak traced memory
+    stays below 1 MiB (sym:7's table alone is 97 MiB).  The cayley: file
+    holds its order line only, which is all that is read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c4.txt").write_text("4\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match=rf"^order {order} exceeds the configured bound 5040$"):
+            standard_group(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_cayley_file(tmp_path):
     q = standard_group("quaternion")
     lines = ["8", " ".join(q.names)]

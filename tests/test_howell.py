@@ -201,13 +201,14 @@ def test_invariant_factors_match_diagonalization_oracle():
         seen.add(tuple(factors))
     assert len(seen) > 100
     for spec in DELTA_SPECS:
-        D = build_delta(standard_group(spec))
-        U = helpers.unscaled_delta(D)
+        G = standard_group(spec)
+        D = build_delta(G)
+        U = helpers.unscaled_delta(helpers.chain_delta(G))
         factors = D.invariant_factors()
         assert factors == invariant_factors_by_diagonalization(U.canonical), spec
-        if D.ncols <= 12:
-            rows = [dense_row(row, D.ncols) for row, _tag in U.relation_rows()]
-            assert factors == _snf_factors(rows, D.modulus, D.ncols), spec
+        if U.ncols <= 12:
+            rows = [dense_row(row, U.ncols) for row, _tag in U.relation_rows()]
+            assert factors == _snf_factors(rows, U.modulus, U.ncols), spec
 
 
 def test_invariant_factors_of_column_orders_match_snf():
@@ -448,7 +449,7 @@ def test_sparse_rows_match_dense_oracle():
     assert egcd_steps > 20
     for spec in DELTA_SPECS:
         D = build_delta(standard_group(spec))
-        rows = [row for row, _tag in D.relation_rows()]
+        rows = [D.relation_row(tag) for tag in D.pair_rows]
         dense_rows = [dense_row(row, D.ncols) for row in rows]
         # labels leave the coordinates as they are, so one labelled pair checks all three
         sparse = HowellForm(D.ncols, D.modulus, labels=len(rows))
