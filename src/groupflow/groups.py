@@ -1,11 +1,13 @@
 """Finite groups given by dense multiplication tables.
 
 Elements are indices 0..order-1.  The module provides validated table
-construction, a spec mini-language for the standard families (cyclic,
-dihedral, quaternion, symmetric, alternating, the 2-group family ``es:n``
-used by the flow examples, direct and central products, and tables read
-from files), conjugacy class identifiers, maximal abelian subgroups, and
-invariant-factor bases of abelian subgroups with discrete logarithms.
+construction, a spec mini-language read in one walk (``_plan``) for the
+standard families (cyclic, dihedral, quaternion, symmetric, alternating,
+the 2-group family ``es:n`` used by the flow examples, direct and central
+products, and tables read from files), and conjugacy class identifiers.
+Its maximal abelian subgroups and abelian bases with discrete logarithms
+feed no decision: only the chain oracle in tests/helpers.py reads them,
+and perfbench/spans.py traces them by name.
 
 Element orders come from vectorised table lookups over many elements at
 once, and an abelian subgroup's basis from one greedy loop over the
@@ -19,7 +21,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -571,12 +573,10 @@ def _es_name(n: int, idx: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def es_group(n: int, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def es_group(n: int) -> FiniteGroup:
     """The group of order 2^(2n+1) on triples (eps, u, v) with the law
     (e1,u1,v1)(e2,u2,v2) = (e1+e2+<v1,u2>, u1+u2, v1+v2) over GF(2)."""
-    if n < 1:
-        raise ParseError("es:n needs n >= 1")
-    return standard_group(f"es:{n}", max_order)
+    return standard_group(f"es:{n}")
 
 
 def _es_group_impl(n: int) -> FiniteGroup:
@@ -820,7 +820,15 @@ def _parse_cayley_file(path: str, max_order: int,
     return group_from_cayley(table, names, spec=f"cayley:{path}")
 
 
-_SPEC_TOKEN = re.compile(r"(product:|centprod:)|(?:cyclic|dihedral|sym|alt|es):\d+"
+# head -> the builder of the family head:n, given n and the spec's own text
+_FAMILIES = {
+    "cyclic": lambda n, spec: _cyclic(n),
+    "dihedral": lambda n, spec: _dihedral(n),
+    "sym": lambda n, spec: _perm_group(n, False, spec),
+    "alt": lambda n, spec: _perm_group(n, True, spec),
+    "es": lambda n, spec: _es_group_impl(n),
+}
+_SPEC_TOKEN = re.compile(rf"(product:|centprod:)|(?:{'|'.join(_FAMILIES)}):\d+"
                          r"|quaternion|cayley:[^,]+")
 
 
@@ -905,44 +913,34 @@ def _factor_specs(rest: str) -> tuple[str, str]:
     return rest[:end], rest[end + 1:]
 
 
-def _spec_order(spec: str, max_order: int) -> int:
-    """The order of the group a spec names, read from its text and a
-    cayley: file's first line, and checked by _check_size, as is every
-    factor's, before anything is built."""
+def _plan(spec: str, max_order: int) -> tuple[int, Callable[[], FiniteGroup]]:
+    """The order of the group a spec names and a function that builds it.
+    Every order, a cayley: file's from its first line, meets _check_size
+    before anything is built; a factor its product repeats is built once."""
     head, _, rest = spec.partition(":")
-    if head in ("cyclic", "dihedral", "sym", "alt", "es"):
-        order = _family_order(head, rest, max_order)[1]
-    elif head in ("product", "centprod"):
+    if head in ("product", "centprod"):
         a, b = _factor_specs(rest)
-        order = _spec_order(a, max_order) * _spec_order(b, max_order)
-        order //= 2 if head == "centprod" else 1
+        order_a, build_a = _plan(a, max_order)
+        order_b, build_b = (order_a, build_a) if b == a else _plan(b, max_order)
+        order = order_a * order_b // (2 if head == "centprod" else 1)
+        join = _direct_product if head == "product" else _central_product
+
+        def build() -> FiniteGroup:
+            A = build_a()
+            return join(A, A if b == a else build_b(), spec)
     elif head == "cayley":
         order = _parse_cayley_file(rest, max_order, order_only=True)
+        build = lambda: _parse_cayley_file(rest, max_order)
     elif spec == "quaternion":
-        order = 8
+        order, build = 8, _quaternion
+    elif head in _FAMILIES:
+        n, order = _family_order(head, rest, max_order)
+        build = lambda: _FAMILIES[head](n, spec)
     else:
         raise ParseError("quaternion takes no arguments" if head == "quaternion"
                          else f"unknown group spec {_clip(spec)!r}")
     _check_size(order, max_order)
-    return order
-
-
-def _build_group(spec: str, max_order: int) -> FiniteGroup:
-    """The group of a spec whose order _spec_order has checked."""
-    head, _, rest = spec.partition(":")
-    if head in ("product", "centprod"):
-        a, b = _factor_specs(rest)
-        A = _build_group(a, max_order)
-        B = A if b == a else _build_group(b, max_order)
-        return (_direct_product if head == "product" else _central_product)(A, B, spec)
-    if head == "cayley":
-        return _parse_cayley_file(rest, max_order)
-    if head == "quaternion":
-        return _quaternion()
-    n = _family_order(head, rest, max_order)[0]
-    if head in ("sym", "alt"):
-        return _perm_group(n, head == "alt", spec)
-    return {"cyclic": _cyclic, "dihedral": _dihedral, "es": _es_group_impl}[head](n)
+    return order, build
 
 
 _MAX_PRODUCTS = 64
@@ -953,12 +951,13 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
 
     Grammar: ``cyclic:<n> | dihedral:<n> | quaternion | sym:<n> | alt:<n> |
     es:<n> | product:<spec>,<spec> | centprod:<spec>,<spec> | cayley:<path>``.
+    Spaces are dropped, except inside a cayley: path, which runs to the next
+    comma and is trimmed.  ``_plan`` checks every order before any build.
     """
-    spec = spec.strip().replace(" ", "")
+    spec = re.sub(r"(cayley:) *([^,]*?) *(?=,|$)| ", r"\1\2", spec.strip())
     if not spec:
         raise ParseError("empty group spec")
-    if spec.count("product:") > _MAX_PRODUCTS:
-        # each nested product is a few Python frames deep when built
+    if spec.count("product:") + spec.count("centprod:") > _MAX_PRODUCTS:
+        # each nested term is a few Python frames deep when planned and built
         raise ParseError(f"group spec has more than {_MAX_PRODUCTS} product: or centprod: terms")
-    _spec_order(spec, max_order)
-    return _build_group(spec, max_order)
+    return _plan(spec, max_order)[1]()

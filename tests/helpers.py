@@ -63,6 +63,8 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
+from groupflow import planar
+from groupflow._lr import lr_planarity
 from groupflow.errors import (
     EdgeMissing,
     GraphIsPlanar,
@@ -116,6 +118,7 @@ from groupflow.planar import (
     _face_orbits,
     _subdivision_witness,
     euler_planar_check,
+    extra_planar,
     test_planarity,
 )
 
@@ -994,6 +997,62 @@ def splice_by_full_check(H: Graph, R: RotationSystem, pair, at) -> RotationSyste
         raise InternalInvariantError(
             f"extra_planar splice: embedding of G plus {pair!r} failed the Euler check")
     return spliced
+
+
+def count_planarity_tests(monkeypatch) -> list:
+    """The adjacency of each graph that the LR test embeds, in call order."""
+    calls = []
+    original = planar.lr_planarity
+
+    def counted(adj, embed=False):
+        if embed:
+            calls.append(adj)
+        return original(adj, embed)
+    monkeypatch.setattr(planar, "lr_planarity", counted)
+    return calls
+
+
+def splices_checked_by_full_oracle(monkeypatch) -> list:
+    """Make every splice also run ``splice_by_full_check`` on the same pool
+    embedding and corners, and assert the same rotation system.  The
+    oracle's is built by ``RotationSystem(H, rotation)`` and passes a full
+    ``euler_planar_check``, so an equal certificate rebuilds to itself and
+    passes too.  Returns the list of spliced pairs."""
+    spliced = []
+    original = planar._splice
+
+    def checked(G, entry, pair, at, n, k):
+        R = original(G, entry, pair, at, n, k)
+        assert R == splice_by_full_check(add_edge(G, *pair), entry.R, pair, at), (G, pair, at)
+        spliced.append(pair)
+        return R
+    monkeypatch.setattr(planar, "_splice", checked)
+    return spliced
+
+
+def lr_tested_pairs_match_lr(monkeypatch, graphs) -> tuple[int, list[bool]]:
+    """On each extra-planar graph G, every pair uv whose G + uv extra_planar
+    sends to the LR test gets exactly the rotation system
+    RotationSystem(H, lr_planarity(H.adjacency, embed=True)) of H = G + uv.
+    Returns how many such pairs the graphs had, and each graph's
+    extra-planar verdict in order."""
+    calls = count_planarity_tests(monkeypatch)
+    tested, verdicts = 0, []
+    for g in graphs:
+        calls.clear()
+        verdict = extra_planar(g)
+        verdicts.append(verdict.extra_planar)
+        if not verdict.extra_planar:
+            continue
+        assert calls[0] == g.adjacency
+        for adj in calls[1:]:
+            pair = next(edge_key(u, v) for u in adj for v in adj[u] if not g.has_edge(u, v))
+            H = add_edge(g, *pair)
+            assert adj == H.adjacency
+            expected = RotationSystem(H, lr_planarity(H.adjacency, embed=True))
+            assert verdict.embeddings[pair] == expected, (g, pair)
+        tested += len(calls) - 1
+    return tested, verdicts
 
 
 def nx_is_planar(G) -> bool:

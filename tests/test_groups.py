@@ -402,6 +402,12 @@ def test_too_many_products_is_parse_error():
         spec = f"product:{spec},cyclic:1"
     with pytest.raises(ParseError, match="more than 64"):
         standard_group(spec)
+    chain = "cyclic:2"
+    for _ in range(64):
+        chain = f"centprod:cyclic:2,{chain}"
+    assert standard_group(chain).order == 2
+    with pytest.raises(ParseError, match="more than 64"):
+        standard_group(f"centprod:cyclic:2,{chain}")
 
 
 def test_parse_errors():
@@ -482,6 +488,22 @@ def test_cayley_file(tmp_path):
     G = standard_group(f"cayley:{path}")
     assert G.order == 8
     assert np.array_equal(G.table, q.table)
+
+
+def test_cayley_path_keeps_its_spaces(tmp_path, monkeypatch):
+    """Spaces inside a cayley: path belong to the file name, at top level
+    and inside product:; those at the path's ends and in the rest of the
+    spec are dropped, and a missing file is named as it was written."""
+    monkeypatch.chdir(tmp_path)
+    q = standard_group("quaternion")
+    lines = ["8", " ".join(q.names)] + [" ".join(map(str, row)) for row in q.table.tolist()]
+    (tmp_path / "my table.txt").write_text("\n".join(lines) + "\n")
+    G = standard_group("cayley: my table.txt ")
+    assert G.spec == "cayley:my table.txt" and np.array_equal(G.table, q.table)
+    P = standard_group("product: cayley:my table.txt , cyclic: 2")
+    assert P.spec == "product:cayley:my table.txt,cyclic:2" and P.order == 16
+    with pytest.raises(ParseError, match="^cannot read cayley file my  table.txt: "):
+        standard_group("product:cayley:my  table.txt,cyclic:2")
 
 
 def test_cayley_file_order_bound_checked_before_rows(tmp_path):
@@ -706,7 +728,8 @@ def test_central_product_is_held_to_its_own_table_bytes(monkeypatch):
     """Order 10,000 needs a 400 MB table, so a large bound admits it, though
     its direct product's table would take 1.6 GB."""
     monkeypatch.setattr(groups, "_central_product", lambda A, B, spec: (A.order, B.order))
-    assert groups._build_group("centprod:dihedral:100,dihedral:50", 10 ** 6) == (200, 100)
+    order, build = groups._plan("centprod:dihedral:100,dihedral:50", 10 ** 6)
+    assert order == 10_000 and build() == (200, 100)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000])
@@ -732,7 +755,7 @@ def test_light_check_runs_on_the_perm_builders_generators(monkeypatch, spec):
         return checked[-1]
 
     monkeypatch.setattr(groups.FiniteGroup, "_check_associativity", recording_check)
-    G = groups._build_group(spec, groups.DEFAULT_MAX_ORDER)
+    G = groups._plan(spec, groups.DEFAULT_MAX_ORDER)[1]()
     cycles = (["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"] if head == "sym" else
               ["(1 2 3)", "(" + " ".join(map(str, range(1 + (n % 2 == 0), n + 1))) + ")"])
     assert [G.name(g) for g in checked[-1]] == list(dict.fromkeys(cycles))
@@ -742,7 +765,7 @@ def test_perm_builder_names_a_walk_that_misses_elements(monkeypatch):
     monkeypatch.setattr(groups, "_perm_generators", lambda n, even_only: [(1, 0, 2, 3)])
     message = "table build: the generators of sym:4 reach 2 of its 24 permutations"
     with pytest.raises(InternalInvariantError, match=message):
-        groups._build_group("sym:4", groups.DEFAULT_MAX_ORDER)
+        groups._plan("sym:4", groups.DEFAULT_MAX_ORDER)[1]()
 
 
 def _oracle_group(spec: str):

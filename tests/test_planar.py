@@ -11,12 +11,10 @@ import networkx as nx
 import pytest
 
 from groupflow import jsonio, planar
-from groupflow._lr import lr_planarity
 from groupflow.errors import InternalInvariantError, NotPlanarEmbedding, ParseError
 from groupflow.graphs import (
     add_edge,
     components,
-    edge_key,
     find_minor,
     graph_from,
     named_graph,
@@ -33,14 +31,16 @@ from groupflow.planar import test_planarity as planarity_certificate
 from helpers import (
     all_labeled_graphs,
     bridge_oracle,
+    count_planarity_tests,
     euler_check_per_component,
     extra_planar_by_lr,
     face_orbits_by_next_neighbor,
     kuratowski_by_lr,
+    lr_tested_pairs_match_lr,
     next_neighbor,
     nx_is_planar,
     random_graph,
-    splice_by_full_check,
+    splices_checked_by_full_oracle,
     walk_bridge_check,
 )
 
@@ -464,24 +464,11 @@ def test_extra_planar_matches_lr_oracle_sampled_6_to_10_vertices():
     assert disconnected >= 50 and isolated >= 20
 
 
-def _count_planarity_tests(monkeypatch) -> list:
-    """The adjacency of each graph that the LR test embeds, in call order."""
-    calls = []
-    original = planar.lr_planarity
-
-    def counted(adj, embed=False):
-        if embed:
-            calls.append(adj)
-        return original(adj, embed)
-    monkeypatch.setattr(planar, "lr_planarity", counted)
-    return calls
-
-
 def test_extra_planar_tests_only_pairs_without_shared_face(monkeypatch):
     """A tree's embedding has one face, so pairs inside a tree are spliced;
     pairs across trees or at an isolated vertex are spliced at any corner
     of each endpoint, so the forest needs its base test alone."""
-    calls = _count_planarity_tests(monkeypatch)
+    calls = count_planarity_tests(monkeypatch)
     g = graph_from(range(1, 10), [(1, 2), (2, 3), (2, 4), (5, 6), (6, 7)])
     verdict = extra_planar(g)
     assert verdict.extra_planar and len(verdict.embeddings) == 36
@@ -503,29 +490,11 @@ def test_extra_planar_pool_places_pair_the_base_embedding_does_not(monkeypatch):
     base_faces = [{w for _, w in orbit} for orbit in planar._face_orbits(embed(g))]
     for u, v in [(3, 5), (4, 6), (5, 6)]:
         assert not any(u in f and v in f for f in base_faces)
-    calls = _count_planarity_tests(monkeypatch)
+    calls = count_planarity_tests(monkeypatch)
     verdict = extra_planar(g)
     assert verdict.extra_planar
     assert calls == [g.adjacency, add_edge(g, 3, 5).adjacency, add_edge(g, 4, 6).adjacency]
     _assert_matches_lr_oracle(g)
-
-
-def _splices_checked_by_full_oracle(monkeypatch) -> list:
-    """Make every splice also run ``splice_by_full_check`` on the same pool
-    embedding and corners, and assert the same rotation system.  The
-    oracle's is built by ``RotationSystem(H, rotation)`` and passes a full
-    ``euler_planar_check``, so an equal certificate rebuilds to itself and
-    passes too.  Returns the list of spliced pairs."""
-    spliced = []
-    original = planar._splice
-
-    def checked(G, entry, pair, at, n, k):
-        R = original(G, entry, pair, at, n, k)
-        assert R == splice_by_full_check(add_edge(G, *pair), entry.R, pair, at), (G, pair, at)
-        spliced.append(pair)
-        return R
-    monkeypatch.setattr(planar, "_splice", checked)
-    return spliced
 
 
 def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
@@ -533,7 +502,7 @@ def test_splices_match_full_check_oracle_sampled_7_to_12_vertices(monkeypatch):
     both splice kinds and isolated endpoints occur.  A spliced graph's
     adjacency is left unbuilt, and once built equals add_edge's.  Every
     certificate is also rebuilt and Euler-checked in full."""
-    spliced = _splices_checked_by_full_oracle(monkeypatch)
+    spliced = splices_checked_by_full_oracle(monkeypatch)
     rng = random.Random(67)
     isolated = several = 0
     for _ in range(120):
@@ -706,54 +675,17 @@ def test_pool_entry_checks_its_own_faces(monkeypatch):
     assert [id(S) for S in walked] == [id(R), id(torus)]
 
 
-def _lr_tested_pairs_match_lr(monkeypatch, graphs) -> int:
-    """On each extra-planar graph G, every pair uv whose G + uv extra_planar
-    sends to the LR test gets exactly the rotation system
-    RotationSystem(H, lr_planarity(H.adjacency, embed=True)) of H = G + uv.
-    Returns how many such pairs the graphs had."""
-    calls = _count_planarity_tests(monkeypatch)
-    tested = 0
-    for g in graphs:
-        calls.clear()
-        verdict = extra_planar(g)
-        if not verdict.extra_planar:
-            continue
-        assert calls[0] == g.adjacency
-        for adj in calls[1:]:
-            pair = next(edge_key(u, v) for u in adj for v in adj[u] if not g.has_edge(u, v))
-            H = add_edge(g, *pair)
-            assert adj == H.adjacency
-            expected = RotationSystem(H, lr_planarity(H.adjacency, embed=True))
-            assert verdict.embeddings[pair] == expected, (g, pair)
-        tested += len(calls) - 1
-    return tested
-
-
-@pytest.fixture(scope="module")
-def sweep_up_to_6_vertices():
-    """One sweep of every graph with at most 6 vertices, with both checks
-    installed: each splice against ``splice_by_full_check``, and each
-    LR-tested pair against LR's own rotation system.  Returns the number of
-    splices and of LR-tested pairs; a failed check fails both tests that
-    read the sweep."""
-    with pytest.MonkeyPatch.context() as mp:
-        spliced = _splices_checked_by_full_oracle(mp)
-        graphs = (g for n in range(1, 7) for g in all_labeled_graphs(n))
-        tested = _lr_tested_pairs_match_lr(mp, graphs)
-    return len(spliced), tested
-
-
 def test_splices_match_full_check_oracle_up_to_6_vertices(sweep_up_to_6_vertices):
-    spliced, _ = sweep_up_to_6_vertices
+    spliced, _, _ = sweep_up_to_6_vertices
     assert spliced > 100_000
 
 
 def test_lr_tested_pairs_keep_lr_rotation_up_to_6_vertices(sweep_up_to_6_vertices):
-    _, tested = sweep_up_to_6_vertices
+    _, tested, _ = sweep_up_to_6_vertices
     assert tested > 10_000
 
 
 def test_lr_tested_pairs_keep_lr_rotation_sampled_7_to_12_vertices(monkeypatch):
     rng = random.Random(67)
     graphs = [random_graph(rng, rng.randint(7, 12), rng.uniform(0.05, 0.3)) for _ in range(120)]
-    assert _lr_tested_pairs_match_lr(monkeypatch, graphs) > 50
+    assert lr_tested_pairs_match_lr(monkeypatch, graphs)[0] > 50
