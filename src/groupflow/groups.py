@@ -1,10 +1,12 @@
 """Finite groups given by dense multiplication tables.
 
 Elements are indices 0..order-1.  The module provides validated table
-construction, a spec mini-language read in one walk (``_plan``) for the
-standard families (cyclic, dihedral, quaternion, symmetric, alternating,
-the 2-group family ``es:n`` used by the flow examples, direct and central
-products, and tables read from files), and conjugacy class identifiers.
+construction, a spec mini-language for the standard families (cyclic,
+dihedral, quaternion, symmetric, alternating, the 2-group family ``es:n``
+used by the flow examples, direct and central products, and tables read
+from files), and conjugacy class identifiers.  One reader (``_plan``) reads
+a spec left to right, term by term: each term but a product ends at its
+comma, and every order is checked before any table is built.
 Its maximal abelian subgroups and abelian bases with discrete logarithms
 feed no decision: only the chain oracle in tests/helpers.py reads them,
 and perfbench/spans.py traces them by name.
@@ -579,7 +581,7 @@ def es_group(n: int) -> FiniteGroup:
     return standard_group(f"es:{n}")
 
 
-def _es_group_impl(n: int) -> FiniteGroup:
+def _es_group_impl(n: int, spec: str) -> FiniteGroup:
     """Element idx has the bits eps + 2u + 2^(n+1) v, so a product XORs the
     indices and adds <v1, u2> to eps.  The table is filled a block of rows
     (``_row_blocks``) at a time."""
@@ -590,21 +592,21 @@ def _es_group_impl(n: int) -> FiniteGroup:
     for rows in _row_blocks(idx.size, idx.size):
         table[rows] = parity[v[rows, None] & u]
         table[rows] ^= idx[rows, None] ^ idx
-    return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=f"es:{n}")
+    return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=spec)
 
 
 # -- standard families ---------------------------------------------------------
 
 
-def _cyclic(n: int) -> FiniteGroup:
+def _cyclic(n: int, spec: str) -> FiniteGroup:
     idx = np.arange(n, dtype=np.int32)
     table = idx[:, None] + idx[None, :]
     table %= n
     names = ["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, n)]
-    return FiniteGroup(table, names, spec=f"cyclic:{n}")
+    return FiniteGroup(table, names, spec=spec)
 
 
-def _dihedral(n: int) -> FiniteGroup:
+def _dihedral(n: int, spec: str) -> FiniteGroup:
     """Dihedral group with n rotations (order 2n); r^n = s^2 = 1, srs = r^-1.
     Element i + n*j is r^i s^j, and r^i1 s^j1 r^i2 s^j2 = r^(i1 +- i2) s^(j1 ^ j2),
     with - when j1 = 1.  The table is filled in place as table[j1, i1, j2, i2]."""
@@ -617,7 +619,7 @@ def _dihedral(n: int) -> FiniteGroup:
     table[1, :, 0] += n
     rotations = ["1", "r"] + [f"r{k}" for k in range(2, n)]
     names = rotations[:n] + [f"{r}*s" if k else "s" for k, r in enumerate(rotations[:n])]
-    return FiniteGroup(table.reshape(2 * n, 2 * n), names, spec=f"dihedral:{n}")
+    return FiniteGroup(table.reshape(2 * n, 2 * n), names, spec=spec)
 
 
 def _quaternion() -> FiniteGroup:
@@ -782,7 +784,7 @@ def _parse_cayley_file(path: str, max_order: int,
             order_line = next(lines, "").strip()
             if not order_line:
                 raise ParseError(f"empty cayley file {_clip(path)}")
-            if not order_line.isdecimal():
+            if not (order_line.isascii() and order_line.isdecimal()):
                 raise ParseError("cayley file: first line must be the order")
             # an order of at most 18 digits is named in full when it is refused
             n = int(order_line) if len(order_line) <= 18 else _bounded_int(order_line, max_order)
@@ -820,47 +822,24 @@ def _parse_cayley_file(path: str, max_order: int,
     return group_from_cayley(table, names, spec=f"cayley:{path}")
 
 
-# head -> the builder of the family head:n, given n and the spec's own text
+# head -> the builder of the family head:n, given n and the text of its term
 _FAMILIES = {
-    "cyclic": lambda n, spec: _cyclic(n),
-    "dihedral": lambda n, spec: _dihedral(n),
+    "cyclic": lambda n, spec: _cyclic(n, spec),
+    "dihedral": lambda n, spec: _dihedral(n, spec),
     "sym": lambda n, spec: _perm_group(n, False, spec),
     "alt": lambda n, spec: _perm_group(n, True, spec),
-    "es": lambda n, spec: _es_group_impl(n),
+    "es": lambda n, spec: _es_group_impl(n, spec),
 }
-_SPEC_TOKEN = re.compile(rf"(product:|centprod:)|(?:{'|'.join(_FAMILIES)}):\d+"
-                         r"|quaternion|cayley:[^,]+")
-
-
-def _spec_end(spec: str, i: int) -> Optional[int]:
-    """Index just past the group spec that starts at spec[i], or None when
-    none does, in one left-to-right pass: product: and centprod: read two
-    specs joined by a comma, and a cayley: path ends at the next comma."""
-    pending = 1                     # specs still to read
-    while True:
-        token = _SPEC_TOKEN.match(spec, i)
-        if token is None:
-            return None
-        i = token.end()
-        if token.group(1):
-            pending += 1
-            continue
-        pending -= 1
-        if pending == 0:
-            return i
-        if spec[i:i + 1] != ",":
-            return None
-        i += 1
 
 
 def _family_order(head: str, rest: str, max_order: int) -> tuple[int, int]:
-    """n and the order of the group head:n, with head one of cyclic,
-    dihedral, sym, alt and es.  An order past max_order is not always
-    computed: every family has order at least n, so an n with more digits
-    than max_order is refused unread, n! is multiplied out only while it
-    stays within the bound, and 2^(2n+1) is compared by its bit length;
-    each raises TooLarge naming the order in a few characters."""
-    if not rest.isdecimal():
+    """n, written in ASCII digits, and the order of the group head:n, with
+    head one of cyclic, dihedral, sym, alt and es.  An order past max_order
+    is not always computed: every family has order at least n, so an n with
+    more digits than max_order is refused unread, n! is multiplied out only
+    while it stays within the bound, and 2^(2n+1) is compared by its bit
+    length; each raises TooLarge naming the order in a few characters."""
+    if not (rest.isascii() and rest.isdecimal()):
         raise ParseError(f"{head}:<n> needs a positive integer, got {_clip(head + ':' + rest)!r}")
     n = _bounded_int(rest, max_order)
     if n < 1:
@@ -903,44 +882,44 @@ def _check_size(order: int, max_order: int) -> None:
                                          f"the table-memory bound of {MAX_TABLE_BYTES} bytes")
 
 
-def _factor_specs(rest: str) -> tuple[str, str]:
-    """The two factor specs of product:rest or centprod:rest."""
-    end = _spec_end(rest, 0)
-    if end is None or rest[end:end + 1] != ",":
-        raise ParseError(f"cannot split product arguments {_clip(rest)!r}")
-    if end + 1 == len(rest):
-        raise ParseError("empty group spec")
-    return rest[:end], rest[end + 1:]
-
-
-def _plan(spec: str, max_order: int) -> tuple[int, Callable[[], FiniteGroup]]:
-    """The order of the group a spec names and a function that builds it.
-    Every order, a cayley: file's from its first line, meets _check_size
-    before anything is built; a factor its product repeats is built once."""
-    head, _, rest = spec.partition(":")
-    if head in ("product", "centprod"):
-        a, b = _factor_specs(rest)
-        order_a, build_a = _plan(a, max_order)
-        order_b, build_b = (order_a, build_a) if b == a else _plan(b, max_order)
+def _plan(spec: str, i: int, max_order: int) -> tuple[int, Callable[[], FiniteGroup], int]:
+    """Read the term that starts at spec[i]: the order of the group it names,
+    a function that builds it, and the index just past it.  product: and
+    centprod: read two specs joined by a comma; every other term, a cayley:
+    path included, ends at the next comma.  Every order, a cayley: file's
+    from its first line, meets _check_size before anything is built; a
+    factor its product repeats is built once."""
+    comma = spec.find(",", i)
+    term = spec[i:] if comma < 0 else spec[i:comma]
+    head, colon, rest = term.partition(":")
+    if colon and head in ("product", "centprod"):
+        a = i + len(head) + 1
+        order_a, build_a, mid = _plan(spec, a, max_order)
+        if spec[mid:mid + 1] != ",":
+            raise ParseError(f"cannot split product arguments {_clip(spec[a:])!r}")
+        order_b, build_b, end = _plan(spec, mid + 1, max_order)
+        term, same = spec[i:end], spec[a:mid] == spec[mid + 1:end]
         order = order_a * order_b // (2 if head == "centprod" else 1)
         join = _direct_product if head == "product" else _central_product
 
         def build() -> FiniteGroup:
             A = build_a()
-            return join(A, A if b == a else build_b(), spec)
+            return join(A, A if same else build_b(), term)
+    elif not term:
+        raise ParseError("empty group spec")
     elif head == "cayley":
         order = _parse_cayley_file(rest, max_order, order_only=True)
         build = lambda: _parse_cayley_file(rest, max_order)
-    elif spec == "quaternion":
+    elif term == "quaternion":
         order, build = 8, _quaternion
     elif head in _FAMILIES:
         n, order = _family_order(head, rest, max_order)
-        build = lambda: _FAMILIES[head](n, spec)
+        build = lambda: _FAMILIES[head](n, term)
     else:
         raise ParseError("quaternion takes no arguments" if head == "quaternion"
-                         else f"unknown group spec {_clip(spec)!r}")
+                         else f"unknown group spec {_clip(term)!r}")
     _check_size(order, max_order)
-    return order, build
+    return order, build, i + len(term)
 
 
 _MAX_PRODUCTS = 64
@@ -950,14 +929,20 @@ def standard_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup
     """Build a group from the group-spec mini-language.
 
     Grammar: ``cyclic:<n> | dihedral:<n> | quaternion | sym:<n> | alt:<n> |
-    es:<n> | product:<spec>,<spec> | centprod:<spec>,<spec> | cayley:<path>``.
-    Spaces are dropped, except inside a cayley: path, which runs to the next
-    comma and is trimmed.  ``_plan`` checks every order before any build.
+    es:<n> | product:<spec>,<spec> | centprod:<spec>,<spec> | cayley:<path>``,
+    with n in ASCII digits.  ``_plan`` reads the spec left to right: every
+    term but product: and centprod: ends at the next comma, a cayley: path
+    too, and text left after the whole spec is refused.  Every order is
+    checked before any build.  Spaces are dropped, except inside a cayley:
+    path, which is trimmed.  Each group, factors included, records the text
+    of its term as its ``spec``.
     """
     spec = re.sub(r"(cayley:) *([^,]*?) *(?=,|$)| ", r"\1\2", spec.strip())
-    if not spec:
-        raise ParseError("empty group spec")
     if spec.count("product:") + spec.count("centprod:") > _MAX_PRODUCTS:
         # each nested term is a few Python frames deep when planned and built
         raise ParseError(f"group spec has more than {_MAX_PRODUCTS} product: or centprod: terms")
-    return _plan(spec, max_order)[1]()
+    _, build, end = _plan(spec, 0, max_order)
+    if end < len(spec):
+        raise ParseError(f"unexpected {_clip(spec[end:])!r} after the group spec "
+                         f"{_clip(spec[:end])!r}")
+    return build()

@@ -620,9 +620,11 @@ def test_bad_group_spec():
 
 
 def test_non_decimal_digits_are_not_integers(tmp_path):
-    """A superscript digit passes str.isdigit but not int(): a group spec
-    holding one is a usage error, and a vertex labelled with one is a name."""
-    for spec in ("cyclic:\u00b2", "product:cyclic:2,sym:\u00b3", "product:cyclic:\u00b2,cyclic:2"):
+    """A superscript digit passes str.isdigit but not int(), and an
+    Arabic-Indic one passes both: a group spec holding either is a usage
+    error, and a vertex labelled with one is a name."""
+    for spec in ("cyclic:\u00b2", "product:cyclic:2,sym:\u00b3", "product:cyclic:\u00b2,cyclic:2",
+                 "cyclic:\u0663", "es:\u0662"):
         code, out, err = invoke(["group-leakproof", spec])
         assert (code, out) == (2, "") and err.startswith("error:"), (spec, err)
     path = tmp_path / "g.json"
@@ -992,6 +994,20 @@ def test_long_centprod_chain_is_usage_error():
     code, out, err = invoke(["group-leakproof", spec])
     assert (code, out) == (2, "")
     assert "more than 64 product: or centprod: terms" in err and "Traceback" not in err
+
+
+def test_cayley_path_ending_before_the_spec_does_is_usage_error(tmp_path):
+    """A cayley: path ends at its comma, so the rest of the spec is refused
+    (exit 2), though a file is named after it."""
+    G = standard_group("cyclic:3")
+    text = "\n".join(["3", " ".join(G.names)] + [" ".join(map(str, r)) for r in G.table.tolist()])
+    for name in ("c3.txt", "c3.txt,cyclic:2"):
+        (tmp_path / name).write_text(text + "\n")
+    path = tmp_path / "c3.txt"
+    for spec in (f"cayley:{path},cyclic:2", f"product:cyclic:2,cayley:{path},cyclic:2"):
+        code, out, err = invoke(["group-leakproof", spec])
+        assert (code, out) == (2, "")
+        assert "unexpected ',cyclic:2' after the group spec" in err and "Traceback" not in err
 
 
 def test_rotation_naming_a_vertex_the_graph_lacks_is_usage_error(tmp_path):

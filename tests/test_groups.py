@@ -381,19 +381,38 @@ def test_deeply_nested_product_parses_in_linear_time():
     assert time.perf_counter() - start < 1.0
 
 
-def test_product_split_reads_each_argument_once():
+def test_product_split_reads_each_argument_once(tmp_path, monkeypatch):
+    """The reader returns the index just past the one spec it reads, so a
+    product's first argument ends where that index says; a cayley: path
+    ends at its comma."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").write_text("1\n")
+
     def split(args):
-        end = groups._spec_end(args, 0)
+        end = groups._plan(args, 0, groups.DEFAULT_MAX_ORDER)[2]
         return args[:end], args[end + 1:]
 
     assert split("product:cyclic:2,quaternion,sym:3") == ("product:cyclic:2,quaternion", "sym:3")
     assert split("cayley:a,b,cyclic:2") == ("cayley:a", "b,cyclic:2")
-    for bad in ("cyclic:2", "", ",cyclic:2", "cyclic:2x,cyclic:2", "cayley:,cyclic:2",
-                "product:cyclic:2,cyclic:3", "product:cyclic:2xcyclic:3,cyclic:2"):
-        end = groups._spec_end(bad, 0)
+    for bad, message in (
+            ("cyclic:2", "^cannot split product arguments 'cyclic:2'$"),
+            ("", "^empty group spec$"), (",cyclic:2", "^empty group spec$"),
+            ("cyclic:2x,cyclic:2", r"^cyclic:<n> needs a positive integer, got 'cyclic:2x'$"),
+            ("cayley:,cyclic:2", r"^cayley:<path> needs a file path$"),
+            ("product:cyclic:2,cyclic:3",
+             "^cannot split product arguments 'product:cyclic:2,cyclic:3'$"),
+            ("product:cyclic:2xcyclic:3,cyclic:2",
+             r"^cyclic:<n> needs a positive integer, got 'cyclic:2xcyclic:3'$")):
+        try:
+            end = groups._plan(bad, 0, groups.DEFAULT_MAX_ORDER)[2]
+        except ParseError:
+            end = None
         assert end is None or bad[end:end + 1] != ","
-        with pytest.raises(ParseError, match="cannot split"):
+        with pytest.raises(ParseError, match=message):
             standard_group(f"product:{bad}")
+    for spec in ("product:cyclic:2,", "centprod:cyclic:2,"):
+        with pytest.raises(ParseError, match="^empty group spec$"):
+            standard_group(spec)
 
 
 def test_too_many_products_is_parse_error():
@@ -457,6 +476,24 @@ def test_orders_decided_without_building_them():
         standard_group("es:5", max_order=2047)
 
 
+@pytest.mark.parametrize("spec", ["cyclic:\u0663", "es:\u0662", "sym:\uff13", "alt:\u096a",
+                                  "product:cyclic:2,dihedral:\u0663"])
+def test_family_n_needs_ascii_digits(spec):
+    """n is written in ASCII digits: other decimal digits, which
+    str.isdecimal and int accept, are refused as the --max-size flag
+    refuses them."""
+    with pytest.raises(ParseError, match=r"^[a-z]+:<n> needs a positive integer, got '"):
+        standard_group(spec)
+
+
+def test_each_family_records_the_text_of_its_term():
+    """A family's spec is the text it was read from, leading zeros included,
+    as sym:n's and alt:n's always were."""
+    for spec in ("cyclic:07", "dihedral:03", "es:01", "sym:03", "alt:04", "cyclic:12"):
+        assert standard_group(spec).spec == spec
+    assert standard_group(" dihedral: 0 3 ").spec == "dihedral:03"
+
+
 @pytest.mark.parametrize("spec, order", [
     ("product:sym:7,cyclic:2", 10080), ("product:sym:7,sym:7", 25401600),
     ("centprod:cyclic:4,product:sym:7,cyclic:2", 10080), ("product:cayley:c4.txt,sym:7", 20160)])
@@ -504,6 +541,34 @@ def test_cayley_path_keeps_its_spaces(tmp_path, monkeypatch):
     assert P.spec == "product:cayley:my table.txt,cyclic:2" and P.order == 16
     with pytest.raises(ParseError, match="^cannot read cayley file my  table.txt: "):
         standard_group("product:cayley:my  table.txt,cyclic:2")
+
+
+def test_cayley_path_ends_at_its_comma(tmp_path):
+    """A cayley: path ends at the next comma wherever it stands, so text
+    after a top-level term is refused, even when a file is named after
+    the whole rest of the spec."""
+    for name, n in (("c3.txt", 3), ("c3.txt,cyclic:2", 5)):
+        G = standard_group(f"cyclic:{n}")
+        (tmp_path / name).write_text("\n".join(
+            [str(n), " ".join(G.names)] + [" ".join(map(str, r)) for r in G.table.tolist()]) + "\n")
+    path = tmp_path / "c3.txt"
+    for spec in (f"cayley:{path},cyclic:2", f"product:cyclic:2,cayley:{path},cyclic:2"):
+        with pytest.raises(ParseError, match=r"^unexpected ',cyclic:2' after the group spec '"):
+            standard_group(spec)
+    G = standard_group(f"product:cayley:{path},cyclic:2")
+    assert G.order == 6 and G.spec == f"product:cayley:{path},cyclic:2"
+
+
+def test_cayley_order_line_needs_ascii_digits(tmp_path):
+    """The order line is ASCII digits, as every table entry is."""
+    G = standard_group("cyclic:3")
+    rows = [" ".join(G.names)] + [" ".join(map(str, r)) for r in G.table.tolist()]
+    path = tmp_path / "c3.txt"
+    path.write_text("\n".join(["\u0663"] + rows) + "\n")
+    with pytest.raises(ParseError, match="^cayley file: first line must be the order$"):
+        standard_group(f"cayley:{path}")
+    path.write_text("\n".join(["3"] + rows) + "\n")
+    assert standard_group(f"cayley:{path}").order == 3
 
 
 def test_cayley_file_order_bound_checked_before_rows(tmp_path):
@@ -616,14 +681,14 @@ def test_es_table_is_its_only_order_squared_array(monkeypatch):
     monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None: table)
     tracemalloc.start()
     try:
-        table = groups._es_group_impl(5)
+        table = groups._es_group_impl(5, "es:5")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.dtype == np.int32 and table.shape == (2048, 2048)
     assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
     monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", table.nbytes)
-    assert np.array_equal(table, groups._es_group_impl(5))
+    assert np.array_equal(table, groups._es_group_impl(5, "es:5"))
 
 
 def test_center_reads_the_commuting_bitsets():
@@ -728,8 +793,9 @@ def test_central_product_is_held_to_its_own_table_bytes(monkeypatch):
     """Order 10,000 needs a 400 MB table, so a large bound admits it, though
     its direct product's table would take 1.6 GB."""
     monkeypatch.setattr(groups, "_central_product", lambda A, B, spec: (A.order, B.order))
-    order, build = groups._plan("centprod:dihedral:100,dihedral:50", 10 ** 6)
-    assert order == 10_000 and build() == (200, 100)
+    spec = "centprod:dihedral:100,dihedral:50"
+    order, build, end = groups._plan(spec, 0, 10 ** 6)
+    assert order == 10_000 and build() == (200, 100) and end == len(spec)
 
 
 @pytest.mark.parametrize("block_bytes", [1, 5000])
@@ -755,7 +821,7 @@ def test_light_check_runs_on_the_perm_builders_generators(monkeypatch, spec):
         return checked[-1]
 
     monkeypatch.setattr(groups.FiniteGroup, "_check_associativity", recording_check)
-    G = groups._plan(spec, groups.DEFAULT_MAX_ORDER)[1]()
+    G = groups._plan(spec, 0, groups.DEFAULT_MAX_ORDER)[1]()
     cycles = (["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"] if head == "sym" else
               ["(1 2 3)", "(" + " ".join(map(str, range(1 + (n % 2 == 0), n + 1))) + ")"])
     assert [G.name(g) for g in checked[-1]] == list(dict.fromkeys(cycles))
@@ -765,7 +831,7 @@ def test_perm_builder_names_a_walk_that_misses_elements(monkeypatch):
     monkeypatch.setattr(groups, "_perm_generators", lambda n, even_only: [(1, 0, 2, 3)])
     message = "table build: the generators of sym:4 reach 2 of its 24 permutations"
     with pytest.raises(InternalInvariantError, match=message):
-        groups._plan("sym:4", groups.DEFAULT_MAX_ORDER)[1]()
+        groups._plan("sym:4", 0, groups.DEFAULT_MAX_ORDER)[1]()
 
 
 def _oracle_group(spec: str):
@@ -780,21 +846,19 @@ def _oracle_group(spec: str):
                 perm_names_by_cycle_walk(int(rest), head == "alt"))
     elif head == "es":
         return es_by_element_law(int(rest))
-    elif head == "product":
-        end = groups._spec_end(rest, 0)
-        G = direct_product_by_int64(standard_group(rest[:end]), standard_group(rest[end + 1:]),
-                                    spec)
     else:
-        end = groups._spec_end(rest, 0)
-        G = central_product_by_cosets(standard_group(rest[:end]), standard_group(rest[end + 1:]),
-                                      spec)
+        end = groups._plan(rest, 0, groups.DEFAULT_MAX_ORDER)[2]
+        join = direct_product_by_int64 if head == "product" else central_product_by_cosets
+        G = join(standard_group(rest[:end]), standard_group(rest[end + 1:]), spec)
     return G.table, list(G.names)
 
 
-@pytest.mark.parametrize("spec", [f"dihedral:{n}" for n in range(1, 81)] + ["quaternion"]
-                         + list(_CENTPROD_SPECS) + [f"{h}:{n}" for h in ("sym", "alt")
-                                                    for n in range(1, 7)]
-                         + ["alt:7"] + [f"es:{n}" for n in (1, 2, 3)] + list(_PRODUCT_SPECS))
+_BUILDER_SPECS = ([f"dihedral:{n}" for n in range(1, 81)] + ["quaternion"] + list(_CENTPROD_SPECS)
+                  + [f"{h}:{n}" for h in ("sym", "alt") for n in range(1, 7)]
+                  + ["alt:7"] + [f"es:{n}" for n in (1, 2, 3)] + list(_PRODUCT_SPECS))
+
+
+@pytest.mark.parametrize("spec", _BUILDER_SPECS)
 def test_builders_match_their_former_constructions(spec):
     G = standard_group(spec)
     table, names = _oracle_group(spec)
@@ -811,6 +875,28 @@ def test_builders_match_their_former_constructions_slow():
     table, names = _oracle_group("sym:7")
     assert np.array_equal(G.table, table)
     assert list(G.names) == names
+
+
+@pytest.mark.parametrize("spec", _BUILDER_SPECS + ["cyclic:07", "es:01"])
+def test_spec_reads_back_to_its_group(spec):
+    """G.spec names G again, as a flow file that records it is read back."""
+    G = standard_group(spec)
+    H = standard_group(G.spec)
+    assert np.array_equal(H.table, G.table) and H.names == G.names and H.spec == G.spec
+
+
+def test_spec_with_a_cayley_factor_reads_back_to_its_group(tmp_path):
+    q = standard_group("quaternion")
+    (tmp_path / "q.txt").write_text("\n".join(
+        ["8", " ".join(q.names)] + [" ".join(map(str, r)) for r in q.table.tolist()]) + "\n")
+    path = tmp_path / "q.txt"
+    for spec in (f"product:cayley:{path},cyclic:2", f"product:cyclic:3,cayley:{path}",
+                 f"centprod:cayley:{path},dihedral:4", f"centprod:quaternion,cayley:{path}",
+                 f"centprod:product:cayley:{path},cyclic:3,cayley:{path}"):
+        G = standard_group(spec)
+        H = standard_group(G.spec)
+        assert G.spec == spec
+        assert np.array_equal(H.table, G.table) and H.names == G.names and H.spec == G.spec
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 60])
