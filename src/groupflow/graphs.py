@@ -102,7 +102,7 @@ def named_graph(name: str) -> Graph:
     name = name.strip().lower()
     if name.startswith("complete_bipartite:"):
         parts = name.split(":", 1)[1].split(",")
-        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        if len(parts) != 2 or not all(p.isascii() and p.isdecimal() for p in parts):
             raise ParseError(f"bad graph name {name!r}")
         a, b = int(parts[0]), int(parts[1])
         left = list(range(1, a + 1))
@@ -135,7 +135,7 @@ def named_graph(name: str) -> Graph:
 
 def _named_int(name: str) -> int:
     arg = name.split(":", 1)[1]
-    if not arg.isdecimal() or int(arg) < 1:
+    if not (arg.isascii() and arg.isdecimal()) or int(arg) < 1:
         raise ParseError(f"bad graph name {name!r}")
     return int(arg)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError, _clip
+from .errors import InvalidFlow, ParseError, _clip
 from .flows import GroupFlow, LeakVerdict
 from .graphs import Graph, MinorWitness, Vertex, edge_key, graph_from, vkey
 from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _check_size, group_from_cayley, standard_group
@@ -242,7 +242,9 @@ def flow_from_json(data: Any, max_order: int = DEFAULT_MAX_ORDER) -> GroupFlow:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"flow value {entry!r} must be [u, v, word]")
         u, v = _vertex_token(entry[0]), _vertex_token(entry[1])
-        one_direction[(u, v)] = group.parse_word(str(entry[2]))
+        g = group.parse_word(str(entry[2]))
+        if one_direction.setdefault((u, v), g) != g:
+            raise InvalidFlow(f"conflicting values given twice for ({u},{v})")
     return GroupFlow.skew(graph, group, one_direction)
 
 

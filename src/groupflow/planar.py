@@ -240,64 +240,46 @@ def _kuratowski_witness(G: Graph) -> MinorWitness:
 
 def _subdivision_witness(G: Graph, edges: set[tuple[Vertex, Vertex]]) -> MinorWitness:
     """The K5 or K3,3 minor of G given by ``edges``, a subdivision of K5 or
-    K3,3: its degree->=3 vertices become the branch vertices and every
-    chain's interior is folded into one endpoint's branch set."""
+    K3,3: its degree->=3 vertices become the branch vertices, and every
+    chain's interior is folded into the branch set of its lower end by
+    ``vkey``.  K5's branch vertices are labelled 1-5 in ``vkey`` order;
+    K3,3's in that order too, with the least branch vertex's side as 1-3."""
     core = graph_from({v for e in edges for v in e}, edges)
-    branch = [v for v in core.vertices if core.degree(v) >= 3]
+    branch = [v for v in core.vertices if core.degree(v) >= 3]   # in vkey order
     degs = sorted(core.degree(v) for v in branch)
     if degs == [4] * 5:
         model = named_graph("complete:5")
     elif degs == [3] * 6:
         model = named_graph("complete_bipartite:3,3")
     else:
-        raise InternalInvariantError(f"unexpected subdivision degrees {degs}")
+        raise InternalInvariantError(f"Kuratowski fold: unexpected subdivision degrees {degs}")
     branch_set: dict[Vertex, set[Vertex]] = {b: {b} for b in branch}
     forest: set[tuple[Vertex, Vertex]] = set()
     model_edges: set[tuple[Vertex, Vertex]] = set()
-    seen_darts: set[tuple[Vertex, Vertex]] = set()
+    last_darts: set[tuple[Vertex, Vertex]] = set()
     for b in branch:
         for w in core.neighbors(b):
-            if (b, w) in seen_darts:
+            if (b, w) in last_darts:
                 continue
             chain = [b, w]
             while core.degree(chain[-1]) == 2:
-                nxt = next(x for x in core.neighbors(chain[-1]) if x != chain[-2])
-                chain.append(nxt)
-            seen_darts.add((b, w))
-            seen_darts.add((chain[-1], chain[-2]))
-            other = chain[-1]
-            model_edges.add(edge_key(b, other))
-            interior = chain[1:-1]
-            owner = b if vkey(b) < vkey(other) else other
-            if owner is other:
-                interior = interior[::-1]
-                path = [other] + interior
-            else:
-                path = [b] + interior
-            branch_set[owner].update(interior)
-            forest.update(edge_key(x, y) for x, y in zip(path, path[1:]))
-    if model.n == 5:
-        label_of = dict(zip(sorted(branch, key=vkey), range(1, 6)))
-    else:
-        side_a = [branch[0]]
-        side_b = []
-        for v in branch[1:]:
-            if edge_key(v, branch[0]) in model_edges:
-                side_b.append(v)
-            else:
-                side_a.append(v)
-        side_a, side_b = sorted(side_a, key=vkey), sorted(side_b, key=vkey)
-        if vkey(side_b[0]) < vkey(side_a[0]):
-            side_a, side_b = side_b, side_a
-        label_of = {v: i + 1 for i, v in enumerate(side_a)}
-        label_of.update({v: i + 4 for i, v in enumerate(side_b)})
+                chain.append(next(x for x in core.neighbors(chain[-1]) if x != chain[-2]))
+            last_darts.add((chain[-1], chain[-2]))
+            if vkey(chain[-1]) < vkey(b):
+                chain.reverse()
+            model_edges.add((chain[0], chain[-1]))
+            branch_set[chain[0]].update(chain[1:-1])
+            forest.update(edge_key(x, y) for x, y in zip(chain, chain[1:-1]))
+    if model.n == 6:
+        branch = sorted(branch, key=lambda v: (branch[0], v) in model_edges)
     witness = MinorWitness(
         model,
-        {label_of[b]: frozenset(branch_set[b]) for b in branch},
+        {i: frozenset(branch_set[b]) for i, b in enumerate(branch, 1)},
         frozenset(forest),
     )
     if not verify_minor(G, witness):
-        raise InternalInvariantError("extracted minor witness failed verification")
+        raise InternalInvariantError(
+            f"Kuratowski fold: the minor witness on branch vertices {branch} failed verify_minor")
     return witness
 
 

@@ -21,7 +21,8 @@ whole-system build and full Euler
 check of every spliced embedding is extra_planar's former splice, and the
 exhaustive associativity loop is the group constructor's former check, the
 per-edge LR deletion loop is the Kuratowski extraction's former
-construction, and the unpruned backtracking over the recursive frozenset
+construction, the two-dart chain walk with its side split and swap is
+_subdivision_witness' former fold, and the unpruned backtracking over the recursive frozenset
 enumerator ``_connected_subsets`` is find_minor's former search, the
 sorted-dart face walk and per-component Euler count are the planar
 module's former face routines, the neighbour scan is the former
@@ -96,7 +97,9 @@ from groupflow.graphs import (
     edge_key,
     graph_from,
     induced_subgraph,
+    named_graph,
     spanning_forest,
+    verify_minor,
     vkey,
 )
 from groupflow.groups import (
@@ -139,6 +142,15 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     vertices = list(range(1, n + 1))
     edges = [e for e in itertools.combinations(vertices, 2) if rng.random() < p]
     return graph_from(vertices, edges)
+
+
+def relabelled(rng: random.Random, g: Graph, label) -> Graph:
+    """g with its vertices sent to ``label(i)`` for a random permutation i of
+    0..n-1, so that label order and structure are unrelated."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    to = {v: label(i) for v, i in zip(g.vertices, perm)}
+    return graph_from(to.values(), [(to[u], to[v]) for u, v in g.edges])
 
 
 def random_connected_planar_graph(rng: random.Random, n: int, extra: int) -> Graph:
@@ -1077,6 +1089,68 @@ def kuratowski_by_lr(G: Graph) -> MinorWitness:
         if not nx_is_planar(trial):
             edges.remove(e)
     return _subdivision_witness(G, edges)
+
+
+def former_subdivision_witness(G: Graph, edges: set) -> MinorWitness:
+    """_subdivision_witness' former fold: every chain is walked from a branch
+    vertex with both of its end darts marked, its interior goes to the
+    endpoint lower by ``vkey``, and K3,3's sides are split by adjacency to
+    the first branch vertex, sorted, and swapped if the second starts lower."""
+    core = graph_from({v for e in edges for v in e}, edges)
+    branch = [v for v in core.vertices if core.degree(v) >= 3]
+    degs = sorted(core.degree(v) for v in branch)
+    if degs == [4] * 5:
+        model = named_graph("complete:5")
+    elif degs == [3] * 6:
+        model = named_graph("complete_bipartite:3,3")
+    else:
+        raise InternalInvariantError(f"unexpected subdivision degrees {degs}")
+    branch_set = {b: {b} for b in branch}
+    forest, model_edges, seen_darts = set(), set(), set()
+    for b in branch:
+        for w in core.neighbors(b):
+            if (b, w) in seen_darts:
+                continue
+            chain = [b, w]
+            while core.degree(chain[-1]) == 2:
+                nxt = next(x for x in core.neighbors(chain[-1]) if x != chain[-2])
+                chain.append(nxt)
+            seen_darts.add((b, w))
+            seen_darts.add((chain[-1], chain[-2]))
+            other = chain[-1]
+            model_edges.add(edge_key(b, other))
+            interior = chain[1:-1]
+            owner = b if vkey(b) < vkey(other) else other
+            if owner is other:
+                interior = interior[::-1]
+                path = [other] + interior
+            else:
+                path = [b] + interior
+            branch_set[owner].update(interior)
+            forest.update(edge_key(x, y) for x, y in zip(path, path[1:]))
+    if model.n == 5:
+        label_of = dict(zip(sorted(branch, key=vkey), range(1, 6)))
+    else:
+        side_a = [branch[0]]
+        side_b = []
+        for v in branch[1:]:
+            if edge_key(v, branch[0]) in model_edges:
+                side_b.append(v)
+            else:
+                side_a.append(v)
+        side_a, side_b = sorted(side_a, key=vkey), sorted(side_b, key=vkey)
+        if vkey(side_b[0]) < vkey(side_a[0]):
+            side_a, side_b = side_b, side_a
+        label_of = {v: i + 1 for i, v in enumerate(side_a)}
+        label_of.update({v: i + 4 for i, v in enumerate(side_b)})
+    witness = MinorWitness(
+        model,
+        {label_of[b]: frozenset(branch_set[b]) for b in branch},
+        frozenset(forest),
+    )
+    if not verify_minor(G, witness):
+        raise InternalInvariantError("extracted minor witness failed verification")
+    return witness
 
 
 def _connected_subsets(G: Graph, allowed: frozenset, max_size: int):

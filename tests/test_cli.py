@@ -280,6 +280,33 @@ def test_check_flow_reads_an_element_named_1_as_that_element(tmp_path):
     assert json.loads(out) == {"kind": "MultipleNonConserving", "vertices": ["1", "3"]}
 
 
+def _path_flow_file(tmp_path, values):
+    fpath = tmp_path / "f.json"
+    fpath.write_text(jsonio.dumps({
+        "group": "cyclic:4",
+        "graph": jsonio.graph_to_json(named_graph("path:3")),
+        "values": values,
+    }))
+    return str(fpath)
+
+
+@pytest.mark.parametrize("values", [[["1", "2", "g"], ["1", "2", "1"]],
+                                    [["1", "2", "1"], ["1", "2", "g"]]],
+                         ids=["g-then-1", "1-then-g"])
+def test_check_flow_refuses_a_pair_given_two_values(tmp_path, values):
+    """Neither entry for the pair (1,2) wins: in either order the flow file
+    is invalid, as a pair and a reverse that are not inverses already were."""
+    code, out, err = invoke(["check-flow", _path_flow_file(tmp_path, values)])
+    assert (code, out, err) == (2, "", "error: conflicting values given twice for (1,2)\n")
+
+
+def test_check_flow_reads_a_pair_given_twice_with_one_value(tmp_path):
+    once = invoke(["check-flow", _path_flow_file(tmp_path, [["1", "2", "g"]])])
+    twice = invoke(["check-flow", _path_flow_file(tmp_path, [["1", "2", "g"], ["1", "2", "g"]])])
+    assert once == twice == (1, once[1], "")
+    assert json.loads(once[1]) == {"kind": "MultipleNonConserving", "vertices": ["1", "2"]}
+
+
 def test_check_flow_binary(tmp_path):
     code, out, _ = invoke(["examples", "k33minus"])
     fpath = tmp_path / "fm.json"

@@ -31,6 +31,7 @@ from helpers import (
     is_forest,
     minor_oracle,
     random_graph,
+    relabelled,
 )
 
 
@@ -84,8 +85,14 @@ def test_petersen_shape():
 
 
 def test_named_graph_errors():
+    """A size is written in ASCII digits, as a group order is: an
+    Arabic-Indic or full-width digit passes str.isdecimal but is refused."""
     for bad in ("complete:x", "octahedron", "cycle:2", "path:0"):
         with pytest.raises(ParseError):
+            named_graph(bad)
+    for bad in ("cycle:\u0663", "complete:\uff13", "path:\u0663",
+                "complete_bipartite:\uff12,\u0663", "complete_bipartite:2,\u0663"):
+        with pytest.raises(ParseError, match="^bad graph name"):
             named_graph(bad)
 
 
@@ -227,15 +234,6 @@ def _wheel(n: int):
                       + [(i, i % n + 1) for i in range(1, n + 1)])
 
 
-def _relabelled(rng: random.Random, g, label):
-    """g with its vertices sent to ``label(i)`` for a random permutation i of
-    0..n-1, so that label order and structure are unrelated."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    to = {v: label(i) for v, i in zip(g.vertices, perm)}
-    return graph_from(to.values(), [(to[u], to[v]) for u, v in g.edges])
-
-
 def _oracle_hosts(rng: random.Random) -> list:
     """Every labeled graph on up to 5 vertices, random 6-8 vertex graphs,
     string-labelled and mixed int/str-labelled ones, graphs with isolated
@@ -243,8 +241,8 @@ def _oracle_hosts(rng: random.Random) -> list:
     hosts = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
     hosts += [random_graph(rng, rng.randint(6, 8), rng.uniform(0.3, 0.9)) for _ in range(200)]
     for label in (lambda i: f"v{i}", lambda i: i if i % 2 else f"w{i}"):
-        hosts += [_relabelled(rng, random_graph(rng, rng.randint(5, 7), rng.uniform(0.4, 0.9)),
-                              label) for _ in range(20)]
+        hosts += [relabelled(rng, random_graph(rng, rng.randint(5, 7), rng.uniform(0.4, 0.9)),
+                             label) for _ in range(20)]
     for _ in range(15):
         g = random_graph(rng, rng.randint(5, 7), rng.uniform(0.5, 0.9))
         hosts.append(graph_from(list(g.vertices) + [8, 9][:rng.randint(1, 2)], g.edges))

@@ -35,11 +35,13 @@ from helpers import (
     euler_check_per_component,
     extra_planar_by_lr,
     face_orbits_by_next_neighbor,
+    former_subdivision_witness,
     kuratowski_by_lr,
     lr_tested_pairs_match_lr,
     next_neighbor,
     nx_is_planar,
     random_graph,
+    relabelled,
     splices_checked_by_full_oracle,
     walk_bridge_check,
 )
@@ -295,6 +297,56 @@ def test_kuratowski_witness_matches_lr_oracle(monkeypatch):
     assert lr_calls["oracle"] == sum(g.m for g in graphs)
     assert lr_calls["reduced"] < lr_calls["oracle"] / 2
     assert lr_calls["decider"] < lr_calls["oracle"]   # the rest were pendant edges
+
+
+def test_subdivision_fold_matches_its_former_fold(monkeypatch):
+    """On the edge set of every Kuratowski extraction, the fold gives the
+    former fold's whole MinorWitness: model, branch sets and forest.  The
+    graphs are every non-planar graph with at most 6 vertices, as labelled
+    and relabelled by strings or a mix, and 510 sampled non-planar ones
+    with 7-14 vertices, a third each labelled by ints, strings and a mix."""
+    fold, folded = planar._subdivision_witness, []
+
+    def checked_fold(G, edges):
+        got = fold(G, edges)
+        assert got == former_subdivision_witness(G, edges), (G, edges)
+        folded.append(G)
+        return got
+
+    monkeypatch.setattr(planar, "_subdivision_witness", checked_fold)
+    rng = random.Random(34)
+    small = [g for n in (5, 6) for g in all_labeled_graphs(n)
+             if g.m >= 9 and not nx_is_planar(g)]
+    assert len(small) == 698
+    as_int, as_str, mixed = lambda i: i, lambda i: f"v{i}", lambda i: i if i % 2 else f"w{i}"
+    graphs = small + [relabelled(rng, g, (as_str, mixed)[i % 2]) for i, g in enumerate(small)]
+    while len(graphs) < 2 * len(small) + 510:
+        g = random_graph(rng, rng.randint(7, 14), rng.uniform(0.3, 0.9))
+        if not nx_is_planar(g):
+            graphs.append(relabelled(rng, g, (as_int, as_str, mixed)[len(graphs) % 3]))
+    for g in graphs:
+        assert verify_minor(g, planarity_certificate(g))
+    assert folded == graphs
+
+
+def test_fold_refuses_an_edge_set_that_is_no_kuratowski_subdivision():
+    """K4 plus a pendant path at vertex 4 has branch degrees 3, 3, 3 and 4:
+    neither K5 nor K3,3, and the error names the fold."""
+    edges = set(named_graph("complete:4").edges) | {(4, 5), (5, 6)}
+    with pytest.raises(InternalInvariantError,
+                       match=r"^Kuratowski fold: unexpected subdivision degrees \[3, 3, 3, 4\]$"):
+        planar._subdivision_witness(graph_from(range(1, 7), edges), edges)
+
+
+def test_fold_refuses_a_witness_that_its_host_lacks():
+    """A K3,3 subdivision folds to a witness of itself, but not of a host
+    without the edge (4, 7) that joins two of its branch sets."""
+    sub = _subdivided(named_graph("complete_bipartite:3,3"), 7)
+    assert verify_minor(sub, planar._subdivision_witness(sub, set(sub.edges)))
+    host = graph_from(sub.vertices, sub.edges - {(4, 7)})
+    with pytest.raises(InternalInvariantError,
+                       match=r"^Kuratowski fold: the minor witness .* failed verify_minor$"):
+        planar._subdivision_witness(host, set(sub.edges))
 
 
 def _deciding_rule(adj):
