@@ -46,16 +46,23 @@ R(gz, y) and R(g, yz) both read [gy] + [z] = [g] + [y] + [z], which is
 R(g, y).  So one g per coset gZ_p and one y per coset yZ_p suffice, a coset
 meeting <g> needs no row by (a), and a central g needs no row of its own.
 
-A row that is a unit multiple of an earlier one is dropped, and the rows go
-in with the highest last column first, which keeps the pivot rows short
-(es:4's take a sixth of the time they take in ascending order).  Reduction
-against the saturated form is canonical in any order.  Vectors are sparse
-{column: value} dicts without zeros, and phi is the sorted tuple of the
-canonical form's nonzero (column, value) pairs.
+Rows.  The entries of a row R(x, y) in one column are added up.  One
+stable sort orders the rows by their columns from the last one down,
+highest first, then by their values scaled to a leading gcd(a, m), so
+repeated rows and unit multiples fall side by side and only the first
+pair's is kept.  The highest-last-column order keeps the pivot rows short
+(es:4's take a sixth of the time they take in ascending order); reduction
+against the saturated form is canonical in any order.  ``pair_rows`` keeps
+only the rows that changed ``canonical``: any other lies in the span of
+the rows before it, so each prefix spans what it spanned with every row,
+and the witness solves over fewer rows.  Vectors are sparse {column:
+value} dicts without zeros, and phi is the sorted tuple of the canonical
+form's nonzero (column, value) pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -65,7 +72,7 @@ import numpy as np
 from .errors import InternalInvariantError, NotInKernel, TooLarge, _clip
 from .flows import GroupFlow, LeakVerdict, detect_leak
 from .graphs import Graph, graph_from
-from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _power_all, _right_closure
+from .groups import DEFAULT_MAX_ORDER, FiniteGroup, _power_all, _right_closure, _row_blocks
 from .howell import HowellForm, _prime_powers, _unit_scale, invariant_factors
 
 __all__ = [
@@ -87,10 +94,10 @@ class DeltaPresentation:
     Column c stands for the cyclic p-subgroup <generators[c]>, of order
     ``orders[c]``, and ``coordinates[g]`` is element g's scaled vector as
     (column, value) pairs.
-    ``pair_rows`` tags each relation row by its pair (x, y), for R(x, y),
-    in the order in which ``canonical`` absorbed them.  The rows are not
-    stored; ``relation_row`` builds one from its tag, and ``canonical`` is
-    the Howell form of their span modulo ``modulus``.
+    ``pair_rows`` tags by its pair (x, y), for R(x, y), each relation row
+    that changed ``canonical``, in the order in which it absorbed them.
+    The rows are not stored; ``relation_row`` builds one from its tag, and
+    ``canonical`` is the Howell form of their span modulo ``modulus``.
     """
 
     group: FiniteGroup
@@ -153,75 +160,98 @@ def _cyclic_columns(G: FiniteGroup, m: int) -> tuple[list[int], list[int], list[
 
 
 def _relation_pairs(G: FiniteGroup, column: np.ndarray, generators: list[int],
-                    orders: tuple[int, ...]) -> list[tuple[int, np.ndarray]]:
+                    orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (x, y) of the three kinds of rows in the module docstring,
-    as (x, array of its ys)."""
-    T, e = G.table, G.identity
-    primes = [_prime_powers(d)[0][0] for d in orders]
-    pairs = [(g, np.array([G.power(g, p - 1)]))
-             for g, p, d in zip(generators, primes, orders) if d > p]
-    for p in sorted(set(primes)):
-        cols = [c for c, q in enumerate(primes) if q == p]
-        members = np.flatnonzero(np.isin(column, cols))
-        central = [generators[c] for c in cols
-                   if np.array_equal(T[generators[c]], T[:, generators[c]])]
-        in_centre = np.zeros(G.order, dtype=bool)
-        in_centre[e] = True
+    as arrays xs and ys: the power rows in column order, then for each
+    prime in turn its central rows, s-major with the ys ascending, and its
+    coset rows: one column generator g per coset gZ_p, in column order,
+    with the least y of each coset yZ_p, by the cosets' least members.
+    The coset rows take their gs a block at a time, as many as
+    ``_row_blocks`` gives for two int32 gathers of a row each."""
+    T, n = G.table, G.order
+    gens, d = np.array(generators, dtype=np.int32), np.array(orders, dtype=np.int32)
+    prime_of = {q: _prime_powers(q)[0][0] for q in set(orders)}
+    primes = np.array([prime_of[q] for q in orders], dtype=np.int32)
+    # central exactly when it commutes with each generator of G
+    S = G.generators
+    central = (T[np.ix_(gens, S)] == T[np.ix_(S, gens)].T).all(axis=1)
+    power = d > primes
+    xs, ys = [gens[power]], [gens[power]]       # the power rows R(g, g^(p-1))
+    for p in np.unique(primes[power]).tolist():
+        at = primes[power] == p
+        ys[0][at] = _power_all(T, xs[0][at], p - 1)
+    element_prime = np.append(primes, 0)[column]          # 0 off the p-elements
+    for p in np.unique(primes).tolist():
+        members = np.flatnonzero(element_prime == p).astype(np.int32)
+        in_centre = np.zeros(n, dtype=bool)
+        in_centre[G.identity] = True
         spanning: list[int] = []
-        for s in central:
+        here = primes == p
+        for s in gens[central & here].tolist():
             if not in_centre[s]:
                 spanning.append(s)
                 _right_closure(T, in_centre, spanning)
-        pairs += [(s, members) for s in spanning]
-        if len(central) == len(cols):
+        xs.append(np.repeat(np.array(spanning, dtype=np.int32), len(members)))
+        ys.append(np.tile(members, len(spanning)))
+        if central[here].all():
             continue
-        coset = np.arange(G.order)              # the least member of each coset of Z_p
+        outside = gens[here & ~central]
+        coset = np.arange(n)                    # the least member of each coset of Z_p
         for z in np.flatnonzero(in_centre):
             np.minimum(coset, T[:, z], out=coset)
-        done = set()
-        for c in cols:
-            g = generators[c]
-            if in_centre[g] or coset[g] in done:
-                continue
-            done.add(coset[g])
-            meets = np.zeros(G.order, dtype=bool)     # the cosets that meet <g>
-            y = g
-            while not meets[coset[y]]:
-                meets[coset[y]] = True
+        reps = outside[np.sort(np.unique(coset[outside], return_index=True)[1])]
+        for rows in _row_blocks(len(reps), 2 * n):
+            g = reps[rows]
+            # the cosets that meet <g>: those of g, g^2, ... up to the first repeat
+            meets = np.zeros((len(g), n), dtype=bool)
+            at, y = np.arange(len(g)), g
+            while not meets[at, coset[y]].all():
+                meets[at, coset[y]] = True
                 y = T[y, g]
-            ys = members[T[g, members] == T[members, g]]
-            reps, first = np.unique(coset[ys], return_index=True)
-            pairs.append((g, ys[first[~meets[reps]]]))
-    return pairs
+            r, j = np.nonzero(T[np.ix_(g, members)] == T[np.ix_(members, g)].T)
+            # the least y per (g, coset) is the first of its key, as j ascends per g
+            keys, first = np.unique(r * n + coset[members[j]], return_index=True)
+            first = first[~meets.ravel()[keys]]
+            xs.append(g[r[first]])
+            ys.append(members[j[first]])
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _sorted_rows(G: FiniteGroup, m: int, column: np.ndarray, value: np.ndarray,
-                 pairs: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, ...]:
+                 xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
     """The rows R(x, y) of the pairs, as columns and values (-1 and 0 pad a
-    row to three entries), without zero rows, and sorted with the highest
-    last column first; with their xs and ys.  Of rows that are unit
-    multiples of each other, only the first pair's is kept."""
-    xs = np.repeat(np.array([x for x, _ys in pairs], dtype=np.int32),
-                   [len(ys) for _x, ys in pairs])
-    ys = np.concatenate([np.zeros(0, np.int32)] + [ys for _x, ys in pairs]).astype(np.int32)
+    row to three entries, in front), without zero rows, and sorted with the
+    highest last column first, then the highest middle and first columns,
+    then by the values scaled to a leading gcd(a, m); with their xs and ys.
+    Of rows that are unit multiples of each other, only the first pair's is
+    kept."""
     xy = G.table[xs, ys]
-    cols = np.stack([column[xy], column[xs], column[ys]], axis=1)
-    vals = np.stack([value[xy], -value[xs], -value[ys]], axis=1)
+    c = [column[xy], column[xs], column[ys]]
+    v = [value[xy], -value[xs], -value[ys]]
     # entries in one column add up in the first of them; the rest, and zeros, become (-1, 0)
-    same = cols[:, :, None] == cols[:, None, :]
-    merged = (same * vals[:, None, :]).sum(axis=2, dtype=np.int32) % m
-    vals = np.where(np.tril(same, -1).any(axis=2), 0, merged)
-    order = np.argsort(np.where(vals == 0, -1, cols), axis=1)
-    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
-    cols[vals == 0] = -1
-    live = cols[:, 2] >= 0
-    cols, vals, xs, ys = cols[live], vals[live], xs[live], ys[live]
-    lead = vals[np.arange(len(vals)), np.argmax(cols >= 0, axis=1)]
-    units = {a: _unit_scale(a, m)[0] for a in np.unique(lead).tolist()}
-    scaled = vals * np.array([units[a] for a in lead.tolist()], dtype=np.int64)[:, None] % m
-    _, first = np.unique(np.concatenate([-cols[:, ::-1], scaled], axis=1), axis=0,
-                         return_index=True)
-    return cols[first], vals[first], xs[first], ys[first]
+    same01, same02, same12 = c[0] == c[1], c[0] == c[2], c[1] == c[2]
+    v = [(v[0] + same01 * v[1] + same02 * v[2]) % m,
+         np.where(same01, 0, (v[1] + same12 * v[2]) % m),
+         np.where(same02 | same12, 0, v[2] % m)]
+    c = [np.where(a == 0, -1, col) for a, col in zip(v, c)]
+    for i, j in ((0, 1), (1, 2), (0, 1)):       # sort the three entries by column
+        swap = c[i] > c[j]
+        c[i], c[j] = np.where(swap, c[j], c[i]), np.where(swap, c[i], c[j])
+        v[i], v[j] = np.where(swap, v[j], v[i]), np.where(swap, v[i], v[j])
+    live = c[2] >= 0
+    c, v, xs, ys = [a[live] for a in c], [a[live] for a in v], xs[live], ys[live]
+    lead = np.where(c[0] >= 0, v[0], np.where(c[1] >= 0, v[1], v[2]))
+    unit = np.zeros(m, dtype=np.int64)
+    for a in np.unique(lead).tolist():
+        unit[a] = _unit_scale(a, m)[0]
+    keys = [a * unit[lead] % m for a in v[::-1]] + [-a for a in c]
+    order = np.lexsort(keys)                     # stable: the first pair of a row leads it
+    first = np.zeros(len(order), dtype=bool)
+    first[:1] = True
+    for key in keys:                            # a row starts where any key changes
+        first[1:] |= np.diff(key[order]) != 0
+    first = order[first]
+    return np.stack(c, axis=1)[first], np.stack(v, axis=1)[first], xs[first], ys[first]
 
 
 def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPresentation:
@@ -237,11 +267,11 @@ def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPres
     coordinates = tuple(tuple((column[x], value[x]) for x in xs if column[x] >= 0)
                         for xs in parts.T.tolist())
     column, value = np.array(column, dtype=np.int32), np.array(value, dtype=np.int32)
-    pairs = _relation_pairs(G, column, generators, orders)
-    cols, vals, xs, ys = _sorted_rows(G, m, column, value, pairs)
+    cols, vals, xs, ys = _sorted_rows(G, m, column, value,
+                                      *_relation_pairs(G, column, generators, orders))
     canonical = HowellForm(len(generators), m)
-    for row_cols, row_vals in zip(cols.tolist(), vals.tolist()):
-        canonical.add_row({c: a for c, a in zip(row_cols, row_vals) if a})
+    changed = [canonical.add_row({c: a for c, a in zip(row_cols, row_vals) if a})
+               for row_cols, row_vals in zip(cols.tolist(), vals.tolist())]
     return DeltaPresentation(
         group=G,
         generators=tuple(generators),
@@ -249,7 +279,7 @@ def build_delta(G: FiniteGroup, max_order: int = DEFAULT_MAX_ORDER) -> DeltaPres
         coordinates=coordinates,
         modulus=m,
         canonical=canonical,
-        pair_rows=tuple(zip(xs.tolist(), ys.tolist())),
+        pair_rows=tuple(itertools.compress(zip(xs.tolist(), ys.tolist()), changed)),
     )
 
 

@@ -98,6 +98,8 @@ class FiniteGroup:
     (see ``_generating_set``).  It is never trusted: any element it leaves
     unreached is still added as a generator, so a wrong or empty hint can
     change only the cost of the check, never whether a table passes.
+    Once built, ``generators`` is the tuple of generators Light's test ran
+    on, which generate the group.
     """
 
     def __init__(self, table: np.ndarray, names: Sequence[str], spec: Optional[str] = None,
@@ -119,12 +121,12 @@ class FiniteGroup:
         self.spec = spec
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        gens = self._check_associativity(generators)
+        self.generators = tuple(self._check_associativity(generators))
         self._name_index = {nm: i for i, nm in enumerate(self.names)}
         self._orders = _element_orders(table, self.identity)
         # G is abelian exactly when the generators Light's test used commute
         self.is_abelian = all(table[g, h] == table[h, g]
-                              for g, h in itertools.combinations(gens, 2))
+                              for g, h in itertools.combinations(self.generators, 2))
 
     # -- construction checks ------------------------------------------------
 
@@ -174,12 +176,13 @@ class FiniteGroup:
 
     def _generating_set(self, hint: Sequence[int] = ()) -> list[int]:
         """Generators that reach every element from the identity by right
-        products: first each element of hint that the ones before it have
-        not reached, then greedily the least element not yet reached.  The
-        hint is not trusted to generate anything, since the greedy rule
-        completes the set whatever it holds.  An entry that is not an element
-        index (a bool, a float, a negative or too large int) raises
-        ValueError."""
+        products: first the distinct elements of hint other than the
+        identity, in hint order and closed in one pass, then greedily the
+        least element not yet reached.  The hint is not trusted to generate
+        anything, since the greedy rule completes the set whatever it
+        holds; an element it names that the others reach stays, at the cost
+        of one more Light pass.  An entry that is not an element index (a
+        bool, a float, a negative or too large int) raises ValueError."""
         for h in hint:
             if (isinstance(h, bool) or not isinstance(h, (int, np.integer))
                     or not 0 <= h < self.order):
@@ -187,11 +190,9 @@ class FiniteGroup:
                                  f"below {self.order}")
         reached = np.zeros(self.order, dtype=bool)
         reached[self.identity] = True
-        gens: list[int] = []
-        for h in hint:
-            if not reached[h]:
-                gens.append(int(h))
-                _right_closure(self.table, reached, gens)
+        gens = [h for h in dict.fromkeys(map(int, hint)) if h != self.identity]
+        if gens:
+            _right_closure(self.table, reached, gens)
         while not reached.all():
             gens.append(int(np.argmin(reached)))
             _right_closure(self.table, reached, gens)
@@ -584,7 +585,9 @@ def es_group(n: int) -> FiniteGroup:
 def _es_group_impl(n: int, spec: str) -> FiniteGroup:
     """Element idx has the bits eps + 2u + 2^(n+1) v, so a product XORs the
     indices and adds <v1, u2> to eps.  The table is filled a block of rows
-    (``_row_blocks``) at a time."""
+    (``_row_blocks``) at a time.  x_1 ... x_2n (indices 1 << k) generate
+    the group, z = x_1 x_(n+1) x_1 x_(n+1) included, and are the hint for
+    Light's test."""
     idx = np.arange(1 << (2 * n + 1), dtype=np.int32)
     u, v = (idx >> 1) & ((1 << n) - 1), idx >> (n + 1)
     parity = np.array([bin(x).count("1") & 1 for x in range(1 << n)], dtype=np.int32)
@@ -592,7 +595,8 @@ def _es_group_impl(n: int, spec: str) -> FiniteGroup:
     for rows in _row_blocks(idx.size, idx.size):
         table[rows] = parity[v[rows, None] & u]
         table[rows] ^= idx[rows, None] ^ idx
-    return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=spec)
+    return FiniteGroup(table, [_es_name(n, i) for i in range(idx.size)], spec=spec,
+                       generators=[1 << k for k in range(1, 2 * n + 1)])
 
 
 # -- standard families ---------------------------------------------------------

@@ -98,16 +98,18 @@ class HowellForm:
                 vec[j] = a
         return vec
 
-    def add_row(self, row: Mapping[int, int]) -> None:
+    def add_row(self, row: Mapping[int, int]) -> bool:
         """Absorb a row {column: value}; values are taken modulo m, so zeros
-        and negative values may appear."""
+        and negative values may appear.  Returns whether the form changed:
+        False exactly when ``contains(row)`` held before the call, since a
+        row in the span reduces to zero against the saturated pivots."""
         vec = self._vector(row)
-        if self.m > 1:
-            self._absorb(vec)
+        return self.m > 1 and self._absorb(vec)
 
-    def _absorb(self, vec: dict[int, int]) -> None:
+    def _absorb(self, vec: dict[int, int]) -> bool:
         # stops at the first label column: a row without coordinates is dropped
         m, n = self.m, self.ncols
+        changed = False
         queue = [vec]
         while queue:
             v = queue.pop()
@@ -121,6 +123,7 @@ class HowellForm:
                     v = _scale(v, u, m)
                     self._pivot_at[j] = len(self._rows)
                     self._rows.append(v)
+                    changed = True
                     ann = _scale(v, m // g, m)
                     if ann:
                         queue.append(ann)
@@ -138,11 +141,13 @@ class HowellForm:
                     _add_multiple(old, -(p // g), new, m)
                     _add_multiple(v, -(a // g), new, m)
                     self._rows[pivot_idx] = new
+                    changed = True
                     if old:
                         queue.append(old)
                     ann = _scale(new, m // g, m)
                     if ann:
                         queue.append(ann)
+        return changed
 
     # -- queries ---------------------------------------------------------------
 

@@ -8,7 +8,9 @@ with its tags and chain_witness_flow's greedy solve) is build_delta's and
 witness_flow_from_kernel's former construction on the maximal abelian
 subgroups; the commuting-pair presentation on all of G, with one modulus,
 checks the theorem behind build_delta, and every_pair_form its central
-reduction.  The pairwise relation rows are the chain presentation's former
+reduction.  former_relation_pairs and former_sorted_rows, one generator at
+a time and with np.unique(axis=0), are build_delta's former pair and row
+passes.  The pairwise relation rows are the chain presentation's former
 construction, the unscaled presentation with
 its order rows is the chain presentation's former, unscaled form,
 the unpruned chain tags are its former tag set, with a chain for
@@ -825,6 +827,85 @@ def every_pair_form(D) -> HowellForm:
     return form
 
 
+# the 12 benchmark specs, then m = 1 and three with 3^2 or 2^3 in the exponent,
+# so the j >= 2 levels of the invariant factors run
+DELTA_SPECS = ("es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
+               "product:quaternion,quaternion", "es:3", "dihedral:6", "product:sym:3,sym:3",
+               "sym:4", "alt:5", "sym:5", "alt:6", "sym:6", "cyclic:1", "cyclic:9",
+               "product:cyclic:9,cyclic:3", "product:cyclic:4,product:cyclic:2,cyclic:8")
+
+
+def former_relation_pairs(G: FiniteGroup, column: np.ndarray, generators: list,
+                          orders: tuple) -> tuple:
+    """build_delta's former pair pass, one generator at a time: the pairs
+    (x, y) of its three kinds of rows, flattened into arrays xs and ys in
+    the order the pass made them."""
+    T, e = G.table, G.identity
+    primes = [_prime_powers(d)[0][0] for d in orders]
+    pairs = [(g, np.array([G.power(g, p - 1)]))
+             for g, p, d in zip(generators, primes, orders) if d > p]
+    for p in sorted(set(primes)):
+        cols = [c for c, q in enumerate(primes) if q == p]
+        members = np.flatnonzero(np.isin(column, cols))
+        central = [generators[c] for c in cols
+                   if np.array_equal(T[generators[c]], T[:, generators[c]])]
+        in_centre = np.zeros(G.order, dtype=bool)
+        in_centre[e] = True
+        spanning = []
+        for s in central:
+            if not in_centre[s]:
+                spanning.append(s)
+                _right_closure(T, in_centre, spanning)
+        pairs += [(s, members) for s in spanning]
+        if len(central) == len(cols):
+            continue
+        coset = np.arange(G.order)              # the least member of each coset of Z_p
+        for z in np.flatnonzero(in_centre):
+            np.minimum(coset, T[:, z], out=coset)
+        done = set()
+        for c in cols:
+            g = generators[c]
+            if in_centre[g] or coset[g] in done:
+                continue
+            done.add(coset[g])
+            meets = np.zeros(G.order, dtype=bool)     # the cosets that meet <g>
+            y = g
+            while not meets[coset[y]]:
+                meets[coset[y]] = True
+                y = T[y, g]
+            ys = members[T[g, members] == T[members, g]]
+            reps, first = np.unique(coset[ys], return_index=True)
+            pairs.append((g, ys[first[~meets[reps]]]))
+    xs = np.repeat(np.array([x for x, _ys in pairs], dtype=np.int32),
+                   [len(ys) for _x, ys in pairs])
+    ys = np.concatenate([np.zeros(0, np.int32)] + [ys for _x, ys in pairs]).astype(np.int32)
+    return xs, ys
+
+
+def former_sorted_rows(G: FiniteGroup, m: int, column: np.ndarray, value: np.ndarray,
+                       xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """build_delta's former row pass: the rows R(x, y) merged through a
+    rows x 3 x 3 broadcast, sorted per row by np.argsort, and deduplicated
+    by np.unique(axis=0); the same cols, vals, xs and ys as _sorted_rows."""
+    xy = G.table[xs, ys]
+    cols = np.stack([column[xy], column[xs], column[ys]], axis=1)
+    vals = np.stack([value[xy], -value[xs], -value[ys]], axis=1)
+    same = cols[:, :, None] == cols[:, None, :]
+    merged = (same * vals[:, None, :]).sum(axis=2, dtype=np.int32) % m
+    vals = np.where(np.tril(same, -1).any(axis=2), 0, merged)
+    order = np.argsort(np.where(vals == 0, -1, cols), axis=1)
+    cols, vals = np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+    cols[vals == 0] = -1
+    live = cols[:, 2] >= 0
+    cols, vals, xs, ys = cols[live], vals[live], xs[live], ys[live]
+    lead = vals[np.arange(len(vals)), np.argmax(cols >= 0, axis=1)]
+    units = {a: _unit_scale(a, m)[0] for a in np.unique(lead).tolist()}
+    scaled = vals * np.array([units[a] for a in lead.tolist()], dtype=np.int64)[:, None] % m
+    _, first = np.unique(np.concatenate([-cols[:, ::-1], scaled], axis=1), axis=0,
+                         return_index=True)
+    return cols[first], vals[first], xs[first], ys[first]
+
+
 def column_orders(D) -> list:
     """The order d_c of each coordinate column of D: its basis generator's."""
     return [d for basis in D.bases for d in basis.orders]
@@ -1455,19 +1536,18 @@ class DenseHowellForm(HowellForm):
             raise ValueError("column out of range")
         return dense_row(v, width) % self.m
 
-    def add_row(self, row) -> None:
+    def add_row(self, row) -> bool:
         vec = self._dense(row)
         coeff = None
         if self.track:
             coeff = np.zeros(self.n_input + 1, dtype=np.int64)
             coeff[self.n_input] = 1
         self.n_input += 1
-        if self.m == 1:
-            return
-        self._absorb(vec, coeff)
+        return self.m > 1 and self._absorb(vec, coeff)
 
-    def _absorb(self, vec, coeff) -> None:
+    def _absorb(self, vec, coeff) -> bool:
         n = self.ncols
+        changed = False
         queue = [(vec, coeff)]
         while queue:
             v, c = queue.pop()
@@ -1483,6 +1563,7 @@ class DenseHowellForm(HowellForm):
                     self._pivot_at[j] = len(self._rows)
                     self._rows.append(v)
                     self._coeffs.append(c)
+                    changed = True
                     ann = (v * (self.m // g)) % self.m
                     if ann.any():
                         queue.append((ann, None if c is None else (c * (self.m // g)) % self.m))
@@ -1511,12 +1592,14 @@ class DenseHowellForm(HowellForm):
                         c = (c - (a // g) * new_c) % self.m
                     self._rows[pivot_idx] = new
                     self._coeffs[pivot_idx] = new_c
+                    changed = True
                     if old.any():
                         queue.append((old, old_c))
                     ann = (new * (self.m // g)) % self.m
                     if ann.any():
                         queue.append((ann, None if new_c is None else (new_c * (self.m // g)) % self.m))
                 nz = np.nonzero(v[:n])[0]
+        return changed
 
     def _walk(self, v, combo):
         vec = self._dense(v)

@@ -677,14 +677,19 @@ def test_cayley_table_is_its_only_order_squared_array(monkeypatch, tmp_path):
 def test_es_table_is_its_only_order_squared_array(monkeypatch):
     """es:5's table is filled a block of rows at a time: the builder's peak
     traced memory stays within the 16 MiB table plus 3 MiB, and the table
-    is the one a single block gives."""
-    monkeypatch.setattr(groups, "FiniteGroup", lambda table, names, spec=None: table)
+    is the one a single block gives.  The builder hands x_1 ... x_10 to
+    FiniteGroup as its generator hint."""
+    hints = []
+    monkeypatch.setattr(groups, "FiniteGroup",
+                        lambda table, names, spec=None, *, generators: hints.append(generators)
+                        or table)
     tracemalloc.start()
     try:
         table = groups._es_group_impl(5, "es:5")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert hints == [[1 << k for k in range(1, 11)]]
     assert table.dtype == np.int32 and table.shape == (2048, 2048)
     assert table.nbytes <= peak < table.nbytes + 3 * 2 ** 20
     monkeypatch.setattr(groups, "_ASSOCIATIVITY_BLOCK_BYTES", table.nbytes)
@@ -825,6 +830,24 @@ def test_light_check_runs_on_the_perm_builders_generators(monkeypatch, spec):
     cycles = (["(1 2)", "(" + " ".join(map(str, range(1, n + 1))) + ")"] if head == "sym" else
               ["(1 2 3)", "(" + " ".join(map(str, range(1 + (n % 2 == 0), n + 1))) + ")"])
     assert [G.name(g) for g in checked[-1]] == list(dict.fromkeys(cycles))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_light_check_runs_on_the_es_builders_generators(monkeypatch, n):
+    """es:n is checked on x_1 ... x_2n alone, one Light pass each: the hint
+    is closed in one pass, and z, which they generate, needs no pass of its
+    own.  They are the group's ``generators``."""
+    checked = []
+    check = groups.FiniteGroup._check_associativity
+
+    def recording_check(self, hint=()):
+        checked.append(check(self, hint))
+        return checked[-1]
+
+    monkeypatch.setattr(groups.FiniteGroup, "_check_associativity", recording_check)
+    G = standard_group(f"es:{n}")
+    assert [G.name(g) for g in checked[-1]] == [f"x{k}" for k in range(1, 2 * n + 1)]
+    assert G.generators == tuple(checked[-1])
 
 
 def test_perm_builder_names_a_walk_that_misses_elements(monkeypatch):

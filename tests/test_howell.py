@@ -20,6 +20,7 @@ from groupflow.groupleak import build_delta, is_leakproof_group, witness_flow_fr
 from groupflow.groups import standard_group
 from groupflow.howell import HowellForm, invariant_factors
 from helpers import (
+    DELTA_SPECS,
     DenseHowellForm,
     _divisor_chain,
     dense_row,
@@ -164,14 +165,6 @@ def _snf_factors(rows, m, k):
     return _divisor_chain([abs(int(snf[i, i])) for i in range(k)])
 
 
-# the 12 benchmark specs, then m = 1 and three with 3^2 or 2^3 in the exponent,
-# so the j >= 2 levels run
-DELTA_SPECS = ("es:2", "centprod:quaternion,dihedral:4", "product:es:2,cyclic:2",
-               "product:quaternion,quaternion", "es:3", "dihedral:6", "product:sym:3,sym:3",
-               "sym:4", "alt:5", "sym:5", "alt:6", "sym:6", "cyclic:1", "cyclic:9",
-               "product:cyclic:9,cyclic:3", "product:cyclic:4,product:cyclic:2,cyclic:8")
-
-
 def test_invariant_factors_match_diagonalization_oracle():
     """The prime-power orders give the factors the row-and-column
     diagonalisation gives, and sympy's Smith form agrees, on random row
@@ -230,7 +223,7 @@ def test_invariant_factors_of_column_orders_match_snf():
 
 def test_modulus_one_degenerates():
     form = HowellForm(3, 1)
-    form.add_row({0: 0, 1: 0, 2: 0})
+    assert form.add_row({0: 0, 1: 0, 2: 0}) is False
     assert form.contains({0: 0, 1: 0, 2: 0})
     assert form.reduce({0: 5, 2: -1}) == {}
     assert form_invariant_factors(form) == []
@@ -386,6 +379,40 @@ def test_tracked_solve_many_rows(m):
     for r in rows[:: 37]:
         sol = dense_row(form.solve(_sparse(r.tolist())), len(rows))
         assert np.array_equal((sol @ rows) % m, r % m)
+
+
+@pytest.mark.parametrize("m", [4, 12, 60])
+def test_add_row_reports_whether_the_form_changed(m):
+    """add_row returns False exactly when contains(row) held before the
+    call, and then leaves the pivot rows as they were; the dense oracle
+    returns the same flag.  Random rows, plain and labelled, with
+    combinations of earlier rows and rows of multiples of divisors of m
+    among them, so both outcomes and the gcd step occur."""
+    rng = random.Random(m)
+    divisors = [d for d in range(2, m) if m % d == 0]
+    flags = []
+    for t in range(80):
+        k = rng.randint(1, 6)
+        labels = 2 * k + 2 if t % 2 else 0
+        sparse = HowellForm(k, m, labels=labels)
+        dense = DenseHowellForm(k, m, labels=labels)
+        rows = []
+        for i in range(rng.randint(1, 2 * k + 2)):
+            if rows and rng.random() < 0.4:
+                row = [sum(rng.randrange(m) * r[j] for r in rows) % m for j in range(k)]
+            else:
+                scale = rng.choice([1] + divisors)
+                row = [scale * rng.randrange(m) * (rng.random() < 0.7) % m for _ in range(k)]
+            rows.append(row)
+            vec = {**dict(enumerate(row)), **({k + i: 1} if labels else {})}
+            held, before = sparse.contains(vec), sparse.pivot_rows()
+            flag = sparse.add_row(vec)
+            assert flag is (not held)
+            assert dense.add_row(vec) is flag
+            if not flag:
+                assert sparse.pivot_rows() == before
+            flags.append(flag)
+    assert flags.count(True) > 100 and flags.count(False) > 100
 
 
 def _assert_same_form(sparse, dense, probes, rows, m):
